@@ -15,7 +15,6 @@ import argparse
 import time
 
 from cteuclid.bruteforce import OracleRefusal, brute_count
-from cteuclid.checkpoint import CheckpointPause, run_checkpointed
 from cteuclid.engine import Stats
 from cteuclid.problems import (
     format_series,
@@ -44,18 +43,8 @@ def main():
 
     stats = Stats()
     t0 = time.perf_counter()
-    if args.checkpoint_dir:
-        try:
-            out, _ = run_checkpointed(
-                system, "series", args.checkpoint_dir,
-                order=args.order, seed=args.seed, chunk_size=200,
-            )
-        except CheckpointPause as exc:
-            print(f"paused: {exc}")
-            return
-    else:
-        out = run_pipeline(system, "series", order=args.order, seed=args.seed,
-                           stats=stats)
+    out = run_pipeline(system, "series", args.checkpoint_dir, order=args.order,
+                       seed=args.seed, chunk_size=200, stats=stats)
     wall = time.perf_counter() - t0
 
     print(f"series     {format_series(out.num, out.den, out.den_factors)}")

@@ -129,6 +129,11 @@ class PrimeField:
         return n % self.modulus
 
     def from_fraction(self, fr):
+        if fr.denominator % self.modulus == 0:
+            raise InputError(
+                f"modulus {self.modulus} divides the denominator {fr.denominator}; "
+                "use a larger prime"
+            )
         return fr.numerator * pow(fr.denominator, -1, self.modulus) % self.modulus
 
     def add(self, a, b):
@@ -326,19 +331,6 @@ def exps_content_primitive(exps):
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials: dict {exps: coeff}
-
-
-def poly_zero():
-    return {}
-
-
-def poly_const(ring, c=None):
-    c = ring.one() if c is None else c
-    return {} if ring.is_zero(c) else {EXPS_ONE: c}
-
-
-def poly_monomial(ring, coeff, exps):
-    return {} if ring.is_zero(coeff) else {exps: coeff}
 
 
 def poly_add_inplace(ring, p, q):

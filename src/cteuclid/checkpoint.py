@@ -1,4 +1,4 @@
-"""Chunked, resumable runs with atomic on-disk state.
+"""On-disk checkpoint store: resumable runs with atomic state files.
 
 A checkpoint directory holds:
 
@@ -7,16 +7,18 @@ A checkpoint directory holds:
     partial-TAG-NNNN.json  one elimination result per ring per chunk (phase B)
     result.txt             final rendered result (phase C)
 
-Every file is written to a temp name and atomically renamed, so a killed
-run leaves only complete units.  The configuration hash covers the task,
-the system, the seed, and the structural knobs -- but not the prime set:
-saved term chunks are ring-independent, so a resume may switch moduli and
-only the affected per-ring partials are recomputed.  The substitution
+Every file is written to a temp name, synced, and atomically renamed, so a
+killed run leaves only complete units.  The configuration hash covers the
+task, the system, the seed, and the structural knobs -- but not the prime
+set: saved term chunks are ring-independent, so a resume may switch moduli
+and only the affected per-ring partials are recomputed.  The substitution
 direction is re-derived deterministically from the seed on every resume;
 each partial records the direction hash it was computed under and is
 recomputed if that hash moved (it only can when the prime set changed).
 
-The rendered result contains no wall-clock data, so a fresh run and an
+The stages themselves run in ``problems.run_pipeline``; this module only
+decides what is already on disk and stores what is not.  The rendered
+result contains no wall-clock data, so a fresh run and an
 interrupted-and-resumed run with the same configuration produce
 byte-identical result files.
 """
@@ -29,20 +31,8 @@ import os
 from fractions import Fraction
 
 from . import __version__
-from .algebra import ExactRing, VariableTable
-from .engine import ElliottTerm, Stats, TermSum, ct_all
-from .elimination import eliminate_slack, pick_lambda
-from .problems import (
-    DiophantineSystem,
-    _assemble_count,
-    _assemble_series,
-    build_count_termsum,
-    build_series_termsum,
-    check_boundedness,
-    convert_terms,
-    elimination_rings,
-)
-from .univariate import FactoredAccumulator
+from .algebra import VariableTable
+from .engine import ElliottTerm, Stats
 
 TOOL_NAME = "ct-euclid"
 
@@ -77,6 +67,8 @@ def config_hash(payload):
 
 
 def system_from_payload(payload):
+    from .problems import DiophantineSystem  # problems imports this module
+
     matrix = [[int(c) for c in row] for row in payload["matrix"]]
     rhs = [int(c) for c in payload["rhs"]]
     return DiophantineSystem(matrix, rhs)
@@ -86,6 +78,8 @@ def _write_atomic(path, text):
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -139,192 +133,131 @@ def ring_tag(ring):
 
 
 # ---------------------------------------------------------------------------
-# the orchestrator
+# the store
 
 
-def run_checkpointed(
-    system,
-    task,
-    ckpt_dir,
-    *,
-    moduli=(),
-    crt=False,
-    order="given",
-    slack_mode="eager",
-    seed=0,
-    chunk_size=1000,
-    assume_bounded=False,
-    max_units=None,
-    log=None,
-    kmax=12,
-):
-    """Run (or resume) a counting/series pipeline with on-disk checkpoints.
+class DirectoryStore:
+    """Stage A and the stage-B partials of one run, kept in a directory.
 
-    max_units bounds the number of completed work units (phase A counts as
-    one, each per-ring per-chunk elimination as one); hitting the bound
-    raises CheckpointPause after the current unit is safely on disk.
+    max_units bounds the number of work units completed by this process
+    (stage A counts as one, each per-ring per-chunk partial as one);
+    hitting the bound raises CheckpointPause after the current unit is
+    safely on disk.
     """
-    if chunk_size < 1:
-        raise CheckpointError("chunk size must be at least 1")
-    os.makedirs(ckpt_dir, exist_ok=True)
-    payload = config_payload(task, system, seed, order, slack_mode, chunk_size)
-    chash = config_hash(payload)
-    meta_path = os.path.join(ckpt_dir, "meta.json")
-    if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        if meta.get("config_hash") != chash:
-            raise CheckpointError(
-                "checkpoint directory was created for a different configuration"
-            )
-    else:
-        meta = {
-            "tool": TOOL_NAME,
-            "version": __version__,
-            "config_hash": chash,
-            "config": payload,
-            "phase_a": {"done": False},
-        }
-        _write_atomic(meta_path, json.dumps(meta, sort_keys=True, indent=1))
 
-    units = 0
-
-    def spend_unit():
-        nonlocal units
-        units += 1
-        if max_units is not None and units >= max_units:
-            raise CheckpointPause(f"paused after {units} unit(s)")
-
-    # ---- phase A: constant-term extraction, exact integer coefficients
-    if not meta["phase_a"].get("done"):
-        check_boundedness(system, assume_bounded)
-        if log:
-            log("phase A: extracting constant terms")
-        table = VariableTable()
-        ring0 = ExactRing()
-        if task == "count":
-            ts = build_count_termsum(system, table, ring0, slack_mode)
+    def __init__(self, path, payload, chash, max_units=None, log=None):
+        if payload["chunk_size"] < 1:
+            raise CheckpointError("chunk size must be at least 1")
+        os.makedirs(path, exist_ok=True)
+        self.path = path
+        self.max_units = max_units
+        self.log = log or (lambda msg: None)
+        self.units = 0
+        self.meta_path = os.path.join(path, "meta.json")
+        if os.path.exists(self.meta_path):
+            with open(self.meta_path) as fh:
+                self.meta = json.load(fh)
+            if self.meta.get("config_hash") != chash:
+                raise CheckpointError(
+                    "checkpoint directory was created for a different configuration"
+                )
         else:
-            ts = build_series_termsum(system, table, ring0, slack_mode)
+            self.meta = {
+                "tool": TOOL_NAME,
+                "version": __version__,
+                "config_hash": chash,
+                "config": payload,
+                "phase_a": {"done": False},
+            }
+            self._write_meta()
+
+    def _write_meta(self):
+        _write_atomic(self.meta_path, json.dumps(self.meta, sort_keys=True, indent=1))
+
+    def _spend_unit(self):
+        self.units += 1
+        if self.max_units is not None and self.units >= self.max_units:
+            raise CheckpointPause(f"paused after {self.units} unit(s)")
+
+    def stage_a(self, compute):
+        """(table, term chunks, stage-A stats); compute() runs only once per directory."""
+        if not self.meta["phase_a"].get("done"):
+            self.log("phase A: extracting constant terms")
+            table, terms, stats = compute()
+            size = self.meta["config"]["chunk_size"]
+            nchunks = max(1, (len(terms) + size - 1) // size)
+            for i in range(nchunks):
+                lines = "".join(term_to_line(t) + "\n" for t in terms[i * size : (i + 1) * size])
+                _write_atomic(os.path.join(self.path, f"terms-{i:04d}.jsonl"), lines)
+            self.meta["phase_a"] = {
+                "done": True,
+                "chunks": nchunks,
+                "terms": len(terms),
+                "stats": stats.as_dict(),
+                "table": table_to_obj(table),
+            }
+            self._write_meta()
+            self._spend_unit()
+        phase_a = self.meta["phase_a"]
         stats = Stats()
-        done = ct_all(ts, order=order, delayed=(slack_mode == "delayed"), stats=stats)
-        terms = done.terms
-        nchunks = max(1, (len(terms) + chunk_size - 1) // chunk_size)
-        for i in range(nchunks):
-            chunk = terms[i * chunk_size : (i + 1) * chunk_size]
-            lines = "".join(term_to_line(t) + "\n" for t in chunk)
-            _write_atomic(os.path.join(ckpt_dir, f"terms-{i:04d}.jsonl"), lines)
-        meta["phase_a"] = {
-            "done": True,
-            "chunks": nchunks,
-            "terms": len(terms),
-            "stats": stats.as_dict(),
-            "table": table_to_obj(table),
-        }
-        _write_atomic(meta_path, json.dumps(meta, sort_keys=True, indent=1))
-        spend_unit()
+        stats.load(phase_a["stats"])
+        chunks = [self._load_chunk(i) for i in range(phase_a["chunks"])]
+        return table_from_obj(phase_a["table"]), chunks, stats
 
-    table = table_from_obj(meta["phase_a"]["table"])
-    nchunks = meta["phase_a"]["chunks"]
-
-    def load_chunk(i):
-        path = os.path.join(ckpt_dir, f"terms-{i:04d}.jsonl")
+    def _load_chunk(self, i):
+        path = os.path.join(self.path, f"terms-{i:04d}.jsonl")
         try:
             with open(path) as fh:
                 return [term_from_line(line) for line in fh if line.strip()]
         except FileNotFoundError:
             raise CheckpointError(f"missing term chunk {i}; delete the directory and rerun")
 
-    chunks = [load_chunk(i) for i in range(nchunks)]
+    def partial(self, ring, i, lhash, compute):
+        """(kind, value, stats) of chunk i in ring, saved under direction hash lhash.
 
-    # ---- direction: derived deterministically from the seed each time
-    lam_map = pick_lambda(chunks, moduli=moduli, seed=seed)
-    lhash = lam_hash(lam_map)
-    lam_named = {table.name_of(v): w for v, w in lam_map.items()}
-
-    # ---- phase B: per-ring per-chunk elimination
-    rings = elimination_rings(moduli)
-    partials = {}
-    for ring in rings:
+        A saved partial computed under another direction is recomputed.
+        """
         tag = ring_tag(ring)
-        for i in range(nchunks):
-            path = os.path.join(ckpt_dir, f"partial-{tag}-{i:04d}.json")
-            obj = None
-            if os.path.exists(path):
-                with open(path) as fh:
-                    obj = json.load(fh)
-                if obj.get("lam_hash") != lhash:
-                    obj = None
-            if obj is None:
-                if log:
-                    log(f"phase B: ring {tag}, chunk {i + 1}/{nchunks}")
-                st = Stats()
-                ts_r = convert_terms(TermSum(table, ExactRing(), chunks[i]), ring)
-                kind, value = eliminate_slack(ts_r, lam_map, st)
-                if kind == "scalar":
-                    body = {"kind": "scalar", "value": str(value)}
-                elif kind == "series":
-                    body = {
-                        "kind": "series",
-                        "den": {str(k): e for k, e in sorted(value.den.items())},
-                        "num": {str(d): str(c) for d, c in sorted(value.num.items())},
-                    }
-                else:
-                    raise CheckpointError(
-                        "terms kept several free variables; chunked runs support "
-                        "counts and single-variable series only"
-                    )
-                obj = {
-                    "lam_hash": lhash,
-                    "body": body,
-                    "stats": {
-                        "ct_s_calls": st.ct_s_calls,
-                        "summand_max": st.summand_max,
-                        "summand_bound_ok": st.summand_bound_ok,
-                    },
-                }
-                _write_atomic(path, json.dumps(obj, sort_keys=True))
-                spend_unit()
-            partials[(tag, i)] = obj
+        path = os.path.join(self.path, f"partial-{tag}-{i:04d}.json")
+        if os.path.exists(path):
+            with open(path) as fh:
+                obj = json.load(fh)
+            if obj.get("lam_hash") == lhash:
+                return _partial_from_obj(ring, obj)
+        self.log(f"phase B: ring {tag}, chunk {i + 1}/{self.meta['phase_a']['chunks']}")
+        kind, value, stats = compute()
+        _write_atomic(path, json.dumps(_partial_to_obj(kind, value, stats, lhash), sort_keys=True))
+        self._spend_unit()
+        return kind, value, stats
 
-    # ---- phase C: combine, reduce, reconstruct
-    stats = Stats()
-    stats.load(meta["phase_a"]["stats"])
-    for obj in partials.values():
-        st = obj["stats"]
-        stats.ct_s_calls += st["ct_s_calls"]
-        if st["summand_max"] > stats.summand_max:
-            stats.summand_max = st["summand_max"]
-        stats.summand_bound_ok = stats.summand_bound_ok and st["summand_bound_ok"]
 
-    def parse_scalar(ring, s):
-        if ring.modulus is None:
-            return ExactRing().from_fraction(Fraction(s))
-        return int(s) % ring.modulus
-
-    results = []
-    for ring in rings:
-        tag = ring_tag(ring)
-        kinds = {partials[(tag, i)]["body"]["kind"] for i in range(nchunks)}
-        if kinds == {"scalar"}:
-            total = ring.zero()
-            for i in range(nchunks):
-                total = ring.add(total, parse_scalar(ring, partials[(tag, i)]["body"]["value"]))
-            results.append((ring, ("scalar", total)))
-        elif kinds == {"series"}:
-            acc = FactoredAccumulator(ring)
-            for i in range(nchunks):
-                body = partials[(tag, i)]["body"]
-                num = {int(d): parse_scalar(ring, c) for d, c in body["num"].items()}
-                den = {int(k): e for k, e in body["den"].items()}
-                acc.add_piece(num, den)
-            results.append((ring, ("series", acc)))
-        else:
-            raise CheckpointError("mixed partial kinds in one checkpoint directory")
-
-    if task == "count":
-        out = _assemble_count(results, moduli, crt, lam_named, stats)
+def _partial_to_obj(kind, value, stats, lhash):
+    if kind == "scalar":
+        body = {"kind": "scalar", "value": str(value)}
     else:
-        out = _assemble_series(results, moduli, crt, lam_named, stats, kmax)
-    out.table = table
-    return out, chash
+        num, den = value
+        body = {
+            "kind": "series",
+            "den": {str(k): e for k, e in sorted(den.items())},
+            "num": {str(d): str(c) for d, c in sorted(num.items())},
+        }
+    return {
+        "lam_hash": lhash,
+        "body": body,
+        "stats": {
+            "ct_s_calls": stats.ct_s_calls,
+            "summand_max": stats.summand_max,
+            "summand_bound_ok": stats.summand_bound_ok,
+        },
+    }
+
+
+def _partial_from_obj(ring, obj):
+    body = obj["body"]
+    stats = Stats()
+    stats.load(obj["stats"])
+    if body["kind"] == "scalar":
+        return "scalar", ring.from_fraction(Fraction(body["value"])), stats
+    num = {int(d): ring.from_fraction(Fraction(c)) for d, c in body["num"].items()}
+    den = {int(k): e for k, e in body["den"].items()}
+    return "series", (num, den), stats

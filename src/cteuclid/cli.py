@@ -30,6 +30,8 @@ from . import __version__
 from .algebra import (
     CT,
     FREE,
+    RANK_OF_ROLE,
+    ROLE_NAMES,
     SLACK,
     ExactRing,
     InputError,
@@ -43,15 +45,12 @@ from .checkpoint import (
     TOOL_NAME,
     CheckpointError,
     CheckpointPause,
-    config_hash,
-    config_payload,
-    run_checkpointed,
+    _write_atomic,
     system_from_payload,
 )
 from .elimination import DEFAULT_PRIMES, LambdaExhaustion, PrimeClash
 from .engine import CollisionError, Stats, TermSum, add_slack, ct_all, make_term
 from .problems import (
-    DiophantineSystem,
     format_series,
     knapsack_system,
     magic_square_system,
@@ -69,9 +68,6 @@ EXIT_PRIME = 5
 EXIT_ORACLE = 6
 EXIT_RESUME = 7
 
-ROLES = {"free": FREE, "slack": SLACK, "ct": CT}
-ROLE_NAMES = {FREE: "free", SLACK: "slack", CT: "ct"}
-
 
 def _weights(text):
     try:
@@ -83,7 +79,7 @@ def _weights(text):
     return ws
 
 
-def _add_common(sp, checkpointable=True):
+def _add_common(sp):
     sp.add_argument("--mod", action="append", type=int, default=[], metavar="P",
                     help="work modulo the odd prime P (repeatable)")
     sp.add_argument("--crt", action="store_true",
@@ -98,13 +94,12 @@ def _add_common(sp, checkpointable=True):
     sp.add_argument("--assume-bounded", action="store_true",
                     help="skip the solution-set boundedness certificate")
     sp.add_argument("--output", metavar="PATH", help="result file path")
-    if checkpointable:
-        sp.add_argument("--checkpoint-dir", metavar="DIR",
-                        help="directory for resumable on-disk state")
-        sp.add_argument("--chunk-size", type=int, default=1000, metavar="K",
-                        help="terms per checkpoint chunk (default 1000)")
-        sp.add_argument("--max-units", type=int, default=None, metavar="N",
-                        help="pause after N completed work units (testing)")
+    sp.add_argument("--checkpoint-dir", metavar="DIR",
+                    help="directory for resumable on-disk state")
+    sp.add_argument("--chunk-size", type=int, default=1000, metavar="K",
+                    help="terms per checkpoint chunk (default 1000)")
+    sp.add_argument("--max-units", type=int, default=None, metavar="N",
+                    help="pause after N completed work units (testing)")
 
 
 def build_parser():
@@ -181,11 +176,28 @@ def _lambda_line(lam):
     return "lambda: " + ",".join(f"{k}={v}" for k, v in items)
 
 
-def render_result(out, chash, cfg, coeff_list=None):
+def _den_factors_str(den_counts):
+    return " * ".join(
+        f"(1-q^{k})^{e}" if e > 1 else f"(1-q^{k})" for k, e in sorted(den_counts.items())
+    )
+
+
+def _counter_lines(st):
+    """The stage-A counters, shared by pipeline and raw constant-term results."""
+    return [
+        f"raw-terms: {st.raw_terms}",
+        f"collected-terms: {st.collected_terms}",
+        f"euclid-nodes: {st.euclid_nodes}",
+        f"collisions: {st.collisions}",
+        f"restarts: {st.restarts}",
+    ]
+
+
+def render_result(out, cfg, coeff_list=None):
     """Deterministic plain-text result block (no wall times)."""
     lines = [
         f"tool: {TOOL_NAME} {__version__}",
-        f"config: {chash}",
+        f"config: {out.config_hash}",
         f"task: {out.task}",
     ]
     if out.table is not None:
@@ -211,13 +223,7 @@ def render_result(out, chash, cfg, coeff_list=None):
             lines.append("numerator: " + ",".join(str(c) for c in out.num))
             lines.append("denominator: " + ",".join(str(c) for c in out.den))
             if out.den_factors:
-                lines.append(
-                    "denominator-factors: "
-                    + " * ".join(
-                        f"(1-q^{k})^{e}" if e > 1 else f"(1-q^{k})"
-                        for k, e in sorted(out.den_factors.items())
-                    )
-                )
+                lines.append("denominator-factors: " + _den_factors_str(out.den_factors))
             lines.append("series: " + format_series(out.num, out.den, out.den_factors))
         if out.series_residues:
             den_counts = None
@@ -227,13 +233,7 @@ def render_result(out, chash, cfg, coeff_list=None):
                 num = ",".join(f"{d}:{c}" for d, c in sorted(body["num"].items()))
                 lines.append(f"residue-numerator[{p}]: {num}")
             if den_counts:
-                lines.append(
-                    "residue-denominator: "
-                    + " * ".join(
-                        f"(1-q^{k})^{e}" if e > 1 else f"(1-q^{k})"
-                        for k, e in sorted(den_counts.items())
-                    )
-                )
+                lines.append("residue-denominator: " + _den_factors_str(den_counts))
     if out.confidence is not None:
         lines.append("crt-confidence: %.6e" % float(out.confidence))
     if coeff_list is not None:
@@ -241,30 +241,18 @@ def render_result(out, chash, cfg, coeff_list=None):
 
     st = out.stats
     if st is not None:
-        lines.append(f"raw-terms: {st.raw_terms}")
-        lines.append(f"collected-terms: {st.collected_terms}")
-        lines.append(f"euclid-nodes: {st.euclid_nodes}")
-        lines.append(f"collisions: {st.collisions}")
-        lines.append(f"restarts: {st.restarts}")
+        lines.extend(_counter_lines(st))
         lines.append(f"ct-s-calls: {st.ct_s_calls}")
         lines.append(f"summand-max: {st.summand_max}")
         lines.append("summand-bound-ok: " + ("yes" if st.summand_bound_ok else "NO"))
     return "\n".join(lines) + "\n"
 
 
-def _write_result(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _result_path(args):
-    if getattr(args, "output", None):
+    if args.output:
         return args.output
-    ckdir = getattr(args, "checkpoint_dir", None)
-    if ckdir:
-        return os.path.join(ckdir, "result.txt")
+    if args.checkpoint_dir:
+        return os.path.join(args.checkpoint_dir, "result.txt")
     return "ct-result.txt"
 
 
@@ -323,36 +311,21 @@ def _moduli_of(args):
 
 def run_task(system, task, args, coeffs=None):
     moduli = _moduli_of(args)
-    ckdir = getattr(args, "checkpoint_dir", None)
     t0 = time.time()
-    if ckdir:
-        out, chash = run_checkpointed(
-            system,
-            task,
-            ckdir,
-            moduli=moduli,
-            crt=args.crt,
-            order=args.order,
-            slack_mode=args.slack,
-            seed=args.seed,
-            chunk_size=args.chunk_size,
-            assume_bounded=args.assume_bounded,
-            max_units=args.max_units,
-            log=lambda msg: print(f"# {msg}", file=sys.stderr),
-        )
-    else:
-        payload = config_payload(task, system, args.seed, args.order, args.slack, 1000)
-        chash = config_hash(payload)
-        out = run_pipeline(
-            system,
-            task,
-            moduli=moduli,
-            crt=args.crt,
-            order=args.order,
-            slack_mode=args.slack,
-            seed=args.seed,
-            assume_bounded=args.assume_bounded,
-        )
+    out = run_pipeline(
+        system,
+        task,
+        args.checkpoint_dir,
+        moduli=moduli,
+        crt=args.crt,
+        order=args.order,
+        slack_mode=args.slack,
+        seed=args.seed,
+        chunk_size=args.chunk_size,
+        assume_bounded=args.assume_bounded,
+        max_units=args.max_units,
+        log=lambda msg: print(f"# {msg}", file=sys.stderr),
+    )
     wall = time.time() - t0
 
     coeff_list = None
@@ -366,9 +339,9 @@ def run_task(system, task, args, coeffs=None):
         "moduli": moduli,
         "crt": args.crt,
     }
-    text = render_result(out, chash, cfg, coeff_list)
+    text = render_result(out, cfg, coeff_list)
     path = _result_path(args)
-    _write_result(path, text)
+    _write_atomic(path, text)
     print(out.value_str())
     sys.stdout.write(text)
     print(f"# wall-time: {wall:.3f} s")
@@ -411,26 +384,12 @@ def cmd_resume(args):
     if args.input is not None:
         with open(args.input) as fh:
             other = system_from_json(fh.read())
-        payload = config_payload(
-            cfg["task"], other, cfg["seed"], cfg["order"], cfg["slack"], cfg["chunk_size"]
-        )
-        if config_hash(payload) != meta["config_hash"]:
+        if (other.matrix, other.rhs) != (system.matrix, system.rhs):
             raise CheckpointError("input file does not match the checkpoint")
-
-    ns = argparse.Namespace(
-        mod=args.mod,
-        crt=args.crt,
-        seed=cfg["seed"],
-        order=cfg["order"],
-        slack=cfg["slack"],
-        checkpoint_dir=args.checkpoint_dir,
-        chunk_size=cfg["chunk_size"],
-        max_units=args.max_units,
-        assume_bounded=args.assume_bounded,
-        oracle_check=args.oracle_check,
-        output=args.output,
-    )
-    return run_task(system, cfg["task"], ns, coeffs=args.coeffs)
+    # the saved configuration stands in for the flags resume does not take
+    for key in ("seed", "order", "slack", "chunk_size"):
+        setattr(args, key, cfg[key])
+    return run_task(system, cfg["task"], args, coeffs=args.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +407,9 @@ def load_raw_term(text):
         obj = json.loads(text)
         table = VariableTable()
         for name, role in obj["variables"]:
-            if role not in ROLES:
+            if role not in RANK_OF_ROLE:
                 raise InputError(f"unknown variable role {role!r}")
-            table.add(name, ROLES[role])
+            table.add(name, RANK_OF_ROLE[role])
         num = {}
         for coeff, mono in obj.get("numerator", [[1, {}]]):
             e = exps_from_dict({table.vid_of(nm): int(k) for nm, k in mono.items()})
@@ -506,15 +465,11 @@ def cmd_ct(args):
     ]
     for i, term in enumerate(done.terms):
         lines.append(f"term[{i}]: {_term_str(table, term, ring)}")
-    lines.append(f"raw-terms: {stats.raw_terms}")
-    lines.append(f"collected-terms: {stats.collected_terms}")
-    lines.append(f"euclid-nodes: {stats.euclid_nodes}")
-    lines.append(f"collisions: {stats.collisions}")
-    lines.append(f"restarts: {stats.restarts}")
+    lines.extend(_counter_lines(stats))
     text = "\n".join(lines) + "\n"
 
     path = args.output or "ct-result.txt"
-    _write_result(path, text)
+    _write_atomic(path, text)
     sys.stdout.write(text)
     print(f"# wall-time: {wall:.3f} s")
     print(f"# result-file: {path}")

@@ -38,7 +38,6 @@ from .algebra import (
     poly_neg,
     poly_rem,
     poly_slice_zero,
-    rem_monomial,
     split_by_sign,
     srem_split,
     substitute,
@@ -51,10 +50,6 @@ class CollisionError(RuntimeError):
     With eager slack insertion this signals a broken invariant; in delayed
     mode the caller restarts the offending term with slack variables.
     """
-
-
-CONTRIBUTING = "contributing"
-DUALLY_CONTRIBUTING = "dually-contributing"
 
 
 class Stats:
@@ -88,6 +83,14 @@ class Stats:
         for k, v in d.items():
             if k in self.__slots__:
                 setattr(self, k, v)
+
+    def merge(self, other):
+        """Add the counters of another run part (max and all() for the summand checks)."""
+        for k in ("raw_terms", "collected_terms", "euclid_nodes", "collisions", "restarts",
+                  "ct_s_calls"):
+            setattr(self, k, getattr(self, k) + getattr(other, k))
+        self.summand_max = max(self.summand_max, other.summand_max)
+        self.summand_bound_ok = self.summand_bound_ok and other.summand_bound_ok
 
 
 class ElliottTerm:
@@ -199,14 +202,6 @@ def normalize_for_var(ring, t, xvid):
         sign = ring.from_int(-1) if flips % 2 else ring.one()
         num = poly_mul_monomial(ring, num, sign, unit)
     return num, den
-
-
-def classify_factor(f_exps, xvid):
-    """Contributing iff the (positive-x-exponent) factor monomial is small."""
-    a = exps_get(f_exps, xvid)
-    if a <= 0:
-        raise ValueError("classify_factor expects a factor normalized to positive x-exponent")
-    return CONTRIBUTING if compare_to_one(f_exps) is SMALL else DUALLY_CONTRIBUTING
 
 
 def _check_pairwise_coprime(den, xvid):

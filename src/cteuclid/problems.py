@@ -19,7 +19,7 @@ divisions happen there); prime moduli only enter the elimination phase.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -28,25 +28,22 @@ from .algebra import (
     ExactRing,
     InputError,
     PrimeField,
+    VariableTable,
     exps_from_dict,
     exps_mul,
 )
 from .bruteforce import certify_bounded
-from .elimination import (
-    DEFAULT_PRIMES,
-    crt_combine,
-    eliminate_slack,
-    pick_lambda,
-)
+from .checkpoint import DirectoryStore, config_hash, config_payload, lam_hash
+from .elimination import crt_combine, eliminate_slack, pick_lambda
 from .engine import ElliottTerm, Stats, TermSum, ct_all, make_term
 from .univariate import (
+    FactoredAccumulator,
     expand_factored,
     divexact_int,
     power_series_div,
     reduce_fraction_int,
     sparse_mul_binomial,
 )
-from .algebra import VariableTable
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +213,7 @@ class RunOutcome:
     lam: dict = None              # direction used, keyed by variable name
     stats: Stats = None
     table: object = None          # VariableTable of the run
+    config_hash: str = None       # hash of the run configuration
 
     def value_str(self):
         if self.task == "count":
@@ -354,9 +352,25 @@ def check_boundedness(system, assume_bounded=False):
         )
 
 
+class MemoryStore:
+    """Keeps every stage result as a Python object: nothing is serialized.
+
+    Stage B gets one chunk holding every term, so each ring is eliminated
+    in one call.
+    """
+
+    def stage_a(self, compute):
+        table, terms, stats = compute()
+        return table, [terms], stats
+
+    def partial(self, ring, i, lhash, compute):
+        return compute()
+
+
 def run_pipeline(
     system,
     task,
+    ckpt_dir=None,
     *,
     moduli=(),
     crt=False,
@@ -364,52 +378,96 @@ def run_pipeline(
     slack_mode="eager",
     seed=0,
     lam=None,
+    chunk_size=1000,
     assume_bounded=False,
+    max_units=None,
+    log=None,
     stats=None,
     kmax=12,
 ):
     """Count solutions (task="count") or compute the dilation series
-    (task="series") for one system, in one process, no checkpointing."""
-    check_boundedness(system, assume_bounded)
-    stats = stats if stats is not None else Stats()
-    table = VariableTable()
-    ring0 = ExactRing()
-    if task == "count":
-        ts = build_count_termsum(system, table, ring0, slack_mode)
-    elif task == "series":
-        ts = build_series_termsum(system, table, ring0, slack_mode)
-    else:
+    (task="series") for one system.
+
+    Without ckpt_dir every stage stays in memory.  With it, stage A and each
+    per-ring per-chunk stage-B partial are kept in that directory (see the
+    checkpoint module): a second call resumes where the first one stopped,
+    and max_units makes a call raise CheckpointPause after that many newly
+    completed units.  The outcome carries the configuration hash.
+    """
+    if task not in ("count", "series"):
         raise InputError(f"unknown task {task!r}")
-    done = ct_all(ts, order=order, delayed=(slack_mode == "delayed"), stats=stats)
-    lam_map = pick_lambda([done], moduli=moduli, seed=seed, lam=lam)
+    payload = config_payload(task, system, seed, order, slack_mode, chunk_size)
+    chash = config_hash(payload)
+    if ckpt_dir is None:
+        store = MemoryStore()
+    else:
+        store = DirectoryStore(ckpt_dir, payload, chash, max_units, log)
+
+    def stage_a():
+        check_boundedness(system, assume_bounded)
+        table = VariableTable()
+        build = build_count_termsum if task == "count" else build_series_termsum
+        ts = build(system, table, ExactRing(), slack_mode)
+        st = Stats()
+        done = ct_all(ts, order=order, delayed=(slack_mode == "delayed"), stats=st)
+        return table, done.terms, st
+
+    def stage_b(ring, chunk):
+        st = Stats()
+        ts_r = convert_terms(TermSum(table, ExactRing(), chunk), ring)
+        kind, value = eliminate_slack(ts_r, lam_map, st)
+        if kind == "series":
+            value = (value.num, value.den)
+        elif kind != "scalar":
+            raise RuntimeError("terms kept several free variables")
+        return kind, value, st
+
+    table, chunks, stats_a = store.stage_a(stage_a)
+    stats = stats if stats is not None else Stats()
+    stats.merge(stats_a)
+    lam_map = pick_lambda(chunks, moduli=moduli, seed=seed, lam=lam)
+    lhash = lam_hash(lam_map)
     lam_named = {table.name_of(v): w for v, w in lam_map.items()}
 
-    rings = elimination_rings(moduli)
     results = []
-    for ring in rings:
-        ts_r = convert_terms(done, ring)
-        results.append((ring, eliminate_slack(ts_r, lam_map, stats)))
+    for ring in elimination_rings(moduli):
+        parts = []
+        for i, chunk in enumerate(chunks):
+            kind, value, st = store.partial(ring, i, lhash, lambda: stage_b(ring, chunk))
+            stats.merge(st)
+            parts.append((kind, value))
+        results.append((ring, _merge_partials(ring, parts)))
 
     if task == "count":
         out = _assemble_count(results, moduli, crt, lam_named, stats)
     else:
         out = _assemble_series(results, moduli, crt, lam_named, stats, kmax)
     out.table = table
+    out.config_hash = chash
     return out
+
+
+def _merge_partials(ring, parts):
+    """One ring's stage-B partials as one scalar, or one accumulated series."""
+    if all(kind == "scalar" for kind, _ in parts):
+        total = ring.zero()
+        for _, value in parts:
+            total = ring.add(total, value)
+        return total
+    acc = FactoredAccumulator(ring)
+    for _, (num, den) in parts:
+        acc.add_piece(num, den)
+    return acc
 
 
 def _assemble_count(results, moduli, crt, lam_named, stats):
     if not moduli:
-        _, (kind, value) = results[0]
-        if kind != "scalar":
-            raise RuntimeError("count pipeline ended in non-scalar mode")
+        _, value = results[0]
         return RunOutcome(
             task="count", exact=True, value=_as_int(value), lam=lam_named, stats=stats
         )
     residues = {}
-    for ring, (kind, value) in results:
-        if kind != "scalar":
-            raise RuntimeError("count pipeline ended in non-scalar mode")
+    for ring, value in results:
         residues[ring.modulus] = value % ring.modulus
     if not crt:
         return RunOutcome(
@@ -429,9 +487,7 @@ def _assemble_count(results, moduli, crt, lam_named, stats):
 
 def _assemble_series(results, moduli, crt, lam_named, stats, kmax):
     if not moduli:
-        _, (kind, acc) = results[0]
-        if kind != "series":
-            raise RuntimeError("series pipeline ended in non-series mode")
+        _, acc = results[0]
         num_dense = _sparse_to_dense(acc.num)
         num_r, den_r, factors = _reduce_series(num_dense, dict(acc.den), kmax)
         return RunOutcome(
@@ -443,12 +499,7 @@ def _assemble_series(results, moduli, crt, lam_named, stats, kmax):
             lam=lam_named,
             stats=stats,
         )
-    ring_results = []
-    for ring, (kind, acc) in results:
-        if kind != "series":
-            raise RuntimeError("series pipeline ended in non-series mode")
-        ring_results.append((ring, acc))
-    target, aligned = _align_series(ring_results)
+    target, aligned = _align_series(results)
     if not crt:
         per_prime = {}
         for ring, num in aligned:

@@ -38,16 +38,6 @@ def padd(ring, a, b):
     return trim(out)
 
 
-def psub(ring, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ring.zero()
-        y = b[i] if i < len(b) else ring.zero()
-        out.append(ring.sub(x, y))
-    return trim(out)
-
-
 def pmul(ring, a, b):
     if not a or not b:
         return []
@@ -58,12 +48,6 @@ def pmul(ring, a, b):
         for j, y in enumerate(b):
             out[i + j] = ring.add(out[i + j], ring.mul(x, y))
     return trim(out)
-
-
-def pmul_scalar(ring, a, c):
-    if ring.is_zero(c):
-        return []
-    return trim([ring.mul(x, c) for x in a])
 
 
 def binomial_factor(ring, k, e):

@@ -11,7 +11,6 @@ from cteuclid.checkpoint import (
     CheckpointPause,
     config_hash,
     config_payload,
-    run_checkpointed,
     system_from_payload,
     table_from_obj,
     table_to_obj,
@@ -36,7 +35,7 @@ def drive_to_completion(tmp, system, task, **kw):
     pauses = 0
     while True:
         try:
-            return run_checkpointed(system, task, tmp, max_units=1, **kw), pauses
+            return run_pipeline(system, task, tmp, max_units=1, **kw), pauses
         except CheckpointPause:
             pauses += 1
             assert pauses < 500
@@ -97,18 +96,18 @@ def test_config_hash_ignores_nothing_it_covers():
 
 
 def test_fresh_run_matches_direct_pipeline(tmp_path):
-    (out, chash), _ = drive_to_completion(str(tmp_path), KNAP, "count")
+    out, _ = drive_to_completion(str(tmp_path), KNAP, "count")
     direct = run_pipeline(KNAP, "count")
     assert out.value == direct.value == dp_knapsack(41, [1, 5, 14]) == 18
     assert out.lam == direct.lam
-    assert chash == config_hash(config_payload("count", KNAP, 0, "given", "eager", 1000))
+    assert out.config_hash == config_hash(config_payload("count", KNAP, 0, "given", "eager", 1000))
 
 
 def test_pause_then_resume_same_answer(tmp_path):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")
-    fresh, _ = run_checkpointed(KNAP, "count", a, chunk_size=2)
-    (resumed, _), pauses = drive_to_completion(b, KNAP, "count", chunk_size=2)
+    fresh = run_pipeline(KNAP, "count", a, chunk_size=2)
+    resumed, pauses = drive_to_completion(b, KNAP, "count", chunk_size=2)
     assert pauses > 1  # several units -> several real interruptions
     assert resumed.value == fresh.value == 18
     assert resumed.lam == fresh.lam
@@ -116,8 +115,7 @@ def test_pause_then_resume_same_answer(tmp_path):
 
 
 def test_series_checkpointed_in_small_chunks(tmp_path):
-    out, _ = run_checkpointed(magic_square_system(3), "series", str(tmp_path),
-                              chunk_size=2)
+    out = run_pipeline(magic_square_system(3), "series", str(tmp_path), chunk_size=2)
     direct = ehrhart_series(magic_square_system(3))
     assert (out.num, out.den) == (direct.num, direct.den)
     assert series_coeffs(out.num, out.den, 9) == [1, 0, 0, 5, 0, 0, 13, 0, 0]
@@ -128,14 +126,14 @@ def test_series_checkpointed_in_small_chunks(tmp_path):
 
 def test_prime_switch_reuses_phase_a(tmp_path):
     d = str(tmp_path)
-    run_checkpointed(KNAP, "count", d)
+    run_pipeline(KNAP, "count", d)
     with open(os.path.join(d, "meta.json")) as fh:
         before = json.load(fh)
     exact_partials = sorted(f for f in os.listdir(d) if f.startswith("partial-exact"))
     assert exact_partials
 
     p = 636286597
-    out, _ = run_checkpointed(KNAP, "count", d, moduli=(p,))
+    out = run_pipeline(KNAP, "count", d, moduli=(p,))
     assert out.residues == {p: 18}
     with open(os.path.join(d, "meta.json")) as fh:
         after = json.load(fh)
@@ -147,43 +145,43 @@ def test_prime_switch_reuses_phase_a(tmp_path):
 
 def test_prime_switch_skips_phase_a_work(tmp_path):
     d = str(tmp_path)
-    run_checkpointed(KNAP, "count", d)
+    run_pipeline(KNAP, "count", d)
     # with phase A done, a new ring needs exactly nchunks more units
     with open(os.path.join(d, "meta.json")) as fh:
         nchunks = json.load(fh)["phase_a"]["chunks"]
     with pytest.raises(CheckpointPause):
-        run_checkpointed(KNAP, "count", d, moduli=(636286597,), max_units=nchunks)
-    out, _ = run_checkpointed(KNAP, "count", d, moduli=(636286597,))
+        run_pipeline(KNAP, "count", d, moduli=(636286597,), max_units=nchunks)
+    out = run_pipeline(KNAP, "count", d, moduli=(636286597,))
     assert out.residues == {636286597: 18}
 
 
 def test_config_mismatch_is_refused(tmp_path):
     d = str(tmp_path)
-    run_checkpointed(KNAP, "count", d)
+    run_pipeline(KNAP, "count", d)
     other = DiophantineSystem([[1, 5, 14]], [42])
     with pytest.raises(CheckpointError):
-        run_checkpointed(other, "count", d)
+        run_pipeline(other, "count", d)
     with pytest.raises(CheckpointError):
-        run_checkpointed(KNAP, "count", d, seed=1)
+        run_pipeline(KNAP, "count", d, seed=1)
     with pytest.raises(CheckpointError):
-        run_checkpointed(KNAP, "series", d)
+        run_pipeline(KNAP, "series", d)
 
 
 def test_missing_chunk_is_refused(tmp_path):
     d = str(tmp_path)
-    run_checkpointed(KNAP, "count", d)
+    run_pipeline(KNAP, "count", d)
     os.remove(os.path.join(d, "terms-0000.jsonl"))
     with pytest.raises(CheckpointError, match="chunk"):
-        run_checkpointed(KNAP, "count", d, moduli=(636286597,))
+        run_pipeline(KNAP, "count", d, moduli=(636286597,))
 
 
 def test_chunk_size_validated(tmp_path):
     with pytest.raises(CheckpointError):
-        run_checkpointed(KNAP, "count", str(tmp_path), chunk_size=0)
+        run_pipeline(KNAP, "count", str(tmp_path), chunk_size=0)
 
 
 def test_crt_through_checkpoints(tmp_path):
-    out, _ = run_checkpointed(
+    out = run_pipeline(
         KNAP,
         "count",
         str(tmp_path),

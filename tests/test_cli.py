@@ -214,6 +214,16 @@ def test_duplicate_moduli_rejected(in_tmp, capsys):
     assert rc == 2 and "distinct" in err
 
 
+def test_small_prime_refused_without_traceback(in_tmp, capsys):
+    # 1/12 appears in the pole series and has no inverse mod 3
+    rc, _, err = run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
+                          "--mod", "3")
+    assert rc == 2
+    assert err.splitlines() == [
+        "error: modulus 3 divides the denominator 12; use a larger prime"
+    ]
+
+
 def test_unbounded_refused(in_tmp, capsys):
     path = in_tmp / "sys.json"
     path.write_text(json.dumps({"matrix": [[1, -1]], "rhs": [5]}))

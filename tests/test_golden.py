@@ -1,0 +1,74 @@
+"""Result files pinned byte for byte, on every run path.
+
+golden/ holds the result file of two small instances in exact, modular and
+CRT mode.  The same bytes must come out of an in-memory run, a fresh run
+with a checkpoint directory, and a run paused after every work unit and
+resumed until done.  NAME.txt is the file at the default chunk size;
+NAME-chunk2.txt the file at --chunk-size 2, which differs only in the
+config hash.  The hash covers --chunk-size on every path, in-memory runs
+included.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from cteuclid import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# instance -> (run arguments, arguments a resume must repeat)
+INSTANCES = {
+    "knapsack": (["knapsack", "--a0", "41", "--weights", "1,5,14"], []),
+    "magic3": (["magic", "--n", "3", "--coeffs", "8"], ["--coeffs", "8"]),
+}
+MODES = {
+    "exact": [],
+    "mod": ["--mod", "1152921504606847009"],
+    "crt": ["--crt"],
+}
+CHUNKS = {"": [], "-chunk2": ["--chunk-size", "2"]}
+
+
+def call(argv):
+    """Run the CLI in-process; returns its standard error."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc == 0, err.getvalue()
+    return err.getvalue()
+
+
+def run_memory(tmp, argv, resume_argv):
+    call(argv + ["--output", str(tmp / "r.txt")])
+
+
+def run_fresh(tmp, argv, resume_argv):
+    call(argv + ["--checkpoint-dir", str(tmp / "ck"), "--output", str(tmp / "r.txt")])
+
+
+def run_paused(tmp, argv, resume_argv):
+    out = ["--max-units", "1", "--output", str(tmp / "r.txt")]
+    err = call(argv + ["--checkpoint-dir", str(tmp / "ck")] + out)
+    pauses = 0
+    while "# paused:" in err:
+        pauses += 1
+        assert pauses < 100
+        err = call(["resume", "--checkpoint-dir", str(tmp / "ck")] + resume_argv + out)
+    assert pauses >= 1
+
+
+PATHS = {"memory": run_memory, "fresh": run_fresh, "paused": run_paused}
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("instance", INSTANCES)
+def test_result_file_matches_golden(tmp_path, instance, mode, chunk, path):
+    argv, resume_extra = INSTANCES[instance]
+    PATHS[path](tmp_path, argv + MODES[mode] + CHUNKS[chunk], MODES[mode] + resume_extra)
+    want = (GOLDEN / f"{instance}-{mode}{chunk}.txt").read_bytes()
+    assert (tmp_path / "r.txt").read_bytes() == want
