@@ -1,12 +1,18 @@
 """Result files pinned byte for byte, on every run path.
 
-golden/ holds the result file of two small instances in exact, modular and
-CRT mode.  The same bytes must come out of an in-memory run, a fresh run
+golden/ holds the result file of three small instances in exact, modular
+and CRT mode.  The same bytes must come out of an in-memory run, a fresh run
 with a checkpoint directory, and a run paused after every work unit and
 resumed until done.  NAME.txt is the file at the default chunk size;
 NAME-chunk2.txt the file at --chunk-size 2, which differs only in the
 config hash.  The hash covers --chunk-size on every path, in-memory runs
 included.
+
+golden/partials/INSTANCE-MODE/ holds every stage-B partial file that a
+fresh checkpointed run writes at --chunk-size 2, so the per-chunk series
+numerators and denominators are pinned too, not only their merged sum.
+The ehrhart instance (golden/ehrhart.json) has 24 stage-B pieces over 5
+distinct denominators, (1 - q^2) among them.
 """
 
 import contextlib
@@ -23,6 +29,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 INSTANCES = {
     "knapsack": (["knapsack", "--a0", "41", "--weights", "1,5,14"], []),
     "magic3": (["magic", "--n", "3", "--coeffs", "8"], ["--coeffs", "8"]),
+    "ehrhart": (
+        ["ehrhart", "--input", str(GOLDEN / "ehrhart.json"), "--coeffs", "8"],
+        ["--coeffs", "8"],
+    ),
 }
 MODES = {
     "exact": [],
@@ -72,3 +82,9 @@ def test_result_file_matches_golden(tmp_path, instance, mode, chunk, path):
     PATHS[path](tmp_path, argv + MODES[mode] + CHUNKS[chunk], MODES[mode] + resume_extra)
     want = (GOLDEN / f"{instance}-{mode}{chunk}.txt").read_bytes()
     assert (tmp_path / "r.txt").read_bytes() == want
+    if path == "fresh" and chunk == "-chunk2":
+        pinned = GOLDEN / "partials" / f"{instance}-{mode}"
+        got = sorted((tmp_path / "ck").glob("partial-*.json"))
+        assert [p.name for p in got] == sorted(p.name for p in pinned.iterdir())
+        for p in got:
+            assert p.read_bytes() == (pinned / p.name).read_bytes(), p.name
