@@ -42,7 +42,7 @@ from .algebra import (
     poly_mul,
     poly_mul_monomial,
 )
-from .engine import TermSum, collect_terms, make_term
+from .engine import make_term
 from .univariate import FactoredAccumulator
 
 # moduli used when --crt is requested without explicit --mod values
@@ -347,8 +347,8 @@ def eliminate_slack(ts, lam_map, stats=None):
 
     Dispatches on the number of free variables:
       0 -> ("scalar", ring element),
-      1 -> ("series", FactoredAccumulator with sparse numerator and {k: e} denominator),
-      more -> ("terms", TermSum over the free variables).
+      1 -> ("series", FactoredAccumulator with sparse numerator and {k: e} denominator).
+    More free variables raise RuntimeError.
     """
     ring = ts.ring
     free = ts.table.vids_of_rank(FREE)
@@ -373,10 +373,7 @@ def eliminate_slack(ts, lam_map, stats=None):
                     den_counts[k] = den_counts.get(k, 0) + 1
                 acc.add_piece(num, den_counts)
         return "series", acc
-    out = []
-    for t in ts:
-        out.extend(ct_s_term(ring, t, lam_map, tables, stats))
-    return "terms", TermSum(ts.table, ring, collect_terms(ring, out))
+    raise RuntimeError("terms kept several free variables")
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,11 @@ from .elimination import crt_combine, eliminate_slack, pick_lambda
 from .engine import ElliottTerm, Stats, TermSum, ct_all, make_term
 from .univariate import (
     FactoredAccumulator,
-    expand_factored,
+    dense_from_sparse,
     divexact_int,
+    expand_factored,
     power_series_div,
     reduce_fraction_int,
-    sparse_mul_binomial,
 )
 
 
@@ -293,45 +293,15 @@ def series_coeffs(num, den, count, check_nonneg=True):
     return out
 
 
-def _align_series(ring_results):
-    """Bring per-ring (ring, accumulator) results onto one denominator."""
-    target = {}
-    for _, acc in ring_results:
-        for k, e in acc.den.items():
-            if e > target.get(k, 0):
-                target[k] = e
-    aligned = []
-    for ring, acc in ring_results:
-        num = dict(acc.num)
-        for k, e in target.items():
-            deficit = e - acc.den.get(k, 0)
-            if deficit > 0:
-                num = sparse_mul_binomial(ring, num, k, deficit)
-        aligned.append((ring, num))
-    return target, aligned
-
-
-def _sparse_to_dense(num):
-    if not num:
-        return []
-    lo = min(num)
-    if lo < 0:
-        raise ArithmeticError("series numerator kept a negative degree")
-    out = [0] * (max(num) + 1)
-    for d, c in num.items():
-        out[d] = _as_int(c)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _reduce_series(num_dense, den_counts, kmax=12):
+def _reduce_series(ring, num, den_counts):
+    """Reduce the sparse numerator num of ring over prod (1 - q^k)^e to lowest terms."""
+    num_dense = [_as_int(c) for c in dense_from_sparse(ring, num)]
     den_dense = expand_factored(ExactRing(), den_counts)
     num_r, den_r = reduce_fraction_int(num_dense, den_dense)
     if den_r and den_r[0] < 0:
         num_r = [-c for c in num_r]
         den_r = [-c for c in den_r]
-    return num_r, den_r, factored_denominator(den_r, kmax)
+    return num_r, den_r, factored_denominator(den_r)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +353,6 @@ def run_pipeline(
     max_units=None,
     log=None,
     stats=None,
-    kmax=12,
 ):
     """Count solutions (task="count") or compute the dilation series
     (task="series") for one system.
@@ -396,6 +365,7 @@ def run_pipeline(
     """
     if task not in ("count", "series"):
         raise InputError(f"unknown task {task!r}")
+    rings = elimination_rings(moduli)
     payload = config_payload(task, system, seed, order, slack_mode, chunk_size)
     chash = config_hash(payload)
     if ckpt_dir is None:
@@ -417,9 +387,7 @@ def run_pipeline(
         ts_r = convert_terms(TermSum(table, ExactRing(), chunk), ring)
         kind, value = eliminate_slack(ts_r, lam_map, st)
         if kind == "series":
-            value = (value.num, value.den)
-        elif kind != "scalar":
-            raise RuntimeError("terms kept several free variables")
+            value = (value.numerator(), value.den)
         return kind, value, st
 
     table, chunks, stats_a = store.stage_a(stage_a)
@@ -430,7 +398,7 @@ def run_pipeline(
     lam_named = {table.name_of(v): w for v, w in lam_map.items()}
 
     results = []
-    for ring in elimination_rings(moduli):
+    for ring in rings:
         parts = []
         for i, chunk in enumerate(chunks):
             kind, value, st = store.partial(ring, i, lhash, lambda: stage_b(ring, chunk))
@@ -441,7 +409,7 @@ def run_pipeline(
     if task == "count":
         out = _assemble_count(results, moduli, crt, lam_named, stats)
     else:
-        out = _assemble_series(results, moduli, crt, lam_named, stats, kmax)
+        out = _assemble_series(results, moduli, crt, lam_named, stats)
     out.table = table
     out.config_hash = chash
     return out
@@ -485,11 +453,16 @@ def _assemble_count(results, moduli, crt, lam_named, stats):
     )
 
 
-def _assemble_series(results, moduli, crt, lam_named, stats, kmax):
+def _assemble_series(results, moduli, crt, lam_named, stats):
+    target = {}
+    for _, acc in results:
+        for k, e in acc.den.items():
+            if e > target.get(k, 0):
+                target[k] = e
+    nums = [(ring, acc.numerator(target)) for ring, acc in results]
     if not moduli:
-        _, acc = results[0]
-        num_dense = _sparse_to_dense(acc.num)
-        num_r, den_r, factors = _reduce_series(num_dense, dict(acc.den), kmax)
+        ring, num = nums[0]
+        num_r, den_r, factors = _reduce_series(ring, num, target)
         return RunOutcome(
             task="series",
             exact=True,
@@ -499,10 +472,9 @@ def _assemble_series(results, moduli, crt, lam_named, stats, kmax):
             lam=lam_named,
             stats=stats,
         )
-    target, aligned = _align_series(results)
     if not crt:
         per_prime = {}
-        for ring, num in aligned:
+        for ring, num in nums:
             degs = sorted(num)
             per_prime[ring.modulus] = {
                 "num": {d: num[d] % ring.modulus for d in degs},
@@ -515,20 +487,19 @@ def _assemble_series(results, moduli, crt, lam_named, stats, kmax):
             lam=lam_named,
             stats=stats,
         )
-    # coefficientwise reconstruction over the aligned denominator
-    degrees = sorted({d for _, num in aligned for d in num})
-    primes = [ring.modulus for ring, _ in aligned]
+    # coefficientwise reconstruction over the common denominator
+    degrees = sorted({d for _, num in nums for d in num})
+    primes = [ring.modulus for ring, _ in nums]
     lifted = {}
     worst = Fraction(0)
     for d in degrees:
-        residues = [num.get(d, 0) % ring.modulus for ring, num in aligned]
+        residues = [num.get(d, 0) % ring.modulus for ring, num in nums]
         v, conf = crt_combine(residues, primes)
         if conf > worst:
             worst = conf
         if v:
             lifted[d] = v
-    num_dense = _sparse_to_dense(lifted)
-    num_r, den_r, factors = _reduce_series(num_dense, target, kmax)
+    num_r, den_r, factors = _reduce_series(ExactRing(), lifted, target)
     return RunOutcome(
         task="series",
         exact=False,

@@ -2,9 +2,11 @@
 
 After slack elimination the surviving values live in at most one variable
 (the series variable q for lattice-point generating functions, or nothing
-at all for plain counts).  Terms are accumulated over a common factored
-denominator prod_k (1 - q^k)^(e_k); the final reduction runs one integer
-gcd via the subresultant PRS, so coefficients never leave Z.
+at all for plain counts).  The pieces num / prod_k (1 - q^k)^(e_k) are summed
+per distinct denominator {k: e}, and each of those sums is brought onto the
+common factored denominator once, by FactoredAccumulator, which is the only
+code that knows this format.  The final reduction runs one integer gcd via
+the subresultant PRS, so coefficients never leave Z.
 
 Dense polynomials are plain lists, index = degree, over a coefficient ring
 (exact integers or a prime field).  Sparse Laurent numerators are dicts
@@ -14,6 +16,8 @@ Dense polynomials are plain lists, index = degree, over a coefficient ring
 from __future__ import annotations
 
 from math import gcd
+
+from .algebra import poly_add_inplace
 
 
 # ---------------------------------------------------------------------------
@@ -196,75 +200,65 @@ def reduce_fraction_int(num, den):
 def sparse_mul_binomial(ring, num, k, e):
     """Multiply a sparse Laurent numerator by (1 - q^k)^e."""
     for _ in range(e):
-        out = {}
-        for d, c in num.items():
-            if d in out:
-                s = ring.add(out[d], c)
-                if ring.is_zero(s):
-                    del out[d]
-                else:
-                    out[d] = s
-            else:
-                out[d] = c
-            d2 = d + k
-            nc = ring.neg(c)
-            if d2 in out:
-                s = ring.add(out[d2], nc)
-                if ring.is_zero(s):
-                    del out[d2]
-                else:
-                    out[d2] = s
-            else:
-                out[d2] = nc
-        num = out
+        num = poly_add_inplace(ring, {d + k: ring.neg(c) for d, c in num.items()}, num)
     return num
+
+
+def dense_from_sparse(ring, num):
+    """A sparse numerator as a dense list; raises if a negative degree survived."""
+    if not num:
+        return []
+    if min(num) < 0:
+        raise ArithmeticError("accumulated numerator kept a negative degree")
+    out = [ring.zero()] * (max(num) + 1)
+    for d, c in num.items():
+        out[d] = c
+    return trim(out)
 
 
 class FactoredAccumulator:
     """Running sum of pieces num / prod_k (1 - q^k)^(e_k).
 
-    The common denominator only ever grows; each piece is brought onto it by
-    multiplying with the missing binomial powers.  Negative degrees in the
-    numerator are allowed while accumulating and must cancel by the end for
-    a genuine power series.
+    Pieces are summed per distinct denominator {k: e} as they arrive, with
+    no multiplication.  ``den`` is the common denominator: the largest e for
+    each k over every denominator ever added, including those whose summed
+    numerator has cancelled to zero.  ``numerator`` multiplies each
+    per-denominator sum by its missing binomial powers once and adds them up.
+    Negative degrees in the numerator are allowed while accumulating and
+    must cancel by the end for a genuine power series.
     """
 
     def __init__(self, ring):
         self.ring = ring
         self.den = {}
-        self.num = {}
+        self.sums = {}  # sorted ((k, e), ...) -> sparse numerator over that denominator
 
     def add_piece(self, num_sparse, den_counts):
-        ring = self.ring
         for k, e in den_counts.items():
-            have = self.den.get(k, 0)
-            if e > have:
-                self.num = sparse_mul_binomial(ring, self.num, k, e - have)
+            if e > self.den.get(k, 0):
                 self.den[k] = e
-        piece = dict(num_sparse)
-        for k, e in self.den.items():
-            deficit = e - den_counts.get(k, 0)
-            if deficit > 0:
-                piece = sparse_mul_binomial(ring, piece, k, deficit)
-        for d, c in piece.items():
-            if d in self.num:
-                s = ring.add(self.num[d], c)
-                if ring.is_zero(s):
-                    del self.num[d]
-                else:
-                    self.num[d] = s
-            else:
-                self.num[d] = c
+        key = tuple(sorted(den_counts.items()))
+        poly_add_inplace(self.ring, self.sums.setdefault(key, {}), num_sparse)
+
+    def numerator(self, den=None):
+        """Sparse numerator of the sum over den (default self.den); den must cover self.den."""
+        ring = self.ring
+        target = self.den if den is None else den
+        out = {}
+        for key, num in self.sums.items():
+            have = dict(key)
+            for k, e in target.items():
+                deficit = e - have.get(k, 0)
+                if deficit > 0:
+                    num = sparse_mul_binomial(ring, num, k, deficit)
+            poly_add_inplace(ring, out, num)
+        return out
+
+    @property
+    def num(self):
+        """Sparse numerator over self.den."""
+        return self.numerator()
 
     def numerator_dense(self):
-        """Numerator as a dense list; raises if a negative degree survived."""
-        if not self.num:
-            return []
-        lo = min(self.num)
-        if lo < 0:
-            raise ArithmeticError("accumulated numerator kept a negative degree")
-        hi = max(self.num)
-        out = [self.ring.zero()] * (hi + 1)
-        for d, c in self.num.items():
-            out[d] = c
-        return trim(out)
+        """Numerator over self.den as a dense list; raises if a negative degree survived."""
+        return dense_from_sparse(self.ring, self.numerator())

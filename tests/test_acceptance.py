@@ -286,7 +286,7 @@ def test_criterion_10_checkpoint_byte_identity(tmp_path, console_script):
 
 
 @pytest.mark.skip(reason="non-gating stretch target (~45 min); run "
-                         "scripts/run_magic.py --n 5 to exercise it")
+                         "ct-euclid magic --n 5 to exercise it")
 def test_criterion_stretch_magic_5x5_full_series():
     out = ehrhart_series(magic_square_system(5))
     assert out.num is not None

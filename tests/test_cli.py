@@ -226,6 +226,17 @@ def test_small_prime_refused_without_traceback(in_tmp, capsys):
     ]
 
 
+@pytest.mark.parametrize("modulus", ["1", "2", "4", "-7"])
+def test_bad_modulus_refused_before_any_work(in_tmp, capsys, modulus):
+    rc, _, err = run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
+                          "--mod", modulus, "--checkpoint-dir", "ck")
+    assert rc == 2
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: modulus {modulus} is not an odd prime"
+    ]
+    assert not (in_tmp / "ck").exists()
+
+
 def test_unbounded_refused(in_tmp, capsys):
     path = in_tmp / "sys.json"
     path.write_text(json.dumps({"matrix": [[1, -1]], "rhs": [5]}))

@@ -179,6 +179,57 @@ def test_factored_accumulator_negative_degrees_may_cancel():
     assert acc.numerator_dense() == []
 
 
+PIECE = st.tuples(
+    st.dictionaries(st.integers(min_value=-3, max_value=8),
+                    st.integers(min_value=-5, max_value=5), max_size=4),
+    st.dictionaries(st.integers(min_value=1, max_value=4),
+                    st.integers(min_value=1, max_value=3), min_size=1, max_size=3),
+)
+
+
+@pytest.mark.parametrize("ring", [RING, PrimeField(636286597)], ids=["exact", "mod"])
+@given(pieces=st.lists(PIECE, max_size=8), cancelled=PIECE, rnd=st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_factored_accumulator_matches_dense_reference(ring, pieces, cancelled, rnd):
+    """num/den equals the sum by dense cross-multiplication, in any order."""
+    pieces = [({d: ring.from_int(c) for d, c in num.items() if c}, den) for num, den in pieces]
+    num, den = cancelled
+    num = {d: ring.from_int(c) for d, c in num.items() if c}
+    # a piece added once with each sign cancels but still counts for den
+    everything = pieces + [(num, den), ({d: ring.neg(c) for d, c in num.items()}, den)]
+
+    acc = FactoredAccumulator(ring)
+    for n, d in everything:
+        acc.add_piece(n, d)
+    want_den = {}
+    for _, d in everything:
+        for k, e in d.items():
+            want_den[k] = max(e, want_den.get(k, 0))
+    assert acc.den == want_den
+
+    # reference: sum_i q^3 num_i * prod_{j != i} den_j over prod_j den_j
+    full = [ring.one()]
+    ref = []
+    for i, (n, _) in enumerate(pieces):
+        term = _dense({d + 3: c for d, c in n.items()}, ring)
+        for j, (_, d) in enumerate(pieces):
+            if j != i:
+                term = pmul(ring, term, expand_factored(ring, d))
+        ref = padd(ring, ref, term)
+    for _, d in pieces:
+        full = pmul(ring, full, expand_factored(ring, d))
+    got = _dense({d + 3: c for d, c in acc.numerator().items()}, ring)
+    lhs = pmul(ring, got, full)
+    rhs = pmul(ring, ref, expand_factored(ring, acc.den))
+    assert trim(lhs) == trim(rhs)
+
+    rnd.shuffle(everything)
+    again = FactoredAccumulator(ring)
+    for n, d in everything:
+        again.add_piece(n, d)
+    assert again.numerator() == acc.numerator()
+
+
 def test_prime_field_series_division_matches_exact():
     p = 636286597
     rp = PrimeField(p)
