@@ -290,15 +290,6 @@ def exps_without(exps, vid):
     return tuple((v, e) for v, e in exps if v != vid)
 
 
-def exps_set(exps, vid, k):
-    """Copy of exps with the exponent of vid replaced by k."""
-    out = [(v, e) for v, e in exps if v != vid]
-    if k:
-        out.append((vid, k))
-        out.sort()
-    return tuple(out)
-
-
 def compare_to_one(exps):
     """Place a monomial relative to 1 in the iterated-series order.
 
@@ -346,10 +337,6 @@ def poly_add_inplace(ring, p, q):
     return p
 
 
-def poly_add(ring, p, q):
-    return poly_add_inplace(ring, dict(p), q)
-
-
 def poly_neg(ring, p):
     return {e: ring.neg(c) for e, c in p.items()}
 
@@ -360,23 +347,6 @@ def poly_mul_monomial(ring, p, coeff, exps):
     if not exps and coeff == ring.one():
         return dict(p)
     return {exps_mul(e, exps): ring.mul(c, coeff) for e, c in p.items()}
-
-
-def poly_mul(ring, p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = exps_mul(e1, e2)
-            c = ring.mul(c1, c2)
-            if e in out:
-                s = ring.add(out[e], c)
-                if ring.is_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
-            elif not ring.is_zero(c):
-                out[e] = c
-    return out
 
 
 def substitute(ring, p, vid, m_coeff, m_exps):

@@ -33,6 +33,7 @@ from fractions import Fraction
 from . import __version__
 from .algebra import VariableTable
 from .engine import ElliottTerm, Stats
+from .univariate import FactoredAccumulator
 
 TOOL_NAME = "ct-euclid"
 
@@ -146,8 +147,6 @@ class DirectoryStore:
     """
 
     def __init__(self, path, payload, chash, max_units=None, log=None):
-        if payload["chunk_size"] < 1:
-            raise CheckpointError("chunk size must be at least 1")
         os.makedirs(path, exist_ok=True)
         self.path = path
         self.max_units = max_units
@@ -215,7 +214,9 @@ class DirectoryStore:
     def partial(self, ring, i, lhash, compute):
         """(kind, value, stats) of chunk i in ring, saved under direction hash lhash.
 
-        A saved partial computed under another direction is recomputed.
+        A series value is a FactoredAccumulator, saved as its numerator over
+        its denominator.  A saved partial computed under another direction
+        is recomputed.
         """
         tag = ring_tag(ring)
         path = os.path.join(self.path, f"partial-{tag}-{i:04d}.json")
@@ -235,11 +236,10 @@ def _partial_to_obj(kind, value, stats, lhash):
     if kind == "scalar":
         body = {"kind": "scalar", "value": str(value)}
     else:
-        num, den = value
         body = {
             "kind": "series",
-            "den": {str(k): e for k, e in sorted(den.items())},
-            "num": {str(d): str(c) for d, c in sorted(num.items())},
+            "den": {str(k): e for k, e in sorted(value.den.items())},
+            "num": {str(d): str(c) for d, c in sorted(value.numerator().items())},
         }
     return {
         "lam_hash": lhash,
@@ -258,6 +258,7 @@ def _partial_from_obj(ring, obj):
     stats.load(obj["stats"])
     if body["kind"] == "scalar":
         return "scalar", ring.from_fraction(Fraction(body["value"])), stats
+    acc = FactoredAccumulator(ring)
     num = {int(d): ring.from_fraction(Fraction(c)) for d, c in body["num"].items()}
-    den = {int(k): e for k, e in body["den"].items()}
-    return "series", (num, den), stats
+    acc.add_piece(num, {int(k): e for k, e in body["den"].items()})
+    return "series", acc, stats

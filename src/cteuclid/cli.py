@@ -52,6 +52,7 @@ from .elimination import DEFAULT_PRIMES, LambdaExhaustion, PrimeClash
 from .engine import CollisionError, Stats, TermSum, add_slack, ct_all, make_term
 from .problems import (
     format_series,
+    json_int,
     knapsack_system,
     magic_square_system,
     run_pipeline,
@@ -79,6 +80,21 @@ def _weights(text):
     return ws
 
 
+def _int_at_least(low):
+    """argparse type for an integer >= low."""
+
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return n
+
+    return parse
+
+
 def _add_common(sp):
     sp.add_argument("--mod", action="append", type=int, default=[], metavar="P",
                     help="work modulo the odd prime P (repeatable)")
@@ -96,9 +112,9 @@ def _add_common(sp):
     sp.add_argument("--output", metavar="PATH", help="result file path")
     sp.add_argument("--checkpoint-dir", metavar="DIR",
                     help="directory for resumable on-disk state")
-    sp.add_argument("--chunk-size", type=int, default=1000, metavar="K",
+    sp.add_argument("--chunk-size", type=_int_at_least(1), default=1000, metavar="K",
                     help="terms per checkpoint chunk (default 1000)")
-    sp.add_argument("--max-units", type=int, default=None, metavar="N",
+    sp.add_argument("--max-units", type=_int_at_least(1), default=None, metavar="N",
                     help="pause after N completed work units (testing)")
 
 
@@ -122,13 +138,13 @@ def build_parser():
 
     sp = sub.add_parser("ehrhart", help="dilation series of a system file")
     sp.add_argument("--input", required=True, help="JSON file with matrix and rhs")
-    sp.add_argument("--coeffs", type=int, default=None, metavar="K",
+    sp.add_argument("--coeffs", type=_int_at_least(0), default=None, metavar="K",
                     help="also print series coefficients up to degree K")
     _add_common(sp)
 
     sp = sub.add_parser("magic", help="dilation series for n x n magic squares")
     sp.add_argument("--n", type=int, required=True, help="grid size")
-    sp.add_argument("--coeffs", type=int, default=None, metavar="K",
+    sp.add_argument("--coeffs", type=_int_at_least(0), default=None, metavar="K",
                     help="also print series coefficients up to degree K")
     _add_common(sp)
 
@@ -147,11 +163,11 @@ def build_parser():
                     help="original problem file; refused if it no longer matches")
     sp.add_argument("--mod", action="append", type=int, default=[], metavar="P")
     sp.add_argument("--crt", action="store_true")
-    sp.add_argument("--coeffs", type=int, default=None, metavar="K")
+    sp.add_argument("--coeffs", type=_int_at_least(0), default=None, metavar="K")
     sp.add_argument("--oracle-check", action="store_true")
     sp.add_argument("--assume-bounded", action="store_true")
     sp.add_argument("--output", metavar="PATH")
-    sp.add_argument("--max-units", type=int, default=None, metavar="N")
+    sp.add_argument("--max-units", type=_int_at_least(1), default=None, metavar="N")
 
     return p
 
@@ -403,6 +419,11 @@ def load_raw_term(text):
      "numerator": [[1, {"x": 2}], [-1, {}]],      # optional, default 1
      "denominator": [{"x": 1, "y": 1}, {"x": -1, "y": 3}]}
     """
+    def monomial(mono):
+        return exps_from_dict(
+            {table.vid_of(nm): json_int(k, "exponent") for nm, k in mono.items()}
+        )
+
     try:
         obj = json.loads(text)
         table = VariableTable()
@@ -412,14 +433,10 @@ def load_raw_term(text):
             table.add(name, RANK_OF_ROLE[role])
         num = {}
         for coeff, mono in obj.get("numerator", [[1, {}]]):
-            e = exps_from_dict({table.vid_of(nm): int(k) for nm, k in mono.items()})
-            num[e] = num.get(e, 0) + int(coeff)
-        den = []
-        for mono in obj["denominator"]:
-            den.append(exps_from_dict({table.vid_of(nm): int(k) for nm, k in mono.items()}))
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            e = monomial(mono)
+            num[e] = num.get(e, 0) + json_int(coeff, "numerator coefficient")
+        den = [monomial(mono) for mono in obj["denominator"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad term file: {exc}") from None
     return table, num, den
 

@@ -20,8 +20,9 @@ assembled from three ingredient series truncated at s^r:
   coefficients are Stirling subset numbers over n!.
 
 Distributing the order r over the mixed factors enumerates at most
-C(r + #mixed, #mixed) summands per term, each again of binomial shape over
-the free variables only.
+C(r + #mixed, #mixed) summands per term.  At most one free variable q
+survives, so each summand is already univariate: a sparse numerator
+{degree: coeff} over prod_k (1 - q^k)^(e_k), with no q at all for a count.
 """
 
 from __future__ import annotations
@@ -30,20 +31,8 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from .algebra import (
-    EXPS_ONE,
-    FREE,
-    SLACK,
-    InputError,
-    exps_get,
-    exps_pow,
-    poly_add,
-    poly_add_inplace,
-    poly_mul,
-    poly_mul_monomial,
-)
-from .engine import make_term
-from .univariate import FactoredAccumulator
+from .algebra import FREE, SLACK, InputError, poly_add_inplace
+from .univariate import FactoredAccumulator, sparse_mul, sparse_mul_binomial
 
 # moduli used when --crt is requested without explicit --mod values
 DEFAULT_PRIMES = (2305843009213693951, 1152921504606847009, 1152921504606847067)
@@ -58,9 +47,12 @@ class PrimeClash(RuntimeError):
 
 
 def lambda_pairing(lam_map, exps):
-    """Split a monomial into (<lambda, slack part>, free part)."""
+    """Split a monomial into (<lambda, slack part>, degree in the free variable).
+
+    The monomial has at most one free variable; the degree is 0 without it.
+    """
     b = 0
-    free = []
+    degree = 0
     for v, e in exps:
         rank = v[0]
         if rank == SLACK:
@@ -69,10 +61,10 @@ def lambda_pairing(lam_map, exps):
             except KeyError:
                 raise ValueError(f"no direction entry for slack variable {v}") from None
         elif rank == FREE:
-            free.append((v, e))
+            degree = e
         else:
             raise ValueError("constant-term variable present at slack-elimination time")
-    return b, tuple(free)
+    return b, degree
 
 
 def collect_slack_info(termsums):
@@ -204,11 +196,11 @@ class SeriesTables:
         return self._stirling[n][k]
 
 
-def _mixed_series_numerator(ring, tables, m_exps, n):
-    """P_n(M) with the s^n coefficient of 1/(1 - M e^{bs}) = b^n P_n/(1-M)^(n+1).
+def _mixed_series_numerator(ring, tables, m, n):
+    """P_n(q^m) with the s^n coefficient of 1/(1 - q^m e^{bs}) = b^n P_n/(1-q^m)^(n+1).
 
-    P_n(M) = sum_k k! S(n,k) M^k (1-M)^(n-k) / n!, returned as a Laurent
-    polynomial in the free variables.
+    P_n(M) = sum_k k! S(n,k) M^k (1-M)^(n-k) / n!, returned as a sparse
+    numerator {degree: coeff} in q.
     """
     acc = {}
     for k in range(n + 1):
@@ -218,47 +210,48 @@ def _mixed_series_numerator(ring, tables, m_exps, n):
         c = ring.mul(ring.mul(ring.from_int(s2), tables.fact(k)), tables.inv_fact(n))
         if ring.is_zero(c):
             continue
-        cur = {exps_pow(m_exps, k): c}
-        for _ in range(n - k):
-            cur = poly_add(ring, cur, poly_mul_monomial(ring, cur, ring.from_int(-1), m_exps))
-        poly_add_inplace(ring, acc, cur)
+        poly_add_inplace(ring, acc, sparse_mul_binomial(ring, {m * k: c}, m, n - k))
     return acc
 
 
 def ct_s_term(ring, term, lam_map, tables=None, stats=None):
     """Constant term at s = 0 of one term under the direction substitution.
 
-    Returns a list of canonical binomial-denominator pieces over the free
-    variables only (possibly empty).  The summand count is recorded in
-    stats and checked against C(d+1, ceil((d+1)/2)) for d = #factors.
+    Returns a list of univariate pieces (num, den_counts), possibly empty:
+    num is a sparse numerator {degree: coeff} in the free variable q, and
+    den_counts is {k: e} for the denominator prod_k (1 - q^k)^(e_k).  A
+    term with no free variable gives pieces ({0: c}, {}).  The summand
+    count is recorded in stats and checked against C(d+1, ceil((d+1)/2))
+    for d = #factors.
     """
     if tables is None:
         tables = SeriesTables(ring)
     pure_b = []
     mixed = []
     for f in term.den:
-        b, free = lambda_pairing(lam_map, f)
-        if not free:
+        b, m = lambda_pairing(lam_map, f)
+        if not m:
             if b == 0:
                 raise LambdaExhaustion("direction collapses a pure denominator factor")
             if ring.modulus is not None and b % ring.modulus == 0:
                 raise PrimeClash("pure factor pairing divisible by the modulus")
             pure_b.append(b)
         else:
-            mixed.append((free, b))
+            # canonical factors are small and q comes first, so m > 0
+            mixed.append((m, b))
     r = len(pure_b)
     tables.ensure(r)
 
-    # numerator series: sum over monomials of c * F * e^{ms}
+    # numerator series: sum over monomials of c * q^d * e^{ms}
     lnum = [{} for _ in range(r + 1)]
     for e, c in term.num.items():
-        m, free = lambda_pairing(lam_map, e)
+        m, d = lambda_pairing(lam_map, e)
         mint = ring.from_int(m)
         mp = c
         for n in range(r + 1):
             coeff = ring.mul(mp, tables.inv_fact(n))
             if not ring.is_zero(coeff):
-                poly_add_inplace(ring, lnum[n], {free: coeff})
+                poly_add_inplace(ring, lnum[n], {d: coeff})
             if n < r:
                 mp = ring.mul(mp, mint)
 
@@ -284,7 +277,7 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
             x = pp[j] if j < len(pp) else ring.zero()
             if ring.is_zero(x):
                 continue
-            poly_add_inplace(ring, g[i + j], {e: ring.mul(c, x) for e, c in lnum[i].items()})
+            poly_add_inplace(ring, g[i + j], {d: ring.mul(c, x) for d, c in lnum[i].items()})
 
     # distribute the remaining order over the mixed factors
     pieces = []
@@ -292,12 +285,10 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
     cache = {}
     chosen = []
 
-    def mixed_num(fme, n):
-        got = cache.get((fme, n))
-        if got is None:
-            got = _mixed_series_numerator(ring, tables, fme, n)
-            cache[(fme, n)] = got
-        return got
+    def mixed_num(m, n):
+        if (m, n) not in cache:
+            cache[m, n] = _mixed_series_numerator(ring, tables, m, n)
+        return cache[m, n]
 
     def descend(idx, used, mult):
         nonlocal leaves
@@ -306,24 +297,22 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
             base = g[r - used]
             if not base:
                 return
-            num = poly_mul(ring, base, mult) if mult is not None else base
+            num = sparse_mul(ring, base, mult) if mult is not None else base
             if not num:
                 return
-            den = []
-            for (fme, _), n in zip(mixed, chosen):
-                den.extend([fme] * (n + 1))
-            pc = make_term(ring, num, den)
-            if pc is not None:
-                pieces.append(pc)
+            den_counts = {}
+            for (m, _), n in zip(mixed, chosen):
+                den_counts[m] = den_counts.get(m, 0) + n + 1
+            pieces.append((num, den_counts))
             return
-        fme, b = mixed[idx]
+        m, b = mixed[idx]
         top = (r - used) if b != 0 else 0
         for n in range(top + 1):
-            fnum = mixed_num(fme, n)
+            fnum = mixed_num(m, n)
             if n:
                 scale = ring.pow_int(ring.from_int(b), n)
-                fnum = {e: ring.mul(c, scale) for e, c in fnum.items()}
-            nm = fnum if mult is None else poly_mul(ring, mult, fnum)
+                fnum = {d: ring.mul(c, scale) for d, c in fnum.items()}
+            nm = fnum if mult is None else sparse_mul(ring, mult, fnum)
             if not nm:
                 continue
             chosen.append(n)
@@ -345,35 +334,23 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
 def eliminate_slack(ts, lam_map, stats=None):
     """Remove every slack variable from a term sum.
 
-    Dispatches on the number of free variables:
-      0 -> ("scalar", ring element),
-      1 -> ("series", FactoredAccumulator with sparse numerator and {k: e} denominator).
-    More free variables raise RuntimeError.
+    Every piece goes into one FactoredAccumulator.  With no free variable
+    the result is ("scalar", ring element); with one free variable q it is
+    ("series", FactoredAccumulator) in q.  More free variables raise
+    RuntimeError.
     """
     ring = ts.ring
     free = ts.table.vids_of_rank(FREE)
+    if len(free) > 1:
+        raise RuntimeError("terms kept several free variables")
     tables = SeriesTables(ring)
-    if len(free) == 0:
-        total = ring.zero()
-        for t in ts:
-            for pc in ct_s_term(ring, t, lam_map, tables, stats):
-                if pc.den:
-                    raise RuntimeError("piece kept a denominator with no free variables")
-                total = ring.add(total, pc.num.get(EXPS_ONE, ring.zero()))
-        return "scalar", total
-    if len(free) == 1:
-        q = free[0]
-        acc = FactoredAccumulator(ring)
-        for t in ts:
-            for pc in ct_s_term(ring, t, lam_map, tables, stats):
-                num = {exps_get(e, q): c for e, c in pc.num.items()}
-                den_counts = {}
-                for f in pc.den:
-                    k = exps_get(f, q)
-                    den_counts[k] = den_counts.get(k, 0) + 1
-                acc.add_piece(num, den_counts)
+    acc = FactoredAccumulator(ring)
+    for t in ts:
+        for num, den_counts in ct_s_term(ring, t, lam_map, tables, stats):
+            acc.add_piece(num, den_counts)
+    if free:
         return "series", acc
-    raise RuntimeError("terms kept several free variables")
+    return "scalar", acc.numerator().get(0, ring.zero())
 
 
 # ---------------------------------------------------------------------------

@@ -154,9 +154,6 @@ class TermSum:
     def __iter__(self):
         return iter(self.terms)
 
-    def copy(self):
-        return TermSum(self.table, self.ring, list(self.terms))
-
 
 def add_slack(ts):
     """Multiply every denominator factor by a fresh slack variable.
@@ -422,7 +419,7 @@ def _occurrence_counts(terms, vids):
     return counts
 
 
-def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None, collision_sink=None):
+def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
     """Eliminate every ct variable, collecting after each round.
 
     order "sparse-first" greedily picks the variable occurring in the fewest
@@ -450,8 +447,6 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None, collision
                 stats.collisions += 1
                 if not delayed:
                     raise
-                if collision_sink is not None:
-                    collision_sink(t)
                 cur = t
                 for _ in range(4):
                     stats.restarts += 1

@@ -19,6 +19,7 @@ divisions happen there); prime moduli only enter the elimination phase.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,11 +101,32 @@ def system_to_json(system):
     return json.dumps(obj, indent=1)
 
 
+def json_int(value, what):
+    """A JSON integer, or a string of decimal digits with an optional sign, as an int.
+
+    Anything else (a float, an exponent, a bool, other text) is an InputError.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        return int(value)
+    raise InputError(f"{what} {json.dumps(value)} is not an integer")
+
+
+def _json_list(value, what):
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list")
+    return value
+
+
 def system_from_json(text):
     try:
         obj = json.loads(text)
-        matrix = [[int(c) for c in row] for row in obj["matrix"]]
-        rhs = [int(c) for c in obj["rhs"]]
+        matrix = [
+            [json_int(c, "matrix entry") for c in _json_list(row, "a matrix row")]
+            for row in _json_list(obj["matrix"], "the matrix")
+        ]
+        rhs = [json_int(c, "right-hand side entry") for c in _json_list(obj["rhs"], "rhs")]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"bad system file: {exc}") from None
     return DiophantineSystem(matrix, rhs)
@@ -261,13 +283,17 @@ def poly_str_1var(cs, name):
     return " ".join(out) if out else "0"
 
 
-def factored_denominator(den, kmax=12):
-    """Greedy {k: e} with den = prod (1 - q^k)^e, or None if that fails."""
+def factored_denominator(den):
+    """{k: e} with den = prod (1 - q^k)^e, or None if there is none.
+
+    Greedy from the largest k is exact: the largest k with Phi_k dividing
+    a product of such binomials is itself one of its factors.
+    """
     rem = list(den)
     if not rem or rem[0] != 1:
         return None
     out = {}
-    for k in range(min(kmax, len(rem) - 1), 0, -1):
+    for k in range(len(rem) - 1, 0, -1):
         binom = [1] + [0] * (k - 1) + [-1]
         while len(rem) - 1 >= k:
             try:
@@ -365,6 +391,8 @@ def run_pipeline(
     """
     if task not in ("count", "series"):
         raise InputError(f"unknown task {task!r}")
+    if chunk_size < 1:
+        raise InputError("chunk size must be at least 1")
     rings = elimination_rings(moduli)
     payload = config_payload(task, system, seed, order, slack_mode, chunk_size)
     chash = config_hash(payload)
@@ -386,8 +414,6 @@ def run_pipeline(
         st = Stats()
         ts_r = convert_terms(TermSum(table, ExactRing(), chunk), ring)
         kind, value = eliminate_slack(ts_r, lam_map, st)
-        if kind == "series":
-            value = (value.numerator(), value.den)
         return kind, value, st
 
     table, chunks, stats_a = store.stage_a(stage_a)
@@ -423,8 +449,8 @@ def _merge_partials(ring, parts):
             total = ring.add(total, value)
         return total
     acc = FactoredAccumulator(ring)
-    for _, (num, den) in parts:
-        acc.add_piece(num, den)
+    for _, part in parts:
+        acc.merge(part)
     return acc
 
 

@@ -197,6 +197,17 @@ def reduce_fraction_int(num, den):
 # accumulation over a common factored denominator
 
 
+def sparse_mul(ring, a, b):
+    """Product of two sparse numerators {degree: coeff}."""
+    out = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            d = d1 + d2
+            c = ring.mul(c1, c2)
+            out[d] = ring.add(out[d], c) if d in out else c
+    return {d: c for d, c in out.items() if not ring.is_zero(c)}
+
+
 def sparse_mul_binomial(ring, num, k, e):
     """Multiply a sparse Laurent numerator by (1 - q^k)^e."""
     for _ in range(e):
@@ -234,11 +245,18 @@ class FactoredAccumulator:
         self.sums = {}  # sorted ((k, e), ...) -> sparse numerator over that denominator
 
     def add_piece(self, num_sparse, den_counts):
-        for k, e in den_counts.items():
+        self._add_sum(tuple(sorted(den_counts.items())), num_sparse)
+
+    def merge(self, other):
+        """Add every per-denominator sum of another accumulator into this one."""
+        for key, num in other.sums.items():
+            self._add_sum(key, num)
+
+    def _add_sum(self, key, num):
+        for k, e in key:
             if e > self.den.get(k, 0):
                 self.den[k] = e
-        key = tuple(sorted(den_counts.items()))
-        poly_add_inplace(self.ring, self.sums.setdefault(key, {}), num_sparse)
+        poly_add_inplace(self.ring, self.sums.setdefault(key, {}), num)
 
     def numerator(self, den=None):
         """Sparse numerator of the sum over den (default self.den); den must cover self.den."""
@@ -253,12 +271,3 @@ class FactoredAccumulator:
                     num = sparse_mul_binomial(ring, num, k, deficit)
             poly_add_inplace(ring, out, num)
         return out
-
-    @property
-    def num(self):
-        """Sparse numerator over self.den."""
-        return self.numerator()
-
-    def numerator_dense(self):
-        """Numerator over self.den as a dense list; raises if a negative degree survived."""
-        return dense_from_sparse(self.ring, self.numerator())

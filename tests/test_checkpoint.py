@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cteuclid.algebra import CT, FREE, SLACK, ExactRing, VariableTable
+from cteuclid.algebra import CT, FREE, SLACK, ExactRing, InputError, VariableTable
 from cteuclid.bruteforce import dp_knapsack
 from cteuclid.checkpoint import (
     CheckpointError,
@@ -176,8 +176,12 @@ def test_missing_chunk_is_refused(tmp_path):
 
 
 def test_chunk_size_validated(tmp_path):
-    with pytest.raises(CheckpointError):
-        run_pipeline(KNAP, "count", str(tmp_path), chunk_size=0)
+    d = tmp_path / "ck"
+    with pytest.raises(InputError, match="chunk size"):
+        run_pipeline(KNAP, "count", str(d), chunk_size=0)
+    assert not d.exists()
+    with pytest.raises(InputError, match="chunk size"):
+        run_pipeline(KNAP, "count", chunk_size=0)
 
 
 def test_crt_through_checkpoints(tmp_path):

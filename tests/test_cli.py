@@ -1,11 +1,16 @@
+import contextlib
 import importlib.metadata
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cteuclid import cli
 from cteuclid.bruteforce import OracleRefusal
@@ -202,6 +207,82 @@ def test_bad_term_role(in_tmp, capsys):
     assert rc == 2 and "role" in err
 
 
+NOT_INTEGERS = {"float": "2.7", "bool": "true", "exponent": "1e1"}
+
+
+@pytest.mark.parametrize("command", ["count", "ehrhart"])
+@pytest.mark.parametrize("where", ["matrix", "rhs"])
+@pytest.mark.parametrize("kind", NOT_INTEGERS)
+def test_system_file_entries_must_be_integers(in_tmp, capsys, command, where, kind):
+    matrix, rhs = "[[1, 2]]", "[5]"
+    if where == "matrix":
+        matrix = f"[[1, {NOT_INTEGERS[kind]}]]"
+    else:
+        rhs = f"[{NOT_INTEGERS[kind]}]"
+    path = in_tmp / "sys.json"
+    path.write_text(f'{{"matrix": {matrix}, "rhs": {rhs}}}')
+    rc, _, err = run_main(capsys, command, "--input", str(path))
+    assert rc == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: bad system file:") and "is not an integer" in err
+
+
+def test_system_file_accepts_decimal_integer_strings(in_tmp, capsys):
+    path = in_tmp / "sys.json"
+    path.write_text('{"matrix": [["1", "5", "14"]], "rhs": ["+41"]}')
+    rc, out, _ = run_main(capsys, "count", "--input", str(path))
+    assert rc == 0 and out.splitlines()[0] == "18"
+
+
+@pytest.mark.parametrize("where", ["coefficient", "exponent"])
+@pytest.mark.parametrize("kind", NOT_INTEGERS)
+def test_term_file_entries_must_be_integers(in_tmp, capsys, where, kind):
+    coeff, exponent = "1", "1"
+    if where == "coefficient":
+        coeff = NOT_INTEGERS[kind]
+    else:
+        exponent = NOT_INTEGERS[kind]
+    path = in_tmp / "term.json"
+    path.write_text(
+        '{"variables": [["y", "free"], ["x", "ct"]], '
+        f'"numerator": [[{coeff}, {{"x": {exponent}}}]], '
+        '"denominator": [{"x": 1, "y": 1}]}'
+    )
+    rc, _, err = run_main(capsys, "ct", "--input", str(path))
+    assert rc == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: bad term file:") and "is not an integer" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["knapsack", "--a0", "41", "--weights", "1,5,14", "--chunk-size", "0"], "--chunk-size"),
+    (["knapsack", "--a0", "41", "--weights", "1,5,14", "--chunk-size", "0",
+      "--checkpoint-dir", "ck"], "--chunk-size"),
+    (["knapsack", "--a0", "41", "--weights", "1,5,14", "--max-units", "0",
+      "--checkpoint-dir", "ck"], "--max-units"),
+    (["magic", "--n", "3", "--coeffs", "-3"], "--coeffs"),
+    (["resume", "--checkpoint-dir", "ck", "--max-units", "0"], "--max-units"),
+    (["resume", "--checkpoint-dir", "ck", "--coeffs", "-1"], "--coeffs"),
+])
+def test_numeric_flags_checked_at_parse_time(in_tmp, capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+    assert not (in_tmp / "ck").exists()
+    assert not (in_tmp / "ct-result.txt").exists()
+
+
+def test_ehrhart_factors_binomials_past_twelve(in_tmp, capsys):
+    path = in_tmp / "sys.json"
+    path.write_text(json.dumps({"matrix": [[13, 1]], "rhs": [1]}))
+    rc, out, _ = run_main(capsys, "ehrhart", "--input", str(path))
+    assert rc == 0
+    assert "denominator-factors: (1-q^1) * (1-q^13)" in out.splitlines()
+    assert "series: (1) / ((1 - q) * (1 - q^13))" in out.splitlines()
+
+
 def test_ct_rejects_two_moduli(in_tmp, capsys):
     path = in_tmp / "term.json"
     path.write_text(json.dumps({"variables": [["x", "ct"]], "denominator": [{"x": 1}]}))
@@ -330,3 +411,80 @@ def test_module_invocation(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "2"
+
+
+# ---------------------------------------------------------------------------
+# random small moduli and malformed system files: every run ends with an
+# exit code from the README table, and a failure with one error: line
+
+
+def _readme_exit_codes():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("### Exit codes", 1)[1].split("\n\n", 2)[1]
+    return {int(m) for m in re.findall(r"^\| (\d+) \|", table, re.M)}
+
+
+EXIT_CODES = _readme_exit_codes()
+
+NOT_AN_INTEGER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(min_value=0, max_value=3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+ENTRY = st.one_of(st.integers(min_value=-1, max_value=3), NOT_AN_INTEGER)
+ROW = st.one_of(st.lists(ENTRY, max_size=2), NOT_AN_INTEGER)
+SYSTEM = st.one_of(
+    st.fixed_dictionaries({
+        "matrix": st.one_of(st.lists(ROW, max_size=2), NOT_AN_INTEGER),
+        "rhs": st.one_of(st.lists(ENTRY, max_size=2), NOT_AN_INTEGER),
+    }),
+    st.fixed_dictionaries({"matrix": st.lists(ROW, max_size=2)}),
+    NOT_AN_INTEGER,
+)
+MONOMIAL = st.one_of(st.dictionaries(st.sampled_from("xyw"), ENTRY, max_size=2), NOT_AN_INTEGER)
+TERM = st.fixed_dictionaries({
+    "variables": st.one_of(st.just([["y", "free"], ["x", "ct"]]), NOT_AN_INTEGER),
+    "numerator": st.lists(st.tuples(ENTRY, MONOMIAL).map(list), max_size=2),
+    "denominator": st.one_of(st.lists(MONOMIAL, max_size=2), NOT_AN_INTEGER),
+})
+INPUT_TEXT = {
+    "count": st.one_of(SYSTEM.map(json.dumps), st.text(max_size=12)),
+    "ehrhart": SYSTEM.map(json.dumps),
+    "ct": TERM.map(json.dumps),
+    "knapsack": st.none(),
+}
+
+
+@given(
+    command_text=st.sampled_from(sorted(INPUT_TEXT)).flatmap(
+        lambda c: st.tuples(st.just(c), INPUT_TEXT[c])),
+    moduli=st.lists(st.integers(min_value=-8, max_value=60), max_size=2),
+    crt=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, command_text, moduli, crt):
+    command, text = command_text
+    tmp = tmp_path_factory.mktemp("fuzz")
+    if command == "knapsack":
+        argv = ["knapsack", "--a0", "41", "--weights", "1,5,14"]
+    else:
+        (tmp / "in.json").write_text(text)
+        argv = [command, "--input", str(tmp / "in.json")]
+    for p in moduli:
+        argv += ["--mod", str(p)]
+    if crt and command != "ct":
+        argv.append("--crt")
+    argv += ["--output", str(tmp / "r.txt")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in EXIT_CODES
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(errors) == (1 if rc else 0), err.getvalue()
+    assert "Traceback" not in err.getvalue()

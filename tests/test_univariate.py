@@ -9,6 +9,7 @@ from cteuclid.univariate import (
     FactoredAccumulator,
     binomial_factor,
     content_int,
+    dense_from_sparse,
     divexact_int,
     expand_factored,
     gcd_int,
@@ -17,6 +18,7 @@ from cteuclid.univariate import (
     power_series_div,
     primitive_int,
     reduce_fraction_int,
+    sparse_mul,
     sparse_mul_binomial,
     trim,
 )
@@ -154,12 +156,27 @@ def test_sparse_mul_binomial_matches_dense(num, k, e):
     assert trim(_dense(got, RING)) == trim(want)
 
 
+SPARSE = st.dictionaries(st.integers(min_value=0, max_value=8),
+                         st.integers(min_value=-5, max_value=5), max_size=4)
+
+
+@pytest.mark.parametrize("ring", [RING, PrimeField(636286597)], ids=["exact", "mod"])
+@given(a=SPARSE, b=SPARSE)
+@settings(max_examples=60)
+def test_sparse_mul_matches_dense(ring, a, b):
+    a = {d: ring.from_int(c) for d, c in a.items() if c}
+    b = {d: ring.from_int(c) for d, c in b.items() if c}
+    got = sparse_mul(ring, a, b)
+    assert all(not ring.is_zero(c) for c in got.values())
+    assert trim(_dense(got, ring)) == pmul(ring, _dense(a, ring), _dense(b, ring))
+
+
 def test_factored_accumulator_combines_denominators():
     acc = FactoredAccumulator(RING)
     acc.add_piece({0: RING.one()}, {1: 1})           # 1/(1-q)
     acc.add_piece({0: RING.one()}, {2: 1})           # 1/(1-q^2)
     assert acc.den == {1: 1, 2: 1}
-    num = acc.numerator_dense()
+    num = dense_from_sparse(RING, acc.numerator())
     # 1/(1-q) + 1/(1-q^2) = ((1-q^2) + (1-q)) / ((1-q)(1-q^2))
     want = padd(RING, [1, 0, -1], [1, -1])
     assert trim(num) == trim(want)
@@ -169,14 +186,14 @@ def test_factored_accumulator_rejects_surviving_negative_degrees():
     acc = FactoredAccumulator(RING)
     acc.add_piece({-1: RING.one()}, {1: 1})
     with pytest.raises(ArithmeticError):
-        acc.numerator_dense()
+        dense_from_sparse(RING, acc.numerator())
 
 
 def test_factored_accumulator_negative_degrees_may_cancel():
     acc = FactoredAccumulator(RING)
     acc.add_piece({-1: RING.one()}, {1: 1})
     acc.add_piece({-1: RING.from_int(-1)}, {1: 1})
-    assert acc.numerator_dense() == []
+    assert dense_from_sparse(RING, acc.numerator()) == []
 
 
 PIECE = st.tuples(
@@ -228,6 +245,17 @@ def test_factored_accumulator_matches_dense_reference(ring, pieces, cancelled, r
     for n, d in everything:
         again.add_piece(n, d)
     assert again.numerator() == acc.numerator()
+
+    # merging two accumulators equals adding every piece to one
+    left, right = FactoredAccumulator(ring), FactoredAccumulator(ring)
+    half = len(everything) // 2
+    for n, d in everything[:half]:
+        left.add_piece(n, d)
+    for n, d in everything[half:]:
+        right.add_piece(n, d)
+    left.merge(right)
+    assert left.den == acc.den
+    assert left.numerator() == acc.numerator()
 
 
 def test_prime_field_series_division_matches_exact():
