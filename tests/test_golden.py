@@ -13,10 +13,17 @@ fresh checkpointed run writes at --chunk-size 2, so the per-chunk series
 numerators and denominators are pinned too, not only their merged sum.
 The ehrhart instance (golden/ehrhart.json) has 24 stage-B pieces over 5
 distinct denominators, (1 - q^2) among them.
+
+golden/ct-SLACK.txt holds the result file of a raw constant-term run on
+golden/ct.json under each slack policy.
+
+Every run echoes its result file to stdout (after the value line on a
+pipeline run), followed by its wall time and the result-file path.
 """
 
 import contextlib
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -43,31 +50,38 @@ CHUNKS = {"": [], "-chunk2": ["--chunk-size", "2"]}
 
 
 def call(argv):
-    """Run the CLI in-process; returns its standard error."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    """Run the CLI in-process; returns its standard output and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     assert rc == 0, err.getvalue()
-    return err.getvalue()
+    return out.getvalue(), err.getvalue()
+
+
+def echo_pattern(text, path):
+    """What a run prints after its value line: the result file, wall time, path."""
+    return (re.escape(text) + r"# wall-time: \d+\.\d{3} s\n# result-file: "
+            + re.escape(str(path)) + r"\n")
 
 
 def run_memory(tmp, argv, resume_argv):
-    call(argv + ["--output", str(tmp / "r.txt")])
+    return call(argv + ["--output", str(tmp / "r.txt")])[0]
 
 
 def run_fresh(tmp, argv, resume_argv):
-    call(argv + ["--checkpoint-dir", str(tmp / "ck"), "--output", str(tmp / "r.txt")])
+    return call(argv + ["--checkpoint-dir", str(tmp / "ck"), "--output", str(tmp / "r.txt")])[0]
 
 
 def run_paused(tmp, argv, resume_argv):
     out = ["--max-units", "1", "--output", str(tmp / "r.txt")]
-    err = call(argv + ["--checkpoint-dir", str(tmp / "ck")] + out)
+    stdout, err = call(argv + ["--checkpoint-dir", str(tmp / "ck")] + out)
     pauses = 0
     while "# paused:" in err:
         pauses += 1
         assert pauses < 100
-        err = call(["resume", "--checkpoint-dir", str(tmp / "ck")] + resume_argv + out)
+        stdout, err = call(["resume", "--checkpoint-dir", str(tmp / "ck")] + resume_argv + out)
     assert pauses >= 1
+    return stdout
 
 
 PATHS = {"memory": run_memory, "fresh": run_fresh, "paused": run_paused}
@@ -79,12 +93,24 @@ PATHS = {"memory": run_memory, "fresh": run_fresh, "paused": run_paused}
 @pytest.mark.parametrize("instance", INSTANCES)
 def test_result_file_matches_golden(tmp_path, instance, mode, chunk, path):
     argv, resume_extra = INSTANCES[instance]
-    PATHS[path](tmp_path, argv + MODES[mode] + CHUNKS[chunk], MODES[mode] + resume_extra)
+    stdout = PATHS[path](tmp_path, argv + MODES[mode] + CHUNKS[chunk],
+                         MODES[mode] + resume_extra)
     want = (GOLDEN / f"{instance}-{mode}{chunk}.txt").read_bytes()
     assert (tmp_path / "r.txt").read_bytes() == want
+    assert re.fullmatch(r"[^\n]*\n" + echo_pattern(want.decode(), tmp_path / "r.txt"), stdout)
     if path == "fresh" and chunk == "-chunk2":
         pinned = GOLDEN / "partials" / f"{instance}-{mode}"
         got = sorted((tmp_path / "ck").glob("partial-*.json"))
         assert [p.name for p in got] == sorted(p.name for p in pinned.iterdir())
         for p in got:
             assert p.read_bytes() == (pinned / p.name).read_bytes(), p.name
+
+
+@pytest.mark.parametrize("slack", ["eager", "delayed"])
+def test_ct_result_file_matches_golden(tmp_path, slack):
+    result = tmp_path / "r.txt"
+    stdout, _ = call(["ct", "--input", str(GOLDEN / "ct.json"), "--slack", slack,
+                      "--output", str(result)])
+    want = (GOLDEN / f"ct-{slack}.txt").read_bytes()
+    assert result.read_bytes() == want
+    assert re.fullmatch(echo_pattern(want.decode(), result), stdout)
