@@ -66,7 +66,6 @@ class ExactRing:
     """Arbitrary-precision rationals (ints kept as ints when possible)."""
 
     modulus = None
-    name = "exact"
 
     def from_int(self, n):
         return n
@@ -108,17 +107,12 @@ class ExactRing:
     def zero(self):
         return 0
 
-    def to_str(self, a):
-        return str(a)
-
     def __repr__(self):
         return "ExactRing()"
 
 
 class PrimeField:
     """Z/pZ for an odd prime p.  Elements are plain ints in [0, p)."""
-
-    name = "mod"
 
     def __init__(self, p):
         if not _mr_is_prime(p) or p == 2:
@@ -166,9 +160,6 @@ class PrimeField:
     def zero(self):
         return 0
 
-    def to_str(self, a):
-        return str(a % self.modulus)
-
     def __repr__(self):
         return f"PrimeField({self.modulus})"
 
@@ -184,7 +175,9 @@ class VariableTable:
     all free variables precede all slack variables precede all ct variables,
     and within a role creation order decides.  Appends never change the
     order of existing variables, which is what makes delayed slack insertion
-    safe mid-computation.
+    (raw ct runs only) safe mid-computation.  Pipeline runs add every
+    variable when they build the starting term, so their table is fixed
+    before the first constant term is taken.
     """
 
     def __init__(self):
@@ -389,8 +382,8 @@ def poly_slice_zero(p, vid):
 # remainder maps modulo a binomial 1 - u*x^a
 #
 # x^e is congruent to u^-l * x^r whenever e = l*a + r, because u*x^a ~ 1
-# modulo the ideal generated by the binomial.  rem picks 0 <= r < a, srem
-# picks the symmetric window -a/2 < r <= a/2 (which is what keeps the
+# modulo the ideal generated by the binomial.  rem_split picks 0 <= r < a,
+# srem_split the symmetric window -a/2 < r <= a/2 (which is what keeps the
 # recursion exponents shrinking by at least half).
 
 
@@ -405,24 +398,16 @@ def srem_split(e, a):
     return l, r
 
 
-def rem_monomial(exps, u_exps, a, xvid, symmetric=False):
-    """Image of a single monomial under rem/srem against 1 - u*x^a."""
+def rem_monomial(exps, u_exps, a, xvid):
+    """Image of a single monomial under rem against 1 - u*x^a."""
     e = exps_get(exps, xvid)
-    l, r = srem_split(e, a) if symmetric else rem_split(e, a)
+    l, r = rem_split(e, a)
     if l == 0:
         return exps
     ne = exps_mul(exps_without(exps, xvid), exps_pow(u_exps, -l))
     if r:
         ne = exps_mul(ne, ((xvid, r),))
     return ne
-
-
-def rem(exps, u_exps, a, xvid):
-    return rem_monomial(exps, u_exps, a, xvid, symmetric=False)
-
-
-def srem(exps, u_exps, a, xvid):
-    return rem_monomial(exps, u_exps, a, xvid, symmetric=True)
 
 
 def poly_rem(ring, p, u_exps, a, xvid):

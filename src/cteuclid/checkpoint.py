@@ -37,6 +37,10 @@ from .univariate import FactoredAccumulator
 
 TOOL_NAME = "ct-euclid"
 
+# Pipeline runs always insert slack eagerly.  The mode is still written into
+# config hashes and result files, so that neither moves.
+SLACK_MODE = "eager"
+
 
 class CheckpointError(RuntimeError):
     """Checkpoint directory does not match the requested run."""
@@ -50,14 +54,14 @@ class CheckpointPause(Exception):
 # serialization helpers
 
 
-def config_payload(task, system, seed, order, slack_mode, chunk_size):
+def config_payload(task, system, seed, order, chunk_size):
     return {
         "task": task,
         "matrix": [[str(c) for c in row] for row in system.matrix],
         "rhs": [str(c) for c in system.rhs],
         "seed": seed,
         "order": order,
-        "slack": slack_mode,
+        "slack": SLACK_MODE,
         "chunk_size": chunk_size,
     }
 

@@ -42,6 +42,7 @@ from .algebra import (
 )
 from .bruteforce import OracleRefusal, brute_count, dp_knapsack
 from .checkpoint import (
+    SLACK_MODE,
     TOOL_NAME,
     CheckpointError,
     CheckpointPause,
@@ -103,8 +104,6 @@ def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0, help="seed for direction search")
     sp.add_argument("--order", choices=["given", "sparse-first"], default="given",
                     help="elimination order for the extraction variables")
-    sp.add_argument("--slack", choices=["eager", "delayed"], default="eager",
-                    help="add slack variables up front, or only after a collision")
     sp.add_argument("--oracle-check", action="store_true",
                     help="verify the result against brute-force enumeration")
     sp.add_argument("--assume-bounded", action="store_true",
@@ -154,7 +153,8 @@ def build_parser():
                     help="work modulo the odd prime P (at most one for raw runs)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--order", choices=["given", "sparse-first"], default="given")
-    sp.add_argument("--slack", choices=["eager", "delayed"], default="eager")
+    sp.add_argument("--slack", choices=["eager", "delayed"], default="eager",
+                    help="add slack variables up front, or only after a collision")
     sp.add_argument("--output", metavar="PATH", help="result file path")
 
     sp = sub.add_parser("resume", help="continue a checkpointed run")
@@ -209,20 +209,25 @@ def _counter_lines(st):
     ]
 
 
+def _header_lines(task, table, order, slack, seed, moduli, config=None):
+    """The head of every result file: tool, run configuration, variables."""
+    lines = [f"tool: {TOOL_NAME} {__version__}"]
+    if config is not None:
+        lines.append(f"config: {config}")
+    return lines + [
+        f"task: {task}",
+        _variables_line(table),
+        f"order: {order}",
+        f"slack-mode: {slack}",
+        f"seed: {seed}",
+        "moduli: " + (",".join(str(p) for p in moduli) if moduli else "none"),
+    ]
+
+
 def render_result(out, cfg, coeff_list=None):
     """Deterministic plain-text result block (no wall times)."""
-    lines = [
-        f"tool: {TOOL_NAME} {__version__}",
-        f"config: {out.config_hash}",
-        f"task: {out.task}",
-    ]
-    if out.table is not None:
-        lines.append(_variables_line(out.table))
-    lines.append(f"order: {cfg['order']}")
-    lines.append(f"slack-mode: {cfg['slack']}")
-    lines.append(f"seed: {cfg['seed']}")
-    moduli = cfg.get("moduli") or ()
-    lines.append("moduli: " + (",".join(str(p) for p in moduli) if moduli else "none"))
+    lines = _header_lines(out.task, out.table, cfg["order"], SLACK_MODE, cfg["seed"],
+                          cfg["moduli"], config=out.config_hash)
     lines.append("crt: " + ("yes" if cfg.get("crt") else "no"))
     if out.lam:
         lines.append(_lambda_line(out.lam))
@@ -262,6 +267,16 @@ def render_result(out, cfg, coeff_list=None):
         lines.append(f"summand-max: {st.summand_max}")
         lines.append("summand-bound-ok: " + ("yes" if st.summand_bound_ok else "NO"))
     return "\n".join(lines) + "\n"
+
+
+def _publish(path, text, wall, value_line=None):
+    """Write the result file, then echo it to stdout with the wall time and path."""
+    _write_atomic(path, text)
+    if value_line is not None:
+        print(value_line)
+    sys.stdout.write(text)
+    print(f"# wall-time: {wall:.3f} s")
+    print(f"# result-file: {path}")
 
 
 def _result_path(args):
@@ -335,7 +350,6 @@ def run_task(system, task, args, coeffs=None):
         moduli=moduli,
         crt=args.crt,
         order=args.order,
-        slack_mode=args.slack,
         seed=args.seed,
         chunk_size=args.chunk_size,
         assume_bounded=args.assume_bounded,
@@ -348,20 +362,8 @@ def run_task(system, task, args, coeffs=None):
     if task == "series" and coeffs is not None and out.num is not None:
         coeff_list = series_coeffs(out.num, out.den, coeffs + 1)
 
-    cfg = {
-        "order": args.order,
-        "slack": args.slack,
-        "seed": args.seed,
-        "moduli": moduli,
-        "crt": args.crt,
-    }
-    text = render_result(out, cfg, coeff_list)
-    path = _result_path(args)
-    _write_atomic(path, text)
-    print(out.value_str())
-    sys.stdout.write(text)
-    print(f"# wall-time: {wall:.3f} s")
-    print(f"# result-file: {path}")
+    cfg = {"order": args.order, "seed": args.seed, "moduli": moduli, "crt": args.crt}
+    _publish(_result_path(args), render_result(out, cfg, coeff_list), wall, out.value_str())
 
     if args.oracle_check:
         kcheck = coeffs if coeffs is not None else 4
@@ -403,7 +405,7 @@ def cmd_resume(args):
         if (other.matrix, other.rhs) != (system.matrix, system.rhs):
             raise CheckpointError("input file does not match the checkpoint")
     # the saved configuration stands in for the flags resume does not take
-    for key in ("seed", "order", "slack", "chunk_size"):
+    for key in ("seed", "order", "chunk_size"):
         setattr(args, key, cfg[key])
     return run_task(system, cfg["task"], args, coeffs=args.coeffs)
 
@@ -470,26 +472,12 @@ def cmd_ct(args):
     done = ct_all(ts, order=args.order, delayed=(args.slack == "delayed"), stats=stats)
     wall = time.time() - t0
 
-    lines = [
-        f"tool: {TOOL_NAME} {__version__}",
-        "task: ct",
-        _variables_line(table),
-        f"order: {args.order}",
-        f"slack-mode: {args.slack}",
-        f"seed: {args.seed}",
-        "moduli: " + (str(args.mod[0]) if args.mod else "none"),
-        f"terms: {len(done.terms)}",
-    ]
+    lines = _header_lines("ct", table, args.order, args.slack, args.seed, args.mod)
+    lines.append(f"terms: {len(done.terms)}")
     for i, term in enumerate(done.terms):
         lines.append(f"term[{i}]: {_term_str(table, term, ring)}")
     lines.extend(_counter_lines(stats))
-    text = "\n".join(lines) + "\n"
-
-    path = args.output or "ct-result.txt"
-    _write_atomic(path, text)
-    sys.stdout.write(text)
-    print(f"# wall-time: {wall:.3f} s")
-    print(f"# result-file: {path}")
+    _publish(args.output or "ct-result.txt", "\n".join(lines) + "\n", wall)
     return EXIT_OK
 
 

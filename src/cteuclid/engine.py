@@ -47,8 +47,9 @@ from .algebra import (
 class CollisionError(RuntimeError):
     """Non-coprime denominator factors met during elimination.
 
-    With eager slack insertion this signals a broken invariant; in delayed
-    mode the caller restarts the offending term with slack variables.
+    With eager slack insertion, the only policy of pipeline runs, this
+    signals a broken invariant.  In delayed mode, which only the raw ct
+    command offers, ct_all restarts the offending term with slack variables.
     """
 
 
@@ -423,8 +424,10 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
     """Eliminate every ct variable, collecting after each round.
 
     order "sparse-first" greedily picks the variable occurring in the fewest
-    denominator factors.  In delayed-slack mode a collision restarts just
-    the offending term with fresh slack variables on all its factors.
+    denominator factors.  With delayed=True (the raw ct command's delayed
+    slack mode) a collision restarts just the offending term with fresh
+    slack variables on all its factors; pipeline runs start with slack on
+    every factor and pass delayed=False, so a collision there raises.
     """
     ring = ts.ring
     stats = stats if stats is not None else Stats()

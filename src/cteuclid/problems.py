@@ -25,13 +25,13 @@ from fractions import Fraction
 
 from .algebra import (
     CT,
+    EXPS_ONE,
     FREE,
     ExactRing,
     InputError,
     PrimeField,
     VariableTable,
     exps_from_dict,
-    exps_mul,
 )
 from .bruteforce import certify_bounded
 from .checkpoint import DirectoryStore, config_hash, config_payload, lam_hash
@@ -66,12 +66,12 @@ class DiophantineSystem:
             if len(row) != n:
                 raise InputError("ragged matrix")
             for c in row:
-                if not isinstance(c, int):
+                if type(c) is not int:
                     raise InputError("matrix entries must be integers")
         if len(self.rhs) != len(self.matrix):
             raise InputError("right-hand side length does not match the equation count")
         for c in self.rhs:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise InputError("right-hand side entries must be integers")
         for j in range(n):
             if all(row[j] == 0 for row in self.matrix):
@@ -87,18 +87,6 @@ class DiophantineSystem:
 
     def scaled(self, t):
         return DiophantineSystem(self.matrix, [t * v for v in self.rhs])
-
-
-def _enc_int(v):
-    return v if -(2**53) < v < 2**53 else str(v)
-
-
-def system_to_json(system):
-    obj = {
-        "matrix": [[_enc_int(c) for c in row] for row in system.matrix],
-        "rhs": [_enc_int(c) for c in system.rhs],
-    }
-    return json.dumps(obj, indent=1)
 
 
 def json_int(value, what):
@@ -162,37 +150,36 @@ def magic_square_system(n):
 # term-sum builders (phase A input)
 
 
-def build_count_termsum(system, table, ring, slack_mode="eager"):
+def _start_termsum(system, table, ring, series):
+    """The one starting term; every column factor carries its own slack variable.
+
+    A count term has numerator c^{-b}; a series term has numerator 1 and
+    the extra factor 1/(1 - q c^{-b}) in a free variable q.
+    """
+    qvid = table.add("q", FREE) if series else None
+    cvids = [table.add(f"c{i + 1}", CT) for i in range(system.m)]
+    den = []
+    for j in range(system.n):
+        col = {cvids[i]: system.matrix[i][j] for i in range(system.m)}
+        col[table.fresh_slack()] = 1
+        den.append(exps_from_dict(col))
+    shift = {cvids[i]: -system.rhs[i] for i in range(system.m)}  # c^{-b}
+    if series:
+        den.append(exps_from_dict({**shift, qvid: 1}))
+        num = EXPS_ONE
+    else:
+        num = exps_from_dict(shift)
+    return TermSum(table, ring, [make_term(ring, {num: ring.one()}, den)])
+
+
+def build_count_termsum(system, table, ring):
     """Single starting term whose iterated constant term is the count."""
-    cvids = [table.add(f"c{i + 1}", CT) for i in range(system.m)]
-    den = []
-    for j in range(system.n):
-        exps = exps_from_dict({cvids[i]: system.matrix[i][j] for i in range(system.m)})
-        if slack_mode == "eager":
-            z = table.fresh_slack()
-            exps = exps_mul(exps, ((z, 1),))
-        den.append(exps)
-    num_exps = exps_from_dict({cvids[i]: -system.rhs[i] for i in range(system.m)})
-    t = make_term(ring, {num_exps: ring.one()}, den)
-    return TermSum(table, ring, [t] if t is not None else [])
+    return _start_termsum(system, table, ring, series=False)
 
 
-def build_series_termsum(system, table, ring, slack_mode="eager"):
+def build_series_termsum(system, table, ring):
     """Starting term for the dilation series: free q, no fixed right side."""
-    qvid = table.add("q", FREE)
-    cvids = [table.add(f"c{i + 1}", CT) for i in range(system.m)]
-    den = []
-    for j in range(system.n):
-        exps = exps_from_dict({cvids[i]: system.matrix[i][j] for i in range(system.m)})
-        if slack_mode == "eager":
-            z = table.fresh_slack()
-            exps = exps_mul(exps, ((z, 1),))
-        den.append(exps)
-    dil = {cvids[i]: -system.rhs[i] for i in range(system.m)}
-    dil[qvid] = 1
-    den.append(exps_from_dict(dil))
-    t = make_term(ring, {(): ring.one()}, den)
-    return TermSum(table, ring, [t] if t is not None else [])
+    return _start_termsum(system, table, ring, series=True)
 
 
 def convert_terms(ts, ring):
@@ -371,7 +358,6 @@ def run_pipeline(
     moduli=(),
     crt=False,
     order="given",
-    slack_mode="eager",
     seed=0,
     lam=None,
     chunk_size=1000,
@@ -394,7 +380,7 @@ def run_pipeline(
     if chunk_size < 1:
         raise InputError("chunk size must be at least 1")
     rings = elimination_rings(moduli)
-    payload = config_payload(task, system, seed, order, slack_mode, chunk_size)
+    payload = config_payload(task, system, seed, order, chunk_size)
     chash = config_hash(payload)
     if ckpt_dir is None:
         store = MemoryStore()
@@ -405,9 +391,9 @@ def run_pipeline(
         check_boundedness(system, assume_bounded)
         table = VariableTable()
         build = build_count_termsum if task == "count" else build_series_termsum
-        ts = build(system, table, ExactRing(), slack_mode)
+        ts = build(system, table, ExactRing())
         st = Stats()
-        done = ct_all(ts, order=order, delayed=(slack_mode == "delayed"), stats=st)
+        done = ct_all(ts, order=order, stats=st)
         return table, done.terms, st
 
     def stage_b(ring, chunk):

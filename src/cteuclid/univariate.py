@@ -32,16 +32,6 @@ def trim(cs):
     return cs
 
 
-def padd(ring, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ring.zero()
-        y = b[i] if i < len(b) else ring.zero()
-        out.append(ring.add(x, y))
-    return trim(out)
-
-
 def pmul(ring, a, b):
     if not a or not b:
         return []

@@ -12,6 +12,7 @@ import random
 from cteuclid.algebra import CT, FREE, VariableTable, exps_from_dict
 from cteuclid.bruteforce import naive_ct, term_y_series
 from cteuclid.engine import CollisionError, ct_var, make_term
+from cteuclid.univariate import trim
 
 OMEGA = 16  # dominance base; safe while every digit stays <= OMEGA - 2
 YMAX = 2 * OMEGA  # comparison window for collapsed series
@@ -19,6 +20,17 @@ YMAX = 2 * OMEGA  # comparison window for collapsed series
 
 class DigitOverflow(Exception):
     """An exponent outruns the dominance base; the instance is skipped."""
+
+
+def padd(ring, a, b):
+    """Sum of two dense polynomials, trailing zeros trimmed."""
+    n = max(len(a), len(b))
+    out = []
+    for i in range(n):
+        x = a[i] if i < len(a) else ring.zero()
+        y = b[i] if i < len(b) else ring.zero()
+        out.append(ring.add(x, y))
+    return trim(out)
 
 
 def table_xy(m=2):

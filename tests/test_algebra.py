@@ -26,9 +26,8 @@ from cteuclid.algebra import (
     poly_mul_monomial,
     poly_neg,
     poly_rem,
-    rem,
+    rem_monomial,
     rem_split,
-    srem,
     srem_split,
     substitute,
 )
@@ -173,22 +172,23 @@ def test_rem_split_invariants(e, a):
     st.integers(min_value=-3, max_value=3),
 )
 def test_rem_monomial_congruence(e, a, uy):
-    """rem/srem substitute x^a -> u^-1; evaluating u = x^a must undo them."""
+    """rem substitutes x^a -> u^-1; evaluating u = x^a must undo it."""
     u = E(y1=uy)
     m = E(y1=1, x=e) if e else E(y1=1)
-    for mapped in (rem(m, u, a, X), srem(m, u, a, X)):
-        # undo: replace u-power change by the x-power it stands for
-        dy = exps_get(mapped, Y1) - 1
-        dx = exps_get(mapped, X)
-        # dy extra y-exponent means dy/uy factors of u were paid (if uy != 0)
-        if uy:
-            assert dy % uy == 0
-            paid = dy // uy
-            assert dx - paid * a == e
-        else:
-            assert dx == e or (dx - e) % a == 0
-    assert 0 <= exps_get(rem(m, u, a, X), X) < a
-    sr = exps_get(srem(m, u, a, X), X)
+    mapped = rem_monomial(m, u, a, X)
+    # undo: replace u-power change by the x-power it stands for
+    dy = exps_get(mapped, Y1) - 1
+    dx = exps_get(mapped, X)
+    # dy extra y-exponent means dy/uy factors of u were paid (if uy != 0)
+    if uy:
+        assert dy % uy == 0
+        paid = dy // uy
+        assert dx - paid * a == e
+    else:
+        assert dx == e or (dx - e) % a == 0
+    assert 0 <= dx < a
+    # the symmetric window that euclid_contribution uses
+    _, sr = srem_split(e, a)
     assert -a < 2 * sr <= a
 
 

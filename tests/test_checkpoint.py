@@ -74,20 +74,19 @@ def test_table_snapshot_rejects_gaps():
 
 
 def test_config_hash_ignores_nothing_it_covers():
-    base = config_payload("count", KNAP, 0, "given", "eager", 1000)
+    base = config_payload("count", KNAP, 0, "given", 1000)
     assert config_hash(base) == config_hash(
-        config_payload("count", KNAP, 0, "given", "eager", 1000)
+        config_payload("count", KNAP, 0, "given", 1000)
     )
     tweaked = [
-        config_payload("series", KNAP, 0, "given", "eager", 1000),
-        config_payload("count", KNAP, 1, "given", "eager", 1000),
-        config_payload("count", KNAP, 0, "sparse-first", "eager", 1000),
-        config_payload("count", KNAP, 0, "given", "delayed", 1000),
-        config_payload("count", KNAP, 0, "given", "eager", 7),
+        config_payload("series", KNAP, 0, "given", 1000),
+        config_payload("count", KNAP, 1, "given", 1000),
+        config_payload("count", KNAP, 0, "sparse-first", 1000),
+        config_payload("count", KNAP, 0, "given", 7),
         config_payload("count", DiophantineSystem([[1, 5, 14]], [42]), 0,
-                       "given", "eager", 1000),
+                       "given", 1000),
     ]
-    assert len({config_hash(t) for t in tweaked} | {config_hash(base)}) == 7
+    assert len({config_hash(t) for t in tweaked} | {config_hash(base)}) == 6
     assert system_from_payload(base).matrix == KNAP.matrix
 
 
@@ -100,7 +99,7 @@ def test_fresh_run_matches_direct_pipeline(tmp_path):
     direct = run_pipeline(KNAP, "count")
     assert out.value == direct.value == dp_knapsack(41, [1, 5, 14]) == 18
     assert out.lam == direct.lam
-    assert out.config_hash == config_hash(config_payload("count", KNAP, 0, "given", "eager", 1000))
+    assert out.config_hash == config_hash(config_payload("count", KNAP, 0, "given", 1000))
 
 
 def test_pause_then_resume_same_answer(tmp_path):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.metadata
 import io
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from cteuclid import cli
 from cteuclid.bruteforce import OracleRefusal
-from cteuclid.checkpoint import CheckpointError, CheckpointPause
+from cteuclid.checkpoint import CheckpointError, CheckpointPause, config_hash
 from cteuclid.elimination import LambdaExhaustion, PrimeClash
 from cteuclid.engine import CollisionError
 
@@ -184,6 +185,36 @@ def test_resume_missing_directory(in_tmp, capsys):
     assert "no checkpoint" in err
 
 
+def test_resume_of_delayed_slack_checkpoint_refused(in_tmp, capsys):
+    # the meta.json an older version wrote for a run with --slack delayed
+    run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
+             "--checkpoint-dir", "ck", "--max-units", "1")
+    meta_path = in_tmp / "ck" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta["config"]["slack"] == "eager"
+    meta["config"]["slack"] = "delayed"
+    meta["config_hash"] = config_hash(meta["config"])
+    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=1))
+    rc, out, err = run_main(capsys, "resume", "--checkpoint-dir", "ck")
+    assert rc == 7
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "different configuration" in errors[0]
+    assert out == ""
+    assert not (in_tmp / "ck" / "result.txt").exists()
+
+
+def test_checkpoint_paused_by_older_version_resumes(in_tmp, capsys):
+    """A magic-3 --crt --chunk-size 2 run paused after stage A by the version
+    that still took --slack resumes to the fresh run's result file."""
+    golden = Path(__file__).resolve().parent / "golden"
+    shutil.copytree(golden / "paused" / "magic3-crt-chunk2", in_tmp / "ck")
+    rc, _, err = run_main(capsys, "resume", "--checkpoint-dir", "ck", "--crt",
+                          "--coeffs", "8")
+    assert rc == 0 and "error:" not in err
+    assert (in_tmp / "ck" / "result.txt").read_bytes() == \
+        (golden / "magic3-crt-chunk2.txt").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 
@@ -270,6 +301,22 @@ def test_numeric_flags_checked_at_parse_time(in_tmp, capsys, argv, flag):
     assert info.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+    assert not (in_tmp / "ck").exists()
+    assert not (in_tmp / "ct-result.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["knapsack", "magic", "resume"])
+def test_slack_flag_is_ct_only(in_tmp, capsys, command):
+    argv = {
+        "knapsack": ["knapsack", "--a0", "41", "--weights", "1,5,14"],
+        "magic": ["magic", "--n", "3"],
+        "resume": ["resume", "--checkpoint-dir", "ck"],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--slack", "delayed", "--checkpoint-dir", "ck"])
+    assert info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--slack" in errors[0]
     assert not (in_tmp / "ck").exists()
     assert not (in_tmp / "ct-result.txt").exists()
 
@@ -411,6 +458,50 @@ def test_module_invocation(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "2"
+
+
+# ---------------------------------------------------------------------------
+# README and parser name the same long options
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _long_options(parser):
+    return {opt for a in parser._actions for opt in a.option_strings
+            if opt.startswith("--")} - {"--help"}
+
+
+def _subparsers():
+    top = cli.build_parser()
+    for action in top._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return top, action.choices
+    raise AssertionError("build_parser() has no subcommands")
+
+
+def _parser_long_options():
+    top, subs = _subparsers()
+    return _long_options(top).union(*(_long_options(p) for p in subs.values()))
+
+
+def test_readme_documents_every_long_option():
+    text = README.read_text()
+    missing = sorted(opt for opt in _parser_long_options()
+                     if not re.search(re.escape(opt) + r"(?![\w-])", text))
+    assert not missing, f"README.md does not mention {missing}"
+
+
+def test_readme_command_line_flags_exist():
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    unknown = sorted(set(re.findall(r"--[a-z][a-z0-9-]*", section)) - _parser_long_options())
+    assert not unknown, f"README.md's Command line section names unknown flags {unknown}"
+    # the common flags are the ones every pipeline command takes
+    common = section.split("Common flags:", 1)[1].split("\n\n", 1)[0]
+    _, subs = _subparsers()
+    for command in ("knapsack", "count", "ehrhart", "magic"):
+        stray = sorted(set(re.findall(r"--[a-z][a-z0-9-]*", common)) - _long_options(subs[command]))
+        assert not stray, f"README.md lists {stray} as common flags, but {command} lacks them"
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ def test_elimination_is_direction_invariant():
         a0 = rng.randint(0, 25)
         system = knapsack_system(a0, weights)
         table = VariableTable()
-        ts = build_count_termsum(system, table, RING, "eager")
+        ts = build_count_termsum(system, table, RING)
         done = ct_all(ts)
         zs = table.vids_of_rank(SLACK)
         lam1 = {z: 1009 + 13 * i for i, z in enumerate(zs)}

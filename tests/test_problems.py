@@ -20,7 +20,6 @@ from cteuclid.problems import (
     run_pipeline,
     series_coeffs,
     system_from_json,
-    system_to_json,
 )
 from cteuclid.univariate import expand_factored, pmul
 
@@ -43,9 +42,18 @@ def test_system_validation():
     assert s.scaled(4).rhs == [12]
 
 
+def test_system_rejects_bools():
+    # bool is a subclass of int, but True is not a coefficient
+    with pytest.raises(InputError, match="matrix entries"):
+        DiophantineSystem([[1, True]], [5])
+    with pytest.raises(InputError, match="right-hand side entries"):
+        DiophantineSystem([[1, 1]], [True])
+
+
 def test_json_round_trip():
     s = DiophantineSystem([[1, 2], [0, 10**20]], [3, 10**20])
-    t = system_from_json(system_to_json(s))
+    t = system_from_json('{"matrix": [[1, 2], [0, "100000000000000000000"]],'
+                         ' "rhs": [3, "100000000000000000000"]}')
     assert t.matrix == s.matrix and t.rhs == s.rhs
 
 
@@ -139,16 +147,6 @@ def test_order_policies_agree_on_counts():
         a0 = rng.randint(5, 50)
         a = knapsack_count(a0, ws, order="given")
         b = knapsack_count(a0, ws, order="sparse-first")
-        assert a == b == dp_knapsack(a0, ws)
-
-
-def test_slack_policies_agree_on_counts():
-    rng = random.Random(321)
-    for _ in range(8):
-        ws = [rng.randint(1, 9) for _ in range(3)]
-        a0 = rng.randint(5, 50)
-        a = knapsack_count(a0, ws, slack_mode="eager")
-        b = knapsack_count(a0, ws, slack_mode="delayed")
         assert a == b == dp_knapsack(a0, ws)
 
 

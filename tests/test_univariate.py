@@ -13,7 +13,6 @@ from cteuclid.univariate import (
     divexact_int,
     expand_factored,
     gcd_int,
-    padd,
     pmul,
     power_series_div,
     primitive_int,
@@ -22,6 +21,8 @@ from cteuclid.univariate import (
     sparse_mul_binomial,
     trim,
 )
+
+from helpers import padd
 
 RING = ExactRing()
 
