@@ -210,17 +210,3 @@ def naive_ct(ring, term, xvid, yvid, ymax, budget=10**7):
             raise ValueError("naive expansion expects a two-variable term")
         rec(0, exps_get(e, yvid), exps_get(e, xvid) if xvid is not None else 0, c)
     return out
-
-
-def term_y_series(ring, terms, yvid, ymax, budget=10**7):
-    """Exact y-expansion (through degree ymax) of a sum of y-only terms."""
-    out = {}
-    for t in terms:
-        for d, c in naive_ct(ring, t, None, yvid, ymax, budget).items():
-            prev = out.get(d)
-            s = c if prev is None else ring.add(prev, c)
-            if ring.is_zero(s):
-                out.pop(d, None)
-            else:
-                out[d] = s
-    return out

@@ -79,6 +79,22 @@ def system_from_payload(payload):
     return DiophantineSystem(matrix, rhs)
 
 
+def load_meta(path):
+    """The parsed meta.json at path; CheckpointError unless it is one this module wrote."""
+    try:
+        with open(path) as fh:
+            meta = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"cannot read {path}: {exc}") from None
+    if not (
+        isinstance(meta, dict)
+        and isinstance(meta.get("config"), dict)
+        and isinstance(meta.get("phase_a"), dict)
+    ):
+        raise CheckpointError(f"{path} is not a checkpoint description")
+    return meta
+
+
 def _write_atomic(path, text):
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -158,8 +174,7 @@ class DirectoryStore:
         self.units = 0
         self.meta_path = os.path.join(path, "meta.json")
         if os.path.exists(self.meta_path):
-            with open(self.meta_path) as fh:
-                self.meta = json.load(fh)
+            self.meta = load_meta(self.meta_path)
             if self.meta.get("config_hash") != chash:
                 raise CheckpointError(
                     "checkpoint directory was created for a different configuration"

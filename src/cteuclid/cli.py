@@ -47,6 +47,7 @@ from .checkpoint import (
     CheckpointError,
     CheckpointPause,
     _write_atomic,
+    load_meta,
     system_from_payload,
 )
 from .elimination import DEFAULT_PRIMES, LambdaExhaustion, PrimeClash
@@ -395,19 +396,23 @@ def cmd_resume(args):
     meta_path = os.path.join(args.checkpoint_dir, "meta.json")
     if not os.path.exists(meta_path):
         raise CheckpointError(f"no checkpoint at {args.checkpoint_dir}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    cfg = meta["config"]
-    system = system_from_payload(cfg)
+    cfg = load_meta(meta_path)["config"]
+    try:
+        system = system_from_payload(cfg)
+        task = cfg["task"]
+        # the saved configuration stands in for the flags resume does not take
+        for key in ("seed", "order", "chunk_size"):
+            setattr(args, key, cfg[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"malformed checkpoint configuration ({type(exc).__name__}: {exc})"
+        ) from None
     if args.input is not None:
         with open(args.input) as fh:
             other = system_from_json(fh.read())
         if (other.matrix, other.rhs) != (system.matrix, system.rhs):
             raise CheckpointError("input file does not match the checkpoint")
-    # the saved configuration stands in for the flags resume does not take
-    for key in ("seed", "order", "chunk_size"):
-        setattr(args, key, cfg[key])
-    return run_task(system, cfg["task"], args, coeffs=args.coeffs)
+    return run_task(system, task, args, coeffs=args.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,29 @@ nonzero pairing <lambda,B>.
 
 With r factors turning into pure exponentials the term has a pole of order
 exactly r at s = 0, so its constant term is the s^r coefficient of s^r * E,
-assembled from three ingredient series truncated at s^r:
+assembled from truncated series in s:
 
 * a numerator monomial c * F * z^B contributes c * F * sum_n (bs)^n / n!,
 * a pure factor contributes s/(1 - e^{bs}), whose coefficients are Bernoulli
-  numbers times b^(n-1),
-* a mixed factor 1/(1 - M e^{bs}) stays rational in its free monomial M:
-  the s^n coefficient is b^n P_n(M)/(1-M)^(n+1) with P_n a polynomial whose
-  coefficients are Stirling subset numbers over n!.
+  numbers times b^(n-1); with the numerator this makes the base series,
+* a mixed factor 1/(1 - M e^{bs}) stays rational in its free monomial
+  M = q^m: its s^n coefficient is b^n P_n(M)/(1-M)^(n+1), with P_n a
+  polynomial of degree n.
 
-Distributing the order r over the mixed factors enumerates at most
-C(r + #mixed, #mixed) summands per term.  At most one free variable q
-survives, so each summand is already univariate: a sparse numerator
-{degree: coeff} over prod_k (1 - q^k)^(e_k), with no q at all for a count.
+The s^n coefficient of the product of j mixed factors sharing one m thus
+sits over (1 - q^m)^(n+j) whatever their b are, so each such group is
+multiplied out once as a truncated series (``group_series``), and the order
+r is split over the g distinct m values only: at most C(r + g, g) pieces
+per term, each a sparse numerator {degree: coeff} in the one surviving free
+variable q over prod_k (1 - q^k)^(e_k), with no q at all for a count.
+A split yields its piece, and with it its denominator, whenever its base
+coefficient is nonzero and every group given a positive order holds a
+pairing nonzero in the ring; this is a structural test, because the group
+coefficients may cancel (b and -b sharing one m) to an empty numerator.
+
+The summand count in the result file is the number of ways to split r
+factor by factor over the k' mixed factors with a pairing nonzero in the
+ring, C(r + k', k'); it is computed in closed form, not enumerated.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .algebra import FREE, SLACK, InputError, poly_add_inplace
-from .univariate import FactoredAccumulator, sparse_mul, sparse_mul_binomial
+from .univariate import FactoredAccumulator, sparse_mul
 
 # moduli used when --crt is requested without explicit --mod values
 DEFAULT_PRIMES = (2305843009213693951, 1152921504606847009, 1152921504606847067)
@@ -145,29 +155,22 @@ def pick_lambda(termsums, moduli=(), seed=0, max_retries=100, lam=None):
 
 
 class SeriesTables:
-    """Factorials, pole-series coefficients, and Stirling subset numbers.
+    """Inverse factorials and pole-series coefficients in one coefficient ring.
 
-    Values are cached as elements of one coefficient ring.  The recurrence
-    for s/(e^s - 1) = sum t_n s^n runs over exact rationals, so a prime
-    field receives the reduced image of the true rational value.
+    The recurrence for s/(e^s - 1) = sum t_n s^n runs over exact rationals,
+    so a prime field receives the reduced image of the true rational value.
     """
 
     def __init__(self, ring):
         self.ring = ring
-        self._fact_int = [1]
-        self._fact = [ring.one()]
         self._inv_fact = [ring.one()]
         self._t = [Fraction(1)]
         self._pole = [ring.from_int(-1)]  # [s^n] s/(1 - e^s) = -t_n
-        self._stirling = [[1]]
 
     def ensure(self, r):
-        while len(self._fact_int) <= r:
-            n = len(self._fact_int)
-            f = self._fact_int[-1] * n
-            self._fact_int.append(f)
-            self._fact.append(self.ring.from_int(f))
-            self._inv_fact.append(self.ring.from_fraction(Fraction(1, f)))
+        while len(self._inv_fact) <= r:
+            n = len(self._inv_fact)
+            self._inv_fact.append(self.ring.from_fraction(Fraction(1, factorial(n))))
         while len(self._t) <= r:
             n = len(self._t)
             acc = Fraction(0)
@@ -175,16 +178,6 @@ class SeriesTables:
                 acc += self._t[j] / factorial(n - j + 1)
             self._t.append(-acc)
             self._pole.append(self.ring.from_fraction(acc))
-        while len(self._stirling) <= r:
-            n = len(self._stirling)
-            prev = self._stirling[-1]
-            row = [0] * (n + 1)
-            for k in range(1, n + 1):
-                row[k] = k * (prev[k] if k < n else 0) + prev[k - 1]
-            self._stirling.append(row)
-
-    def fact(self, n):
-        return self._fact[n]
 
     def inv_fact(self, n):
         return self._inv_fact[n]
@@ -192,40 +185,13 @@ class SeriesTables:
     def pole_coeff(self, n):
         return self._pole[n]
 
-    def stirling(self, n, k):
-        return self._stirling[n][k]
 
+def split_factors(ring, term, lam_map):
+    """(pure pairings, mixed (m, b) pairs) of a term's denominator factors.
 
-def _mixed_series_numerator(ring, tables, m, n):
-    """P_n(q^m) with the s^n coefficient of 1/(1 - q^m e^{bs}) = b^n P_n/(1-q^m)^(n+1).
-
-    P_n(M) = sum_k k! S(n,k) M^k (1-M)^(n-k) / n!, returned as a sparse
-    numerator {degree: coeff} in q.
+    A pure factor has no free variable and must keep a pairing b that is
+    nonzero in the ring; a mixed factor q^m z^B has m > 0 and any b.
     """
-    acc = {}
-    for k in range(n + 1):
-        s2 = tables.stirling(n, k)
-        if not s2:
-            continue
-        c = ring.mul(ring.mul(ring.from_int(s2), tables.fact(k)), tables.inv_fact(n))
-        if ring.is_zero(c):
-            continue
-        poly_add_inplace(ring, acc, sparse_mul_binomial(ring, {m * k: c}, m, n - k))
-    return acc
-
-
-def ct_s_term(ring, term, lam_map, tables=None, stats=None):
-    """Constant term at s = 0 of one term under the direction substitution.
-
-    Returns a list of univariate pieces (num, den_counts), possibly empty:
-    num is a sparse numerator {degree: coeff} in the free variable q, and
-    den_counts is {k: e} for the denominator prod_k (1 - q^k)^(e_k).  A
-    term with no free variable gives pieces ({0: c}, {}).  The summand
-    count is recorded in stats and checked against C(d+1, ceil((d+1)/2))
-    for d = #factors.
-    """
-    if tables is None:
-        tables = SeriesTables(ring)
     pure_b = []
     mixed = []
     for f in term.den:
@@ -239,8 +205,16 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
         else:
             # canonical factors are small and q comes first, so m > 0
             mixed.append((m, b))
+    return pure_b, mixed
+
+
+def base_series(ring, tables, term, lam_map, pure_b):
+    """The numerator series times the pure-factor product, truncated at s^r.
+
+    Entry n, the s^n coefficient, is a sparse numerator {degree: coeff} in
+    q; r = len(pure_b), and tables must already cover r.
+    """
     r = len(pure_b)
-    tables.ensure(r)
 
     # numerator series: sum over monomials of c * q^d * e^{ms}
     lnum = [{} for _ in range(r + 1)]
@@ -268,8 +242,7 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
                 npp[i + j] = ring.add(npp[i + j], ring.mul(x, fac[j]))
         pp = npp
 
-    # g_n: numerator times pure product, still truncated at s^r
-    g = [{} for _ in range(r + 1)]
+    out = [{} for _ in range(r + 1)]
     for i in range(r + 1):
         if not lnum[i]:
             continue
@@ -277,52 +250,113 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
             x = pp[j] if j < len(pp) else ring.zero()
             if ring.is_zero(x):
                 continue
-            poly_add_inplace(ring, g[i + j], {d: ring.mul(c, x) for d, c in lnum[i].items()})
+            poly_add_inplace(ring, out[i + j], {d: ring.mul(c, x) for d, c in lnum[i].items()})
+    return out
 
-    # distribute the remaining order over the mixed factors
+
+def group_series(ring, tables, bs, m, r):
+    """Numerators of one group of mixed factors sharing the q-exponent m.
+
+    For the j factors 1/(1 - q^m e^{b_i s}) of the group, entry N is the
+    numerator of their product's s^N coefficient over (1 - q^m)^(N + j),
+    as a sparse numerator in q.  bs lists the pairings b_i that are nonzero
+    in the ring; a factor with b = 0 is just 1/(1 - q^m) and only counts
+    toward j.  Entries run to N = r, or only to N = 0 when bs is empty.
+
+    With M = q^m, w = M/(1 - M) and u_i = e^{b_i s} - 1, each factor is
+    1/((1 - M)(1 - w u_i)), so the product is (1 - M)^(-j) sum_K w^K h_K(u),
+    h_K the complete homogeneous symmetric polynomial.  Since u_i = O(s),
+    only K <= N reaches s^N, and the numerator of that coefficient is
+    sum_K [s^N] h_K(u) * M^K (1 - M)^(N - K).  The u_i are exponential
+    generating functions with integer coefficients b_i^n, so the table
+    N! [s^N] h_K(u) is integral.  It is built over Z one factor at a time,
+    h_K <- h_K + u_i h_(K-1) for rising K so that h_(K-1) already includes
+    u_i, with products of EGFs taken as binomial convolutions, and mapped
+    into the ring at the end.
+    """
+    top = r if bs else 0
+    h = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(top)]
+    for b in bs:
+        pw = [b**n for n in range(top + 1)]
+        for k in range(1, top + 1):
+            lower, cur = h[k - 1], h[k]
+            for n in range(k, top + 1):
+                cur[n] += sum(comb(n, i) * pw[i] * lower[n - i] for i in range(1, n - k + 2))
+    out = []
+    for n in range(top + 1):
+        num = {}
+        for e in range(n + 1):
+            c = sum((-1) ** (e - k) * comb(n - k, e - k) * h[k][n] for k in range(e + 1))
+            c = ring.mul(ring.from_int(c), tables.inv_fact(n))
+            if not ring.is_zero(c):
+                num[m * e] = c
+        out.append(num)
+    return out
+
+
+def ct_s_term(ring, term, lam_map, tables=None, stats=None):
+    """Constant term at s = 0 of one term under the direction substitution.
+
+    Returns a list of univariate pieces (num, den_counts), possibly empty:
+    num is a sparse numerator {degree: coeff} in the free variable q, and
+    den_counts is {k: e} for the denominator prod_k (1 - q^k)^(e_k).  A
+    term with no free variable gives pieces ({0: c}, {}).
+
+    With r pure factors, the pieces come from the s^r coefficient of the
+    base series (numerator times pure factors) times one group_series per
+    distinct q-exponent m of the mixed factors.  The order r is split over
+    the g groups, not over the k mixed factors, so a term makes at most
+    C(r + g, g) pieces.  A split (N_m) makes a piece exactly when the base
+    coefficient of s^(r - sum N_m) is nonzero and every group with N_m > 0
+    holds a pairing nonzero in the ring.  Its numerator may have cancelled
+    to {} (b and -b in one group); the piece is kept so that its
+    denominator still counts.
+
+    The summand count in stats is the number of splits of r over the k'
+    mixed factors whose pairing is nonzero in the ring, C(r + k', k'),
+    checked against C(d + 1, floor((d + 1)/2)) for d = #factors.
+    """
+    if tables is None:
+        tables = SeriesTables(ring)
+    pure_b, mixed = split_factors(ring, term, lam_map)
+    r = len(pure_b)
+    tables.ensure(r)
+    base = base_series(ring, tables, term, lam_map, pure_b)
+
+    by_m = {}
+    for m, b in mixed:
+        by_m.setdefault(m, []).append(b)
+    live = {m: [b for b in bs if not ring.is_zero(ring.from_int(b))] for m, bs in by_m.items()}
+    groups = [(m, len(by_m[m]), group_series(ring, tables, live[m], m, r)) for m in sorted(by_m)]
+
     pieces = []
-    leaves = 0
-    cache = {}
-    chosen = []
-
-    def mixed_num(m, n):
-        if (m, n) not in cache:
-            cache[m, n] = _mixed_series_numerator(ring, tables, m, n)
-        return cache[m, n]
+    den_counts = {}
 
     def descend(idx, used, mult):
-        nonlocal leaves
-        if idx == len(mixed):
-            leaves += 1
-            base = g[r - used]
-            if not base:
-                return
-            num = sparse_mul(ring, base, mult) if mult is not None else base
-            if not num:
-                return
-            den_counts = {}
-            for (m, _), n in zip(mixed, chosen):
-                den_counts[m] = den_counts.get(m, 0) + n + 1
-            pieces.append((num, den_counts))
+        if idx == len(groups):
+            lead = base[r - used]
+            if lead:
+                num = lead if mult is None else sparse_mul(ring, lead, mult)
+                pieces.append((num, dict(den_counts)))
             return
-        m, b = mixed[idx]
-        top = (r - used) if b != 0 else 0
-        for n in range(top + 1):
-            fnum = mixed_num(m, n)
-            if n:
-                scale = ring.pow_int(ring.from_int(b), n)
-                fnum = {d: ring.mul(c, scale) for d, c in fnum.items()}
-            nm = fnum if mult is None else sparse_mul(ring, mult, fnum)
-            if not nm:
-                continue
-            chosen.append(n)
+        m, j, series = groups[idx]
+        for n in range(min(len(series) - 1, r - used) + 1):
+            den_counts[m] = n + j
+            if n == 0:
+                nm = mult
+            elif mult is None:
+                nm = series[n]
+            else:
+                nm = sparse_mul(ring, mult, series[n])
             descend(idx + 1, used + n, nm)
-            chosen.pop()
+        del den_counts[m]
 
     descend(0, 0, None)
 
     if stats is not None:
         stats.ct_s_calls += 1
+        live_count = sum(len(bs) for bs in live.values())
+        leaves = comb(r + live_count, live_count)
         if leaves > stats.summand_max:
             stats.summand_max = leaves
         d = len(term.den)

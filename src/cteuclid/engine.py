@@ -362,34 +362,6 @@ def ct_var(ring, t, xvid, stats=None):
     return out
 
 
-def ct_via_proper(ring, t, xvid, stats=None):
-    """Sum of small-factor brackets: valid when t is proper in x."""
-    num, den = normalize_for_var(ring, t, xvid)
-    out = []
-    for i, f in enumerate(den):
-        if exps_get(f, xvid) > 0 and compare_to_one(f) is SMALL:
-            out.extend(euclid_contribution(ring, num, den, i, xvid, stats))
-    return out
-
-
-def ct_via_at_zero(ring, t, xvid, stats=None):
-    """Evaluation at x=0 minus large-factor brackets: valid when t is finite at x=0."""
-    num, den = normalize_for_var(ring, t, xvid)
-    if any(exps_get(e, xvid) < 0 for e in num):
-        raise ValueError("term has a pole at x = 0")
-    out = []
-    at_zero = poly_slice_zero(num, xvid)
-    if at_zero:
-        kept = make_term(ring, at_zero, [g for g in den if exps_get(g, xvid) == 0])
-        if kept is not None:
-            out.append(kept)
-    for i, f in enumerate(den):
-        if exps_get(f, xvid) > 0 and compare_to_one(f) is LARGE:
-            for r in euclid_contribution(ring, num, den, i, xvid, stats):
-                out.append(term_neg(ring, r))
-    return out
-
-
 def collect_terms(ring, terms):
     """Merge terms with identical denominators; drop zero numerators.
 

@@ -10,9 +10,11 @@ expansion in bruteforce.naive_ct into an exact oracle for the engine.
 import random
 
 from cteuclid.algebra import CT, FREE, VariableTable, exps_from_dict
-from cteuclid.bruteforce import naive_ct, term_y_series
+from cteuclid.bruteforce import naive_ct
 from cteuclid.engine import CollisionError, ct_var, make_term
 from cteuclid.univariate import trim
+
+from oracles import term_y_series
 
 OMEGA = 16  # dominance base; safe while every digit stays <= OMEGA - 2
 YMAX = 2 * OMEGA  # comparison window for collapsed series

@@ -30,8 +30,6 @@ from cteuclid.engine import (
     TermSum,
     bracket,
     ct_var,
-    ct_via_at_zero,
-    ct_via_proper,
     make_term,
     normalize_for_var,
 )
@@ -52,6 +50,7 @@ from helpers import (
     random_term,
     table_xy,
 )
+from oracles import ct_via_at_zero, ct_via_proper
 
 RING = ExactRing()
 PRIMES3 = (2305843009213693951, 1152921504606847009, 1152921504606847067)
@@ -249,7 +248,7 @@ def test_criterion_09_summand_count_bound():
     )
     assert stats.ct_s_calls > 0
     assert stats.summand_max > 0
-    assert stats.summand_bound_ok  # checked against C(d+1, ceil(d/2)) per call
+    assert stats.summand_bound_ok  # checked against C(d+1, floor((d+1)/2)) per call
 
 
 def test_criterion_10_checkpoint_byte_identity(tmp_path, console_script):

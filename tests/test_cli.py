@@ -203,6 +203,34 @@ def test_resume_of_delayed_slack_checkpoint_refused(in_tmp, capsys):
     assert not (in_tmp / "ck" / "result.txt").exists()
 
 
+@pytest.mark.parametrize("text", [
+    '{"config": ',                      # truncated
+    '["config"]',                       # not an object
+    '{}',                               # no configuration
+    '{"config": {}, "phase_a": {}}',    # a configuration without its keys
+], ids=["truncated", "list", "empty", "no-keys"])
+def test_resume_of_damaged_meta_refused(in_tmp, capsys, text):
+    (in_tmp / "ck").mkdir()
+    (in_tmp / "ck" / "meta.json").write_text(text)
+    rc, out, err = run_main(capsys, "resume", "--checkpoint-dir", "ck")
+    assert rc == 7
+    assert out == ""
+    errors = err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert not (in_tmp / "ck" / "result.txt").exists()
+
+
+def test_run_into_damaged_meta_refused(in_tmp, capsys):
+    (in_tmp / "ck").mkdir()
+    (in_tmp / "ck" / "meta.json").write_text('{"config": ')
+    rc, out, err = run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
+                            "--checkpoint-dir", "ck")
+    assert rc == 7
+    errors = err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert not (in_tmp / "ck" / "result.txt").exists()
+
+
 def test_checkpoint_paused_by_older_version_resumes(in_tmp, capsys):
     """A magic-3 --crt --chunk-size 2 run paused after stage A by the version
     that still took --slack resumes to the fresh run's result file."""

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cteuclid import cli, elimination
 from cteuclid.algebra import (
     EXPS_ONE,
     FREE,
@@ -28,6 +30,9 @@ from cteuclid.elimination import (
     validate_lambda,
 )
 from cteuclid.engine import Stats, TermSum, make_term
+from cteuclid.univariate import FactoredAccumulator
+
+from oracles import enumerate_pieces, stirling_row
 
 RING = ExactRing()
 
@@ -70,18 +75,19 @@ def test_pole_coefficients_are_scaled_bernoulli_numbers():
 
 
 def test_stirling_subset_numbers():
-    tabs = SeriesTables(RING)
-    tabs.ensure(7)
-    assert tabs.stirling(4, 2) == 7
-    assert tabs.stirling(5, 3) == 25
-    assert tabs.stirling(6, 3) == 90
-    assert tabs.stirling(7, 2) == 63
-    assert tabs.stirling(5, 5) == 1
-    assert tabs.stirling(5, 0) == 0
+    def stirling(n, k):
+        return stirling_row(n)[k]
+
+    assert stirling(4, 2) == 7
+    assert stirling(5, 3) == 25
+    assert stirling(6, 3) == 90
+    assert stirling(7, 2) == 63
+    assert stirling(5, 5) == 1
+    assert stirling(5, 0) == 0
     # recurrence cross-check
     for n in range(1, 7):
         for k in range(1, n):
-            assert tabs.stirling(n + 1, k) == k * tabs.stirling(n, k) + tabs.stirling(n, k - 1)
+            assert stirling(n + 1, k) == k * stirling(n, k) + stirling(n, k - 1)
 
 
 def test_tables_reduce_correctly_mod_p():
@@ -227,6 +233,121 @@ def test_summand_bound_is_tracked():
     assert stats.ct_s_calls == 1
     assert stats.summand_max >= 1
     assert stats.summand_bound_ok
+
+
+# ---------------------------------------------------------------------------
+# grouped stage B against one leaf per composition
+
+SMALL_P = 11  # small enough that pairings and sums vanish mod p by chance
+
+
+def _factor_term(ring, pure, mixed, num):
+    """A term with one slack variable per factor, so that lam picks every b.
+
+    pure: pairings of factors 1/(1 - z_i); mixed: (m, b) of factors
+    1/(1 - q^m z_j); num: (q-degree, z_0-exponent, coeff) monomials.
+    """
+    table = VariableTable()
+    q = table.add("q", FREE)
+    zs = [table.fresh_slack() for _ in range(len(pure) + len(mixed))]
+    lam = dict(zip(zs, list(pure) + [b for _, b in mixed]))
+    den = [exps_from_dict({z: 1}) for z in zs[: len(pure)]]
+    den += [exps_from_dict({q: m, z: 1}) for (m, _), z in zip(mixed, zs[len(pure):])]
+    coeffs = {}
+    for d, e, c in num:
+        key = exps_from_dict({q: d, zs[0]: e} if zs else {q: d})
+        coeffs[key] = coeffs.get(key, 0) + c
+    nonzero = {e: ring.from_int(c) for e, c in coeffs.items() if not ring.is_zero(ring.from_int(c))}
+    return make_term(ring, nonzero, den), lam
+
+
+def _accumulate(ring, pieces):
+    acc = FactoredAccumulator(ring)
+    for num, den_counts in pieces:
+        acc.add_piece(num, den_counts)
+    return acc
+
+
+def _grouped_against_enumerated(ring, pure, mixed, num):
+    term, lam = _factor_term(ring, pure, mixed, num)
+    if term is None:
+        return None
+    stats = Stats()
+    pieces = ct_s_term(ring, term, lam, stats=stats)
+    want, leaves = enumerate_pieces(ring, term, lam)
+    grouped, enumerated = _accumulate(ring, pieces), _accumulate(ring, want)
+    assert grouped.sums == enumerated.sums
+    assert grouped.den == enumerated.den
+    assert stats.summand_max == leaves
+    groups = len({m for m, _ in mixed})
+    assert len(pieces) <= math.comb(len(pure) + groups, groups)
+    return grouped
+
+
+stage_b_case = st.tuples(
+    st.lists(st.sampled_from([1, -1, 2, 3, -4, 7]), max_size=3),
+    st.lists(
+        st.tuples(
+            st.integers(1, 3),
+            st.sampled_from([0, 1, -1, 2, -2, 3, 5, SMALL_P, -2 * SMALL_P]),
+        ),
+        max_size=5,
+    ),
+    st.lists(
+        st.tuples(st.integers(-2, 3), st.integers(0, 2), st.sampled_from([-3, -1, 1, 2])),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+@pytest.mark.parametrize("ring", [RING, PrimeField(SMALL_P)], ids=["exact", "mod11"])
+@given(stage_b_case)
+@example(([1], [(1, 2), (1, -2)], [(0, 0, 1)]))  # the s^1 group coefficient cancels
+@example(([1, 2], [(2, SMALL_P), (2, 3), (1, 0)], [(1, 1, 2)]))  # b = p and b = 0
+@example(([1, -1, 3], [(1, 1), (1, 5), (2, -1), (3, 2), (3, 2)], [(0, 1, 1), (2, 0, -1)]))
+@settings(max_examples=150, deadline=None)
+def test_grouped_pieces_match_leaf_enumeration(ring, case):
+    _grouped_against_enumerated(ring, *case)
+
+
+def test_cancelled_group_coefficient_still_registers_its_denominator():
+    # b and -b share m = 1: the s^1 coefficient of the pair is 0, yet the
+    # split that gives it order 1 still puts (1 - q)^3 into the denominator
+    acc = _grouped_against_enumerated(RING, [1], [(1, 2), (1, -2)], [(0, 0, 1)])
+    assert acc.sums[((1, 3),)] == {}
+    assert acc.den == {1: 3}
+
+
+def test_pairing_divisible_by_the_modulus_counts_no_leaves():
+    # b = p is zero in GF(p): that factor only takes order 0
+    for ring, leaves in ((RING, 3), (PrimeField(SMALL_P), 1)):
+        term, lam = _factor_term(ring, [1, 2], [(1, SMALL_P)], [(0, 0, 1)])
+        stats = Stats()
+        ct_s_term(ring, term, lam, stats=stats)
+        assert stats.summand_max == leaves
+
+
+def test_magic4_stage_b_piece_count(tmp_path, monkeypatch, capsys):
+    """magic --n 4 makes 1,562 stage-B pieces.
+
+    The bound sits just above that and far below the 16,144 pieces of one
+    leaf per composition of the pole order over the mixed factors.
+    """
+    counted = []
+    original = elimination.ct_s_term
+
+    def counting(*args, **kwargs):
+        pieces = original(*args, **kwargs)
+        counted.append(len(pieces))
+        return pieces
+
+    monkeypatch.setattr(elimination, "ct_s_term", counting)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["magic", "--n", "4", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert len(counted) == 394
+    assert sum(counted) <= 1600
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ from cteuclid.engine import (
     collect_terms,
     ct_all,
     ct_var,
-    ct_via_at_zero,
-    ct_via_proper,
     make_term,
     normalize_for_var,
 )
@@ -35,6 +33,7 @@ from helpers import (
     random_term,
     table_xy,
 )
+from oracles import ct_via_at_zero, ct_via_proper
 
 RING = ExactRing()
 Y1, Y2, X = (FREE, 0), (FREE, 1), (CT, 0)

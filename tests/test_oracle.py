@@ -12,9 +12,10 @@ from cteuclid.bruteforce import (
     dp_knapsack,
     homogeneous_nonzero_exists,
     naive_ct,
-    term_y_series,
 )
 from cteuclid.engine import make_term
+
+from oracles import term_y_series
 
 RING = ExactRing()
 Y, X = (FREE, 0), (CT, 0)
