@@ -17,6 +17,12 @@ distinct denominators, (1 - q^2) among them.
 golden/ct-SLACK.txt holds the result file of a raw constant-term run on
 golden/ct.json under each slack policy.
 
+golden/NAME.txt, for each NAME in ORDER_PINS, pins what no other file
+does: the choices of --order sparse-first on a pipeline run, and the
+delayed-slack restart of a raw run on golden/ct-collide.json.  Its two equal
+factors collide in x1; under sparse-first that happens after x2 is gone, so
+the restart names its slack variables mid-run.
+
 Every run echoes its result file to stdout (after the value line on a
 pipeline run), followed by its wall time and the result-file path.
 """
@@ -114,3 +120,26 @@ def test_ct_result_file_matches_golden(tmp_path, slack):
     want = (GOLDEN / f"ct-{slack}.txt").read_bytes()
     assert result.read_bytes() == want
     assert re.fullmatch(echo_pattern(want.decode(), result), stdout)
+
+
+# result file name -> run arguments
+ORDER_PINS = {
+    "magic3-sparse-first": ["magic", "--n", "3", "--order", "sparse-first"],
+    "knapsack-sparse-first": ["knapsack", "--a0", "89733124481", "--weights",
+                              "12223,12224,36674,61119,85569", "--order", "sparse-first"],
+    "ct-collide-delayed": ["ct", "--input", str(GOLDEN / "ct-collide.json"),
+                           "--slack", "delayed"],
+    "ct-collide-delayed-sparse-first": ["ct", "--input", str(GOLDEN / "ct-collide.json"),
+                                        "--slack", "delayed", "--order", "sparse-first"],
+}
+
+
+@pytest.mark.parametrize("name", ORDER_PINS)
+def test_order_and_restart_pins_match_golden(tmp_path, name):
+    argv = ORDER_PINS[name]
+    result = tmp_path / "r.txt"
+    stdout, _ = call(argv + ["--output", str(result)])
+    want = (GOLDEN / f"{name}.txt").read_bytes()
+    assert result.read_bytes() == want
+    value_line = "" if argv[0] == "ct" else r"[^\n]*\n"
+    assert re.fullmatch(value_line + echo_pattern(want.decode(), result), stdout)
