@@ -229,6 +229,10 @@ class DirectoryStore:
                 return [term_from_line(line) for line in fh if line.strip()]
         except FileNotFoundError:
             raise CheckpointError(f"missing term chunk {i}; delete the directory and rerun")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(
+                f"damaged term chunk {i} ({exc}); delete the directory and rerun"
+            ) from None
 
     def partial(self, ring, i, lhash, compute):
         """(kind, value, stats) of chunk i in ring, saved under direction hash lhash.
@@ -240,10 +244,17 @@ class DirectoryStore:
         tag = ring_tag(ring)
         path = os.path.join(self.path, f"partial-{tag}-{i:04d}.json")
         if os.path.exists(path):
-            with open(path) as fh:
-                obj = json.load(fh)
-            if obj.get("lam_hash") == lhash:
-                return _partial_from_obj(ring, obj)
+            try:
+                with open(path) as fh:
+                    obj = json.load(fh)
+                if not isinstance(obj, dict):
+                    raise ValueError("not a JSON object")
+                if obj.get("lam_hash") == lhash:
+                    return _partial_from_obj(ring, obj)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CheckpointError(
+                    f"damaged partial file {path} ({exc}); delete it and resume"
+                ) from None
         self.log(f"phase B: ring {tag}, chunk {i + 1}/{self.meta['phase_a']['chunks']}")
         kind, value, stats = compute()
         _write_atomic(path, json.dumps(_partial_to_obj(kind, value, stats, lhash), sort_keys=True))

@@ -231,6 +231,39 @@ def test_run_into_damaged_meta_refused(in_tmp, capsys):
     assert not (in_tmp / "ck" / "result.txt").exists()
 
 
+@pytest.mark.parametrize("text", [
+    '{"lam_hash": ',                    # truncated
+    '["lam_hash"]',                     # not an object
+], ids=["truncated", "list"])
+def test_resume_with_damaged_partial_refused(in_tmp, capsys, text):
+    run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
+             "--checkpoint-dir", "ck")
+    (in_tmp / "ck" / "result.txt").unlink()
+    (in_tmp / "ck" / "partial-exact-0000.json").write_text(text)
+    rc, out, err = run_main(capsys, "resume", "--checkpoint-dir", "ck")
+    assert rc == 7
+    assert out == ""
+    errors = err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert "partial-exact-0000.json" in errors[0]
+    assert not (in_tmp / "ck" / "result.txt").exists()
+
+
+def test_resume_with_damaged_term_chunk_refused(in_tmp, capsys):
+    rc, _, err = run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
+                          "--checkpoint-dir", "ck", "--max-units", "1")
+    assert rc == 0 and "# paused:" in err
+    chunk = in_tmp / "ck" / "terms-0000.jsonl"
+    chunk.write_text(chunk.read_text() + '{"n": [\n')  # a truncated term line
+    rc, out, err = run_main(capsys, "resume", "--checkpoint-dir", "ck")
+    assert rc == 7
+    assert out == ""
+    errors = err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert "term chunk 0" in errors[0]
+    assert not (in_tmp / "ck" / "result.txt").exists()
+
+
 def test_checkpoint_paused_by_older_version_resumes(in_tmp, capsys):
     """A magic-3 --crt --chunk-size 2 run paused after stage A by the version
     that still took --slack resumes to the fresh run's result file."""
