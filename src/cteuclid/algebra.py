@@ -14,21 +14,41 @@ Representation choices, used by every other module:
   slack variables in creation order, then constant-term variables.  Growing
   the table never disturbs the relative order of existing variables.
 * an exponent vector ("exps") is a tuple of (vid, exp) pairs, sorted by vid,
-  with no zero exponents stored.  The empty tuple is the monomial 1.
-* a Laurent polynomial is a dict mapping exps tuples to nonzero ring
-  coefficients.  The empty dict is 0.
+  with no zero exponents stored.  The empty tuple is the monomial 1.  This
+  is the form terms take outside stage A: in checkpoint files, in rendered
+  output and in stage B.
+* inside stage A a monomial is packed into one signed int by a ``Layout``:
+  sum of e_v * B**pos(v), the earliest variable in the working order in the
+  most significant place, every digit balanced in (-B/2, B/2).  Then a
+  product is ``+``, an inverse is unary ``-``, a power is ``* k``, the
+  monomial is small exactly when the int is positive, and one exponent is
+  one shift and mask away.  The empty product is 0.
+* the width rule: B = 2**w, and w is the least multiple of 8 for which
+  B/2 exceeds the layout's ``reach``.  A layout promises that the terms it
+  stores have every exponent at most ``bound`` (a power of two) in absolute
+  value, and ``reach`` defaults to bound**2 * 2**ROOM_BITS, the room a
+  round of stage A gets to grow in.  Nothing user-facing sets either.
+* the guard: packed arithmetic is exact integer arithmetic, but a digit
+  that left (-B/2, B/2) would be read back wrong.  So stage A derives,
+  before it forms a value, an a-priori bound on its exponents from the
+  bounds of the operands, and raises ``WidthError`` when that bound passes
+  ``reach``; the caller moves the terms to a wider layout and redoes the
+  work.  ``Layout.pack`` refuses an exponent above ``reach`` the same way.
+  Nothing ever wraps.
+* a Laurent polynomial is a dict mapping monomials (exps tuples, or packed
+  ints in stage A) to nonzero ring coefficients.  The empty dict is 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd
+from operator import or_
 
 FREE, SLACK, CT = 0, 1, 2
 ROLE_NAMES = {FREE: "free", SLACK: "slack", CT: "ct"}
 RANK_OF_ROLE = {"free": FREE, "slack": SLACK, "ct": CT}
-
-SMALL, LARGE, ONE = "small", "large", "one"
-
 
 class InputError(ValueError):
     """Malformed problem input (bad file, bad flag combination, bad system)."""
@@ -178,6 +198,11 @@ class VariableTable:
     (raw ct runs only) safe mid-computation.  Pipeline runs add every
     variable when they build the starting term, so their table is fixed
     before the first constant term is taken.
+
+    A ``Layout`` packs monomials for the table as it was when the layout was
+    built: a new slack variable takes a digit in the middle of the order, so
+    a table that grew needs a new layout, and terms packed by the old one
+    are carried over through their tuple form.
     """
 
     def __init__(self):
@@ -240,77 +265,127 @@ def exps_get(exps, vid):
     return 0
 
 
-def exps_mul(e1, e2):
-    """Product of two monomials (merge sorted exponent tuples)."""
-    if not e1:
-        return e2
-    if not e2:
-        return e1
-    out = []
-    i = j = 0
-    n1, n2 = len(e1), len(e2)
-    while i < n1 and j < n2:
-        v1, a = e1[i]
-        v2, b = e2[j]
-        if v1 == v2:
-            c = a + b
-            if c:
-                out.append((v1, c))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(e1[i])
-            i += 1
+# ---------------------------------------------------------------------------
+# packed monomials
+
+ROOM_BITS = 8
+
+
+class WidthError(RuntimeError):
+    """A value could outgrow the digits of its Layout; ``need`` is the reach it asks for."""
+
+    def __init__(self, need):
+        super().__init__(f"an exponent may reach {need}, past the layout's digit width")
+        self.need = need
+
+
+class _Memo(dict):
+    """A dict that fills in a missing key from a function of the key."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class Layout:
+    """Packs the exponent vectors of one VariableTable into signed ints.
+
+    Variable v sits in digit pos(v), counted from the least significant
+    end, with the earliest variable of the working order in the most
+    significant digit.  ``bound`` (rounded up to a power of two) bounds the
+    exponents of the terms the layout stores, ``reach`` (at least ``bound``,
+    by default bound**2 * 2**ROOM_BITS) those of any value formed from them;
+    the width is the least multiple of 8 bits whose digits hold ``reach``.
+
+    ``unpack(m)`` gives the exps tuple of a packed monomial,
+    ``order_key(m)`` an int that sorts packed monomials the way their exps
+    tuples sort, and ``primitive(m)`` m divided by the gcd of its exponents,
+    which is equal for positive multiples of one vector.  All three are memo
+    lookups; the memos live as long as the layout, and a layout that packs
+    the same way takes them over.
+    """
+
+    def __init__(self, table, bound=1, reach=None, like=None):
+        self.table = table
+        self.bound = 1 << (max(bound, 1) - 1).bit_length()
+        self.reach = max(self.bound, reach or self.bound * self.bound << ROOM_BITS)
+        self.width = w = -(-(self.reach.bit_length() + 1) // 8) * 8
+        self.half = 1 << (w - 1)
+        self.mask = (1 << w) - 1
+        # working order, earliest first: the earliest variable is most significant
+        self.vids = [v for v, _ in table.ordered()]
+        n = len(self.vids)
+        self.shift = {v: (n - 1 - i) * w for i, v in enumerate(self.vids)}
+        self.bias = sum(self.half << s for s in self.shift.values())
+        if like is not None and self.packs_like(like):
+            self._memos = like._memos
         else:
-            out.append(e2[j])
-            j += 1
-    out.extend(e1[i:])
-    out.extend(e2[j:])
-    return tuple(out)
+            self._memos = [_Memo(self._unpack), _Memo(self._order_key), _Memo(self._primitive)]
+        self.unpack, self.order_key, self.primitive = (memo.__getitem__ for memo in self._memos)
 
+    def packs_like(self, other):
+        """True when other packs every monomial into the same int."""
+        return self.width == other.width and self.vids == other.vids
 
-def exps_pow(exps, k):
-    if k == 0:
-        return EXPS_ONE
-    return tuple((v, e * k) for v, e in exps)
+    def pack(self, exps):
+        """The int of an exps tuple; WidthError for an exponent above ``reach``."""
+        m = 0
+        for v, e in exps:
+            if abs(e) > self.reach:
+                raise WidthError(abs(e))
+            m += e << self.shift[v]
+        return m
 
+    def _digits(self, m):
+        """(index in working order, biased digit e + B/2) of every nonzero exponent of m."""
+        u = m + self.bias
+        mask, half, shift = self.mask, self.half, self.shift
+        return [(i, c) for i, v in enumerate(self.vids) if (c := (u >> shift[v]) & mask) != half]
 
-def exps_inv(exps):
-    return tuple((v, -e) for v, e in exps)
+    def _unpack(self, m):
+        vids, half = self.vids, self.half
+        return tuple((vids[i], c - half) for i, c in self._digits(m))
 
+    def _order_key(self, m):
+        # exps tuples compare pair by pair, a prefix first; pair j of m gets
+        # the code i*B + e + B/2 >= 1 in slot j, and unused slots stay 0
+        n, w = len(self.vids), self.width
+        size = (n << w).bit_length()
+        key = 0
+        for j, (i, c) in enumerate(self._digits(m)):
+            key |= ((i << w) + c) << ((n - 1 - j) * size)
+        return key
 
-def exps_without(exps, vid):
-    return tuple((v, e) for v, e in exps if v != vid)
+    def get(self, m, vid):
+        """The exponent of vid in m: one add, shift and mask."""
+        return (((m + self.bias) >> self.shift[vid]) & self.mask) - self.half
 
+    def _primitive(self, m):
+        g = gcd(*(c - self.half for _, c in self._digits(m)))
+        return m // g if g > 1 else m
 
-def compare_to_one(exps):
-    """Place a monomial relative to 1 in the iterated-series order.
+    def magnitude(self, monomials):
+        """The least power of two T, at least ``bound``, with every exponent in [-T, T).
 
-    The earliest variable (in the working order) carrying a nonzero exponent
-    decides: positive exponent means the monomial is small (its geometric
-    series expands forward), negative means large.
-    """
-    if not exps:
-        return ONE
-    # exps is sorted by vid, so the first entry is the earliest variable
-    return SMALL if exps[0][1] > 0 else LARGE
-
-
-def exps_content_primitive(exps):
-    """Primitive direction vector of a monomial: exps // gcd(|exponents|).
-
-    Two denominator monomials generate non-coprime binomials (1-M), (1-M')
-    exactly when their exponent vectors are positive multiples of a common
-    vector; comparing primitive parts detects that.
-    """
-    from math import gcd
-
-    g = 0
-    for _, e in exps:
-        g = gcd(g, abs(e))
-    if g <= 1:
-        return exps
-    return tuple((v, e // g) for v, e in exps)
+        m + sum_v T*B**pos(v) has every digit in [0, 2T) exactly when every
+        exponent of m is in [-T, T); one pass ORs that over all monomials.
+        """
+        monomials = list(monomials)
+        t = self.bound
+        while t < self.half:  # past that, every digit is in (-B/2, B/2) already
+            offset = sum(t << s for s in self.shift.values())
+            low = sum((2 * t - 1) << s for s in self.shift.values())
+            acc = reduce(or_, map(offset.__add__, monomials), 0)
+            if acc >= 0 and not acc & ~low:
+                break
+            t <<= 1
+        return t
 
 
 # ---------------------------------------------------------------------------
@@ -334,61 +409,14 @@ def poly_neg(ring, p):
     return {e: ring.neg(c) for e, c in p.items()}
 
 
-def poly_mul_monomial(ring, p, coeff, exps):
-    if ring.is_zero(coeff):
-        return {}
-    if not exps and coeff == ring.one():
-        return dict(p)
-    return {exps_mul(e, exps): ring.mul(c, coeff) for e, c in p.items()}
-
-
-def substitute(ring, p, vid, m_coeff, m_exps):
-    """Replace vid by the monomial m everywhere in p.  m must not contain vid."""
-    if exps_get(m_exps, vid) != 0:
-        raise ValueError("substitution monomial contains the replaced variable")
-    out = {}
-    for e, c in p.items():
-        k = exps_get(e, vid)
-        if k == 0:
-            ne, nc = e, c
-        else:
-            ne = exps_mul(exps_without(e, vid), exps_pow(m_exps, k))
-            nc = c if m_coeff == ring.one() else ring.mul(c, ring.pow_int(m_coeff, k))
-        if ne in out:
-            s = ring.add(out[ne], nc)
-            if ring.is_zero(s):
-                del out[ne]
-            else:
-                out[ne] = s
-        elif not ring.is_zero(nc):
-            out[ne] = nc
-    return out
-
-
-def split_by_sign(p, vid):
-    """Split p into (monomials with positive vid-exponent, the rest)."""
-    pos, rest = {}, {}
-    for e, c in p.items():
-        (pos if exps_get(e, vid) > 0 else rest)[e] = c
-    return pos, rest
-
-
-def poly_slice_zero(p, vid):
-    """The part of p with vid-exponent 0 (the vid-constant slice)."""
-    return {e: c for e, c in p.items() if exps_get(e, vid) == 0}
-
-
 # ---------------------------------------------------------------------------
 # remainder maps modulo a binomial 1 - u*x^a
 #
 # x^e is congruent to u^-l * x^r whenever e = l*a + r, because u*x^a ~ 1
-# modulo the ideal generated by the binomial.  rem_split picks 0 <= r < a,
-# srem_split the symmetric window -a/2 < r <= a/2 (which is what keeps the
-# recursion exponents shrinking by at least half).
-
-
-def rem_split(e, a):
-    return e // a, e % a
+# modulo the ideal generated by the binomial.  Numerators take the floor
+# window 0 <= r < a (divmod); denominator factors take srem_split's
+# symmetric window -a/2 < r <= a/2, which is what keeps the recursion
+# exponents shrinking by at least half.
 
 
 def srem_split(e, a):
@@ -396,34 +424,6 @@ def srem_split(e, a):
     if 2 * r > a:
         return l + 1, r - a
     return l, r
-
-
-def rem_monomial(exps, u_exps, a, xvid):
-    """Image of a single monomial under rem against 1 - u*x^a."""
-    e = exps_get(exps, xvid)
-    l, r = rem_split(e, a)
-    if l == 0:
-        return exps
-    ne = exps_mul(exps_without(exps, xvid), exps_pow(u_exps, -l))
-    if r:
-        ne = exps_mul(ne, ((xvid, r),))
-    return ne
-
-
-def poly_rem(ring, p, u_exps, a, xvid):
-    """rem applied to every monomial of p (images collected, zeros dropped)."""
-    out = {}
-    for e, c in p.items():
-        ne = rem_monomial(e, u_exps, a, xvid)
-        if ne in out:
-            s = ring.add(out[ne], c)
-            if ring.is_zero(s):
-                del out[ne]
-            else:
-                out[ne] = s
-        else:
-            out[ne] = c
-    return out
 
 
 def poly_str(table, p, ring=None):

@@ -51,7 +51,7 @@ from .checkpoint import (
     system_from_payload,
 )
 from .elimination import DEFAULT_PRIMES, LambdaExhaustion, PrimeClash
-from .engine import CollisionError, Stats, TermSum, add_slack, ct_all, make_term
+from .engine import CollisionError, Stats, add_slack, ct_all, start_termsum
 from .problems import (
     format_series,
     json_int,
@@ -468,8 +468,7 @@ def cmd_ct(args):
         table, num, den = load_raw_term(fh.read())
     ring = PrimeField(args.mod[0]) if args.mod else ExactRing()
     num_r = {e: ring.from_int(c) for e, c in num.items() if c}
-    t = make_term(ring, num_r, den)
-    ts = TermSum(table, ring, [t] if t is not None else [])
+    ts = start_termsum(table, ring, num_r, den)
     if args.slack == "eager":
         ts = add_slack(ts)
     stats = Stats()
@@ -479,7 +478,7 @@ def cmd_ct(args):
 
     lines = _header_lines("ct", table, args.order, args.slack, args.seed, args.mod)
     lines.append(f"terms: {len(done.terms)}")
-    for i, term in enumerate(done.terms):
+    for i, term in enumerate(done.unpacked()):
         lines.append(f"term[{i}]: {_term_str(table, term, ring)}")
     lines.extend(_counter_lines(stats))
     _publish(args.output or "ct-result.txt", "\n".join(lines) + "\n", wall)

@@ -365,21 +365,20 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
     return pieces
 
 
-def eliminate_slack(ts, lam_map, stats=None):
-    """Remove every slack variable from a term sum.
+def eliminate_slack(ring, table, terms, lam_map, stats=None):
+    """Remove every slack variable from a sum of tuple-form terms over table.
 
     Every piece goes into one FactoredAccumulator.  With no free variable
     the result is ("scalar", ring element); with one free variable q it is
     ("series", FactoredAccumulator) in q.  More free variables raise
     RuntimeError.
     """
-    ring = ts.ring
-    free = ts.table.vids_of_rank(FREE)
+    free = table.vids_of_rank(FREE)
     if len(free) > 1:
         raise RuntimeError("terms kept several free variables")
     tables = SeriesTables(ring)
     acc = FactoredAccumulator(ring)
-    for t in ts:
+    for t in terms:
         for num, den_counts in ct_s_term(ring, t, lam_map, tables, stats):
             acc.add_piece(num, den_counts)
     if free:

@@ -16,31 +16,29 @@ numerator attached to f.  Small/large refers to the iterated-series order
 after the factor has been normalized to positive x-exponent; both sums need
 no polynomial part and no principal part at x = 0, which is the whole point
 of splitting the numerator rather than dividing.
+
+Every monomial here is packed into an int by the term sum's ``Layout`` (see
+the algebra module), so with f = u*x^a the pivot, reducing a monomial e by
+l whole steps of the binomial is ``e - l*f``, and a factor is small exactly
+when it is positive.  Each function carries one bound for the exponents of
+the denominator factors (kd) and one for those of the numerator (kn); before
+it forms a value it checks the value's bound against the layout's reach and
+raises WidthError past it.  Terms leave the engine in tuple form through
+``TermSum.unpacked``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .algebra import (
     CT,
-    EXPS_ONE,
-    LARGE,
-    ONE,
-    SMALL,
-    compare_to_one,
-    exps_content_primitive,
-    exps_get,
-    exps_inv,
-    exps_mul,
-    exps_pow,
-    exps_without,
+    ROOM_BITS,
+    Layout,
+    WidthError,
     poly_add_inplace,
-    poly_mul_monomial,
     poly_neg,
-    poly_rem,
-    poly_slice_zero,
-    split_by_sign,
     srem_split,
-    substitute,
 )
 
 
@@ -95,7 +93,10 @@ class Stats:
 
 
 class ElliottTerm:
-    """One summand L / prod(1 - M_i), factors kept small-oriented and sorted."""
+    """One summand L / prod(1 - M_i), factors kept small-oriented and sorted.
+
+    The factors are sorted in the order of their exps tuples, packed or not.
+    """
 
     __slots__ = ("num", "den")
 
@@ -107,47 +108,95 @@ class ElliottTerm:
         return f"ElliottTerm(num={len(self.num)} monomials, den={len(self.den)} factors)"
 
 
-def make_term(ring, num, factors):
+def _check(layout, bound):
+    if bound > layout.reach:
+        raise WidthError(bound)
+
+
+def _xdigit(layout, xvid):
+    """(bias, shift, mask, half): the exponent of x in m is ((m + bias) >> shift & mask) - half."""
+    return layout.bias, layout.shift[xvid], layout.mask, layout.half
+
+
+def _mul_monomial(ring, num, sign, unit):
+    return {e + unit: ring.mul(c, sign) for e, c in num.items()}
+
+
+def _add_into(ring, out, e, c):
+    if e in out:
+        s = ring.add(out[e], c)
+        if ring.is_zero(s):
+            del out[e]
+        else:
+            out[e] = s
+    else:
+        out[e] = c
+
+
+def make_term(ring, num, factors, layout):
     """Build a term in canonical form; returns None for the zero term.
 
     Large factor monomials are inverted, 1/(1-M) = -M^-1/(1-M^-1), with the
     unit pushed into the numerator.  A factor monomial equal to 1 means the
-    denominator vanished: that is the non-coprime collision.
+    denominator vanished: that is the non-coprime collision.  The caller
+    has checked that the numerator has room for the unit.
     """
-    unit = EXPS_ONE
+    unit = 0
     flips = 0
     canon = []
     for f in factors:
-        side = compare_to_one(f)
-        if side is ONE:
-            raise CollisionError("denominator factor monomial equals 1")
-        if side is LARGE:
-            fi = exps_inv(f)
-            canon.append(fi)
-            unit = exps_mul(unit, fi)
+        if f > 0:
+            canon.append(f)
+        elif f < 0:
+            canon.append(-f)
+            unit -= f
             flips += 1
         else:
-            canon.append(f)
+            raise CollisionError("denominator factor monomial equals 1")
     if flips:
         sign = ring.from_int(-1) if flips % 2 else ring.one()
-        num = poly_mul_monomial(ring, num, sign, unit)
+        num = _mul_monomial(ring, num, sign, unit)
     if not num:
         return None
-    canon.sort()
+    canon.sort(key=layout.order_key)
     return ElliottTerm(num, tuple(canon))
 
 
-def term_neg(ring, t):
-    return ElliottTerm(poly_neg(ring, t.num), t.den)
+def pack_term(layout, t):
+    return ElliottTerm({layout.pack(e): c for e, c in t.num.items()},
+                       tuple(layout.pack(f) for f in t.den))
+
+
+def unpack_term(layout, t):
+    return ElliottTerm({layout.unpack(e): c for e, c in t.num.items()},
+                       tuple(layout.unpack(f) for f in t.den))
+
+
+def _largest_exponent(terms):
+    return max((abs(e) for t in terms for m in chain(t.num, t.den) for _, e in m), default=1)
 
 
 class TermSum:
-    """A list of terms sharing one variable table and coefficient ring."""
+    """Stage-A terms in one coefficient ring, packed by one Layout."""
 
-    def __init__(self, table, ring, terms=None):
-        self.table = table
+    def __init__(self, layout, ring, terms=None):
+        self.layout = layout
         self.ring = ring
         self.terms = list(terms) if terms else []
+
+    @property
+    def table(self):
+        return self.layout.table
+
+    @classmethod
+    def pack(cls, table, ring, terms):
+        """A term sum of tuple-form terms, under a layout bounded by their exponents."""
+        layout = Layout(table, _largest_exponent(terms))
+        return cls(layout, ring, [pack_term(layout, t) for t in terms])
+
+    def unpacked(self):
+        """The terms in tuple form, in the same order."""
+        return [unpack_term(self.layout, t) for t in self.terms]
 
     def __len__(self):
         return len(self.terms)
@@ -156,90 +205,107 @@ class TermSum:
         return iter(self.terms)
 
 
+def start_termsum(table, ring, num, factors):
+    """The term sum of num / prod(1 - f), from tuple-form monomials.
+
+    The layout bound leaves room for the unit that flipping large factors
+    pushes into the numerator.
+    """
+    bound = _largest_exponent([ElliottTerm(num, factors)])
+    layout = Layout(table, bound * (1 + len(factors)))
+    t = make_term(ring, {layout.pack(e): c for e, c in num.items()},
+                  [layout.pack(f) for f in factors], layout)
+    return TermSum(layout, ring, [t] if t is not None else [])
+
+
 def add_slack(ts):
     """Multiply every denominator factor by a fresh slack variable.
 
     Afterwards the factors of each term are pairwise coprime (each carries
     its own slack), and setting all slacks to 1 formally recovers the input.
+    The table grows, so the result has a new layout.
     """
-    out = []
-    for t in ts.terms:
-        out.append(add_slack_term(ts.table, t))
-    return TermSum(ts.table, ts.ring, out)
+    out = [add_slack_term(ts.table, t) for t in ts.unpacked()]
+    return TermSum.pack(ts.table, ts.ring, out)
 
 
 def add_slack_term(table, t):
-    den = []
-    for f in t.den:
-        z = table.fresh_slack()
-        den.append(exps_mul(f, ((z, 1),)))
-    den.sort()  # slack lead keeps every factor small-oriented
+    """add_slack for one tuple-form term."""
+    # f never holds the fresh slack variable, so sorting the pairs places it
+    den = sorted(tuple(sorted((*f, (table.fresh_slack(), 1)))) for f in t.den)
+    # slack lead keeps every factor small-oriented
     return ElliottTerm(dict(t.num), tuple(den))
 
 
-def normalize_for_var(ring, t, xvid):
+def normalize_for_var(ring, t, xvid, layout):
     """Rewrite every denominator factor to nonnegative x-exponent.
 
     1/(1 - u*x^-a) = (-u^-1 x^a) / (1 - u^-1 x^a); the units collect into
     the numerator.  Returns (num, den_list); the den list is working form,
-    not canonical orientation.
+    not canonical orientation.  t is a stored term, within the layout bound.
     """
-    unit = EXPS_ONE
+    bias, s, mask, half = _xdigit(layout, xvid)
+    unit = 0
     flips = 0
     den = []
     for f in t.den:
-        if exps_get(f, xvid) < 0:
-            fi = exps_inv(f)
-            den.append(fi)
-            unit = exps_mul(unit, fi)
+        if (((f + bias) >> s) & mask) - half < 0:
+            den.append(-f)
+            unit -= f
             flips += 1
         else:
             den.append(f)
     num = t.num
     if flips:
+        _check(layout, layout.bound * (1 + flips))
         sign = ring.from_int(-1) if flips % 2 else ring.one()
-        num = poly_mul_monomial(ring, num, sign, unit)
+        num = _mul_monomial(ring, num, sign, unit)
     return num, den
 
 
-def _check_pairwise_coprime(den, xvid):
-    """Non-coprime x-factors (proportional monomials) raise a collision."""
-    seen = {}
-    for f in den:
-        if exps_get(f, xvid) == 0:
+def _check_pairwise_coprime(den, xs, layout):
+    """Non-coprime x-factors (positively proportional after normalization) collide.
+
+    den is canonical and xs holds its x-exponents; a factor with a negative
+    one normalizes to its inverse, whose primitive part is the negative.
+    """
+    seen = set()
+    for f, x in zip(den, xs):
+        if x == 0:
             continue
-        p = exps_content_primitive(f)
+        p = layout.primitive(f)
+        if x < 0:
+            p = -p
         if p in seen:
             raise CollisionError("denominator factors share a common binomial divisor")
-        seen[p] = f
+        seen.add(p)
 
 
-def linear_contribution(ring, num, den, i, xvid):
+def linear_contribution(ring, num, den, i, xvid, layout, kd, kn):
     """<E, 1-u*x| for a linear pivot: drop the factor and set x = u^-1.
 
-    Returns a canonical term or None (zero).  A surviving factor monomial
-    collapsing to 1 is a non-coprime collision.
+    With f = u*x, a monomial with x-exponent k becomes e - k*f.  Returns a
+    canonical term or None (zero).  A surviving factor monomial collapsing
+    to 1 is a non-coprime collision.
     """
+    bias, s, mask, half = _xdigit(layout, xvid)
     f = den[i]
-    u = exps_without(f, xvid)
-    uinv = exps_inv(u)
-    new_factors = []
-    for j, g in enumerate(den):
-        if j == i:
-            continue
-        k = exps_get(g, xvid)
-        if k == 0:
-            new_factors.append(g)
-            continue
-        ng = exps_mul(exps_without(g, xvid), exps_pow(uinv, k))
-        if not ng:
-            raise CollisionError("factor monomial became 1 after linear substitution")
-        new_factors.append(ng)
-    new_num = substitute(ring, num, xvid, ring.one(), uinv)
-    return make_term(ring, new_num, new_factors)
+    ks = [(((g + bias) >> s) & mask) - half for g in den]
+    kd1 = kd * (1 + max(map(abs, ks)))
+    _check(layout, kd1)
+    new_factors = [g - k * f if k else g for j, (g, k) in enumerate(zip(den, ks)) if j != i]
+    if not all(new_factors):
+        raise CollisionError("factor monomial became 1 after linear substitution")
+    ks = [(((e + bias) >> s) & mask) - half for e in num]
+    kn1 = kn + max(map(abs, ks)) * kd
+    _check(layout, kn1 + len(new_factors) * kd1)
+    new_num = {}
+    for (e, c), k in zip(num.items(), ks):
+        _add_into(ring, new_num, e - k * f, c)
+    return make_term(ring, new_num, new_factors, layout)
 
 
-def euclid_contribution(ring, num, den, i, xvid, stats=None):
+def euclid_contribution(ring, num, den, i, xvid, layout, kd, kn, stats=None):
     """<E, 1-u*x^a| by the halving remainder recursion.
 
     Every other factor's x-power is reduced symmetrically modulo the pivot
@@ -247,149 +313,158 @@ def euclid_contribution(ring, num, den, i, xvid, stats=None):
     in [0, a).  If no reduced factor keeps an x-power the answer can be read
     off directly; otherwise the numerator is shifted into x * L' and the
     bracket re-expressed through the reduced factors, whose exponents are at
-    most half the pivot's.  Returns a list of canonical terms.
+    most half the pivot's.  kd and kn bound the exponents of den and num; a
+    reduction by l steps multiplies the factor bound by at most 1 + |l|.
+    Returns a list of canonical terms.
     """
     if stats is not None:
         stats.euclid_nodes += 1
+    bias, s, mask, half = _xdigit(layout, xvid)
     f = den[i]
-    a = exps_get(f, xvid)
+    a = (((f + bias) >> s) & mask) - half
     if a <= 0:
         raise ValueError("pivot factor must have positive x-exponent")
     if a == 1:
-        t = linear_contribution(ring, num, den, i, xvid)
+        t = linear_contribution(ring, num, den, i, xvid, layout, kd, kn)
         return [t] if t is not None else []
 
-    u = exps_without(f, xvid)
-    unit = EXPS_ONE
+    splits = [srem_split((((g + bias) >> s) & mask) - half, a) for g in den]
+    kd1 = kd * (1 + max(abs(l) for l, _ in splits))
+    _check(layout, kd1)
+    unit = 0
     flips = 0
     reduced = []
-    for j, g in enumerate(den):
+    xs = []
+    for j, (g, (l, r)) in enumerate(zip(den, splits)):
         if j == i:
             continue
-        k = exps_get(g, xvid)
-        if k == 0:
-            reduced.append(g)
-            continue
-        w = exps_without(g, xvid)
-        l, r = srem_split(k, a)
-        v = exps_mul(w, exps_pow(u, -l))
-        if r == 0 and not v:
-            raise CollisionError("factor reduced to 1 modulo the pivot")
+        nf = g - l * f
         if r >= 0:
-            nf = exps_mul(v, ((xvid, r),)) if r else v
+            if r == 0 and not nf:
+                raise CollisionError("factor reduced to 1 modulo the pivot")
             reduced.append(nf)
+            xs.append(r)
         else:
             # negative power: flip, unit -v^-1 x^-r joins the numerator
-            nf = exps_mul(exps_inv(v), ((xvid, -r),))
-            reduced.append(nf)
-            unit = exps_mul(unit, nf)
+            reduced.append(-nf)
+            xs.append(-r)
+            unit -= nf
             flips += 1
 
-    if flips or unit:
+    kn1 = kn + flips * kd1
+    if flips:
+        _check(layout, kn1)
         sign = ring.from_int(-1) if flips % 2 else ring.one()
-        num = poly_mul_monomial(ring, num, sign, unit)
-    num = poly_rem(ring, num, u, a, xvid)
-    if not num:
+        num = _mul_monomial(ring, num, sign, unit)
+    ls = [((((e + bias) >> s) & mask) - half) // a for e in num]
+    kn2 = kn1 + max(map(abs, ls)) * kd
+    _check(layout, kn2)
+    rem = {}
+    for (e, c), l in zip(num.items(), ls):
+        _add_into(ring, rem, e - l * f, c)
+    if not rem:
         return []
 
-    if all(exps_get(g, xvid) == 0 for g in reduced):
+    if not any(xs):
         # the bracket is the x^0 coefficient of the reduced numerator over
         # the x-free reduced factors
-        l0 = poly_slice_zero(num, xvid)
+        l0 = {e: c for e, c in rem.items() if (((e + bias) >> s) & mask) == half}
         if not l0:
             return []
-        t = make_term(ring, l0, reduced)
+        _check(layout, kn2 + len(reduced) * kd1)
+        t = make_term(ring, l0, reduced, layout)
         return [t] if t is not None else []
 
     # shift: numerator = x * L'(x) with deg L' < a, then expand through the
     # reduced factors; the pivot contribution equals minus the sum of theirs
+    kn3 = kn2 + kd
+    _check(layout, kn3)
     shifted = {}
-    ua = exps_mul(u, ((xvid, a),))
-    for e, c in num.items():
-        ne = exps_mul(e, ua) if exps_get(e, xvid) == 0 else e
-        if ne in shifted:
-            s = ring.add(shifted[ne], c)
-            if ring.is_zero(s):
-                del shifted[ne]
-            else:
-                shifted[ne] = s
-        else:
-            shifted[ne] = c
+    for e, c in rem.items():
+        _add_into(ring, shifted, e + f if (((e + bias) >> s) & mask) == half else e, c)
+    # the brackets are linear in the numerator: negate it once, not every term
+    shifted = poly_neg(ring, shifted)
     den2 = tuple(reduced) + (f,)
     out = []
-    for idx, g in enumerate(reduced):
-        if exps_get(g, xvid) > 0:
-            for t in euclid_contribution(ring, shifted, den2, idx, xvid, stats):
-                out.append(term_neg(ring, t))
+    for idx, x in enumerate(xs):
+        if x > 0:
+            out.extend(euclid_contribution(ring, shifted, den2, idx, xvid, layout, kd1, kn3, stats))
     return out
 
 
-def bracket(ring, t, f_exps, xvid, stats=None):
-    """Single-factor contribution <t, 1-f| in x; zero if f is absent."""
-    num, den = normalize_for_var(ring, t, xvid)
-    nf = f_exps if exps_get(f_exps, xvid) >= 0 else exps_inv(f_exps)
-    if exps_get(nf, xvid) == 0:
-        return []
-    for i, g in enumerate(den):
-        if g == nf:
-            return euclid_contribution(ring, num, den, i, xvid, stats)
-    return []
+def ct_var(ring, t, xvid, layout, stats=None):
+    """Constant term of one stored term in one variable; result is free of x."""
+    bias, s, mask, half = _xdigit(layout, xvid)
+    xs = [(((f + bias) >> s) & mask) - half for f in t.den]
+    if not any(xs):
+        sliced = {e: c for e, c in t.num.items() if (((e + bias) >> s) & mask) == half}
+        return [ElliottTerm(sliced, t.den)] if sliced else []
 
-
-def ct_var(ring, t, xvid, stats=None):
-    """Constant term of one term in one variable; result is free of x."""
-    if all(exps_get(f, xvid) == 0 for f in t.den):
-        sliced = poly_slice_zero(t.num, xvid)
-        if not sliced:
-            return []
-        kept = make_term(ring, sliced, t.den)
-        return [kept] if kept is not None else []
-
-    num, den = normalize_for_var(ring, t, xvid)
-    _check_pairwise_coprime(den, xvid)
-    l1, l2 = split_by_sign(num, xvid)
+    num, den = normalize_for_var(ring, t, xvid, layout)
+    _check_pairwise_coprime(t.den, xs, layout)
+    # l1 (positive x-exponents) enters the large-factor brackets negated
+    l1, l2 = {}, {}
+    for e, c in num.items():
+        if (((e + bias) >> s) & mask) > half:
+            l1[e] = ring.neg(c)
+        else:
+            l2[e] = c
+    kd = layout.bound
+    kn = kd * (1 + sum(1 for x in xs if x < 0))
     out = []
     for i, f in enumerate(den):
-        if exps_get(f, xvid) <= 0:
+        if xs[i] == 0:
             continue
-        if compare_to_one(f) is SMALL:
+        if f > 0:
             if l2:
-                out.extend(euclid_contribution(ring, l2, den, i, xvid, stats))
-        else:
-            if l1:
-                for r in euclid_contribution(ring, l1, den, i, xvid, stats):
-                    out.append(term_neg(ring, r))
+                out.extend(euclid_contribution(ring, l2, den, i, xvid, layout, kd, kn, stats))
+        elif l1:
+            out.extend(euclid_contribution(ring, l1, den, i, xvid, layout, kd, kn, stats))
     return out
 
 
-def collect_terms(ring, terms):
+def collect_terms(ring, terms, layout):
     """Merge terms with identical denominators; drop zero numerators.
 
-    The output order is the sort order of the canonical denominator keys,
-    so it does not depend on the input order.
+    The output order is the order of the denominators as tuples of exps
+    tuples, so it does not depend on the input order or on the layout.
     """
     buckets = {}
     for t in terms:
-        if t.den in buckets:
-            poly_add_inplace(ring, buckets[t.den], t.num)
-        else:
+        num = buckets.get(t.den)
+        if num is None:
             buckets[t.den] = dict(t.num)
+        else:
+            poly_add_inplace(ring, num, t.num)
     out = []
-    for den in sorted(buckets):
+    for den in sorted(buckets, key=lambda d: tuple(map(layout.order_key, d))):
         num = buckets[den]
         if num:
             out.append(ElliottTerm(num, den))
     return out
 
 
-def _occurrence_counts(terms, vids):
+def _occurrence_counts(terms, vids, layout):
+    bias, mask, half = layout.bias, layout.mask, layout.half
+    shifts = [(v, layout.shift[v]) for v in vids]
     counts = {v: 0 for v in vids}
     for t in terms:
         for f in t.den:
-            for v, _ in f:
-                if v in counts:
+            u = f + bias
+            for v, s in shifts:
+                if (u >> s) & mask != half:
                     counts[v] += 1
     return counts
+
+
+def _monomials(terms):
+    return chain.from_iterable(chain(t.num, t.den) for t in terms)
+
+
+def _relayout(old, new, terms):
+    if new.packs_like(old):
+        return terms
+    return [pack_term(new, unpack_term(old, t)) for t in terms]
 
 
 def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
@@ -400,40 +475,62 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
     slack mode) a collision restarts just the offending term with fresh
     slack variables on all its factors; pipeline runs start with slack on
     every factor and pass delayed=False, so a collision there raises.
+
+    A term that needs more room than the layout's reach (WidthError) is
+    redone, its Euclid nodes uncounted, under a layout with the reach it
+    asked for; a restart grows the table, which also takes a new layout.
+    The terms already done in the round move to the new layout, the rest
+    as they come up.  After each round the layout bound grows to cover the
+    collected terms.
     """
     ring = ts.ring
+    layout = ts.layout
+    table = layout.table
     stats = stats if stats is not None else Stats()
     if ct_vids is None:
-        ct_vids = ts.table.vids_of_rank(CT)
+        ct_vids = table.vids_of_rank(CT)
     remaining = list(ct_vids)
     terms = list(ts.terms)
     while remaining:
         if order == "sparse-first":
-            counts = _occurrence_counts(terms, remaining)
+            counts = _occurrence_counts(terms, remaining, layout)
             xvid = min(remaining, key=lambda v: (counts[v], v))
             remaining.remove(xvid)
         else:
             xvid = remaining.pop(0)
+        src = layout
         new_terms = []
         for t in terms:
-            try:
-                new_terms.extend(ct_var(ring, t, xvid, stats))
-            except CollisionError:
-                stats.collisions += 1
-                if not delayed:
-                    raise
-                cur = t
-                for _ in range(4):
+            if layout is not src and not layout.packs_like(src):
+                t = pack_term(layout, unpack_term(src, t))
+            restarts = 0
+            while True:
+                nodes = stats.euclid_nodes
+                try:
+                    new_terms.extend(ct_var(ring, t, xvid, layout, stats))
+                    break
+                except WidthError as exc:
+                    stats.euclid_nodes = nodes
+                    plain = unpack_term(layout, t)
+                    grown = Layout(table, layout.bound, exc.need << ROOM_BITS, like=layout)
+                except CollisionError:
+                    stats.collisions += 1
+                    if not delayed or restarts == 4:
+                        raise
+                    restarts += 1
                     stats.restarts += 1
-                    cur = add_slack_term(ts.table, cur)
-                    try:
-                        new_terms.extend(ct_var(ring, cur, xvid, stats))
-                        break
-                    except CollisionError:
-                        stats.collisions += 1
-                else:
-                    raise
+                    plain = add_slack_term(table, unpack_term(layout, t))
+                    grown = Layout(table, layout.bound, layout.reach)
+                new_terms = _relayout(layout, grown, new_terms)
+                layout = grown
+                t = pack_term(layout, plain)
         stats.raw_terms += len(new_terms)
-        terms = collect_terms(ring, new_terms)
+        terms = collect_terms(ring, new_terms, layout)
+        bound = layout.magnitude(_monomials(terms))
+        if bound > layout.bound:
+            room = max(layout.reach, bound * bound << ROOM_BITS)
+            grown = Layout(table, bound, room, like=layout)
+            terms = _relayout(layout, grown, terms)
+            layout = grown
     stats.collected_terms = len(terms)
-    return TermSum(ts.table, ring, terms)
+    return TermSum(layout, ring, terms)

@@ -36,7 +36,7 @@ from .algebra import (
 from .bruteforce import certify_bounded
 from .checkpoint import DirectoryStore, config_hash, config_payload, lam_hash
 from .elimination import crt_combine, eliminate_slack, pick_lambda
-from .engine import ElliottTerm, Stats, TermSum, ct_all, make_term
+from .engine import ElliottTerm, Stats, ct_all, start_termsum
 from .univariate import (
     FactoredAccumulator,
     dense_from_sparse,
@@ -169,7 +169,7 @@ def _start_termsum(system, table, ring, series):
         num = EXPS_ONE
     else:
         num = exps_from_dict(shift)
-    return TermSum(table, ring, [make_term(ring, {num: ring.one()}, den)])
+    return start_termsum(table, ring, {num: ring.one()}, den)
 
 
 def build_count_termsum(system, table, ring):
@@ -182,10 +182,10 @@ def build_series_termsum(system, table, ring):
     return _start_termsum(system, table, ring, series=True)
 
 
-def convert_terms(ts, ring):
+def convert_terms(terms, ring):
     """Reinterpret integer-coefficient terms in another coefficient ring."""
     out = []
-    for t in ts:
+    for t in terms:
         num = {}
         for e, c in t.num.items():
             rc = ring.from_int(c)
@@ -193,7 +193,7 @@ def convert_terms(ts, ring):
                 num[e] = rc
         if num:
             out.append(ElliottTerm(num, t.den))
-    return TermSum(ts.table, ring, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +394,11 @@ def run_pipeline(
         ts = build(system, table, ExactRing())
         st = Stats()
         done = ct_all(ts, order=order, stats=st)
-        return table, done.terms, st
+        return table, done.unpacked(), st
 
     def stage_b(ring, chunk):
         st = Stats()
-        ts_r = convert_terms(TermSum(table, ExactRing(), chunk), ring)
-        kind, value = eliminate_slack(ts_r, lam_map, st)
+        kind, value = eliminate_slack(ring, table, convert_terms(chunk, ring), lam_map, st)
         return kind, value, st
 
     table, chunks, stats_a = store.stage_a(stage_a)

@@ -5,16 +5,18 @@ extraction variable x.  A dominance collapse y_j -> y^(OMEGA^(m-j)) maps
 any such term onto just two variables while preserving, factor by factor,
 which way each geometric series expands; that turns the slow graded
 expansion in bruteforce.naive_ct into an exact oracle for the engine.
+
+Tests state terms in tuple form; ``Packed`` runs the per-term functions of
+the packed engine on them.
 """
 
-import random
-
+from cteuclid import engine
 from cteuclid.algebra import CT, FREE, VariableTable, exps_from_dict
 from cteuclid.bruteforce import naive_ct
-from cteuclid.engine import CollisionError, ct_var, make_term
+from cteuclid.engine import CollisionError, TermSum, start_termsum, unpack_term
 from cteuclid.univariate import trim
 
-from oracles import term_y_series
+from oracles import make_term, term_y_series
 
 OMEGA = 16  # dominance base; safe while every digit stays <= OMEGA - 2
 YMAX = 2 * OMEGA  # comparison window for collapsed series
@@ -33,6 +35,57 @@ def padd(ring, a, b):
         y = b[i] if i < len(b) else ring.zero()
         out.append(ring.add(x, y))
     return trim(out)
+
+
+class Packed:
+    """The per-term engine functions on tuple-form terms of one table and ring.
+
+    Each call packs its terms under a layout bounded by their own exponents
+    (``TermSum.pack``), the promise the engine's exponent bounds start from,
+    runs the packed engine and unpacks what it returns.
+    """
+
+    def __init__(self, table, ring):
+        self.table = table
+        self.ring = ring
+
+    def _pack(self, terms):
+        ts = TermSum.pack(self.table, self.ring, terms)
+        return ts.layout, ts.terms
+
+    def make_term(self, num, factors):
+        ts = start_termsum(self.table, self.ring, num, factors)
+        return ts.unpacked()[0] if ts.terms else None
+
+    def ct_var(self, t, xvid, stats=None):
+        layout, (p,) = self._pack([t])
+        return [unpack_term(layout, r) for r in engine.ct_var(self.ring, p, xvid, layout, stats)]
+
+    def normalize_for_var(self, t, xvid):
+        layout, (p,) = self._pack([t])
+        num, den = engine.normalize_for_var(self.ring, p, xvid, layout)
+        return {layout.unpack(e): c for e, c in num.items()}, [layout.unpack(f) for f in den]
+
+    def collect_terms(self, terms):
+        layout, packed = self._pack(terms)
+        return [unpack_term(layout, t) for t in engine.collect_terms(self.ring, packed, layout)]
+
+    def bracket(self, t, f_exps, xvid, stats=None):
+        """Single-factor contribution <t, 1-f| in x; zero if f is absent."""
+        layout, (p,) = self._pack([t])
+        num, den = engine.normalize_for_var(self.ring, p, xvid, layout)
+        f = layout.pack(f_exps)
+        x = layout.get(f, xvid)
+        if x == 0:
+            return []
+        nf = f if x > 0 else -f
+        kn = layout.bound * (1 + len(den))
+        for i, g in enumerate(den):
+            if g == nf:
+                out = engine.euclid_contribution(self.ring, num, den, i, xvid, layout,
+                                                 layout.bound, kn, stats)
+                return [unpack_term(layout, r) for r in out]
+        return []
 
 
 def table_xy(m=2):
@@ -137,7 +190,7 @@ def collapsed_series(ring, terms, ys, x, y_new, x_new, ymax=YMAX, budget=10**7):
 
 
 def engine_vs_naive(ring, t, ys, x, ymax=YMAX, budget=10**7):
-    """Compare ct_var against the graded expansion.
+    """Compare ct_var against the graded expansion; t is over table_xy(len(ys)).
 
     Returns (got, want) series dicts, or None when the instance must be
     skipped (factor collision or a digit outrunning the dominance base).
@@ -145,7 +198,7 @@ def engine_vs_naive(ring, t, ys, x, ymax=YMAX, budget=10**7):
     y_new = (FREE, 0)
     x_new = (CT, 0)
     try:
-        res = ct_var(ring, t, x)
+        res = Packed(table_xy(len(ys))[0], ring).ct_var(t, x)
         flat_in = collapse_term(ring, t, ys, x, y_new, x_new)
         got = collapsed_series(ring, res, ys, x, y_new, x_new, ymax, budget)
     except (CollisionError, DigitOverflow):

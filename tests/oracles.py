@@ -3,6 +3,10 @@
 Each routine here is a slower or more literal route to something the
 package computes another way; the tests compare the two.
 
+* The tuple-form stage A: monomials as sorted (vid, exp) tuples, with the
+  tuple helpers it needs, ``make_term`` through ``ct_all``.  It is the
+  engine as it was before monomials were packed into ints, and the packed
+  ``engine`` must reproduce it term for term, counters included.
 * ``ct_via_proper`` and ``ct_via_at_zero`` are the two closed forms of a
   one-variable constant term, each valid on its own class of terms;
   ``engine.ct_var`` must agree with both where they apply.
@@ -13,20 +17,465 @@ package computes another way; the tests compare the two.
   mixed factors by their q-exponent instead.
 """
 
-from math import factorial
+from math import factorial, gcd
 
 from cteuclid.algebra import (
-    LARGE,
-    SMALL,
-    compare_to_one,
+    CT,
+    EXPS_ONE,
     exps_get,
     poly_add_inplace,
-    poly_slice_zero,
+    poly_neg,
+    srem_split,
 )
 from cteuclid.bruteforce import naive_ct
 from cteuclid.elimination import SeriesTables, base_series, split_factors
-from cteuclid.engine import euclid_contribution, make_term, normalize_for_var, term_neg
+from cteuclid.engine import CollisionError, ElliottTerm, Stats, add_slack_term
 from cteuclid.univariate import sparse_mul, sparse_mul_binomial
+
+SMALL, LARGE, ONE = "small", "large", "one"
+
+
+# ---------------------------------------------------------------------------
+# tuple-form monomials and Laurent polynomials
+
+
+def exps_mul(e1, e2):
+    """Product of two monomials (merge sorted exponent tuples)."""
+    if not e1:
+        return e2
+    if not e2:
+        return e1
+    out = []
+    i = j = 0
+    n1, n2 = len(e1), len(e2)
+    while i < n1 and j < n2:
+        v1, a = e1[i]
+        v2, b = e2[j]
+        if v1 == v2:
+            c = a + b
+            if c:
+                out.append((v1, c))
+            i += 1
+            j += 1
+        elif v1 < v2:
+            out.append(e1[i])
+            i += 1
+        else:
+            out.append(e2[j])
+            j += 1
+    out.extend(e1[i:])
+    out.extend(e2[j:])
+    return tuple(out)
+
+
+def exps_pow(exps, k):
+    if k == 0:
+        return EXPS_ONE
+    return tuple((v, e * k) for v, e in exps)
+
+
+def exps_inv(exps):
+    return tuple((v, -e) for v, e in exps)
+
+
+def exps_without(exps, vid):
+    return tuple((v, e) for v, e in exps if v != vid)
+
+
+def compare_to_one(exps):
+    """Place a monomial relative to 1 in the iterated-series order.
+
+    The earliest variable (in the working order) carrying a nonzero exponent
+    decides: positive exponent means the monomial is small (its geometric
+    series expands forward), negative means large.
+    """
+    if not exps:
+        return ONE
+    # exps is sorted by vid, so the first entry is the earliest variable
+    return SMALL if exps[0][1] > 0 else LARGE
+
+
+def exps_content_primitive(exps):
+    """Primitive direction vector of a monomial: exps // gcd(|exponents|).
+
+    Two denominator monomials generate non-coprime binomials (1-M), (1-M')
+    exactly when their exponent vectors are positive multiples of a common
+    vector; comparing primitive parts detects that.
+    """
+    g = 0
+    for _, e in exps:
+        g = gcd(g, abs(e))
+    if g <= 1:
+        return exps
+    return tuple((v, e // g) for v, e in exps)
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials: dict {exps: coeff}
+
+
+def poly_mul_monomial(ring, p, coeff, exps):
+    if ring.is_zero(coeff):
+        return {}
+    if not exps and coeff == ring.one():
+        return dict(p)
+    return {exps_mul(e, exps): ring.mul(c, coeff) for e, c in p.items()}
+
+
+def substitute(ring, p, vid, m_coeff, m_exps):
+    """Replace vid by the monomial m everywhere in p.  m must not contain vid."""
+    if exps_get(m_exps, vid) != 0:
+        raise ValueError("substitution monomial contains the replaced variable")
+    out = {}
+    for e, c in p.items():
+        k = exps_get(e, vid)
+        if k == 0:
+            ne, nc = e, c
+        else:
+            ne = exps_mul(exps_without(e, vid), exps_pow(m_exps, k))
+            nc = c if m_coeff == ring.one() else ring.mul(c, ring.pow_int(m_coeff, k))
+        if ne in out:
+            s = ring.add(out[ne], nc)
+            if ring.is_zero(s):
+                del out[ne]
+            else:
+                out[ne] = s
+        elif not ring.is_zero(nc):
+            out[ne] = nc
+    return out
+
+
+def split_by_sign(p, vid):
+    """Split p into (monomials with positive vid-exponent, the rest)."""
+    pos, rest = {}, {}
+    for e, c in p.items():
+        (pos if exps_get(e, vid) > 0 else rest)[e] = c
+    return pos, rest
+
+
+def poly_slice_zero(p, vid):
+    """The part of p with vid-exponent 0 (the vid-constant slice)."""
+    return {e: c for e, c in p.items() if exps_get(e, vid) == 0}
+
+
+def rem_split(e, a):
+    return e // a, e % a
+
+
+def rem_monomial(exps, u_exps, a, xvid):
+    """Image of a single monomial under rem against 1 - u*x^a."""
+    e = exps_get(exps, xvid)
+    l, r = rem_split(e, a)
+    if l == 0:
+        return exps
+    ne = exps_mul(exps_without(exps, xvid), exps_pow(u_exps, -l))
+    if r:
+        ne = exps_mul(ne, ((xvid, r),))
+    return ne
+
+
+def poly_rem(ring, p, u_exps, a, xvid):
+    """rem applied to every monomial of p (images collected, zeros dropped)."""
+    out = {}
+    for e, c in p.items():
+        ne = rem_monomial(e, u_exps, a, xvid)
+        if ne in out:
+            s = ring.add(out[ne], c)
+            if ring.is_zero(s):
+                del out[ne]
+            else:
+                out[ne] = s
+        else:
+            out[ne] = c
+    return out
+
+
+# ---------------------------------------------------------------------------
+# tuple-form stage A
+
+
+def make_term(ring, num, factors):
+    """Build a term in canonical form; returns None for the zero term.
+
+    Large factor monomials are inverted, 1/(1-M) = -M^-1/(1-M^-1), with the
+    unit pushed into the numerator.  A factor monomial equal to 1 means the
+    denominator vanished: that is the non-coprime collision.
+    """
+    unit = EXPS_ONE
+    flips = 0
+    canon = []
+    for f in factors:
+        side = compare_to_one(f)
+        if side is ONE:
+            raise CollisionError("denominator factor monomial equals 1")
+        if side is LARGE:
+            fi = exps_inv(f)
+            canon.append(fi)
+            unit = exps_mul(unit, fi)
+            flips += 1
+        else:
+            canon.append(f)
+    if flips:
+        sign = ring.from_int(-1) if flips % 2 else ring.one()
+        num = poly_mul_monomial(ring, num, sign, unit)
+    if not num:
+        return None
+    canon.sort()
+    return ElliottTerm(num, tuple(canon))
+
+
+def term_neg(ring, t):
+    return ElliottTerm(poly_neg(ring, t.num), t.den)
+
+
+def normalize_for_var(ring, t, xvid):
+    """Rewrite every denominator factor to nonnegative x-exponent.
+
+    1/(1 - u*x^-a) = (-u^-1 x^a) / (1 - u^-1 x^a); the units collect into
+    the numerator.  Returns (num, den_list); the den list is working form,
+    not canonical orientation.
+    """
+    unit = EXPS_ONE
+    flips = 0
+    den = []
+    for f in t.den:
+        if exps_get(f, xvid) < 0:
+            fi = exps_inv(f)
+            den.append(fi)
+            unit = exps_mul(unit, fi)
+            flips += 1
+        else:
+            den.append(f)
+    num = t.num
+    if flips:
+        sign = ring.from_int(-1) if flips % 2 else ring.one()
+        num = poly_mul_monomial(ring, num, sign, unit)
+    return num, den
+
+
+def _check_pairwise_coprime(den, xvid):
+    """Non-coprime x-factors (proportional monomials) raise a collision."""
+    seen = {}
+    for f in den:
+        if exps_get(f, xvid) == 0:
+            continue
+        p = exps_content_primitive(f)
+        if p in seen:
+            raise CollisionError("denominator factors share a common binomial divisor")
+        seen[p] = f
+
+
+def linear_contribution(ring, num, den, i, xvid):
+    """<E, 1-u*x| for a linear pivot: drop the factor and set x = u^-1.
+
+    Returns a canonical term or None (zero).  A surviving factor monomial
+    collapsing to 1 is a non-coprime collision.
+    """
+    f = den[i]
+    u = exps_without(f, xvid)
+    uinv = exps_inv(u)
+    new_factors = []
+    for j, g in enumerate(den):
+        if j == i:
+            continue
+        k = exps_get(g, xvid)
+        if k == 0:
+            new_factors.append(g)
+            continue
+        ng = exps_mul(exps_without(g, xvid), exps_pow(uinv, k))
+        if not ng:
+            raise CollisionError("factor monomial became 1 after linear substitution")
+        new_factors.append(ng)
+    new_num = substitute(ring, num, xvid, ring.one(), uinv)
+    return make_term(ring, new_num, new_factors)
+
+
+def euclid_contribution(ring, num, den, i, xvid, stats=None):
+    """<E, 1-u*x^a| by the halving remainder recursion.
+
+    Every other factor's x-power is reduced symmetrically modulo the pivot
+    (new exponents lie in [0, a/2]); the numerator is reduced to x-degrees
+    in [0, a).  If no reduced factor keeps an x-power the answer can be read
+    off directly; otherwise the numerator is shifted into x * L' and the
+    bracket re-expressed through the reduced factors, whose exponents are at
+    most half the pivot's.  Returns a list of canonical terms.
+    """
+    if stats is not None:
+        stats.euclid_nodes += 1
+    f = den[i]
+    a = exps_get(f, xvid)
+    if a <= 0:
+        raise ValueError("pivot factor must have positive x-exponent")
+    if a == 1:
+        t = linear_contribution(ring, num, den, i, xvid)
+        return [t] if t is not None else []
+
+    u = exps_without(f, xvid)
+    unit = EXPS_ONE
+    flips = 0
+    reduced = []
+    for j, g in enumerate(den):
+        if j == i:
+            continue
+        k = exps_get(g, xvid)
+        if k == 0:
+            reduced.append(g)
+            continue
+        w = exps_without(g, xvid)
+        l, r = srem_split(k, a)
+        v = exps_mul(w, exps_pow(u, -l))
+        if r == 0 and not v:
+            raise CollisionError("factor reduced to 1 modulo the pivot")
+        if r >= 0:
+            nf = exps_mul(v, ((xvid, r),)) if r else v
+            reduced.append(nf)
+        else:
+            # negative power: flip, unit -v^-1 x^-r joins the numerator
+            nf = exps_mul(exps_inv(v), ((xvid, -r),))
+            reduced.append(nf)
+            unit = exps_mul(unit, nf)
+            flips += 1
+
+    if flips or unit:
+        sign = ring.from_int(-1) if flips % 2 else ring.one()
+        num = poly_mul_monomial(ring, num, sign, unit)
+    num = poly_rem(ring, num, u, a, xvid)
+    if not num:
+        return []
+
+    if all(exps_get(g, xvid) == 0 for g in reduced):
+        # the bracket is the x^0 coefficient of the reduced numerator over
+        # the x-free reduced factors
+        l0 = poly_slice_zero(num, xvid)
+        if not l0:
+            return []
+        t = make_term(ring, l0, reduced)
+        return [t] if t is not None else []
+
+    # shift: numerator = x * L'(x) with deg L' < a, then expand through the
+    # reduced factors; the pivot contribution equals minus the sum of theirs
+    shifted = {}
+    ua = exps_mul(u, ((xvid, a),))
+    for e, c in num.items():
+        ne = exps_mul(e, ua) if exps_get(e, xvid) == 0 else e
+        if ne in shifted:
+            s = ring.add(shifted[ne], c)
+            if ring.is_zero(s):
+                del shifted[ne]
+            else:
+                shifted[ne] = s
+        else:
+            shifted[ne] = c
+    den2 = tuple(reduced) + (f,)
+    out = []
+    for idx, g in enumerate(reduced):
+        if exps_get(g, xvid) > 0:
+            for t in euclid_contribution(ring, shifted, den2, idx, xvid, stats):
+                out.append(term_neg(ring, t))
+    return out
+
+
+def ct_var(ring, t, xvid, stats=None):
+    """Constant term of one term in one variable; result is free of x."""
+    if all(exps_get(f, xvid) == 0 for f in t.den):
+        sliced = poly_slice_zero(t.num, xvid)
+        if not sliced:
+            return []
+        kept = make_term(ring, sliced, t.den)
+        return [kept] if kept is not None else []
+
+    num, den = normalize_for_var(ring, t, xvid)
+    _check_pairwise_coprime(den, xvid)
+    l1, l2 = split_by_sign(num, xvid)
+    out = []
+    for i, f in enumerate(den):
+        if exps_get(f, xvid) <= 0:
+            continue
+        if compare_to_one(f) is SMALL:
+            if l2:
+                out.extend(euclid_contribution(ring, l2, den, i, xvid, stats))
+        else:
+            if l1:
+                for r in euclid_contribution(ring, l1, den, i, xvid, stats):
+                    out.append(term_neg(ring, r))
+    return out
+
+
+def collect_terms(ring, terms):
+    """Merge terms with identical denominators; drop zero numerators.
+
+    The output order is the sort order of the canonical denominator keys,
+    so it does not depend on the input order.
+    """
+    buckets = {}
+    for t in terms:
+        if t.den in buckets:
+            poly_add_inplace(ring, buckets[t.den], t.num)
+        else:
+            buckets[t.den] = dict(t.num)
+    out = []
+    for den in sorted(buckets):
+        num = buckets[den]
+        if num:
+            out.append(ElliottTerm(num, den))
+    return out
+
+
+def _occurrence_counts(terms, vids):
+    counts = {v: 0 for v in vids}
+    for t in terms:
+        for f in t.den:
+            for v, _ in f:
+                if v in counts:
+                    counts[v] += 1
+    return counts
+
+
+def ct_all(table, ring, terms, ct_vids=None, order="given", delayed=False, stats=None):
+    """Eliminate every ct variable, collecting after each round.
+
+    order "sparse-first" greedily picks the variable occurring in the fewest
+    denominator factors.  With delayed=True (the raw ct command's delayed
+    slack mode) a collision restarts just the offending term with fresh
+    slack variables on all its factors; pipeline runs start with slack on
+    every factor and pass delayed=False, so a collision there raises.
+    """
+    stats = stats if stats is not None else Stats()
+    if ct_vids is None:
+        ct_vids = table.vids_of_rank(CT)
+    remaining = list(ct_vids)
+    terms = list(terms)
+    while remaining:
+        if order == "sparse-first":
+            counts = _occurrence_counts(terms, remaining)
+            xvid = min(remaining, key=lambda v: (counts[v], v))
+            remaining.remove(xvid)
+        else:
+            xvid = remaining.pop(0)
+        new_terms = []
+        for t in terms:
+            try:
+                new_terms.extend(ct_var(ring, t, xvid, stats))
+            except CollisionError:
+                stats.collisions += 1
+                if not delayed:
+                    raise
+                cur = t
+                for _ in range(4):
+                    stats.restarts += 1
+                    cur = add_slack_term(table, cur)
+                    try:
+                        new_terms.extend(ct_var(ring, cur, xvid, stats))
+                        break
+                    except CollisionError:
+                        stats.collisions += 1
+                else:
+                    raise
+        stats.raw_terms += len(new_terms)
+        terms = collect_terms(ring, new_terms)
+    stats.collected_terms = len(terms)
+    return terms
+
 
 
 # ---------------------------------------------------------------------------

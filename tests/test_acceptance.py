@@ -19,20 +19,11 @@ from cteuclid.algebra import (
     VariableTable,
     exps_from_dict,
     exps_get,
-    rem_split,
     srem_split,
 )
 from cteuclid.bruteforce import brute_count, dp_knapsack, naive_ct
 from cteuclid.elimination import crt_combine, eliminate_slack
-from cteuclid.engine import (
-    CollisionError,
-    Stats,
-    TermSum,
-    bracket,
-    ct_var,
-    make_term,
-    normalize_for_var,
-)
+from cteuclid.engine import CollisionError, Stats
 from cteuclid.problems import (
     DiophantineSystem,
     ehrhart_series,
@@ -44,13 +35,14 @@ from cteuclid.problems import (
 
 from helpers import (
     DigitOverflow,
+    Packed,
     collapse_term,
     collapsed_series,
     engine_vs_naive,
     random_term,
     table_xy,
 )
-from oracles import ct_via_at_zero, ct_via_proper
+from oracles import ct_via_at_zero, ct_via_proper, make_term, rem_split
 
 RING = ExactRing()
 PRIMES3 = (2305843009213693951, 1152921504606847009, 1152921504606847067)
@@ -90,7 +82,7 @@ def test_criterion_02_infeasible_knapsack_and_displayed_term():
         {exps_from_dict({t: 12223}): RING.one() * -1},
         [exps_from_dict({t: 1}), exps_from_dict({t: 12223})],
     )
-    kind, val = eliminate_slack(TermSum(table, RING, [term]), {t: 1})
+    kind, val = eliminate_slack(RING, table, [term], {t: 1})
     assert kind == "scalar"
     assert val == Fraction(-149365061, 146676)
 
@@ -164,7 +156,8 @@ def test_criterion_07_property_suite():
         t = random_term(rng, RING, ys, x, x_nonneg_num=True, need_x_factor=True)
         if t is None:
             continue
-        num2, den2 = normalize_for_var(RING, t, x)
+        packed = Packed(table, RING)
+        num2, den2 = packed.normalize_for_var(t, x)
         xdegs = [exps_get(e, x) for e in num2]
         asum = sum(exps_get(f, x) for f in den2)
         if not xdegs or min(xdegs) < 0 or max(xdegs) >= asum:
@@ -172,7 +165,7 @@ def test_criterion_07_property_suite():
         try:
             s1 = collapsed_series(RING, ct_via_proper(RING, t, x), ys, x, yn, xn)
             s2 = collapsed_series(RING, ct_via_at_zero(RING, t, x), ys, x, yn, xn)
-            s0 = collapsed_series(RING, ct_var(RING, t, x), ys, x, yn, xn)
+            s0 = collapsed_series(RING, packed.ct_var(t, x), ys, x, yn, xn)
             flat = collapse_term(RING, t, ys, x, yn, xn)
             want = naive_ct(RING, flat, xn, yn, 32) if flat is not None else {}
         except (CollisionError, DigitOverflow):
@@ -190,7 +183,7 @@ def test_criterion_07_property_suite():
         absent = exps_from_dict({ys[0]: 3, x: rng.randint(1, 3)})
         if absent in t.den:
             continue
-        assert bracket(RING, t, absent, x) == []
+        assert Packed(table, RING).bracket(t, absent, x) == []
         dropped += 1
 
     # 4. remainder-split invariants

@@ -1,34 +1,39 @@
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from cteuclid.algebra import (
     CT,
     EXPS_ONE,
     FREE,
-    LARGE,
-    ONE,
     SLACK,
-    SMALL,
     ExactRing,
     InputError,
+    Layout,
     PrimeField,
     VariableTable,
-    compare_to_one,
-    exps_content_primitive,
+    WidthError,
     exps_from_dict,
     exps_get,
+    poly_add_inplace,
+    poly_neg,
+    srem_split,
+)
+
+from oracles import (
+    LARGE,
+    ONE,
+    SMALL,
+    compare_to_one,
+    exps_content_primitive,
     exps_inv,
     exps_mul,
     exps_pow,
     exps_without,
-    poly_add_inplace,
     poly_mul_monomial,
-    poly_neg,
     poly_rem,
     rem_monomial,
     rem_split,
-    srem_split,
     substitute,
 )
 
@@ -225,3 +230,130 @@ def test_poly_rem_collects_images():
     p = P(r, (1, E(x=2)), (1, E(x=1)), (1, E(y1=-1)))
     got = poly_rem(r, p, E(y1=1), 1, X)
     assert got == P(r, (1, E(y1=-2)), (2, E(y1=-1)))
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: the Layout codec against the tuple form
+
+
+def codec_table():
+    table = VariableTable()
+    for name in ("q", "y"):
+        table.add(name, FREE)
+    for _ in range(3):
+        table.fresh_slack()
+    for name in ("c1", "c2", "c3"):
+        table.add(name, CT)
+    return table
+
+
+CODEC_TABLE = codec_table()
+CODEC_VIDS = [v for v, _ in CODEC_TABLE.ordered()]
+
+
+@st.composite
+def layouts(draw):
+    bound = draw(st.sampled_from([1, 3, 64, 1000, 2**20, 2**40]))
+    reach = draw(st.sampled_from([None, bound, 5 * bound]))
+    return Layout(CODEC_TABLE, bound, reach)
+
+
+@st.composite
+def sparse_exps(draw, layout, limit=None):
+    """A sparse exponent vector within the layout's reach, often at its edge."""
+    top = layout.reach if limit is None else limit
+    vids = draw(st.lists(st.sampled_from(CODEC_VIDS), unique=True, max_size=len(CODEC_VIDS)))
+    edge = st.sampled_from([top, -top, top - 1, 1 - top, 1, -1])
+    return exps_from_dict({v: draw(st.integers(-top, top) | edge) for v in vids})
+
+
+@given(st.data())
+def test_layout_round_trip(data):
+    layout = data.draw(layouts())
+    e = data.draw(sparse_exps(layout))
+    assert layout.unpack(layout.pack(e)) == e
+    # the digits themselves hold everything up to B/2 - 1, past the reach
+    wide = data.draw(sparse_exps(layout, limit=layout.half - 1))
+    m = sum(k << layout.shift[v] for v, k in wide)
+    assert layout.unpack(m) == wide
+
+
+@given(st.data())
+def test_layout_arithmetic_is_int_arithmetic(data):
+    layout = data.draw(layouts())
+    half_reach = max(1, layout.reach // 2)
+    a = data.draw(sparse_exps(layout, limit=half_reach))
+    b = data.draw(sparse_exps(layout, limit=half_reach))
+    pa, pb = layout.pack(a), layout.pack(b)
+    assert layout.unpack(pa + pb) == exps_mul(a, b)
+    assert layout.unpack(-pa) == exps_inv(a)
+    assert layout.unpack(2 * pa) == exps_pow(a, 2)
+    assert layout.unpack(0 * pa) == EXPS_ONE
+    for v in CODEC_VIDS:
+        assert layout.unpack(pa - exps_get(a, v) * layout.pack(((v, 1),))) == exps_without(a, v)
+
+
+@given(st.data())
+def test_layout_sign_is_compare_to_one(data):
+    layout = data.draw(layouts())
+    e = data.draw(sparse_exps(layout))
+    m = layout.pack(e)
+    side = SMALL if m > 0 else LARGE if m < 0 else ONE
+    assert side is compare_to_one(e)
+
+
+@given(st.data())
+def test_layout_digit_read_is_exps_get(data):
+    layout = data.draw(layouts())
+    e = data.draw(sparse_exps(layout))
+    m = layout.pack(e)
+    for v in CODEC_VIDS:
+        assert layout.get(m, v) == exps_get(e, v)
+
+
+@given(st.data())
+def test_layout_primitive_is_content_primitive(data):
+    layout = data.draw(layouts())
+    e = data.draw(sparse_exps(layout))
+    assume(e)
+    assert layout.unpack(layout.primitive(layout.pack(e))) == exps_content_primitive(e)
+
+
+@given(st.data())
+def test_layout_order_key_sorts_like_tuples(data):
+    layout = data.draw(layouts())
+    monos = data.draw(st.lists(sparse_exps(layout), max_size=12))
+    packed = sorted((layout.pack(e) for e in monos), key=layout.order_key)
+    assert [layout.unpack(m) for m in packed] == sorted(monos)
+    # denominators sort as tuples of factors
+    dens = [tuple(sorted(monos[i:i + 3])) for i in range(len(monos))]
+    keyed = sorted(dens, key=lambda d: tuple(layout.order_key(layout.pack(f)) for f in d))
+    assert keyed == sorted(dens)
+
+
+@given(st.data())
+def test_layout_magnitude_bounds_every_exponent(data):
+    layout = data.draw(layouts())
+    monos = data.draw(st.lists(sparse_exps(layout), min_size=1, max_size=8))
+    t = layout.magnitude(layout.pack(e) for e in monos)
+    biggest = max((abs(k) for e in monos for _, k in e), default=0)
+    assert t >= layout.bound
+    assert biggest <= t
+    if t > layout.bound:
+        assert biggest >= t // 2  # the least such power of two
+
+
+def test_narrow_layout_refuses_what_it_cannot_hold():
+    layout = Layout(CODEC_TABLE, 1, reach=2)
+    assert layout.width == 8
+    with pytest.raises(WidthError):
+        layout.pack(((CODEC_VIDS[0], 3),))
+    m = layout.pack(((CODEC_VIDS[0], -2), (CODEC_VIDS[-1], 2)))
+    assert layout.unpack(m) == ((CODEC_VIDS[0], -2), (CODEC_VIDS[-1], 2))
+
+
+def test_layout_width_follows_the_bound():
+    assert Layout(CODEC_TABLE, 1).width == 16
+    assert Layout(CODEC_TABLE, 40).width == 24  # bound 64, reach 2**20
+    assert Layout(CODEC_TABLE, 2**34).width == 80
+    assert Layout(CODEC_TABLE, 40).reach == 64 * 64 * 256

@@ -1,43 +1,47 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cteuclid.algebra import (
     CT,
     EXPS_ONE,
     FREE,
     ExactRing,
+    Layout,
+    PrimeField,
+    VariableTable,
     exps_from_dict,
     exps_get,
 )
 from cteuclid.bruteforce import naive_ct
 from cteuclid.engine import (
     CollisionError,
-    ElliottTerm,
     Stats,
     TermSum,
     add_slack,
-    bracket,
-    collect_terms,
     ct_all,
-    ct_var,
-    make_term,
-    normalize_for_var,
+    pack_term,
 )
+from cteuclid.problems import build_series_termsum, magic_square_system
+
+import oracles
 
 from helpers import (
     DigitOverflow,
+    Packed,
     collapse_term,
     collapsed_series,
     engine_vs_naive,
     random_term,
     table_xy,
 )
-from oracles import ct_via_at_zero, ct_via_proper
+from oracles import ct_via_at_zero, ct_via_proper, make_term
 
 RING = ExactRing()
 Y1, Y2, X = (FREE, 0), (FREE, 1), (CT, 0)
 YN, XN = (FREE, 0), (CT, 0)  # collapse targets
+PK = Packed(table_xy(2)[0], RING)  # y1, y2, x
 
 
 def E(**kw):
@@ -46,7 +50,7 @@ def E(**kw):
 
 
 def T(num, den):
-    return make_term(RING, {e: RING.from_int(c) for e, c in num.items()}, den)
+    return PK.make_term({e: RING.from_int(c) for e, c in num.items()}, den)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +85,7 @@ def test_make_term_sorts_denominator():
 def test_ct_var_two_factor_closed_form():
     # CT_x 1/((1-x y1)(1-y2/x)) = 1/(1-y1 y2)
     t = T({EXPS_ONE: 1}, [E(y1=1, x=1), E(y2=1, x=-1)])
-    out = ct_var(RING, t, X)
+    out = PK.ct_var(t, X)
     assert len(out) == 1
     got = out[0]
     assert got.num == {EXPS_ONE: 1}
@@ -92,14 +96,14 @@ def test_ct_var_drops_pure_positive_powers():
     # CT_x x^k/(1-x y1) = y1^-k only for k <= 0 contributions; for the plain
     # small factor and numerator 1 the answer is 1
     t = T({EXPS_ONE: 1}, [E(y1=1, x=1)])
-    out = ct_var(RING, t, X)
+    out = PK.ct_var(t, X)
     assert len(out) == 1 and out[0].num == {EXPS_ONE: 1} and out[0].den == ()
     # numerator x^2: nothing at x^0 from the forward expansion times x^2
     t = T({E(x=2): 1}, [E(y1=1, x=1)])
-    assert ct_var(RING, t, X) == []
+    assert PK.ct_var(t, X) == []
     # numerator x^-2: two rungs down the geometric ladder
     t = T({E(x=-2): 1}, [E(y1=1, x=1)])
-    out = ct_var(RING, t, X)
+    out = PK.ct_var(t, X)
     flat = collapse_term(RING, t, [Y1], X, YN, XN)
     want = naive_ct(RING, flat, XN, YN, 32)
     got = collapsed_series(RING, out, [Y1], X, YN, XN)
@@ -108,7 +112,7 @@ def test_ct_var_drops_pure_positive_powers():
 
 def test_ct_var_passthrough_without_x():
     t = T({E(y1=1): 2, E(x=1): 5}, [E(y1=1)])
-    out = ct_var(RING, t, X)
+    out = PK.ct_var(t, X)
     assert len(out) == 1
     assert out[0].num == {E(y1=1): 2}
     assert out[0].den == (E(y1=1),)
@@ -117,22 +121,22 @@ def test_ct_var_passthrough_without_x():
 def test_ct_var_detects_collisions():
     t = T({EXPS_ONE: 1}, [E(y1=1, x=1), E(y1=1, x=1)])
     with pytest.raises(CollisionError):
-        ct_var(RING, t, X)
+        PK.ct_var(t, X)
     # proportional exponent vectors collide too
     t = T({EXPS_ONE: 1}, [E(y1=1, x=1), E(y1=2, x=2)])
     with pytest.raises(CollisionError):
-        ct_var(RING, t, X)
+        PK.ct_var(t, X)
 
 
 def test_bracket_of_absent_factor_is_zero():
     t = T({EXPS_ONE: 1}, [E(y1=1, x=1)])
-    assert bracket(RING, t, E(y2=1, x=1), X) == []
-    assert bracket(RING, t, E(y1=1), X) == []  # x-free never contributes
+    assert PK.bracket(t, E(y2=1, x=1), X) == []
+    assert PK.bracket(t, E(y1=1), X) == []  # x-free never contributes
 
 
 def test_bracket_present_factor_matches_closed_form():
     t = T({EXPS_ONE: 1}, [E(y1=1, x=1), E(y2=1, x=-1)])
-    out = bracket(RING, t, E(y1=1, x=1), X)
+    out = PK.bracket(t, E(y1=1, x=1), X)
     assert len(out) == 1 and out[0].den == (E(y1=1, y2=1),)
 
 
@@ -166,13 +170,14 @@ def test_dual_routes_agree_where_both_apply():
         t = random_term(rng, RING, ys, x, x_nonneg_num=True, need_x_factor=True)
         if t is None:
             continue
-        num2, den2 = normalize_for_var(RING, t, x)
+        packed = Packed(table, RING)
+        num2, den2 = packed.normalize_for_var(t, x)
         xdegs = [exps_get(e, x) for e in num2]
         asum = sum(exps_get(f, x) for f in den2)
         if not xdegs or min(xdegs) < 0 or max(xdegs) >= asum:
             continue
         try:
-            s0 = collapsed_series(RING, ct_var(RING, t, x), ys, x, YN, XN)
+            s0 = collapsed_series(RING, packed.ct_var(t, x), ys, x, YN, XN)
             s1 = collapsed_series(RING, ct_via_proper(RING, t, x), ys, x, YN, XN)
             s2 = collapsed_series(RING, ct_via_at_zero(RING, t, x), ys, x, YN, XN)
             flat = collapse_term(RING, t, ys, x, YN, XN)
@@ -197,16 +202,16 @@ def test_collect_terms_cancels():
     t1 = T({E(y1=1): 1}, [E(y1=1)])
     t2 = T({E(y1=1): -1}, [E(y1=1)])
     t3 = T({EXPS_ONE: 1}, [E(y2=1)])
-    out = collect_terms(RING, [t1, t2, t3])
+    out = PK.collect_terms([t1, t2, t3])
     assert len(out) == 1
     assert out[0].num == t3.num and out[0].den == t3.den
-    assert collect_terms(RING, [t1, t2]) == []
+    assert PK.collect_terms([t1, t2]) == []
 
 
 def test_collect_terms_merges_same_denominator():
     t1 = T({E(y1=1): 1}, [E(y1=1)])
     t2 = T({E(y1=2): 4}, [E(y1=1)])
-    out = collect_terms(RING, [t1, t2])
+    out = PK.collect_terms([t1, t2])
     assert len(out) == 1
     assert out[0].num == {E(y1=1): 1, E(y1=2): 4}
 
@@ -223,12 +228,12 @@ def _two_var_table_term():
 
 def test_ct_all_eager_slack_resolves_duplicate_factors():
     table, ys, x, t = _two_var_table_term()
-    ts = add_slack(TermSum(table, RING, [t]))
+    ts = add_slack(TermSum.pack(table, RING, [t]))
     stats = Stats()
     done = ct_all(ts, stats=stats)
     assert stats.collisions == 0
     assert done.terms
-    for r in done.terms:
+    for r in done.unpacked():
         for f in r.den:
             assert exps_get(f, x) == 0
         for e in r.num:
@@ -238,11 +243,11 @@ def test_ct_all_eager_slack_resolves_duplicate_factors():
 def test_ct_all_delayed_slack_restarts_on_collision():
     table, ys, x, t = _two_var_table_term()
     stats = Stats()
-    done = ct_all(TermSum(table, RING, [t]), delayed=True, stats=stats)
+    done = ct_all(TermSum.pack(table, RING, [t]), delayed=True, stats=stats)
     assert stats.collisions >= 1
     assert stats.restarts >= 1
     assert done.terms  # produced something x-free
-    for r in done.terms:
+    for r in done.unpacked():
         for f in r.den:
             assert exps_get(f, x) == 0
 
@@ -283,8 +288,6 @@ def test_ct_all_order_policies_agree():
     rng = random.Random(3)
     tested = 0
     while tested < 25:
-        from cteuclid.algebra import VariableTable
-
         table = VariableTable()
         ys = [table.add("y1", FREE), table.add("y2", FREE)]
         xs = [table.add("x1", CT), table.add("x2", CT)]
@@ -292,15 +295,16 @@ def test_ct_all_order_policies_agree():
         if t is None:
             continue
         try:
-            a = ct_all(TermSum(table, RING, [t]), delayed=True)
-            b = ct_all(TermSum(table, RING, [t]), delayed=True, order="sparse-first")
+            a = ct_all(TermSum.pack(table, RING, [t]), delayed=True).unpacked()
+            b = ct_all(TermSum.pack(table, RING, [t]), delayed=True,
+                       order="sparse-first").unpacked()
         except CollisionError:
             continue
-        if not (_slack_free(a.terms, table) and _slack_free(b.terms, table)):
+        if not (_slack_free(a, table) and _slack_free(b, table)):
             continue
         try:
-            sa = collapsed_series(RING, a.terms, ys, xs[0], YN, XN, ymax=24)
-            sb = collapsed_series(RING, b.terms, ys, xs[0], YN, XN, ymax=24)
+            sa = collapsed_series(RING, a, ys, xs[0], YN, XN, ymax=24)
+            sb = collapsed_series(RING, b, ys, xs[0], YN, XN, ymax=24)
         except DigitOverflow:
             continue
         assert sa == sb, (t.num, t.den)
@@ -317,10 +321,124 @@ def test_stats_counters_are_monotone():
         if t is None:
             continue
         try:
-            ct_all(TermSum(table, RING, [t]), delayed=True, stats=stats)
+            ct_all(TermSum.pack(table, RING, [t]), delayed=True, stats=stats)
             ran += 1
         except CollisionError:
             continue
     assert ran > 0
     assert stats.collected_terms <= stats.raw_terms
     assert stats.euclid_nodes > 0
+
+
+# ---------------------------------------------------------------------------
+# the packed engine against the tuple-form reference
+
+
+def _twin_tables(nfree, nslack, nct):
+    """Two equal tables: the packed run and the reference may each grow one."""
+    out = []
+    for _ in range(2):
+        table = VariableTable()
+        for j in range(nfree):
+            table.add(f"y{j + 1}", FREE)
+        for _ in range(nslack):
+            table.fresh_slack()
+        for j in range(nct):
+            table.add(f"x{j + 1}", CT)
+        out.append(table)
+    return out
+
+
+@st.composite
+def reference_cases(draw):
+    """(tables, ring, tuple-form term or None) over a few variables of every role."""
+    nfree, nslack, nct = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    tables = _twin_tables(nfree, nslack, nct)
+    vids = [v for v, _ in tables[0].ordered()]
+    ring = draw(st.sampled_from([ExactRing(), PrimeField(101)]))
+    exps = st.dictionaries(st.sampled_from(vids), st.integers(-3, 3), max_size=4).map(exps_from_dict)
+    factors = draw(st.lists(exps.filter(bool), min_size=1, max_size=4))
+    num = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+    num = {e: ring.from_int(c) for e, c in num.items()}
+    try:
+        t = oracles.make_term(ring, num, factors)
+    except CollisionError:
+        t = None
+    return tables, ring, t
+
+
+def _same_terms(got, want):
+    assert [(t.num, t.den) for t in got] == [(t.num, t.den) for t in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference_cases())
+def test_ct_var_matches_tuple_reference(case):
+    (table, _), ring, t = case
+    assume(t is not None)
+    for x in table.vids_of_rank(CT):
+        mine, ref = Stats(), Stats()
+        try:
+            want = oracles.ct_var(ring, t, x, ref)
+        except CollisionError:
+            with pytest.raises(CollisionError):
+                Packed(table, ring).ct_var(t, x, mine)
+            continue
+        _same_terms(Packed(table, ring).ct_var(t, x, mine), want)
+        assert mine.as_dict() == ref.as_dict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference_cases(), st.sampled_from(["given", "sparse-first"]), st.booleans())
+def test_ct_all_matches_tuple_reference(case, order, delayed):
+    (table, ref_table), ring, t = case
+    assume(t is not None)
+    mine, ref = Stats(), Stats()
+    try:
+        want = oracles.ct_all(ref_table, ring, [t], order=order, delayed=delayed, stats=ref)
+    except CollisionError:
+        with pytest.raises(CollisionError):
+            ct_all(TermSum.pack(table, ring, [t]), order=order, delayed=delayed, stats=mine)
+        assert mine.as_dict() == ref.as_dict()
+        return
+    got = ct_all(TermSum.pack(table, ring, [t]), order=order, delayed=delayed, stats=mine)
+    _same_terms(got.unpacked(), want)
+    assert mine.as_dict() == ref.as_dict()
+    assert table.ordered() == ref_table.ordered()  # restarts name the same slack variables
+
+
+def test_ct_all_widens_a_narrow_layout():
+    """Terms that outgrow their layout move to a wider one; nothing wraps."""
+    table, ref_table = _twin_tables(2, 0, 1)
+    (y1, y2), (x,) = table.vids_of_rank(FREE), table.vids_of_rank(CT)
+    t = oracles.make_term(RING, {exps_from_dict({y1: 1, x: -2}): 1},
+                          [exps_from_dict({y1: -2, y2: 1, x: -3}),
+                           exps_from_dict({y1: -1, y2: 1, x: 2}),
+                           exps_from_dict({y1: -2, y2: 2, x: 3})])
+    bound = max(abs(e) for m in (*t.num, *t.den) for _, e in m)
+    narrow = Layout(table, bound, reach=bound)
+    mine, ref = Stats(), Stats()
+    got = ct_all(TermSum(narrow, RING, [pack_term(narrow, t)]), stats=mine)
+    assert got.layout.width > narrow.width
+    _same_terms(got.unpacked(), oracles.ct_all(ref_table, RING, [t], stats=ref))
+    assert mine.as_dict() == ref.as_dict()
+
+
+# per-round [raw, collected] terms and Euclid nodes of magic-5 rounds 1-8
+MAGIC5_ROUNDS = [[1, 1], [5, 5], [25, 25], [125, 125], [625, 625], [1024, 1024],
+                 [1620, 1620], [6360, 3680]]
+MAGIC5_NODES = [1, 5, 25, 125, 625, 1024, 1620, 6520]
+
+
+def test_magic5_rounds_one_call_each():
+    table = VariableTable()
+    ts = build_series_termsum(magic_square_system(5), table, RING)
+    counts, nodes = [], []
+    for v in table.vids_of_rank(CT)[:8]:
+        stats = Stats()
+        ts = ct_all(ts, ct_vids=[v], stats=stats)
+        counts.append([stats.raw_terms, stats.collected_terms])
+        nodes.append(stats.euclid_nodes)
+    assert counts == MAGIC5_ROUNDS
+    assert nodes == MAGIC5_NODES
+    assert len(ts) == 3680

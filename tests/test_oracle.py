@@ -13,9 +13,7 @@ from cteuclid.bruteforce import (
     homogeneous_nonzero_exists,
     naive_ct,
 )
-from cteuclid.engine import make_term
-
-from oracles import term_y_series
+from oracles import make_term, term_y_series
 
 RING = ExactRing()
 Y, X = (FREE, 0), (CT, 0)
