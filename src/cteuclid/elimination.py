@@ -77,8 +77,8 @@ def lambda_pairing(lam_map, exps):
     return b, degree
 
 
-def collect_slack_info(termsums):
-    """Slack vids and factor descriptors needed to validate a direction.
+def collect_slack_info(chunks):
+    """Slack vids and factor descriptors that validate a direction, over term lists.
 
     Returns (sorted slack vids, sorted descriptor tuple); a descriptor is the
     slack part of a denominator factor plus a flag telling whether the rest of
@@ -87,8 +87,8 @@ def collect_slack_info(termsums):
     """
     slacks = set()
     descriptors = set()
-    for ts in termsums:
-        for t in ts:
+    for chunk in chunks:
+        for t in chunk:
             for e in t.num:
                 for v, _ in e:
                     if v[0] == SLACK:
@@ -115,7 +115,7 @@ def validate_lambda(descriptors, lam_map, moduli=()):
     return None
 
 
-def pick_lambda(termsums, moduli=(), seed=0, max_retries=100, lam=None):
+def pick_lambda(chunks, moduli=(), seed=0, max_retries=100, lam=None):
     """Choose a direction valid for every factor and every modulus at once.
 
     A user-supplied direction (dict over slack vids, or a sequence matching
@@ -123,7 +123,7 @@ def pick_lambda(termsums, moduli=(), seed=0, max_retries=100, lam=None):
     validated and returned.  Otherwise seeded random directions are tried,
     then a deterministic moment-curve fallback k -> (1, k, k^2, ...).
     """
-    slacks, descriptors = collect_slack_info(termsums)
+    slacks, descriptors = collect_slack_info(chunks)
     if lam is not None:
         lam_map = dict(lam) if isinstance(lam, dict) else dict(zip(slacks, lam))
         missing = [v for v in slacks if v not in lam_map]

@@ -201,9 +201,6 @@ class TermSum:
     def __len__(self):
         return len(self.terms)
 
-    def __iter__(self):
-        return iter(self.terms)
-
 
 def start_termsum(table, ring, num, factors):
     """The term sum of num / prod(1 - f), from tuple-form monomials.

@@ -407,14 +407,26 @@ def test_ct_all_matches_tuple_reference(case, order, delayed):
     assert table.ordered() == ref_table.ordered()  # restarts name the same slack variables
 
 
-def test_ct_all_widens_a_narrow_layout():
+# (numerator monomial, factors) over y1, y2, x1 whose values outgrow a layout
+# as wide as their own exponents: the first within a linear step, the
+# second below a Euclid node that must not be counted twice
+NARROW_CASES = [
+    ({"y1": 1, "x1": 17}, [{"y1": -4, "y2": 3}, {"y1": -5, "y2": 6, "x1": -17},
+                          {"y1": -5, "y2": 2, "x1": 14}]),
+    ({"y1": 1, "x1": -19}, [{"y1": -2, "y2": 1, "x1": -15}, {"y2": 5, "x1": 4},
+                           {"y2": 2, "x1": 8}]),
+]
+
+
+@pytest.mark.parametrize("num, factors", NARROW_CASES)
+def test_ct_all_widens_a_narrow_layout(num, factors):
     """Terms that outgrow their layout move to a wider one; nothing wraps."""
     table, ref_table = _twin_tables(2, 0, 1)
-    (y1, y2), (x,) = table.vids_of_rank(FREE), table.vids_of_rank(CT)
-    t = oracles.make_term(RING, {exps_from_dict({y1: 1, x: -2}): 1},
-                          [exps_from_dict({y1: -2, y2: 1, x: -3}),
-                           exps_from_dict({y1: -1, y2: 1, x: 2}),
-                           exps_from_dict({y1: -2, y2: 2, x: 3})])
+
+    def mono(d):
+        return exps_from_dict({table.vid_of(k): e for k, e in d.items()})
+
+    t = oracles.make_term(RING, {mono(num): 1}, [mono(f) for f in factors])
     bound = max(abs(e) for m in (*t.num, *t.den) for _, e in m)
     narrow = Layout(table, bound, reach=bound)
     mine, ref = Stats(), Stats()
