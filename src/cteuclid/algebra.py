@@ -342,6 +342,10 @@ class Layout:
             m += e << self.shift[v]
         return m
 
+    def get(self, m, vid):
+        """The exponent of vid in m: one add, shift and mask."""
+        return (((m + self.bias) >> self.shift[vid]) & self.mask) - self.half
+
     def _digits(self, m):
         """(index in working order, biased digit e + B/2) of every nonzero exponent of m."""
         u = m + self.bias
@@ -361,10 +365,6 @@ class Layout:
         for j, (i, c) in enumerate(self._digits(m)):
             key |= ((i << w) + c) << ((n - 1 - j) * size)
         return key
-
-    def get(self, m, vid):
-        """The exponent of vid in m: one add, shift and mask."""
-        return (((m + self.bias) >> self.shift[vid]) & self.mask) - self.half
 
     def _primitive(self, m):
         g = gcd(*(c - self.half for _, c in self._digits(m)))

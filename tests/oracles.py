@@ -3,10 +3,10 @@
 Each routine here is a slower or more literal route to something the
 package computes another way; the tests compare the two.
 
-* The tuple-form stage A: monomials as sorted (vid, exp) tuples, with the
-  tuple helpers it needs, ``make_term`` through ``ct_all``.  It is the
-  engine as it was before monomials were packed into ints, and the packed
-  ``engine`` must reproduce it term for term, counters included.
+* The tuple-form stage A, ``make_term`` through ``ct_all``, with the
+  tuple helpers it needs: monomials are sorted (vid, exp) tuples and every
+  monomial operation walks them.  The ``engine`` computes the same on
+  packed ints and must reproduce it term for term, counters included.
 * ``ct_via_proper`` and ``ct_via_at_zero`` are the two closed forms of a
   one-variable constant term, each valid on its own class of terms;
   ``engine.ct_var`` must agree with both where they apply.
