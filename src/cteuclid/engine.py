@@ -294,7 +294,7 @@ def linear_contribution(ring, num, den, i, xvid, layout, kd, kn):
     if not all(new_factors):
         raise CollisionError("factor monomial became 1 after linear substitution")
     ks = [(((e + bias) >> s) & mask) - half for e in num]
-    kn1 = kn + max(map(abs, ks)) * kd
+    kn1 = kn + max(map(abs, ks), default=0) * kd
     _check(layout, kn1 + len(new_factors) * kd1)
     new_num = {}
     for (e, c), k in zip(num.items(), ks):
@@ -354,7 +354,7 @@ def euclid_contribution(ring, num, den, i, xvid, layout, kd, kn, stats=None):
         sign = ring.from_int(-1) if flips % 2 else ring.one()
         num = _mul_monomial(ring, num, sign, unit)
     ls = [((((e + bias) >> s) & mask) - half) // a for e in num]
-    kn2 = kn1 + max(map(abs, ls)) * kd
+    kn2 = kn1 + max(map(abs, ls), default=0) * kd
     _check(layout, kn2)
     rem = {}
     for (e, c), l in zip(num.items(), ls):
