@@ -293,6 +293,52 @@ class _Memo(dict):
         return value
 
 
+class _Digits:
+    """The digit geometry of a layout, and the decoders its memos fill from.
+
+    The memos hold this, not the layout: a memo whose fill was a method of
+    the layout would close a reference cycle, and the layout with every
+    factor in its memos would then outlive its last use until the cyclic
+    garbage collector came round.  Without the cycle both go as soon as
+    the last term sum packed by them does.
+    """
+
+    __slots__ = ("vids", "width", "half", "mask", "shift", "bias")
+
+    def __init__(self, vids, width):
+        self.vids = vids
+        self.width = width
+        self.half = 1 << (width - 1)
+        self.mask = (1 << width) - 1
+        n = len(vids)
+        self.shift = {v: (n - 1 - i) * width for i, v in enumerate(vids)}
+        self.bias = sum(self.half << s for s in self.shift.values())
+
+    def digits(self, m):
+        """(index in working order, biased digit e + B/2) of every nonzero exponent of m."""
+        u = m + self.bias
+        mask, half, shift = self.mask, self.half, self.shift
+        return [(i, c) for i, v in enumerate(self.vids) if (c := (u >> shift[v]) & mask) != half]
+
+    def unpack(self, m):
+        vids, half = self.vids, self.half
+        return tuple((vids[i], c - half) for i, c in self.digits(m))
+
+    def order_key(self, m):
+        # exps tuples compare pair by pair, a prefix first; pair j of m gets
+        # the code i*B + e + B/2 >= 1 in slot j, and unused slots stay 0
+        n, w = len(self.vids), self.width
+        size = (n << w).bit_length()
+        key = 0
+        for j, (i, c) in enumerate(self.digits(m)):
+            key |= ((i << w) + c) << ((n - 1 - j) * size)
+        return key
+
+    def primitive(self, m):
+        g = gcd(*(c - self.half for _, c in self.digits(m)))
+        return m // g if g > 1 else m
+
+
 class Layout:
     """Packs the exponent vectors of one VariableTable into signed ints.
 
@@ -315,18 +361,15 @@ class Layout:
         self.table = table
         self.bound = 1 << (max(bound, 1) - 1).bit_length()
         self.reach = max(self.bound, reach or self.bound * self.bound << ROOM_BITS)
-        self.width = w = -(-(self.reach.bit_length() + 1) // 8) * 8
-        self.half = 1 << (w - 1)
-        self.mask = (1 << w) - 1
+        width = -(-(self.reach.bit_length() + 1) // 8) * 8
         # working order, earliest first: the earliest variable is most significant
-        self.vids = [v for v, _ in table.ordered()]
-        n = len(self.vids)
-        self.shift = {v: (n - 1 - i) * w for i, v in enumerate(self.vids)}
-        self.bias = sum(self.half << s for s in self.shift.values())
+        digits = _Digits([v for v, _ in table.ordered()], width)
+        self.vids, self.width, self.half = digits.vids, digits.width, digits.half
+        self.mask, self.shift, self.bias = digits.mask, digits.shift, digits.bias
         if like is not None and self.packs_like(like):
             self._memos = like._memos
         else:
-            self._memos = [_Memo(self._unpack), _Memo(self._order_key), _Memo(self._primitive)]
+            self._memos = [_Memo(digits.unpack), _Memo(digits.order_key), _Memo(digits.primitive)]
         self.unpack, self.order_key, self.primitive = (memo.__getitem__ for memo in self._memos)
 
     def packs_like(self, other):
@@ -345,30 +388,6 @@ class Layout:
     def get(self, m, vid):
         """The exponent of vid in m: one add, shift and mask."""
         return (((m + self.bias) >> self.shift[vid]) & self.mask) - self.half
-
-    def _digits(self, m):
-        """(index in working order, biased digit e + B/2) of every nonzero exponent of m."""
-        u = m + self.bias
-        mask, half, shift = self.mask, self.half, self.shift
-        return [(i, c) for i, v in enumerate(self.vids) if (c := (u >> shift[v]) & mask) != half]
-
-    def _unpack(self, m):
-        vids, half = self.vids, self.half
-        return tuple((vids[i], c - half) for i, c in self._digits(m))
-
-    def _order_key(self, m):
-        # exps tuples compare pair by pair, a prefix first; pair j of m gets
-        # the code i*B + e + B/2 >= 1 in slot j, and unused slots stay 0
-        n, w = len(self.vids), self.width
-        size = (n << w).bit_length()
-        key = 0
-        for j, (i, c) in enumerate(self._digits(m)):
-            key |= ((i << w) + c) << ((n - 1 - j) * size)
-        return key
-
-    def _primitive(self, m):
-        g = gcd(*(c - self.half for _, c in self._digits(m)))
-        return m // g if g > 1 else m
 
     def magnitude(self, monomials):
         """The least power of two T, at least ``bound``, with every exponent in [-T, T).

@@ -352,6 +352,9 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
         del den_counts[m]
 
     descend(0, 0, None)
+    # descend refers to itself through its closure; dropping the name breaks
+    # that cycle, so the base and group series go now, not at the next gc pass
+    del descend
 
     if stats is not None:
         stats.ct_s_calls += 1

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from fractions import Fraction
 from hypothesis import assume, given, strategies as st
@@ -357,3 +360,23 @@ def test_layout_width_follows_the_bound():
     assert Layout(CODEC_TABLE, 40).width == 24  # bound 64, reach 2**20
     assert Layout(CODEC_TABLE, 2**34).width == 80
     assert Layout(CODEC_TABLE, 40).reach == 64 * 64 * 256
+
+
+def test_layout_and_memos_freed_without_the_cycle_collector():
+    # a memo that held its layout would keep both alive until gc ran
+    gc.disable()
+    try:
+        first = Layout(CODEC_TABLE, 4)
+        m = first.pack(((CODEC_VIDS[0], 2), (CODEC_VIDS[-1], -4)))
+        first.unpack(m), first.order_key(m), first.primitive(m)
+        second = Layout(CODEC_TABLE, 4, like=first)
+        gone = weakref.ref(first)
+        del first
+        assert gone() is None
+        assert second.primitive(m) == second.pack(((CODEC_VIDS[0], 1), (CODEC_VIDS[-1], -2)))
+        assert second.unpack(m + m) == ((CODEC_VIDS[0], 4), (CODEC_VIDS[-1], -8))
+        gone = weakref.ref(second)
+        del second
+        assert gone() is None
+    finally:
+        gc.enable()
