@@ -445,7 +445,7 @@ def srem_split(e, a):
     return l, r
 
 
-def poly_str(table, p, ring=None):
+def poly_str(table, p):
     """Human-readable form, deterministic order (debugging/diagnostics)."""
     if not p:
         return "0"

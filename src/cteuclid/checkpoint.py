@@ -235,11 +235,13 @@ class DirectoryStore:
             ) from None
 
     def partial(self, ring, i, lhash, compute):
-        """(kind, value, stats) of chunk i in ring, saved under direction hash lhash.
+        """(FactoredAccumulator, stats) of chunk i in ring, saved under direction hash lhash.
 
-        A series value is a FactoredAccumulator, saved as its numerator over
-        its denominator.  A saved partial computed under another direction
-        is recomputed.
+        The file body follows the run's task: a count is saved as the
+        constant coefficient ("scalar") and read back as a one-piece
+        accumulator over {}, a series as its numerator over its denominator
+        ("series").  A saved partial computed under another direction is
+        recomputed.
         """
         tag = ring_tag(ring)
         path = os.path.join(self.path, f"partial-{tag}-{i:04d}.json")
@@ -256,20 +258,21 @@ class DirectoryStore:
                     f"damaged partial file {path} ({exc}); delete it and resume"
                 ) from None
         self.log(f"phase B: ring {tag}, chunk {i + 1}/{self.meta['phase_a']['chunks']}")
-        kind, value, stats = compute()
-        _write_atomic(path, json.dumps(_partial_to_obj(kind, value, stats, lhash), sort_keys=True))
+        acc, stats = compute()
+        obj = _partial_to_obj(self.meta["config"]["task"], acc, stats, lhash)
+        _write_atomic(path, json.dumps(obj, sort_keys=True))
         self._spend_unit()
-        return kind, value, stats
+        return acc, stats
 
 
-def _partial_to_obj(kind, value, stats, lhash):
-    if kind == "scalar":
-        body = {"kind": "scalar", "value": str(value)}
+def _partial_to_obj(task, acc, stats, lhash):
+    if task == "count":
+        body = {"kind": "scalar", "value": str(acc.numerator().get(0, 0))}
     else:
         body = {
             "kind": "series",
-            "den": {str(k): e for k, e in sorted(value.den.items())},
-            "num": {str(d): str(c) for d, c in sorted(value.numerator().items())},
+            "den": {str(k): e for k, e in sorted(acc.den.items())},
+            "num": {str(d): str(c) for d, c in sorted(acc.numerator().items())},
         }
     return {
         "lam_hash": lhash,
@@ -287,8 +290,10 @@ def _partial_from_obj(ring, obj):
     stats = Stats()
     stats.load(obj["stats"])
     if body["kind"] == "scalar":
-        return "scalar", ring.from_fraction(Fraction(body["value"])), stats
+        num, den = {"0": body["value"]}, {}
+    else:
+        num, den = body["num"], body["den"]
     acc = FactoredAccumulator(ring)
-    num = {int(d): ring.from_fraction(Fraction(c)) for d, c in body["num"].items()}
-    acc.add_piece(num, {int(k): e for k, e in body["den"].items()})
-    return "series", acc, stats
+    num = {int(d): ring.from_fraction(Fraction(c)) for d, c in num.items() if Fraction(c)}
+    acc.add_piece(num, {int(k): e for k, e in den.items()})
+    return acc, stats

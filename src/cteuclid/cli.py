@@ -14,9 +14,9 @@ mirrors it to stdout.  Wall-clock times are printed to stdout only, so that
 result files from a fresh run and an interrupted+resumed run are
 byte-identical.
 
-Exit codes: 0 ok, 1 oracle mismatch or unexpected failure, 2 bad input,
-3 unresolved collision, 4 direction search exhausted, 5 prime clash,
-6 oracle refusal (instance too large to verify), 7 checkpoint/resume
+Exit codes: 0 ok, 1 oracle mismatch, closed stdout or unexpected failure,
+2 bad input, 3 unresolved collision, 4 direction search exhausted, 5 prime
+clash, 6 oracle refusal (instance too large to verify), 7 checkpoint/resume
 mismatch.
 """
 
@@ -448,8 +448,8 @@ def load_raw_term(text):
     return table, num, den
 
 
-def _term_str(table, t, ring):
-    num = poly_str(table, t.num, ring)
+def _term_str(table, t):
+    num = poly_str(table, t.num)
     if not t.den:
         return num
     den = " ".join(
@@ -479,7 +479,7 @@ def cmd_ct(args):
     lines = _header_lines("ct", table, args.order, args.slack, args.seed, args.mod)
     lines.append(f"terms: {len(done.terms)}")
     for i, term in enumerate(done.unpacked()):
-        lines.append(f"term[{i}]: {_term_str(table, term, ring)}")
+        lines.append(f"term[{i}]: {_term_str(table, term)}")
     lines.extend(_counter_lines(stats))
     _publish(args.output or "ct-result.txt", "\n".join(lines) + "\n", wall)
     return EXIT_OK
@@ -502,7 +502,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Any result file is already in place.  Pointing stdout at devnull
+        # keeps the flush at interpreter exit from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed", file=sys.stderr)
+        return EXIT_FAIL
     except CheckpointPause as exc:
         print(f"# paused: {exc}", file=sys.stderr)
         return EXIT_OK

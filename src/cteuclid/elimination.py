@@ -371,22 +371,19 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
 def eliminate_slack(ring, table, terms, lam_map, stats=None):
     """Remove every slack variable from a sum of tuple-form terms over table.
 
-    Every piece goes into one FactoredAccumulator.  With no free variable
-    the result is ("scalar", ring element); with one free variable q it is
-    ("series", FactoredAccumulator) in q.  More free variables raise
-    RuntimeError.
+    Returns one FactoredAccumulator in the free variable q holding every
+    piece.  A count has no q: its denominator is {} and its value is the
+    constant coefficient numerator().get(0, 0).  More than one free
+    variable raises RuntimeError.
     """
-    free = table.vids_of_rank(FREE)
-    if len(free) > 1:
+    if len(table.vids_of_rank(FREE)) > 1:
         raise RuntimeError("terms kept several free variables")
     tables = SeriesTables(ring)
     acc = FactoredAccumulator(ring)
     for t in terms:
         for num, den_counts in ct_s_term(ring, t, lam_map, tables, stats):
             acc.add_piece(num, den_counts)
-    if free:
-        return "series", acc
-    return "scalar", acc.numerator().get(0, ring.zero())
+    return acc
 
 
 # ---------------------------------------------------------------------------

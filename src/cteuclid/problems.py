@@ -293,23 +293,26 @@ def factored_denominator(den):
     return None
 
 
-def series_coeffs(num, den, count, check_nonneg=True):
-    """First `count` power-series coefficients of num/den as exact integers."""
-    ring = ExactRing()
-    cs = power_series_div(ring, num, den, count)
+def series_coeffs(num, den, count):
+    """First `count` power-series coefficients of num/den as exact integers.
+
+    A solution count is never negative, so a negative coefficient raises
+    ArithmeticError.
+    """
     out = []
-    for c in cs:
+    for c in power_series_div(ExactRing(), num, den, count):
         v = _as_int(c)
-        if check_nonneg and v < 0:
+        if v < 0:
             raise ArithmeticError("series coefficient went negative")
         out.append(v)
     return out
 
 
-def _reduce_series(ring, num, den_counts):
-    """Reduce the sparse numerator num of ring over prod (1 - q^k)^e to lowest terms."""
+def _reduce_series(num, den_counts):
+    """Reduce the sparse integer numerator num over prod (1 - q^k)^e to lowest terms."""
+    ring = ExactRing()
     num_dense = [_as_int(c) for c in dense_from_sparse(ring, num)]
-    den_dense = expand_factored(ExactRing(), den_counts)
+    den_dense = expand_factored(ring, den_counts)
     num_r, den_r = reduce_fraction_int(num_dense, den_dense)
     if den_r and den_r[0] < 0:
         num_r = [-c for c in num_r]
@@ -398,129 +401,71 @@ def run_pipeline(
 
     def stage_b(ring, chunk):
         st = Stats()
-        kind, value = eliminate_slack(ring, table, convert_terms(chunk, ring), lam_map, st)
-        return kind, value, st
+        return eliminate_slack(ring, table, convert_terms(chunk, ring), lam_map, st), st
 
     table, chunks, stats_a = store.stage_a(stage_a)
     stats = stats if stats is not None else Stats()
     stats.merge(stats_a)
     lam_map = pick_lambda(chunks, moduli=moduli, seed=seed, lam=lam)
     lhash = lam_hash(lam_map)
-    lam_named = {table.name_of(v): w for v, w in lam_map.items()}
 
     results = []
     for ring in rings:
-        parts = []
+        acc = FactoredAccumulator(ring)
         for i, chunk in enumerate(chunks):
-            kind, value, st = store.partial(ring, i, lhash, lambda: stage_b(ring, chunk))
+            part, st = store.partial(ring, i, lhash, lambda: stage_b(ring, chunk))
             stats.merge(st)
-            parts.append((kind, value))
-        results.append((ring, _merge_partials(ring, parts)))
+            acc.merge(part)
+        results.append(acc)
 
-    if task == "count":
-        out = _assemble_count(results, moduli, crt, lam_named, stats)
-    else:
-        out = _assemble_series(results, moduli, crt, lam_named, stats)
+    out = _assemble(task, results, moduli, crt)
+    out.lam = {table.name_of(v): w for v, w in lam_map.items()}
+    out.stats = stats
     out.table = table
     out.config_hash = chash
     return out
 
 
-def _merge_partials(ring, parts):
-    """One ring's stage-B partials as one scalar, or one accumulated series."""
-    if all(kind == "scalar" for kind, _ in parts):
-        total = ring.zero()
-        for _, value in parts:
-            total = ring.add(total, value)
-        return total
-    acc = FactoredAccumulator(ring)
-    for _, part in parts:
-        acc.merge(part)
-    return acc
+def _assemble(task, results, moduli, crt):
+    """The outcome of a run from its stage-B accumulators, one per ring.
 
-
-def _assemble_count(results, moduli, crt, lam_named, stats):
-    if not moduli:
-        _, value = results[0]
-        return RunOutcome(
-            task="count", exact=True, value=_as_int(value), lam=lam_named, stats=stats
-        )
-    residues = {}
-    for ring, value in results:
-        residues[ring.modulus] = value % ring.modulus
-    if not crt:
-        return RunOutcome(
-            task="count", exact=False, residues=residues, lam=lam_named, stats=stats
-        )
-    value, conf = crt_combine([residues[p] for p in moduli], list(moduli))
-    return RunOutcome(
-        task="count",
-        exact=False,
-        value=value,
-        residues=residues,
-        confidence=conf,
-        lam=lam_named,
-        stats=stats,
-    )
-
-
-def _assemble_series(results, moduli, crt, lam_named, stats):
+    Every ring's numerator is taken over the common denominator of all of
+    them; a count's is {}, and its value is the constant coefficient.
+    Exact runs read that numerator, modular runs keep it as residues, and
+    CRT runs lift it coefficient by coefficient with the worst confidence.
+    """
     target = {}
-    for _, acc in results:
+    for acc in results:
         for k, e in acc.den.items():
-            if e > target.get(k, 0):
-                target[k] = e
-    nums = [(ring, acc.numerator(target)) for ring, acc in results]
+            target[k] = max(e, target.get(k, 0))
+    out = RunOutcome(task=task, exact=not moduli)
     if not moduli:
-        ring, num = nums[0]
-        num_r, den_r, factors = _reduce_series(ring, num, target)
-        return RunOutcome(
-            task="series",
-            exact=True,
-            num=num_r,
-            den=den_r,
-            den_factors=factors,
-            lam=lam_named,
-            stats=stats,
-        )
-    if not crt:
-        per_prime = {}
-        for ring, num in nums:
-            degs = sorted(num)
-            per_prime[ring.modulus] = {
-                "num": {d: num[d] % ring.modulus for d in degs},
-                "den_counts": dict(target),
-            }
-        return RunOutcome(
-            task="series",
-            exact=False,
-            series_residues=per_prime,
-            lam=lam_named,
-            stats=stats,
-        )
-    # coefficientwise reconstruction over the common denominator
-    degrees = sorted({d for _, num in nums for d in num})
-    primes = [ring.modulus for ring, _ in nums]
-    lifted = {}
-    worst = Fraction(0)
-    for d in degrees:
-        residues = [num.get(d, 0) % ring.modulus for ring, num in nums]
-        v, conf = crt_combine(residues, primes)
-        if conf > worst:
-            worst = conf
-        if v:
-            lifted[d] = v
-    num_r, den_r, factors = _reduce_series(ExactRing(), lifted, target)
-    return RunOutcome(
-        task="series",
-        exact=False,
-        num=num_r,
-        den=den_r,
-        den_factors=factors,
-        confidence=worst,
-        lam=lam_named,
-        stats=stats,
-    )
+        num = results[0].numerator(target)
+    else:
+        residues = {}
+        for acc in results:
+            p = acc.ring.modulus
+            residues[p] = {d: c % p for d, c in sorted(acc.numerator(target).items())}
+        if task == "count":
+            out.residues = {p: r.get(0, 0) for p, r in residues.items()}
+        if not crt:
+            if task == "series":
+                out.series_residues = {
+                    p: {"num": r, "den_counts": dict(target)} for p, r in residues.items()
+                }
+            return out
+        num = {}
+        out.confidence = Fraction(0)
+        for d in sorted({d for r in residues.values() for d in r}):
+            v, conf = crt_combine([r.get(d, 0) for r in residues.values()], list(residues))
+            out.confidence = max(out.confidence, conf)
+            if v:
+                num[d] = v
+    if task == "count":
+        out.value = _as_int(num.get(0, 0))
+    else:
+        out.num, out.den, out.den_factors = _reduce_series(num, target)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,9 @@ def test_criterion_02_infeasible_knapsack_and_displayed_term():
         {exps_from_dict({t: 12223}): RING.one() * -1},
         [exps_from_dict({t: 1}), exps_from_dict({t: 12223})],
     )
-    kind, val = eliminate_slack(RING, table, [term], {t: 1})
-    assert kind == "scalar"
-    assert val == Fraction(-149365061, 146676)
+    acc = eliminate_slack(RING, table, [term], {t: 1})
+    assert acc.den == {}
+    assert acc.numerator() == {0: Fraction(-149365061, 146676)}
 
 
 def test_criterion_03_five_weight_family():

@@ -495,6 +495,24 @@ def test_console_script_end_to_end(tmp_path, console_script):
     assert proc.stdout.splitlines()[0] == "18"
 
 
+def test_console_script_closed_stdout_ends_with_one_error_line(tmp_path, console_script):
+    argv = ["ct-euclid", "knapsack", "--a0", "41", "--weights", "1,5,14"]
+    normal = subprocess.run(argv + ["--output", "normal.txt"], cwd=tmp_path,
+                            env=console_script.env(), capture_output=True, timeout=60)
+    assert normal.returncode == 0
+    proc = subprocess.Popen(argv + ["--output", "closed.txt"], cwd=tmp_path,
+                            env=console_script.env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # before the interpreter has even started
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err, err
+    assert [line for line in err.splitlines() if "error:" in line] == \
+        ["error: standard output closed"]
+    assert (tmp_path / "closed.txt").read_text() == (tmp_path / "normal.txt").read_text()
+
+
 def test_console_script_version(console_script):
     proc = subprocess.run(["ct-euclid", "--version"], env=console_script.env(),
                           capture_output=True, text=True, timeout=60)

@@ -185,9 +185,9 @@ def test_displayed_substitution_value():
         {exps_from_dict({t: 12223}): -1},
         [exps_from_dict({t: 1}), exps_from_dict({t: 12223})],
     )
-    kind, val = eliminate_slack(RING, table, [term], {t: 1})
-    assert kind == "scalar"
-    assert val == Fraction(-149365061, 146676)
+    acc = eliminate_slack(RING, table, [term], {t: 1})
+    assert acc.den == {}
+    assert acc.numerator() == {0: Fraction(-149365061, 146676)}
 
 
 def test_pure_factor_scalar_is_half():
@@ -195,9 +195,9 @@ def test_pure_factor_scalar_is_half():
     table = VariableTable()
     z = table.add("z", SLACK)
     term = term_of(table, {EXPS_ONE: 1}, [exps_from_dict({z: 1})])
-    kind, val = eliminate_slack(RING, table, [term], {z: 1})
-    assert kind == "scalar"
-    assert val == Fraction(1, 2)
+    acc = eliminate_slack(RING, table, [term], {z: 1})
+    assert acc.den == {}
+    assert acc.numerator() == {0: Fraction(1, 2)}
 
 
 def test_mixed_factor_becomes_plain_series():
@@ -206,8 +206,7 @@ def test_mixed_factor_becomes_plain_series():
     q = table.add("q", FREE)
     z = table.add("z", SLACK)
     term = term_of(table, {EXPS_ONE: 1}, [exps_from_dict({z: 1, q: 1})])
-    kind, acc = eliminate_slack(RING, table, [term], {z: 1})
-    assert kind == "series"
+    acc = eliminate_slack(RING, table, [term], {z: 1})
     assert acc.den == {1: 1}
     assert acc.numerator() == {0: 1}
 
@@ -381,10 +380,11 @@ def test_elimination_is_direction_invariant():
             pick_lambda([done], lam=lam2)
         except (LambdaExhaustion, PrimeClash):
             continue
-        k1, v1 = eliminate_slack(RING, table, done, lam1)
-        k2, v2 = eliminate_slack(RING, table, done, lam2)
-        assert k1 == k2 == "scalar"
-        assert v1 == v2 == dp_knapsack(a0, weights)
+        acc1 = eliminate_slack(RING, table, done, lam1)
+        acc2 = eliminate_slack(RING, table, done, lam2)
+        assert acc1.den == acc2.den == {}
+        want = dp_knapsack(a0, weights)
+        assert acc1.numerator() == acc2.numerator() == ({0: want} if want else {})
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cteuclid.algebra import ExactRing, InputError
+from cteuclid.algebra import ExactRing, InputError, PrimeField
 from cteuclid.bruteforce import brute_count, dp_knapsack
+from cteuclid.checkpoint import CheckpointPause
+from cteuclid.elimination import DEFAULT_PRIMES
 from cteuclid.engine import Stats
 from cteuclid.problems import (
     DiophantineSystem,
@@ -21,7 +23,7 @@ from cteuclid.problems import (
     series_coeffs,
     system_from_json,
 )
-from cteuclid.univariate import expand_factored, pmul
+from cteuclid.univariate import expand_factored, pmul, power_series_div
 
 RING = ExactRing()
 
@@ -202,10 +204,10 @@ def test_series_single_prime_residues():
     num = [0] * (max(body["num"]) + 1)
     for d, c in body["num"].items():
         num[d] = c
-    den = expand_factored(RING, body["den_counts"])
-    got = series_coeffs([c % p for c in num], [c % p for c in den], 9,
-                        check_nonneg=False)
-    assert [c % p for c in got] == [1, 0, 0, 5, 0, 0, 13, 0, 0]
+    field = PrimeField(p)
+    den = expand_factored(field, body["den_counts"])
+    got = power_series_div(field, num, den, 9)
+    assert got == [1, 0, 0, 5, 0, 0, 13, 0, 0]
 
 
 def test_series_value_str_mentions_q():
@@ -221,6 +223,50 @@ def test_simplex_series():
     got = series_coeffs(out.num, out.den, 6)
     want = [brute_count(sys_.matrix, [3 * k]) for k in range(6)]
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# a count is the constant term of the series run: both share stage B and C
+
+AGREEMENT_SYSTEMS = {
+    "magic3": magic_square_system(3),
+    "two-equations": DiophantineSystem([[1, 2, 1, 0], [0, 1, 1, 3]], [3, 4]),
+}
+
+
+def _count_paused_and_resumed(system, path):
+    """A checkpointed count run one unit per call, and the pauses it took."""
+    pauses = 0
+    while True:
+        try:
+            out = run_pipeline(system, "count", str(path), chunk_size=1, max_units=1)
+            return out.value, pauses
+        except CheckpointPause:
+            pauses += 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "residue", "crt", "paused"])
+@pytest.mark.parametrize("name", sorted(AGREEMENT_SYSTEMS))
+def test_counts_are_the_series_coefficients(name, mode, tmp_path):
+    system = AGREEMENT_SYSTEMS[name]
+    series = ehrhart_series(system)
+    coeffs = series_coeffs(series.num, series.den, 5)
+    if mode == "crt":
+        lifted = ehrhart_series(system, moduli=DEFAULT_PRIMES, crt=True)
+        assert series_coeffs(lifted.num, lifted.den, 5) == coeffs
+    p = 11
+    for t, want in enumerate(coeffs):
+        scaled = system.scaled(t)
+        if mode == "exact":
+            assert diophantine_count(scaled).value == want
+        elif mode == "residue":
+            assert diophantine_count(scaled, moduli=(p,)).residues == {p: want % p}
+        elif mode == "crt":
+            assert diophantine_count(scaled, moduli=DEFAULT_PRIMES, crt=True).value == want
+        else:
+            value, pauses = _count_paused_and_resumed(scaled, tmp_path / f"t{t}")
+            assert value == want
+            assert pauses >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +294,6 @@ def test_factored_denominator_inverts_expand(counts):
 def test_series_coeffs_rejects_negative_counts():
     with pytest.raises(ArithmeticError):
         series_coeffs([1, -2], [1, -1], 5)  # (1-2q)/(1-q) goes negative
-    assert series_coeffs([1, -2], [1, -1], 5, check_nonneg=False) == [1, -1, -1, -1, -1]
 
 
 def test_format_series():
