@@ -101,6 +101,41 @@ def test_tables_reduce_correctly_mod_p():
         assert e.numerator * pow(e.denominator, -1, p) % p == modp.pole_coeff(n)
 
 
+# The denominator named when a small prime meets pole order r: at r = p - 1
+# that of B_(p-1)/(p-1)!, whose Bernoulli denominator p divides (von
+# Staudt-Clausen); from r = p on that of 1/p!.
+SMALL_PRIME_DENOMINATORS = {
+    3: (12, 6),
+    5: (720, 120),
+    7: (30240, 5040),
+    11: (47900160, 39916800),
+    13: (1307674368000, 6227020800),
+}
+
+
+@pytest.mark.parametrize("p", sorted(SMALL_PRIME_DENOMINATORS))
+@pytest.mark.parametrize("shift", [-2, -1, 0], ids=["r=p-2", "r=p-1", "r=p"])
+def test_small_prime_refused_from_pole_order_p_minus_1(p, shift):
+    ring = PrimeField(p)
+    r = p + shift
+    table = VariableTable()
+    zs = [table.fresh_slack() for _ in range(r)]
+    term = make_term(ring, {EXPS_ONE: ring.one()}, [exps_from_dict({z: 1}) for z in zs])
+    lam = {z: 1 for z in zs}
+    if shift == -2:
+        SeriesTables(ring).ensure(r)
+        assert ct_s_term(ring, term, lam)
+        return
+    den = SMALL_PRIME_DENOMINATORS[p][shift + 1]
+    message = f"modulus {p} divides the denominator {den}; use a larger prime"
+    with pytest.raises(InputError) as excinfo:
+        SeriesTables(ring).ensure(r)
+    assert str(excinfo.value) == message
+    with pytest.raises(InputError) as excinfo:
+        ct_s_term(ring, term, lam)
+    assert str(excinfo.value) == message
+
+
 # ---------------------------------------------------------------------------
 # direction handling
 
