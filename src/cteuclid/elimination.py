@@ -30,6 +30,16 @@ coefficient is nonzero and every group given a positive order holds a
 pairing nonzero in the ring; this is a structural test, because the group
 coefficients may cancel (b and -b sharing one m) to an empty numerator.
 
+Every series is kept in exponential form, its s^n entry times n!, and over
+Z (or its image in a prime field), so no rational enters the products.
+With L_r the lcm of the denominators of B_0..B_r, the pure factor scaled by
+b L_r has the integer entries -L_r B_n b^n, the numerator monomial has
+c m^n, and a mixed group has integer entries too; products of exponential
+series are binomial convolutions.  A piece is then scaled once, by the
+multinomial r!/((r - U)! prod N_m!) of its split divided by r! L_r^r
+prod(b): one ring element per piece, and the only division in stage B.  A
+prime p dividing r! L_r^r, exactly when r >= p - 1, is refused.
+
 The summand count in the result file is the number of ways to split r
 factor by factor over the k' mixed factors with a pairing nonzero in the
 ring, C(r + k', k'); it is computed in closed form, not enumerated.
@@ -38,8 +48,9 @@ ring, C(r + k', k'); it is computed in closed form, not enumerated.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 
 from .algebra import FREE, SLACK, InputError, poly_add_inplace
 from .univariate import FactoredAccumulator, sparse_mul
@@ -120,12 +131,28 @@ def pick_lambda(chunks, moduli=(), seed=0, max_retries=100, lam=None):
 
     A user-supplied direction (dict over slack vids, or a sequence matching
     the slack variables in working order; zero entries are allowed) is
-    validated and returned.  Otherwise seeded random directions are tried,
-    then a deterministic moment-curve fallback k -> (1, k, k^2, ...).
+    validated and returned; a sequence of another length, or a dict naming a
+    variable that is not a slack variable, is refused.  Otherwise seeded
+    random directions are tried, then a deterministic moment-curve fallback
+    k -> (1, k, k^2, ...).
     """
     slacks, descriptors = collect_slack_info(chunks)
     if lam is not None:
-        lam_map = dict(lam) if isinstance(lam, dict) else dict(zip(slacks, lam))
+        if isinstance(lam, dict):
+            foreign = [v for v in lam if not (isinstance(v, tuple) and v[0] == SLACK)]
+            if foreign:
+                raise InputError(
+                    f"direction vector names {len(foreign)} variables that are not "
+                    f"slack variables among its {len(lam)} entries"
+                )
+            lam_map = dict(lam)
+        else:
+            lam = list(lam)
+            if len(lam) != len(slacks):
+                raise InputError(
+                    f"direction vector has {len(lam)} entries for {len(slacks)} slack variables"
+                )
+            lam_map = dict(zip(slacks, lam))
         missing = [v for v in slacks if v not in lam_map]
         if missing:
             raise InputError("direction vector does not cover all slack variables")
@@ -154,36 +181,64 @@ def pick_lambda(chunks, moduli=(), seed=0, max_retries=100, lam=None):
     raise LambdaExhaustion("no valid direction within the retry budget")
 
 
-class SeriesTables:
-    """Inverse factorials and pole-series coefficients in one coefficient ring.
+def bernoulli_numbers(r):
+    """B_0..B_r, with B_1 = -1/2, from sum_(j <= n) C(n + 1, j) B_j = 0."""
+    bs = [Fraction(1)]
+    for n in range(1, r + 1):
+        bs.append(-sum(comb(n + 1, j) * bs[j] for j in range(n)) / (n + 1))
+    return bs
 
-    The recurrence for s/(e^s - 1) = sum t_n s^n runs over exact rationals,
-    so a prime field receives the reduced image of the true rational value.
+
+@lru_cache(maxsize=None)
+def integer_rows(r):
+    """(pole row, binomial rows, D_r) over Z for pole order r, in no ring.
+
+    L_r is the lcm of the denominators of B_0..B_r.  Scaled by b L_r, the
+    pure factor s/(1 - e^{bs}) has the integer exponential coefficients
+    n! [s^n] = -L_r B_n b^n, and the pole row holds -L_r B_n for n <= r.
+    The binomial rows C(n, 0..n), n <= r, multiply exponential series.
+    D_r = r! L_r^r.
+    """
+    bs = bernoulli_numbers(r)
+    lr = lcm(*(b.denominator for b in bs))
+    pole = tuple(-lr * b.numerator // b.denominator for b in bs)
+    binom = tuple(tuple(comb(n, i) for i in range(n + 1)) for n in range(r + 1))
+    return pole, binom, factorial(r) * lr**r
+
+
+class SeriesTables:
+    """The integer rows of each pole order, reduced into one coefficient ring.
+
+    A prime p divides D_r exactly when r >= p - 1: p divides r! from r = p
+    on, and the denominator of B_(p-1) (von Staudt-Clausen).  The field then
+    has no inverse for the terms of that order, and ensure refuses it.
     """
 
     def __init__(self, ring):
         self.ring = ring
-        self._inv_fact = [ring.one()]
-        self._t = [Fraction(1)]
-        self._pole = [ring.from_int(-1)]  # [s^n] s/(1 - e^s) = -t_n
+        self._orders = {}
 
     def ensure(self, r):
-        while len(self._inv_fact) <= r:
-            n = len(self._inv_fact)
-            self._inv_fact.append(self.ring.from_fraction(Fraction(1, factorial(n))))
-        while len(self._t) <= r:
-            n = len(self._t)
-            acc = Fraction(0)
-            for j in range(n):
-                acc += self._t[j] / factorial(n - j + 1)
-            self._t.append(-acc)
-            self._pole.append(self.ring.from_fraction(acc))
+        """(pole row, binomial rows, D_r) for pole order r.
 
-    def inv_fact(self, n):
-        return self._inv_fact[n]
-
-    def pole_coeff(self, n):
-        return self._pole[n]
+        The pole row lists (n, -L_r B_n) for the n <= r where that entry is
+        nonzero in the ring, so the odd n >= 3 are left out.
+        """
+        rows = self._orders.get(r)
+        if rows is None:
+            pole, binom, d = integer_rows(r)
+            p = self.ring.modulus
+            if p is not None and d % p == 0:
+                # from_fraction refuses the first ordinary coefficient, 1/n!
+                # or B_n/n! for n <= r, whose denominator p divides
+                for n in range(r + 1):
+                    self.ring.from_fraction(Fraction(1, factorial(n)))
+                for n, b in enumerate(bernoulli_numbers(r)):
+                    self.ring.from_fraction(b / factorial(n))
+            pole = [(n, self.ring.from_int(x)) for n, x in enumerate(pole)]
+            pole = [(n, x) for n, x in pole if not self.ring.is_zero(x)]
+            rows = self._orders[r] = (pole, binom, d)
+        return rows
 
 
 def split_factors(ring, term, lam_map):
@@ -208,48 +263,58 @@ def split_factors(ring, term, lam_map):
     return pure_b, mixed
 
 
-def base_series(ring, tables, term, lam_map, pure_b):
-    """The numerator series times the pure-factor product, truncated at s^r.
+def base_series(ring, tables, term, lam_map, pure_b, low=0):
+    """The numerator series times the pure-factor product, as exponential rows.
 
-    Entry n, the s^n coefficient, is a sparse numerator {degree: coeff} in
-    q; r = len(pure_b), and tables must already cover r.
+    With r = len(pure_b), entry n <= r is n! L_r^r prod(b) times the s^n
+    coefficient, a sparse numerator {degree: coeff} in q; the entries below
+    low are left empty.  A numerator monomial c q^d z^B contributes c m^n
+    with m = <lambda, B>, each pure factor scaled by b L_r contributes
+    -L_r B_n b^n, and products are binomial convolutions.  Every entry is
+    reduced into the ring as it is formed, so a prime field never carries
+    the integers' growth.
     """
     r = len(pure_b)
+    pole, binom, _ = tables.ensure(r)
 
-    # numerator series: sum over monomials of c * q^d * e^{ms}
+    # numerator series: sum over monomials of c * q^d * m^n
     lnum = [{} for _ in range(r + 1)]
     for e, c in term.num.items():
         m, d = lambda_pairing(lam_map, e)
         mint = ring.from_int(m)
         mp = c
         for n in range(r + 1):
-            coeff = ring.mul(mp, tables.inv_fact(n))
-            if not ring.is_zero(coeff):
-                poly_add_inplace(ring, lnum[n], {d: coeff})
-            if n < r:
-                mp = ring.mul(mp, mint)
+            if ring.is_zero(mp):
+                break
+            poly_add_inplace(ring, lnum[n], {d: mp})
+            mp = ring.mul(mp, mint)
 
-    # product of the pure-factor series s/(1 - e^{bs})
-    pp = [ring.one()]
+    # product of the scaled pure factors b L_r s/(1 - e^{bs}); the binomial
+    # coefficients are small ints, and the ring reduces each product with them
+    pp = [ring.one()] + [ring.zero()] * r
     for b in pure_b:
         bl = ring.from_int(b)
-        fac = [ring.mul(tables.pole_coeff(n), ring.pow_int(bl, n - 1)) for n in range(r + 1)]
+        fac = [(j, ring.mul(x, ring.pow_int(bl, j))) for j, x in pole]
         npp = [ring.zero()] * (r + 1)
         for i, x in enumerate(pp):
             if ring.is_zero(x):
                 continue
-            for j in range(r + 1 - i):
-                npp[i + j] = ring.add(npp[i + j], ring.mul(x, fac[j]))
+            for j, y in fac:
+                n = i + j
+                if n > r:
+                    break
+                npp[n] = ring.add(npp[n], ring.mul(x, binom[n][i] * y))
         pp = npp
 
     out = [{} for _ in range(r + 1)]
     for i in range(r + 1):
         if not lnum[i]:
             continue
-        for j in range(r + 1 - i):
-            x = pp[j] if j < len(pp) else ring.zero()
+        for j in range(max(0, low - i), r + 1 - i):
+            x = pp[j]
             if ring.is_zero(x):
                 continue
+            x = binom[i + j][i] * x
             poly_add_inplace(ring, out[i + j], {d: ring.mul(c, x) for d, c in lnum[i].items()})
     return out
 
@@ -257,11 +322,12 @@ def base_series(ring, tables, term, lam_map, pure_b):
 def group_series(ring, tables, bs, m, r):
     """Numerators of one group of mixed factors sharing the q-exponent m.
 
-    For the j factors 1/(1 - q^m e^{b_i s}) of the group, entry N is the
-    numerator of their product's s^N coefficient over (1 - q^m)^(N + j),
-    as a sparse numerator in q.  bs lists the pairings b_i that are nonzero
-    in the ring; a factor with b = 0 is just 1/(1 - q^m) and only counts
-    toward j.  Entries run to N = r, or only to N = 0 when bs is empty.
+    For the j factors 1/(1 - q^m e^{b_i s}) of the group, entry N is N!
+    times the numerator of their product's s^N coefficient over
+    (1 - q^m)^(N + j), as a sparse numerator in q.  bs lists the pairings
+    b_i that are nonzero in the ring; a factor with b = 0 is just
+    1/(1 - q^m) and only counts toward j.  Entries run to N = r, or only to
+    N = 0 when bs is empty.
 
     With M = q^m, w = M/(1 - M) and u_i = e^{b_i s} - 1, each factor is
     1/((1 - M)(1 - w u_i)), so the product is (1 - M)^(-j) sum_K w^K h_K(u),
@@ -272,8 +338,9 @@ def group_series(ring, tables, bs, m, r):
     N! [s^N] h_K(u) is integral.  It is built over Z one factor at a time,
     h_K <- h_K + u_i h_(K-1) for rising K so that h_(K-1) already includes
     u_i, with products of EGFs taken as binomial convolutions, and mapped
-    into the ring at the end.
+    into the ring at the end; tables must cover r.
     """
+    binom = tables.ensure(r)[1]
     top = r if bs else 0
     h = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(top)]
     for b in bs:
@@ -281,13 +348,18 @@ def group_series(ring, tables, bs, m, r):
         for k in range(1, top + 1):
             lower, cur = h[k - 1], h[k]
             for n in range(k, top + 1):
-                cur[n] += sum(comb(n, i) * pw[i] * lower[n - i] for i in range(1, n - k + 2))
+                row = binom[n]
+                for i in range(1, n - k + 2):
+                    cur[n] += row[i] * pw[i] * lower[n - i]
     out = []
     for n in range(top + 1):
+        # sum_K h_K M^K (1 - M)^(n - K) by Horner's rule in (1 - M)
+        poly = [h[0][n]]
+        for k in range(1, n + 1):
+            poly = [poly[0]] + [poly[i] - poly[i - 1] for i in range(1, k)] + [h[k][n] - poly[-1]]
         num = {}
-        for e in range(n + 1):
-            c = sum((-1) ** (e - k) * comb(n - k, e - k) * h[k][n] for k in range(e + 1))
-            c = ring.mul(ring.from_int(c), tables.inv_fact(n))
+        for e, c in enumerate(poly):
+            c = ring.from_int(c)
             if not ring.is_zero(c):
                 num[m * e] = c
         out.append(num)
@@ -312,6 +384,14 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
     to {} (b and -b in one group); the piece is kept so that its
     denominator still counts.
 
+    Both series are exponential rows over Z (or its image), so a split
+    with U = sum N_m is the product of base entry r - U and the group
+    entries N_m over (r - U)! prod N_m! D_r/r! prod(b).  The piece takes
+    that one denominator as a single ring element: the multinomial
+    r!/((r - U)! prod N_m!) times the inverse of D_r prod(b).  In exact
+    arithmetic that is an int for r = 0 and the term's only Fraction
+    otherwise.
+
     The summand count in stats is the number of splits of r over the k'
     mixed factors whose pairing is nonzero in the ring, C(r + k', k'),
     checked against C(d + 1, floor((d + 1)/2)) for d = #factors.
@@ -320,24 +400,29 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
         tables = SeriesTables(ring)
     pure_b, mixed = split_factors(ring, term, lam_map)
     r = len(pure_b)
-    tables.ensure(r)
-    base = base_series(ring, tables, term, lam_map, pure_b)
+    _, binom, d_r = tables.ensure(r)
 
     by_m = {}
     for m, b in mixed:
         by_m.setdefault(m, []).append(b)
     live = {m: [b for b in bs if not ring.is_zero(ring.from_int(b))] for m, bs in by_m.items()}
     groups = [(m, len(by_m[m]), group_series(ring, tables, live[m], m, r)) for m in sorted(by_m)]
+    # the groups take at most this much of the order; a count has no groups
+    # and reads base entry r alone
+    reach = min(r, sum(len(series) - 1 for _, _, series in groups))
+    base = base_series(ring, tables, term, lam_map, pure_b, r - reach)
+    inv_d = ring.inv(ring.from_int(d_r * prod(pure_b)))
 
     pieces = []
     den_counts = {}
 
-    def descend(idx, used, mult):
+    def descend(idx, used, mult, multinomial):
         if idx == len(groups):
             lead = base[r - used]
             if lead:
                 num = lead if mult is None else sparse_mul(ring, lead, mult)
-                pieces.append((num, dict(den_counts)))
+                scale = ring.mul(ring.from_int(multinomial), inv_d)
+                pieces.append(({q: ring.mul(c, scale) for q, c in num.items()}, dict(den_counts)))
             return
         m, j, series = groups[idx]
         for n in range(min(len(series) - 1, r - used) + 1):
@@ -348,10 +433,10 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
                 nm = series[n]
             else:
                 nm = sparse_mul(ring, mult, series[n])
-            descend(idx + 1, used + n, nm)
+            descend(idx + 1, used + n, nm, multinomial * binom[r - used][n])
         del den_counts[m]
 
-    descend(0, 0, None)
+    descend(0, 0, None, 1)
     # descend refers to itself through its closure; dropping the name breaks
     # that cycle, so the base and group series go now, not at the next gc pass
     del descend

@@ -15,9 +15,16 @@ package computes another way; the tests compare the two.
   pole order over the mixed factors, each mixed factor expanded on its own
   through Stirling subset numbers; ``elimination.ct_s_term`` groups the
   mixed factors by their q-exponent instead.
+* ``FractionTables``, ``ordinary_base_series`` and ``ordinary_ct_s_term``
+  are stage B in ordinary coefficients, every series entry the s^n
+  coefficient itself over ``Fraction`` tables of 1/n! and B_n/n!.
+  ``elimination`` keeps integer exponential rows and divides once per
+  piece; its pieces must match these in order and value, and in
+  coefficient type wherever no pure pairing is +-1.
 """
 
-from math import factorial, gcd
+from fractions import Fraction
+from math import comb, factorial, gcd
 
 from cteuclid.algebra import (
     CT,
@@ -28,7 +35,7 @@ from cteuclid.algebra import (
     srem_split,
 )
 from cteuclid.bruteforce import naive_ct
-from cteuclid.elimination import SeriesTables, base_series, split_factors
+from cteuclid.elimination import SeriesTables, group_series, lambda_pairing, split_factors
 from cteuclid.engine import CollisionError, ElliottTerm, Stats, add_slack_term
 from cteuclid.univariate import sparse_mul, sparse_mul_binomial
 
@@ -567,11 +574,11 @@ def enumerate_pieces(ring, term, lam_map, tables=None):
     (num, den_counts), in the format of ``ct_s_term``.
     """
     if tables is None:
-        tables = SeriesTables(ring)
+        tables = FractionTables(ring)
     pure_b, mixed = split_factors(ring, term, lam_map)
     r = len(pure_b)
     tables.ensure(r)
-    base = base_series(ring, tables, term, lam_map, pure_b)
+    base = ordinary_base_series(ring, tables, term, lam_map, pure_b)
 
     pieces = []
     leaves = 0
@@ -614,3 +621,148 @@ def enumerate_pieces(ring, term, lam_map, tables=None):
 
     descend(0, 0, None)
     return pieces, leaves
+
+
+# ---------------------------------------------------------------------------
+# stage B in ordinary coefficients
+
+
+class FractionTables:
+    """Inverse factorials and pole-series coefficients in one coefficient ring.
+
+    The recurrence for s/(e^s - 1) = sum t_n s^n runs over exact rationals,
+    so a prime field receives the reduced image of the true rational value.
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+        self._inv_fact = [ring.one()]
+        self._t = [Fraction(1)]
+        self._pole = [ring.from_int(-1)]  # [s^n] s/(1 - e^s) = -t_n
+
+    def ensure(self, r):
+        while len(self._inv_fact) <= r:
+            n = len(self._inv_fact)
+            self._inv_fact.append(self.ring.from_fraction(Fraction(1, factorial(n))))
+        while len(self._t) <= r:
+            n = len(self._t)
+            acc = Fraction(0)
+            for j in range(n):
+                acc += self._t[j] / factorial(n - j + 1)
+            self._t.append(-acc)
+            self._pole.append(self.ring.from_fraction(acc))
+
+    def inv_fact(self, n):
+        return self._inv_fact[n]
+
+    def pole_coeff(self, n):
+        return self._pole[n]
+
+
+def ordinary_base_series(ring, tables, term, lam_map, pure_b):
+    """The numerator series times the pure-factor product, truncated at s^r.
+
+    Entry n, the s^n coefficient, is a sparse numerator {degree: coeff} in
+    q; r = len(pure_b), and tables must already cover r.
+    """
+    r = len(pure_b)
+
+    # numerator series: sum over monomials of c * q^d * e^{ms}
+    lnum = [{} for _ in range(r + 1)]
+    for e, c in term.num.items():
+        m, d = lambda_pairing(lam_map, e)
+        mint = ring.from_int(m)
+        mp = c
+        for n in range(r + 1):
+            coeff = ring.mul(mp, tables.inv_fact(n))
+            if not ring.is_zero(coeff):
+                poly_add_inplace(ring, lnum[n], {d: coeff})
+            if n < r:
+                mp = ring.mul(mp, mint)
+
+    # product of the pure-factor series s/(1 - e^{bs})
+    pp = [ring.one()]
+    for b in pure_b:
+        bl = ring.from_int(b)
+        fac = [ring.mul(tables.pole_coeff(n), ring.pow_int(bl, n - 1)) for n in range(r + 1)]
+        npp = [ring.zero()] * (r + 1)
+        for i, x in enumerate(pp):
+            if ring.is_zero(x):
+                continue
+            for j in range(r + 1 - i):
+                npp[i + j] = ring.add(npp[i + j], ring.mul(x, fac[j]))
+        pp = npp
+
+    out = [{} for _ in range(r + 1)]
+    for i in range(r + 1):
+        if not lnum[i]:
+            continue
+        for j in range(r + 1 - i):
+            x = pp[j] if j < len(pp) else ring.zero()
+            if ring.is_zero(x):
+                continue
+            poly_add_inplace(ring, out[i + j], {d: ring.mul(c, x) for d, c in lnum[i].items()})
+    return out
+
+
+def ordinary_ct_s_term(ring, term, lam_map, tables=None, stats=None):
+    """The ordinary-coefficient form of ``elimination.ct_s_term``, piece for piece.
+
+    Every base and group entry is the s^n coefficient itself: the group
+    series are ``elimination.group_series`` divided by N!.
+    """
+    if tables is None:
+        tables = FractionTables(ring)
+    pure_b, mixed = split_factors(ring, term, lam_map)
+    r = len(pure_b)
+    tables.ensure(r)
+    base = ordinary_base_series(ring, tables, term, lam_map, pure_b)
+
+    by_m = {}
+    for m, b in mixed:
+        by_m.setdefault(m, []).append(b)
+    live = {m: [b for b in bs if not ring.is_zero(ring.from_int(b))] for m, bs in by_m.items()}
+    rows = SeriesTables(ring)
+    groups = []
+    for m in sorted(by_m):
+        series = group_series(ring, rows, live[m], m, r)
+        series = [{q: ring.mul(c, tables.inv_fact(n)) for q, c in g.items()} for n, g in enumerate(series)]
+        groups.append((m, len(by_m[m]), series))
+
+    pieces = []
+    den_counts = {}
+
+    def descend(idx, used, mult):
+        if idx == len(groups):
+            lead = base[r - used]
+            if lead:
+                num = lead if mult is None else sparse_mul(ring, lead, mult)
+                pieces.append((num, dict(den_counts)))
+            return
+        m, j, series = groups[idx]
+        for n in range(min(len(series) - 1, r - used) + 1):
+            den_counts[m] = n + j
+            if n == 0:
+                nm = mult
+            elif mult is None:
+                nm = series[n]
+            else:
+                nm = sparse_mul(ring, mult, series[n])
+            descend(idx + 1, used + n, nm)
+        del den_counts[m]
+
+    descend(0, 0, None)
+    # descend refers to itself through its closure; dropping the name breaks
+    # that cycle, so the base and group series go now, not at the next gc pass
+    del descend
+
+    if stats is not None:
+        stats.ct_s_calls += 1
+        live_count = sum(len(bs) for bs in live.values())
+        leaves = comb(r + live_count, live_count)
+        if leaves > stats.summand_max:
+            stats.summand_max = leaves
+        d = len(term.den)
+        if leaves > comb(d + 1, (d + 1) // 2):
+            stats.summand_bound_ok = False
+    return pieces

@@ -30,9 +30,10 @@ from cteuclid.elimination import (
     validate_lambda,
 )
 from cteuclid.engine import Stats
+from cteuclid.problems import diophantine_count, knapsack_system
 from cteuclid.univariate import FactoredAccumulator
 
-from oracles import enumerate_pieces, make_term, stirling_row
+from oracles import enumerate_pieces, make_term, ordinary_ct_s_term, stirling_row
 
 RING = ExactRing()
 
@@ -68,10 +69,14 @@ BERNOULLI = [
 
 
 def test_pole_coefficients_are_scaled_bernoulli_numbers():
+    # the pole row of order r is -L_r B_n, L_r the lcm of the denominators
+    # of B_0..B_r: 30 from r = 4 on, and 2310 once B_10 = 5/66 brings in 11
     tabs = SeriesTables(RING)
-    tabs.ensure(10)
-    for n in range(11):
-        assert tabs.pole_coeff(n) == -BERNOULLI[n] / math.factorial(n)
+    for r, lr in ((4, 30), (9, 210), (10, 2310)):
+        pole, _, d = tabs.ensure(r)
+        assert d == math.factorial(r) * lr**r
+        assert all(type(x) is int for _, x in pole)
+        assert pole == [(n, -lr * BERNOULLI[n]) for n in range(r + 1) if BERNOULLI[n]]
 
 
 def test_stirling_subset_numbers():
@@ -94,11 +99,8 @@ def test_tables_reduce_correctly_mod_p():
     p = 636286597
     exact = SeriesTables(RING)
     modp = SeriesTables(PrimeField(p))
-    exact.ensure(8)
-    modp.ensure(8)
-    for n in range(9):
-        e = exact.pole_coeff(n)
-        assert e.numerator * pow(e.denominator, -1, p) % p == modp.pole_coeff(n)
+    pole, binom, d = exact.ensure(8)
+    assert modp.ensure(8) == ([(n, x % p) for n, x in pole], binom, d)
 
 
 # The denominator named when a small prime meets pole order r: at r = p - 1
@@ -191,6 +193,29 @@ def test_pick_lambda_respects_user_direction():
         pick_lambda([ts], moduli=(2305843009213693951,), lam={z1: 2305843009213693955, z2: 4})
     with pytest.raises(InputError):
         pick_lambda([ts], lam={z1: 7})  # does not cover z2
+
+
+def test_pick_lambda_refuses_a_sequence_of_the_wrong_length():
+    system = knapsack_system(41, [1, 5, 14])
+    with pytest.raises(InputError, match="^direction vector has 6 entries for 3 slack variables$"):
+        diophantine_count(system, lam=[3, 5, 7, 11, 13, 99])
+    with pytest.raises(InputError, match="^direction vector has 2 entries for 3 slack variables$"):
+        diophantine_count(system, lam=[3, 5])
+    assert diophantine_count(system, lam=[3, 5, 7]).value == 18
+
+
+def test_pick_lambda_refuses_a_key_that_is_not_a_slack_variable():
+    table, ys, (z1, z2) = _table(2, nfree=1)
+    q = ys[0]
+    t = term_of(table, {EXPS_ONE: 1}, [exps_from_dict({z1: 1}), exps_from_dict({z2: 1, q: 1})])
+    with pytest.raises(InputError, match="^direction vector names 1 variables that are "
+                                         "not slack variables among its 3 entries$"):
+        pick_lambda([[t]], lam={z1: 7, z2: 3, q: 5})
+    with pytest.raises(InputError, match="^direction vector names 2 variables that are "
+                                         "not slack variables among its 3 entries$"):
+        pick_lambda([[t]], lam={z1: 7, "z2": 3, 2: 5})
+    # a slack variable that no term carries any more is still a slack variable
+    assert pick_lambda([[t]], lam={z1: 7, z2: 3, (SLACK, 9): 1}) == {z1: 7, z2: 3, (SLACK, 9): 1}
 
 
 def test_pick_lambda_is_deterministic_per_seed():
@@ -446,3 +471,32 @@ def test_default_primes_are_odd_primes():
     for p in DEFAULT_PRIMES:
         PrimeField(p)  # raises if composite
     assert len(set(DEFAULT_PRIMES)) == 3
+
+
+# ---------------------------------------------------------------------------
+# integer exponential rows against the ordinary Fraction form
+
+ORACLE_RINGS = [RING, PrimeField(DEFAULT_PRIMES[0]), PrimeField(11), PrimeField(13)]
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["exact", "mod60bit", "mod11", "mod13"])
+@given(stage_b_case)
+@example(([3], [(1, 2), (1, -2)], [(0, 0, 1)]))  # b and -b in one group
+@example(([2, -3, 5], [(1, 7), (1, -7), (2, 4)], [(1, 1, 2), (0, 2, -3)]))
+@settings(max_examples=150, deadline=None)
+def test_integer_rows_match_ordinary_coefficients(ring, case):
+    term, lam = _factor_term(ring, *case)
+    if term is None:
+        return
+    got_stats, want_stats = Stats(), Stats()
+    got = ct_s_term(ring, term, lam, stats=got_stats)
+    want = ordinary_ct_s_term(ring, term, lam, stats=want_stats)
+    assert [dc for _, dc in got] == [dc for _, dc in want]
+    assert [list(num.items()) for num, _ in got] == [list(num.items()) for num, _ in want]
+    if all(abs(b) > 1 for b in case[0]):
+        # a pure pairing of +-1 makes 1/b an int, and the ordinary form then
+        # keeps a few splits as ints that the rows give as equal Fraction(k, 1)
+        assert [[type(c) for c in num.values()] for num, _ in got] == [
+            [type(c) for c in num.values()] for num, _ in want
+        ]
+    assert got_stats.as_dict() == want_stats.as_dict()

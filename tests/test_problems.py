@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cteuclid.algebra import ExactRing, InputError, PrimeField
 from cteuclid.bruteforce import brute_count, dp_knapsack
 from cteuclid.checkpoint import CheckpointPause
-from cteuclid.elimination import DEFAULT_PRIMES
+from cteuclid.elimination import DEFAULT_PRIMES, SeriesTables
 from cteuclid.engine import Stats
 from cteuclid.problems import (
     DiophantineSystem,
@@ -140,6 +140,24 @@ def test_count_modular_and_crt():
     )
     assert out.value == 18
     assert out.confidence < Fraction(1, 10**12)
+
+
+def test_count_at_pole_order_ten(monkeypatch):
+    # eleven weights leave terms with ten pure factors after the one ct
+    # variable: pole order 10, where L_10 = 2310 takes the 11 of B_10 = 5/66
+    orders = set()
+    ensure = SeriesTables.ensure
+
+    def spy(self, r):
+        orders.add(r)
+        return ensure(self, r)
+
+    monkeypatch.setattr(SeriesTables, "ensure", spy)
+    a0, ws = 40, list(range(2, 13))
+    want = dp_knapsack(a0, ws)
+    assert knapsack_count(a0, ws) == want
+    assert max(orders) == 10
+    assert knapsack_count(a0, ws, crt=True) == want
 
 
 def test_order_policies_agree_on_counts():
