@@ -126,17 +126,20 @@ def validate_lambda(descriptors, lam_map, moduli=()):
     return None
 
 
-def pick_lambda(chunks, moduli=(), seed=0, max_retries=100, lam=None):
+def pick_lambda(chunks, moduli=(), seed=0, max_retries=100, lam=None, slack_vids=None):
     """Choose a direction valid for every factor and every modulus at once.
 
     A user-supplied direction (dict over slack vids, or a sequence matching
-    the slack variables in working order; zero entries are allowed) is
-    validated and returned; a sequence of another length, or a dict naming a
-    variable that is not a slack variable, is refused.  Otherwise seeded
-    random directions are tried, then a deterministic moment-curve fallback
-    k -> (1, k, k^2, ...).
+    slack_vids, the run's slack variables in working order; zero entries
+    are allowed) is validated and returned; a sequence of another length, or
+    a dict naming a variable that is not a slack variable, is refused.
+    slack_vids defaults to the slack variables the chunks carry, which can
+    be fewer than the run's.  Otherwise seeded random directions are tried,
+    then a deterministic moment-curve fallback k -> (1, k, k^2, ...).
     """
     slacks, descriptors = collect_slack_info(chunks)
+    if slack_vids is None:
+        slack_vids = slacks
     if lam is not None:
         if isinstance(lam, dict):
             foreign = [v for v in lam if not (isinstance(v, tuple) and v[0] == SLACK)]
@@ -148,11 +151,11 @@ def pick_lambda(chunks, moduli=(), seed=0, max_retries=100, lam=None):
             lam_map = dict(lam)
         else:
             lam = list(lam)
-            if len(lam) != len(slacks):
+            if len(lam) != len(slack_vids):
                 raise InputError(
-                    f"direction vector has {len(lam)} entries for {len(slacks)} slack variables"
+                    f"direction vector has {len(lam)} entries for {len(slack_vids)} slack variables"
                 )
-            lam_map = dict(zip(slacks, lam))
+            lam_map = dict(zip(slack_vids, lam))
         missing = [v for v in slacks if v not in lam_map]
         if missing:
             raise InputError("direction vector does not cover all slack variables")

@@ -27,6 +27,7 @@ from .algebra import (
     CT,
     EXPS_ONE,
     FREE,
+    SLACK,
     ExactRing,
     InputError,
     PrimeField,
@@ -406,7 +407,8 @@ def run_pipeline(
     table, chunks, stats_a = store.stage_a(stage_a)
     stats = stats if stats is not None else Stats()
     stats.merge(stats_a)
-    lam_map = pick_lambda(chunks, moduli=moduli, seed=seed, lam=lam)
+    lam_map = pick_lambda(chunks, moduli=moduli, seed=seed, lam=lam,
+                          slack_vids=table.vids_of_rank(SLACK))
     lhash = lam_hash(lam_map)
 
     results = []

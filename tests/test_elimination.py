@@ -202,6 +202,11 @@ def test_pick_lambda_refuses_a_sequence_of_the_wrong_length():
     with pytest.raises(InputError, match="^direction vector has 2 entries for 3 slack variables$"):
         diophantine_count(system, lam=[3, 5])
     assert diophantine_count(system, lam=[3, 5, 7]).value == 18
+    # stage A leaves no term here, hence no slack variable in any term, but
+    # the direction still lists the run's one slack variable
+    assert diophantine_count(knapsack_system(1, [2]), lam=[5]).value == 0
+    with pytest.raises(InputError, match="^direction vector has 2 entries for 1 slack variables$"):
+        diophantine_count(knapsack_system(1, [2]), lam=[5, 7])
 
 
 def test_pick_lambda_refuses_a_key_that_is_not_a_slack_variable():
@@ -479,7 +484,7 @@ def test_default_primes_are_odd_primes():
 ORACLE_RINGS = [RING, PrimeField(DEFAULT_PRIMES[0]), PrimeField(11), PrimeField(13)]
 
 
-@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["exact", "mod60bit", "mod11", "mod13"])
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["exact", "mod-m61", "mod11", "mod13"])
 @given(stage_b_case)
 @example(([3], [(1, 2), (1, -2)], [(0, 0, 1)]))  # b and -b in one group
 @example(([2, -3, 5], [(1, 7), (1, -7), (2, 4)], [(1, 1, 2), (0, 2, -3)]))
