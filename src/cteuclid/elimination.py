@@ -341,7 +341,7 @@ def group_series(ring, tables, bs, m, r):
     N! [s^N] h_K(u) is integral.  It is built over Z one factor at a time,
     h_K <- h_K + u_i h_(K-1) for rising K so that h_(K-1) already includes
     u_i, with products of EGFs taken as binomial convolutions, and mapped
-    into the ring at the end; tables must cover r.
+    into the ring at the end.
     """
     binom = tables.ensure(r)[1]
     top = r if bs else 0
