@@ -102,6 +102,14 @@ class ExactRing:
     def mul(self, a, b):
         return a * b
 
+    def scale(self, num, x):
+        """The sparse numerator {degree: coeff} with each coefficient times x."""
+        out = {}
+        for d, c in num.items():
+            c *= x
+            out[d] = c.numerator if c.denominator == 1 else c
+        return out
+
     def neg(self, a):
         return -a
 
@@ -158,6 +166,11 @@ class PrimeField:
 
     def mul(self, a, b):
         return a * b % self.modulus
+
+    def scale(self, num, x):
+        """The sparse numerator {degree: coeff} with each coefficient times x."""
+        p = self.modulus
+        return {d: c * x % p for d, c in num.items()}
 
     def neg(self, a):
         return -a % self.modulus

@@ -126,23 +126,21 @@ def validate_lambda(descriptors, lam_map, moduli=()):
     return None
 
 
-def pick_lambda(chunks, moduli=(), seed=0, max_retries=100, lam=None, slack_vids=None):
+def pick_lambda(chunks, slack_vids, moduli=(), seed=0, max_retries=100, lam=None):
     """Choose a direction valid for every factor and every modulus at once.
 
     A user-supplied direction (dict over slack vids, or a sequence matching
     slack_vids, the run's slack variables in working order; zero entries
     are allowed) is validated and returned; a sequence of another length, or
-    a dict naming a variable that is not a slack variable, is refused.
-    slack_vids defaults to the slack variables the chunks carry, which can
-    be fewer than the run's.  Otherwise seeded random directions are tried,
-    then a deterministic moment-curve fallback k -> (1, k, k^2, ...).
+    a dict naming a variable that is not among slack_vids, is refused.
+    Otherwise seeded random directions are tried, then a deterministic
+    moment-curve fallback k -> (1, k, k^2, ...).
     """
     slacks, descriptors = collect_slack_info(chunks)
-    if slack_vids is None:
-        slack_vids = slacks
     if lam is not None:
         if isinstance(lam, dict):
-            foreign = [v for v in lam if not (isinstance(v, tuple) and v[0] == SLACK)]
+            known = set(slack_vids)
+            foreign = [v for v in lam if v not in known]
             if foreign:
                 raise InputError(
                     f"direction vector names {len(foreign)} variables that are not "
@@ -266,7 +264,7 @@ def split_factors(ring, term, lam_map):
     return pure_b, mixed
 
 
-def base_series(ring, tables, term, lam_map, pure_b, low=0):
+def base_series(ring, tables, term, lam_map, pure_b, low):
     """The numerator series times the pure-factor product, as exponential rows.
 
     With r = len(pure_b), entry n <= r is n! L_r^r prod(b) times the s^n
@@ -318,7 +316,7 @@ def base_series(ring, tables, term, lam_map, pure_b, low=0):
             if ring.is_zero(x):
                 continue
             x = binom[i + j][i] * x
-            poly_add_inplace(ring, out[i + j], {d: ring.mul(c, x) for d, c in lnum[i].items()})
+            poly_add_inplace(ring, out[i + j], ring.scale(lnum[i], x))
     return out
 
 
@@ -393,7 +391,8 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
     that one denominator as a single ring element: the multinomial
     r!/((r - U)! prod N_m!) times the inverse of D_r prod(b).  In exact
     arithmetic that is an int for r = 0 and the term's only Fraction
-    otherwise.
+    otherwise; ring.scale gives each scaled coefficient as an int when it
+    is integral.
 
     The summand count in stats is the number of splits of r over the k'
     mixed factors whose pairing is nonzero in the ring, C(r + k', k'),
@@ -425,7 +424,7 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
             if lead:
                 num = lead if mult is None else sparse_mul(ring, lead, mult)
                 scale = ring.mul(ring.from_int(multinomial), inv_d)
-                pieces.append(({q: ring.mul(c, scale) for q, c in num.items()}, dict(den_counts)))
+                pieces.append((ring.scale(num, scale), dict(den_counts)))
             return
         m, j, series = groups[idx]
         for n in range(min(len(series) - 1, r - used) + 1):

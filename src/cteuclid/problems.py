@@ -407,8 +407,7 @@ def run_pipeline(
     table, chunks, stats_a = store.stage_a(stage_a)
     stats = stats if stats is not None else Stats()
     stats.merge(stats_a)
-    lam_map = pick_lambda(chunks, moduli=moduli, seed=seed, lam=lam,
-                          slack_vids=table.vids_of_rank(SLACK))
+    lam_map = pick_lambda(chunks, table.vids_of_rank(SLACK), moduli=moduli, seed=seed, lam=lam)
     lhash = lam_hash(lam_map)
 
     results = []

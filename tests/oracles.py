@@ -709,7 +709,8 @@ def ordinary_ct_s_term(ring, term, lam_map, tables=None, stats=None):
     """The ordinary-coefficient form of ``elimination.ct_s_term``, piece for piece.
 
     Every base and group entry is the s^n coefficient itself: the group
-    series are ``elimination.group_series`` divided by N!.
+    series are ``elimination.group_series`` divided by N!.  Each piece
+    coefficient is returned as from_fraction gives it, an int when integral.
     """
     if tables is None:
         tables = FractionTables(ring)
@@ -737,6 +738,7 @@ def ordinary_ct_s_term(ring, term, lam_map, tables=None, stats=None):
             lead = base[r - used]
             if lead:
                 num = lead if mult is None else sparse_mul(ring, lead, mult)
+                num = {q: ring.from_fraction(Fraction(c)) for q, c in num.items()}
                 pieces.append((num, dict(den_counts)))
             return
         m, j, series = groups[idx]

@@ -30,7 +30,7 @@ from cteuclid.elimination import (
     validate_lambda,
 )
 from cteuclid.engine import Stats
-from cteuclid.problems import diophantine_count, knapsack_system
+from cteuclid.problems import build_count_termsum, diophantine_count, knapsack_system
 from cteuclid.univariate import FactoredAccumulator
 
 from oracles import enumerate_pieces, make_term, ordinary_ct_s_term, stirling_row
@@ -185,14 +185,15 @@ def test_pick_lambda_respects_user_direction():
         [exps_from_dict({z1: 1, z2: -1}), exps_from_dict({z2: 1, q: 1})],
     )
     ts = [t]
-    lam = pick_lambda([ts], lam={z1: 7, z2: 3})
+    zs = table.vids_of_rank(SLACK)
+    lam = pick_lambda([ts], zs, lam={z1: 7, z2: 3})
     assert lam == {z1: 7, z2: 3}
     with pytest.raises(LambdaExhaustion):
-        pick_lambda([ts], lam={z1: 3, z2: 3})  # collapses the pure factor
+        pick_lambda([ts], zs, lam={z1: 3, z2: 3})  # collapses the pure factor
     with pytest.raises(PrimeClash):
-        pick_lambda([ts], moduli=(2305843009213693951,), lam={z1: 2305843009213693955, z2: 4})
+        pick_lambda([ts], zs, moduli=(2305843009213693951,), lam={z1: 2305843009213693955, z2: 4})
     with pytest.raises(InputError):
-        pick_lambda([ts], lam={z1: 7})  # does not cover z2
+        pick_lambda([ts], zs, lam={z1: 7})  # does not cover z2
 
 
 def test_pick_lambda_refuses_a_sequence_of_the_wrong_length():
@@ -210,17 +211,30 @@ def test_pick_lambda_refuses_a_sequence_of_the_wrong_length():
 
 
 def test_pick_lambda_refuses_a_key_that_is_not_a_slack_variable():
-    table, ys, (z1, z2) = _table(2, nfree=1)
+    table, ys, (z1, z2, z3) = _table(3, nfree=1)
     q = ys[0]
     t = term_of(table, {EXPS_ONE: 1}, [exps_from_dict({z1: 1}), exps_from_dict({z2: 1, q: 1})])
+    zs = table.vids_of_rank(SLACK)
     with pytest.raises(InputError, match="^direction vector names 1 variables that are "
                                          "not slack variables among its 3 entries$"):
-        pick_lambda([[t]], lam={z1: 7, z2: 3, q: 5})
+        pick_lambda([[t]], zs, lam={z1: 7, z2: 3, q: 5})
     with pytest.raises(InputError, match="^direction vector names 2 variables that are "
                                          "not slack variables among its 3 entries$"):
-        pick_lambda([[t]], lam={z1: 7, "z2": 3, 2: 5})
-    # a slack variable that no term carries any more is still a slack variable
-    assert pick_lambda([[t]], lam={z1: 7, z2: 3, (SLACK, 9): 1}) == {z1: 7, z2: 3, (SLACK, 9): 1}
+        pick_lambda([[t]], zs, lam={z1: 7, "z2": 3, 2: 5})
+    # shaped like a slack variable, but the run has no such variable
+    with pytest.raises(InputError, match="^direction vector names 1 variables that are "
+                                         "not slack variables among its 3 entries$"):
+        pick_lambda([[t]], zs, lam={z1: 7, z2: 3, (SLACK, 9): 1})
+    # a slack variable of the run that no term carries any more is accepted
+    assert pick_lambda([[t]], zs, lam={z1: 7, z2: 3, z3: 1}) == {z1: 7, z2: 3, z3: 1}
+    system = knapsack_system(41, [1, 5, 14])
+    table = VariableTable()
+    build_count_termsum(system, table, RING)
+    z1, z2, z3 = table.vids_of_rank(SLACK)
+    with pytest.raises(InputError, match="^direction vector names 1 variables that are "
+                                         "not slack variables among its 4 entries$"):
+        diophantine_count(system, lam={z1: 3, z2: 5, z3: 7, (SLACK, 9): 1})
+    assert diophantine_count(system, lam={z1: 3, z2: 5, z3: 7}).value == 18
 
 
 def test_pick_lambda_is_deterministic_per_seed():
@@ -228,9 +242,9 @@ def test_pick_lambda_is_deterministic_per_seed():
     q = ys[0]
     t = term_of(table, {EXPS_ONE: 1}, [exps_from_dict({z: 1, q: 1}) for z in zs])
     ts = [t]
-    a = pick_lambda([ts], seed=5)
-    b = pick_lambda([ts], seed=5)
-    c = pick_lambda([ts], seed=6)
+    a = pick_lambda([ts], zs, seed=5)
+    b = pick_lambda([ts], zs, seed=5)
+    c = pick_lambda([ts], zs, seed=6)
     assert a == b
     assert a != c
     assert all(1 <= v <= 1 << 16 for v in a.values())
@@ -441,8 +455,8 @@ def test_elimination_is_direction_invariant():
         lam1 = {z: 1009 + 13 * i for i, z in enumerate(zs)}
         lam2 = {z: 577 + 101 * i * i for i, z in enumerate(zs)}
         try:
-            pick_lambda([done], lam=lam1)
-            pick_lambda([done], lam=lam2)
+            pick_lambda([done], zs, lam=lam1)
+            pick_lambda([done], zs, lam=lam2)
         except (LambdaExhaustion, PrimeClash):
             continue
         acc1 = eliminate_slack(RING, table, done, lam1)
@@ -488,6 +502,7 @@ ORACLE_RINGS = [RING, PrimeField(DEFAULT_PRIMES[0]), PrimeField(11), PrimeField(
 @given(stage_b_case)
 @example(([3], [(1, 2), (1, -2)], [(0, 0, 1)]))  # b and -b in one group
 @example(([2, -3, 5], [(1, 7), (1, -7), (2, 4)], [(1, 1, 2), (0, 2, -3)]))
+@example(([1, -1], [(1, 3)], [(0, 0, 2), (1, 1, 1)]))  # pairings +-1: integral pieces
 @settings(max_examples=150, deadline=None)
 def test_integer_rows_match_ordinary_coefficients(ring, case):
     term, lam = _factor_term(ring, *case)
@@ -498,10 +513,7 @@ def test_integer_rows_match_ordinary_coefficients(ring, case):
     want = ordinary_ct_s_term(ring, term, lam, stats=want_stats)
     assert [dc for _, dc in got] == [dc for _, dc in want]
     assert [list(num.items()) for num, _ in got] == [list(num.items()) for num, _ in want]
-    if all(abs(b) > 1 for b in case[0]):
-        # a pure pairing of +-1 makes 1/b an int, and the ordinary form then
-        # keeps a few splits as ints that the rows give as equal Fraction(k, 1)
-        assert [[type(c) for c in num.values()] for num, _ in got] == [
-            [type(c) for c in num.values()] for num, _ in want
-        ]
+    assert [[type(c) for c in num.values()] for num, _ in got] == [
+        [type(c) for c in num.values()] for num, _ in want
+    ]
     assert got_stats.as_dict() == want_stats.as_dict()
