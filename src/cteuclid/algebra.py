@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, prod
 from operator import or_
 
 FREE, SLACK, CT = 0, 1, 2
@@ -140,23 +140,42 @@ class ExactRing:
 
 
 class PrimeField:
-    """Z/pZ for an odd prime p.  Elements are plain ints in [0, p)."""
+    """Z/PZ for one odd prime or the product P of several distinct ones.
 
-    def __init__(self, p):
-        if not _mr_is_prime(p) or p == 2:
-            raise InputError(f"modulus {p} is not an odd prime")
-        self.modulus = p
+    Elements are plain ints in [0, P).  ``PrimeField(p)`` is the field of
+    one prime; ``PrimeField((p1, p2, ...))`` is the product ring, in which
+    an element is a unit exactly when no prime divides it, and whose
+    residues mod each p are those the field of p would compute.  Every
+    inversion checks the primes in order and refuses a non-unit with an
+    InputError naming the first prime that divides it.
+    """
+
+    def __init__(self, primes):
+        primes = (primes,) if isinstance(primes, int) else tuple(primes)
+        if not primes:
+            raise InputError("a prime field needs at least one modulus")
+        for p in primes:
+            if not _mr_is_prime(p) or p == 2:
+                raise InputError(f"modulus {p} is not an odd prime")
+        if len(set(primes)) != len(primes):
+            raise InputError("moduli must be pairwise distinct")
+        self.primes = primes
+        self.modulus = prod(primes)
+
+    def _inverse(self, den):
+        """den**-1 mod P for an int den, or the InputError naming a prime that divides it."""
+        for p in self.primes:
+            if den % p == 0:
+                raise InputError(
+                    f"modulus {p} divides the denominator {den}; use a larger prime"
+                )
+        return pow(den, -1, self.modulus)
 
     def from_int(self, n):
         return n % self.modulus
 
     def from_fraction(self, fr):
-        if fr.denominator % self.modulus == 0:
-            raise InputError(
-                f"modulus {self.modulus} divides the denominator {fr.denominator}; "
-                "use a larger prime"
-            )
-        return fr.numerator * pow(fr.denominator, -1, self.modulus) % self.modulus
+        return fr.numerator * self._inverse(fr.denominator) % self.modulus
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -176,12 +195,15 @@ class PrimeField:
         return -a % self.modulus
 
     def div(self, a, b):
-        return a * pow(b, -1, self.modulus) % self.modulus
+        return a * self._inverse(b) % self.modulus
 
     def inv(self, a):
-        return pow(a, -1, self.modulus)
+        return self._inverse(a)
 
     def pow_int(self, a, k):
+        """a**k for integer k; a negative k needs a unit."""
+        if k < 0:
+            a, k = self._inverse(a), -k
         return pow(a, k, self.modulus)
 
     def is_zero(self, a):
@@ -194,7 +216,7 @@ class PrimeField:
         return 0
 
     def __repr__(self):
-        return f"PrimeField({self.modulus})"
+        return f"PrimeField({self.primes[0] if len(self.primes) == 1 else self.primes})"
 
 
 # ---------------------------------------------------------------------------

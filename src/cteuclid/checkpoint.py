@@ -7,14 +7,21 @@ A checkpoint directory holds:
     partial-TAG-NNNN.json  one elimination result per ring per chunk (phase B)
     result.txt             final rendered result (phase C)
 
+A work unit is stage A, or the partial of one chunk in one ring.  Stage B
+eliminates a chunk once for all the rings that lack its partial, modulo
+the product of their primes, and then writes one file per ring, as a run
+in that ring alone does; the chunk's units count only once all of those
+files are on disk.
+
 Every file is written to a temp name, synced, and atomically renamed, so a
 killed run leaves only complete units.  The configuration hash covers the
 task, the system, the seed, and the structural knobs -- but not the prime
 set: saved term chunks are ring-independent, so a resume may switch moduli
-and only the affected per-ring partials are recomputed.  The substitution
-direction is re-derived deterministically from the seed on every resume;
-each partial records the direction hash it was computed under and is
-recomputed if that hash moved (it only can when the prime set changed).
+and only the missing per-ring partials are computed, in one pass per
+chunk.  The substitution direction is re-derived deterministically from
+the seed on every resume; each partial records the direction hash it was
+computed under and is recomputed if that hash moved (it only can when the
+prime set changed).
 
 The stages themselves run in ``problems.run_pipeline``; this module only
 decides what is already on disk and stores what is not.  The rendered
@@ -162,8 +169,8 @@ class DirectoryStore:
 
     max_units bounds the number of work units completed by this process
     (stage A counts as one, each per-ring per-chunk partial as one);
-    hitting the bound raises CheckpointPause after the current unit is
-    safely on disk.
+    reaching it raises CheckpointPause once the current stage A, or all
+    partials of the current chunk, are safely on disk.
     """
 
     def __init__(self, path, payload, chash, max_units=None, log=None):
@@ -192,8 +199,8 @@ class DirectoryStore:
     def _write_meta(self):
         _write_atomic(self.meta_path, json.dumps(self.meta, sort_keys=True, indent=1))
 
-    def _spend_unit(self):
-        self.units += 1
+    def _spend_units(self, n):
+        self.units += n
         if self.max_units is not None and self.units >= self.max_units:
             raise CheckpointPause(f"paused after {self.units} unit(s)")
 
@@ -215,7 +222,7 @@ class DirectoryStore:
                 "table": table_to_obj(table),
             }
             self._write_meta()
-            self._spend_unit()
+            self._spend_units(1)
         phase_a = self.meta["phase_a"]
         stats = Stats()
         stats.load(phase_a["stats"])
@@ -234,35 +241,54 @@ class DirectoryStore:
                 f"damaged term chunk {i} ({exc}); delete the directory and rerun"
             ) from None
 
-    def partial(self, ring, i, lhash, compute):
-        """(FactoredAccumulator, stats) of chunk i in ring, saved under direction hash lhash.
+    def partials(self, rings, i, lhash, compute):
+        """[(FactoredAccumulator, stats)] of chunk i, one per ring, under direction hash lhash.
+
+        A ring whose partial file was saved under lhash reads it.  The rings
+        left are eliminated together: compute(rings left) gives one
+        accumulator over their product ring and the chunk's stats, which
+        FactoredAccumulator.split reduces into each of them.  All their
+        files are written before their units count, so a pause never falls
+        between the rings of one chunk.
 
         The file body follows the run's task: a count is saved as the
-        constant coefficient ("scalar") and read back as a one-piece
-        accumulator over {}, a series as its numerator over its denominator
-        ("series").  A saved partial computed under another direction is
+        constant coefficient ("scalar"), a series as its numerator over its
+        denominator ("series"); either is read back as a one-piece
+        accumulator.  A saved partial computed under another direction is
         recomputed.
         """
-        tag = ring_tag(ring)
-        path = os.path.join(self.path, f"partial-{tag}-{i:04d}.json")
-        if os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    obj = json.load(fh)
-                if not isinstance(obj, dict):
-                    raise ValueError("not a JSON object")
-                if obj.get("lam_hash") == lhash:
-                    return _partial_from_obj(ring, obj)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CheckpointError(
-                    f"damaged partial file {path} ({exc}); delete it and resume"
-                ) from None
-        self.log(f"phase B: ring {tag}, chunk {i + 1}/{self.meta['phase_a']['chunks']}")
-        acc, stats = compute()
-        obj = _partial_to_obj(self.meta["config"]["task"], acc, stats, lhash)
-        _write_atomic(path, json.dumps(obj, sort_keys=True))
-        self._spend_unit()
-        return acc, stats
+        paths = [os.path.join(self.path, f"partial-{ring_tag(r)}-{i:04d}.json") for r in rings]
+        out = [self._saved_partial(r, path, lhash) for r, path in zip(rings, paths)]
+        todo = [k for k, got in enumerate(out) if got is None]
+        if not todo:
+            return out
+        left = [rings[k] for k in todo]
+        tags = "+".join(map(ring_tag, left))
+        self.log(f"phase B: ring {tags}, chunk {i + 1}/{self.meta['phase_a']['chunks']}")
+        acc, stats = compute(left)
+        for k, part in zip(todo, acc.split(left)):
+            obj = _partial_to_obj(self.meta["config"]["task"], part, stats, lhash)
+            _write_atomic(paths[k], json.dumps(obj, sort_keys=True))
+            out[k] = part, stats
+        self._spend_units(len(todo))
+        return out
+
+    def _saved_partial(self, ring, path, lhash):
+        """The partial saved at path under lhash, or None when there is none."""
+        if not os.path.exists(path):
+            return None
+        try:
+            with open(path) as fh:
+                obj = json.load(fh)
+            if not isinstance(obj, dict):
+                raise ValueError("not a JSON object")
+            if obj.get("lam_hash") != lhash:
+                return None
+            return _partial_from_obj(ring, obj)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(
+                f"damaged partial file {path} ({exc}); delete it and resume"
+            ) from None
 
 
 def _partial_to_obj(task, acc, stats, lhash):

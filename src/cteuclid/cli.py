@@ -336,8 +336,6 @@ def _moduli_of(args):
     moduli = tuple(args.mod)
     if args.crt and not moduli:
         moduli = DEFAULT_PRIMES
-    if len(set(moduli)) != len(moduli):
-        raise InputError("moduli must be pairwise distinct")
     return moduli
 
 

@@ -40,6 +40,14 @@ multinomial r!/((r - U)! prod N_m!) of its split divided by r! L_r^r
 prod(b): one ring element per piece, and the only division in stage B.  A
 prime p dividing r! L_r^r, exactly when r >= p - 1, is refused.
 
+The ring may be Z/PZ for a product P of distinct primes, so that one pass
+serves every modulus of a run: each step is a ring operation, so the
+residues mod each p are those of a pass in Z/pZ, and the one inversion
+needs a unit mod every p.  Only the structural tests read the ring as a
+whole: a pairing or base coefficient nonzero mod P but zero mod p keeps a
+piece that is zero mod p, whose denominator still counts, and its pairing
+counts toward the summand count below.
+
 The summand count in the result file is the number of ways to split r
 factor by factor over the k' mixed factors with a pairing nonzero in the
 ring, C(r + k', k'); it is computed in closed form, not enumerated.
@@ -50,7 +58,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .algebra import FREE, SLACK, InputError, poly_add_inplace
 from .univariate import FactoredAccumulator, sparse_mul
@@ -228,10 +236,10 @@ class SeriesTables:
         rows = self._orders.get(r)
         if rows is None:
             pole, binom, d = integer_rows(r)
-            p = self.ring.modulus
-            if p is not None and d % p == 0:
+            modulus = self.ring.modulus
+            if modulus is not None and gcd(d, modulus) != 1:
                 # from_fraction refuses the first ordinary coefficient, 1/n!
-                # or B_n/n! for n <= r, whose denominator p divides
+                # or B_n/n! for n <= r, whose denominator a prime divides
                 for n in range(r + 1):
                     self.ring.from_fraction(Fraction(1, factorial(n)))
                 for n, b in enumerate(bernoulli_numbers(r)):
@@ -255,7 +263,7 @@ def split_factors(ring, term, lam_map):
         if not m:
             if b == 0:
                 raise LambdaExhaustion("direction collapses a pure denominator factor")
-            if ring.modulus is not None and b % ring.modulus == 0:
+            if ring.modulus is not None and gcd(b, ring.modulus) != 1:
                 raise PrimeClash("pure factor pairing divisible by the modulus")
             pure_b.append(b)
         else:

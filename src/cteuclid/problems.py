@@ -342,7 +342,7 @@ def check_boundedness(system, assume_bounded=False):
 class MemoryStore:
     """Keeps every stage result as a Python object: nothing is serialized.
 
-    Stage B gets one chunk holding every term, so each ring is eliminated
+    Stage B gets one chunk holding every term, so all rings are eliminated
     in one call.
     """
 
@@ -350,8 +350,9 @@ class MemoryStore:
         table, terms, stats = compute()
         return table, [terms], stats
 
-    def partial(self, ring, i, lhash, compute):
-        return compute()
+    def partials(self, rings, i, lhash, compute):
+        acc, stats = compute(rings)
+        return [(part, stats) for part in acc.split(rings)]
 
 
 def run_pipeline(
@@ -373,16 +374,20 @@ def run_pipeline(
     """Count solutions (task="count") or compute the dilation series
     (task="series") for one system.
 
-    Without ckpt_dir every stage stays in memory.  With it, stage A and each
+    Stage B runs once per chunk for all moduli that still need it, modulo
+    their product, and is split into one partial per modulus.  Without
+    ckpt_dir every stage stays in memory.  With it, stage A and each
     per-ring per-chunk stage-B partial are kept in that directory (see the
     checkpoint module): a second call resumes where the first one stopped,
-    and max_units makes a call raise CheckpointPause after that many newly
-    completed units.  The outcome carries the configuration hash.
+    and max_units makes a call raise CheckpointPause once that many units
+    are newly completed.  The outcome carries the configuration hash.
     """
     if task not in ("count", "series"):
         raise InputError(f"unknown task {task!r}")
     if chunk_size < 1:
         raise InputError("chunk size must be at least 1")
+    if len(set(moduli)) != len(moduli):
+        raise InputError("moduli must be pairwise distinct")
     rings = elimination_rings(moduli)
     payload = config_payload(task, system, seed, order, chunk_size)
     chash = config_hash(payload)
@@ -400,7 +405,10 @@ def run_pipeline(
         done = ct_all(ts, order=order, stats=st)
         return table, done.unpacked(), st
 
-    def stage_b(ring, chunk):
+    def stage_b(todo, chunk):
+        # one pass for all of todo: the ring itself, or Z/PZ for the product
+        # P of their primes, which FactoredAccumulator.split reduces mod each
+        ring = todo[0] if len(todo) == 1 else PrimeField(tuple(r.modulus for r in todo))
         st = Stats()
         return eliminate_slack(ring, table, convert_terms(chunk, ring), lam_map, st), st
 
@@ -410,14 +418,13 @@ def run_pipeline(
     lam_map = pick_lambda(chunks, table.vids_of_rank(SLACK), moduli=moduli, seed=seed, lam=lam)
     lhash = lam_hash(lam_map)
 
-    results = []
-    for ring in rings:
-        acc = FactoredAccumulator(ring)
-        for i, chunk in enumerate(chunks):
-            part, st = store.partial(ring, i, lhash, lambda: stage_b(ring, chunk))
+    # a chunk's stats count once per ring, so ct-s-calls is terms x rings
+    results = [FactoredAccumulator(ring) for ring in rings]
+    for i, chunk in enumerate(chunks):
+        parts = store.partials(rings, i, lhash, lambda todo: stage_b(todo, chunk))
+        for acc, (part, st) in zip(results, parts):
             stats.merge(st)
             acc.merge(part)
-        results.append(acc)
 
     out = _assemble(task, results, moduli, crt)
     out.lam = {table.name_of(v): w for v, w in lam_map.items()}

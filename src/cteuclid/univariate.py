@@ -248,6 +248,30 @@ class FactoredAccumulator:
                 self.den[k] = e
         poly_add_inplace(self.ring, self.sums.setdefault(key, {}), num)
 
+    def split(self, rings):
+        """One accumulator per ring, each a quotient of self.ring.
+
+        For a product ring Z/PZ these are the Z/pZ of its primes.  The
+        numerator over den is taken once and reduced into every ring, zeros
+        dropped, as one piece over den; den stays as it is, also where a
+        numerator becomes zero in a ring.  An accumulator split into its own
+        ring alone is itself.
+        """
+        if len(rings) == 1 and rings[0] is self.ring:
+            return [self]
+        num = self.numerator()
+        parts = []
+        for ring in rings:
+            reduced = {}
+            for d, c in num.items():
+                c = ring.from_int(c)
+                if not ring.is_zero(c):
+                    reduced[d] = c
+            part = FactoredAccumulator(ring)
+            part.add_piece(reduced, self.den)
+            parts.append(part)
+        return parts
+
     def numerator(self, den=None):
         """Sparse numerator of the sum over den (default self.den); den must cover self.den."""
         ring = self.ring

@@ -76,6 +76,50 @@ def test_prime_field_rejects_composites():
         PrimeField(561)  # Carmichael
 
 
+P1, P2 = 1152921504606847009, 2305843009213693951
+
+
+def test_product_ring_reduces_to_each_prime():
+    ring = PrimeField((7, P1))
+    assert ring.primes == (7, P1) and ring.modulus == 7 * P1
+    assert PrimeField(P1).primes == (P1,)
+    x = ring.mul(ring.from_fraction(Fraction(-5, 3)), ring.inv(ring.from_int(11)))
+    for p in ring.primes:
+        assert x % p == PrimeField(p).from_fraction(Fraction(-5, 33))
+    assert ring.pow_int(ring.from_int(2), -3) == ring.from_fraction(Fraction(1, 8))
+
+
+@pytest.mark.parametrize("primes", [(3, P1), (P1, 3), (5, 3)])
+def test_product_ring_refuses_a_multiple_of_one_prime(primes):
+    # every inversion names the first prime that divides the denominator,
+    # with the words of a one-prime field; no ValueError leaks from pow
+    ring = PrimeField(primes)
+    message = "modulus 3 divides the denominator 12; use a larger prime"
+    for call in (
+        lambda: ring.from_fraction(Fraction(1, 12)),
+        lambda: ring.inv(12),
+        lambda: ring.div(1, 12),
+        lambda: ring.pow_int(12, -1),
+    ):
+        with pytest.raises(InputError) as excinfo:
+            call()
+        assert type(excinfo.value) is InputError
+        assert str(excinfo.value) == message
+    with pytest.raises(InputError, match="modulus 3 divides the denominator 12;"):
+        PrimeField(3).inv(12)
+
+
+def test_product_ring_refuses_zero_and_repeated_or_composite_primes():
+    with pytest.raises(InputError, match=f"modulus {P1} divides the denominator 0;"):
+        PrimeField((P1, P2)).inv(0)
+    with pytest.raises(InputError, match="pairwise distinct"):
+        PrimeField((P1, P1))
+    with pytest.raises(InputError, match="modulus 9 is not an odd prime"):
+        PrimeField((P1, 9))
+    with pytest.raises(InputError):
+        PrimeField(())
+
+
 @given(st.integers(min_value=3, max_value=10**6))
 def test_prime_field_constructor_matches_trial_division(n):
     is_prime = n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))

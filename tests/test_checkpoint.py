@@ -17,6 +17,7 @@ from cteuclid.checkpoint import (
     term_from_line,
     term_to_line,
 )
+from cteuclid.elimination import DEFAULT_PRIMES
 from cteuclid.problems import (
     DiophantineSystem,
     ehrhart_series,
@@ -152,6 +153,29 @@ def test_prime_switch_skips_phase_a_work(tmp_path):
         run_pipeline(KNAP, "count", d, moduli=(636286597,), max_units=nchunks)
     out = run_pipeline(KNAP, "count", d, moduli=(636286597,))
     assert out.residues == {636286597: 18}
+
+
+def test_pause_never_splits_a_chunk_between_primes(tmp_path):
+    # a chunk's three partials are written before their units count
+    d = str(tmp_path)
+    system = magic_square_system(3)
+    pauses = 0
+    while True:
+        try:
+            out = run_pipeline(system, "series", d, moduli=DEFAULT_PRIMES, crt=True,
+                               chunk_size=2, max_units=1)
+            break
+        except CheckpointPause:
+            pauses += 1
+            names = set(os.listdir(d))
+            with open(os.path.join(d, "meta.json")) as fh:
+                nchunks = json.load(fh)["phase_a"]["chunks"]
+            for i in range(nchunks):
+                have = [f"partial-{p}-{i:04d}.json" in names for p in DEFAULT_PRIMES]
+                assert all(have) or not any(have), (pauses, i)
+    # one pause after stage A, then one after each chunk's three primes
+    assert nchunks > 1 and pauses == 1 + nchunks
+    assert (out.num, out.den) == (ehrhart_series(system).num, ehrhart_series(system).den)
 
 
 def test_config_mismatch_is_refused(tmp_path):

@@ -401,14 +401,30 @@ def test_ct_rejects_two_moduli(in_tmp, capsys):
 
 def test_duplicate_moduli_rejected(in_tmp, capsys):
     rc, _, err = run_main(capsys, "knapsack", "--a0", "5", "--weights", "1,2",
-                          "--mod", "636286597", "--mod", "636286597")
-    assert rc == 2 and "distinct" in err
+                          "--mod", "636286597", "--mod", "636286597",
+                          "--checkpoint-dir", "ck")
+    assert rc == 2
+    assert err.splitlines() == ["error: moduli must be pairwise distinct"]
+    assert not (in_tmp / "ck").exists()
 
 
 def test_small_prime_refused_without_traceback(in_tmp, capsys):
     # 1/12 appears in the pole series and has no inverse mod 3
     rc, _, err = run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
                           "--mod", "3")
+    assert rc == 2
+    assert err.splitlines() == [
+        "error: modulus 3 divides the denominator 12; use a larger prime"
+    ]
+
+
+@pytest.mark.parametrize("moduli", [["3", "1152921504606847009"], ["5", "3"]])
+def test_small_prime_refused_through_the_product_ring(in_tmp, capsys, moduli):
+    # stage B runs once mod the product; the refusal still names the prime
+    argv = ["knapsack", "--a0", "41", "--weights", "1,5,14"]
+    for p in moduli:
+        argv += ["--mod", p]
+    rc, _, err = run_main(capsys, *argv)
     assert rc == 2
     assert err.splitlines() == [
         "error: modulus 3 divides the denominator 12; use a larger prime"

@@ -112,6 +112,25 @@ def test_result_file_matches_golden(tmp_path, instance, mode, chunk, path):
             assert p.read_bytes() == (pinned / p.name).read_bytes(), p.name
 
 
+def test_resume_that_adds_primes_computes_only_theirs(tmp_path):
+    argv, resume_extra = INSTANCES["ehrhart"]
+    ck, out = tmp_path / "ck", ["--output", str(tmp_path / "r.txt")]
+    call(argv + MODES["mod"] + CHUNKS["-chunk2"] + ["--checkpoint-dir", str(ck)] + out)
+    first = {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+             for p in ck.glob("partial-*.json")}
+    assert first and all(name.startswith("partial-1152921504606847009-") for name in first)
+    _, err = call(["resume", "--checkpoint-dir", str(ck)] + MODES["crt"] + resume_extra + out)
+    assert (tmp_path / "r.txt").read_bytes() == (GOLDEN / "ehrhart-crt-chunk2.txt").read_bytes()
+    # the first prime's partials are left as they were
+    for name, (data, ino, mtime) in first.items():
+        st = (ck / name).stat()
+        assert ((ck / name).read_bytes(), st.st_ino, st.st_mtime_ns) == (data, ino, mtime)
+    # one stage-B pass per chunk, over the two primes the first run lacked
+    passes = [line for line in err.splitlines() if line.startswith("# phase B:")]
+    assert len(passes) == len(first)
+    assert all(" ring 2305843009213693951+1152921504606847067, " in line for line in passes)
+
+
 @pytest.mark.parametrize("slack", ["eager", "delayed"])
 def test_ct_result_file_matches_golden(tmp_path, slack):
     result = tmp_path / "r.txt"

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cteuclid.algebra import ExactRing, InputError, PrimeField
 from cteuclid.bruteforce import brute_count, dp_knapsack
 from cteuclid.checkpoint import CheckpointPause
-from cteuclid.elimination import DEFAULT_PRIMES, SeriesTables
+from cteuclid.elimination import DEFAULT_PRIMES, PrimeClash, SeriesTables
 from cteuclid.engine import Stats
 from cteuclid.problems import (
     DiophantineSystem,
@@ -23,7 +24,7 @@ from cteuclid.problems import (
     series_coeffs,
     system_from_json,
 )
-from cteuclid.univariate import expand_factored, pmul, power_series_div
+from cteuclid.univariate import dense_from_sparse, expand_factored, pmul, power_series_div
 
 RING = ExactRing()
 
@@ -140,6 +141,68 @@ def test_count_modular_and_crt():
     )
     assert out.value == 18
     assert out.confidence < Fraction(1, 10**12)
+
+
+def test_repeated_modulus_is_refused_by_the_library():
+    # one product ring over (p, p) would work mod p^2
+    p = 636286597
+    with pytest.raises(InputError, match="moduli must be pairwise distinct"):
+        run_pipeline(DiophantineSystem([[1, 5, 14]], [41]), "count", moduli=(p, p))
+
+
+EHRHART = Path(__file__).resolve().parent / "golden" / "ehrhart.json"
+SMALL_PRIME_SYSTEMS = {
+    "magic3": (magic_square_system(3), "series"),
+    "ehrhart": (system_from_json(EHRHART.read_text()), "series"),
+    "knapsack": (DiophantineSystem([[3, 7, 11, 13]], [1000]), "count"),
+}
+
+
+def _per_prime(system, task, moduli):
+    """({p: residues and denominator}, summand-max, ct-s-calls), or the refusal."""
+    try:
+        out = run_pipeline(system, task, moduli=moduli)
+    except (InputError, PrimeClash) as exc:
+        return type(exc), str(exc)
+    found = out.residues if task == "count" else out.series_residues
+    return found, out.stats.summand_max, out.stats.ct_s_calls
+
+
+@pytest.mark.parametrize("primes", [(7, 11), (53, 59), (101, 103)])
+@pytest.mark.parametrize("name", sorted(SMALL_PRIME_SYSTEMS))
+def test_one_pass_over_small_primes_matches_one_prime_runs(name, primes):
+    # small primes divide some mixed pairings (magic-3 and ehrhart at 7 and
+    # 11), which the product ring keeps: those pieces are zero mod that prime
+    system, task = SMALL_PRIME_SYSTEMS[name]
+    singles = [_per_prime(system, task, (p,)) for p in primes]
+    both = _per_prime(system, task, primes)
+    refused = [one for one in singles if len(one) == 2]
+    if refused:
+        # 7 divides a pure pairing of the knapsack under every direction
+        assert both == refused[0]
+        return
+    assert both[0] == {p: one[0][p] for p, one in zip(primes, singles)}
+    assert both[1] == max(one[1] for one in singles)
+    assert both[2] == sum(one[2] for one in singles)
+
+
+def test_residues_over_several_primes_share_one_denominator():
+    # 7 divides a mixed pairing here, which leaves (1 - q) in the run mod 7
+    # alone; the run over 7 and 11 puts both residues over one denominator,
+    # (1 - q)^3 as mod 11, and its 7-residues stand for the same series
+    system = DiophantineSystem([[3, 3, 3, 2]], [4])
+    both = ehrhart_series(system, moduli=(7, 11), seed=1).series_residues
+    alone = {p: ehrhart_series(system, moduli=(p,), seed=1).series_residues[p] for p in (7, 11)}
+    assert both[7]["den_counts"] == {1: 3, 2: 3, 3: 3}
+    assert alone[7]["den_counts"] == {1: 1, 2: 3, 3: 3}
+    assert both[11] == alone[11]
+    field = PrimeField(7)
+
+    def series(body):
+        num = dense_from_sparse(field, body["num"])
+        return power_series_div(field, num, expand_factored(field, body["den_counts"]), 12)
+
+    assert series(both[7]) == series(alone[7])
 
 
 def test_count_at_pole_order_ten(monkeypatch):

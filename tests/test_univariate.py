@@ -259,6 +259,26 @@ def test_factored_accumulator_matches_dense_reference(ring, pieces, cancelled, r
     assert left.numerator() == acc.numerator()
 
 
+@given(pieces=st.lists(PIECE, min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_split_of_a_product_ring_matches_each_prime(pieces):
+    # coefficients up to 5 in size vanish mod 3 or 5 now and then
+    primes = (3, 5, 636286597)
+    whole = FactoredAccumulator(PrimeField(primes))
+    fields = [PrimeField(p) for p in primes]
+    alone = [FactoredAccumulator(f) for f in fields]
+    for num, den in pieces:
+        for acc in [whole] + alone:
+            acc.add_piece({d: acc.ring.from_int(c) for d, c in num.items()
+                           if not acc.ring.is_zero(acc.ring.from_int(c))}, den)
+    parts = whole.split(fields)
+    for part, acc in zip(parts, alone):
+        assert part.ring is acc.ring
+        assert part.den == acc.den == whole.den
+        assert part.numerator() == acc.numerator()
+    assert whole.split([whole.ring]) == [whole]
+
+
 def test_prime_field_series_division_matches_exact():
     p = 636286597
     rp = PrimeField(p)
