@@ -41,7 +41,6 @@ Representation choices, used by every other module:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from math import gcd, prod
 from operator import or_
@@ -83,15 +82,12 @@ def _mr_is_prime(n):
 
 
 class ExactRing:
-    """Arbitrary-precision rationals (ints kept as ints when possible)."""
+    """Arbitrary-precision integers, the ring of stage A, which never divides."""
 
     modulus = None
 
     def from_int(self, n):
         return n
-
-    def from_fraction(self, fr):
-        return fr.numerator if fr.denominator == 1 else fr
 
     def add(self, a, b):
         return a + b
@@ -102,29 +98,12 @@ class ExactRing:
     def mul(self, a, b):
         return a * b
 
-    def scale(self, num, x):
-        """The sparse numerator {degree: coeff} with each coefficient times x."""
-        out = {}
-        for d, c in num.items():
-            c *= x
-            out[d] = c.numerator if c.denominator == 1 else c
-        return out
-
     def neg(self, a):
         return -a
 
-    def div(self, a, b):
-        q = Fraction(a) / Fraction(b)
-        return q.numerator if q.denominator == 1 else q
-
-    def inv(self, a):
-        return self.div(1, a)
-
     def pow_int(self, a, k):
-        """a**k for integer k (k may be negative)."""
-        if k >= 0:
-            return a ** k
-        return self.div(1, a ** (-k))
+        """a**k for an integer k >= 0."""
+        return a**k
 
     def is_zero(self, a):
         return a == 0

@@ -4,9 +4,14 @@ direct series expansion.
 Everything here is deliberately simple and bounded: each routine refuses
 inputs whose work estimate exceeds its budget instead of running open-ended.
 None of this shares code with the elimination engine; that is the point.
+The boundedness certificate, an exact simplex that always ends, is the
+one routine here that every run calls.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .algebra import InputError, exps_get
 
@@ -100,54 +105,48 @@ def brute_count(A, b, box=None, budget=10**8):
     return rec(0, list(b))
 
 
-def homogeneous_nonzero_exists(A, box, budget=10**7):
-    """Whether A x = 0 has a nonzero nonnegative solution inside the box."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    minadd, maxadd = _suffix_extremes(A, box)
-    nodes = 0
+def certify_bounded(A):
+    """An integer y with y^T A > 0 for a nonempty matrix A, or None when there is none.
 
-    def rec(j, resid, nonzero):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise OracleRefusal("homogeneous search budget exceeded")
-        lo, hi = minadd[j], maxadd[j]
-        for i in range(m):
-            if not lo[i] <= resid[i] <= hi[i]:
-                return False
-        if j == n:
-            return nonzero
-        col = [A[i][j] for i in range(m)]
-        for v in range(box[j] + 1):
-            if rec(j + 1, [resid[i] - col[i] * v for i in range(m)], nonzero or v > 0):
-                return True
-        return False
-
-    return rec(0, [0] * m, False)
-
-
-def certify_bounded(A, budget=10**7):
-    """True when the solution set of A x = b, x >= 0 is finite for every b.
-
-    A row with nonnegative coefficients pins each variable it touches; if
-    that covers everything the certificate is immediate.  Otherwise the
-    homogeneous system is searched for a nonzero solution inside a
-    Cramer-style box, which is decisive but only feasible for small systems
-    (the search refuses beyond its budget).
+    By Gordan's theorem either such a y exists, and every solution of
+    A x = b, x >= 0 has x_j <= y^T b / (y^T A)_j, or A x = 0 has a nonzero
+    solution x >= 0, and every nonempty solution set is infinite.  The sum
+    of the rows with no negative entry is tried first (knapsacks, magic
+    squares).  Otherwise a Phase-I simplex (Bland's rule, over Fraction)
+    seeks x >= 0 with A x = 0 and sum(x) = 1, from one artificial variable
+    per row.  A positive optimum w has duals pi_k = 1 - (reduced cost of
+    artificial k) with pi^T A_j + w <= 0 for every column j: y = -pi.
     """
-    if not A:
-        return False
-    n = len(A[0])
-    covered = set()
-    for row in A:
-        if all(c >= 0 for c in row):
-            covered.update(j for j, c in enumerate(row) if c > 0)
-    if len(covered) == n:
-        return True
-    amax = max(abs(c) for row in A for c in row)
-    cap = (max(1, amax) * max(1, n)) ** min(len(A), n)
-    return not homogeneous_nonzero_exists(A, [cap] * n, budget)
+    m, n = len(A), len(A[0])
+    y = [int(min(row) >= 0) for row in A]
+    if all(sum(yi * row[j] for yi, row in zip(y, A)) > 0 for j in range(n)):
+        return y
+    # the rows of A x = 0 and sum(x) = 1, one artificial column each, then the right side
+    rows = [list(map(Fraction, row + [int(k == i) for k in range(m + 1)] + [int(i == m)]))
+            for i, row in enumerate(A + [[1] * n])]
+    basis = list(range(n, n + m + 1))
+    # reduced costs of the sum of the artificials, then minus its value
+    cost = [-sum(c) for c in zip(*rows)]
+    cost[n:-1] = [0] * (m + 1)
+    while True:
+        col = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
+        if col is None:
+            break
+        # the objective is bounded below by 0, so some entry of col is positive
+        _, _, i = min((row[-1] / row[col], basis[i], i)
+                      for i, row in enumerate(rows) if row[col] > 0)
+        pivot = rows[i]
+        pivot[:] = [c / pivot[col] for c in pivot]
+        for other in rows + [cost]:
+            f = other[col]
+            if other is not pivot and f:
+                other[:] = [c - f * d for c, d in zip(other, pivot)]
+        basis[i] = col
+    if not cost[-1]:
+        return None
+    y = [c - 1 for c in cost[n:n + m]]
+    scale = lcm(*(c.denominator for c in y))
+    return [int(c * scale) for c in y]
 
 
 def naive_ct(ring, term, xvid, yvid, ymax, budget=10**7):

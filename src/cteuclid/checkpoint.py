@@ -4,14 +4,15 @@ A checkpoint directory holds:
 
     meta.json              configuration, hash, phase-A state, variable table
     terms-NNNN.jsonl       extracted terms, chunk_size per file (phase A)
-    partial-TAG-NNNN.json  one elimination result per ring per chunk (phase B)
+    partial-P-NNNN.json    one elimination result per prime P per chunk (phase B)
     result.txt             final rendered result (phase C)
 
-A work unit is stage A, or the partial of one chunk in one ring.  Stage B
-eliminates a chunk once for all the rings that lack its partial, modulo
-the product of their primes, and then writes one file per ring, as a run
-in that ring alone does; the chunk's units count only once all of those
-files are on disk.
+A work unit is stage A, or the partial of one chunk modulo one prime.
+Stage B eliminates a chunk once for all the primes that lack its partial,
+modulo their product, and then writes one file per prime, as a run modulo
+that prime alone does; the chunk's units count only once all of those
+files are on disk.  An exact run is a run over primes it picks itself, so
+it writes and reads the same files as a --crt run over those primes.
 
 Every file is written to a temp name, synced, and atomically renamed, so a
 killed run leaves only complete units.  The configuration hash covers the
@@ -35,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from fractions import Fraction
+import re
 
 from . import __version__
 from .algebra import VariableTable
@@ -156,10 +157,6 @@ def lam_hash(lam_map):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def ring_tag(ring):
-    return "exact" if ring.modulus is None else str(ring.modulus)
-
-
 # ---------------------------------------------------------------------------
 # the store
 
@@ -257,13 +254,13 @@ class DirectoryStore:
         accumulator.  A saved partial computed under another direction is
         recomputed.
         """
-        paths = [os.path.join(self.path, f"partial-{ring_tag(r)}-{i:04d}.json") for r in rings]
+        paths = [os.path.join(self.path, f"partial-{r.modulus}-{i:04d}.json") for r in rings]
         out = [self._saved_partial(r, path, lhash) for r, path in zip(rings, paths)]
         todo = [k for k, got in enumerate(out) if got is None]
         if not todo:
             return out
         left = [rings[k] for k in todo]
-        tags = "+".join(map(ring_tag, left))
+        tags = "+".join(str(r.modulus) for r in left)
         self.log(f"phase B: ring {tags}, chunk {i + 1}/{self.meta['phase_a']['chunks']}")
         acc, stats = compute(left)
         for k, part in zip(todo, acc.split(left)):
@@ -319,7 +316,12 @@ def _partial_from_obj(ring, obj):
         num, den = {"0": body["value"]}, {}
     else:
         num, den = body["num"], body["den"]
+    # a residue is saved as a string of decimal digits, for an int in [0, p)
+    p = ring.modulus
+    for c in num.values():
+        if not (re.fullmatch(r"[0-9]+", c) and int(c) < p):
+            raise ValueError(f"{json.dumps(c)} is not a residue mod {p}")
     acc = FactoredAccumulator(ring)
-    num = {int(d): ring.from_fraction(Fraction(c)) for d, c in num.items() if Fraction(c)}
-    acc.add_piece(num, {int(k): e for k, e in den.items()})
+    acc.add_piece({int(d): int(c) for d, c in num.items() if int(c)},
+                  {int(k): e for k, e in den.items()})
     return acc, stats

@@ -16,8 +16,8 @@ byte-identical.
 
 Exit codes: 0 ok, 1 oracle mismatch, closed stdout or unexpected failure,
 2 bad input, 3 unresolved collision, 4 direction search exhausted, 5 prime
-clash, 6 oracle refusal (instance too large to verify), 7 checkpoint/resume
-mismatch.
+clash, 6 --oracle-check refusal (instance too large to verify),
+7 checkpoint/resume mismatch.
 """
 
 import argparse
@@ -107,8 +107,6 @@ def _add_common(sp):
                     help="elimination order for the extraction variables")
     sp.add_argument("--oracle-check", action="store_true",
                     help="verify the result against brute-force enumeration")
-    sp.add_argument("--assume-bounded", action="store_true",
-                    help="skip the solution-set boundedness certificate")
     sp.add_argument("--output", metavar="PATH", help="result file path")
     sp.add_argument("--checkpoint-dir", metavar="DIR",
                     help="directory for resumable on-disk state")
@@ -166,7 +164,6 @@ def build_parser():
     sp.add_argument("--crt", action="store_true")
     sp.add_argument("--coeffs", type=_int_at_least(0), default=None, metavar="K")
     sp.add_argument("--oracle-check", action="store_true")
-    sp.add_argument("--assume-bounded", action="store_true")
     sp.add_argument("--output", metavar="PATH")
     sp.add_argument("--max-units", type=_int_at_least(1), default=None, metavar="N")
 
@@ -351,7 +348,6 @@ def run_task(system, task, args, coeffs=None):
         order=args.order,
         seed=args.seed,
         chunk_size=args.chunk_size,
-        assume_bounded=args.assume_bounded,
         max_units=args.max_units,
         log=lambda msg: print(f"# {msg}", file=sys.stderr),
     )
@@ -534,11 +530,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESUME
     except ArithmeticError as exc:
-        print(
-            f"error: {exc} (a non-integer total usually means the solution "
-            "set is unbounded)",
-            file=sys.stderr,
-        )
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

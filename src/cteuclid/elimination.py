@@ -397,10 +397,8 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
     with U = sum N_m is the product of base entry r - U and the group
     entries N_m over (r - U)! prod N_m! D_r/r! prod(b).  The piece takes
     that one denominator as a single ring element: the multinomial
-    r!/((r - U)! prod N_m!) times the inverse of D_r prod(b).  In exact
-    arithmetic that is an int for r = 0 and the term's only Fraction
-    otherwise; ring.scale gives each scaled coefficient as an int when it
-    is integral.
+    r!/((r - U)! prod N_m!) times the inverse of D_r prod(b), which
+    ring.scale multiplies into each coefficient.
 
     The summand count in stats is the number of splits of r over the k'
     mixed factors whose pairing is nonzero in the ring, C(r + k', k'),

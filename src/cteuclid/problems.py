@@ -14,6 +14,7 @@ side.
 
 The ct phase runs over exact integer coefficients in every mode (no
 divisions happen there); prime moduli only enter the elimination phase.
+An exact run is a CRT run over primes it picks from a bound on the answer.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count
+from math import prod
 
 from .algebra import (
     CT,
@@ -32,11 +35,12 @@ from .algebra import (
     InputError,
     PrimeField,
     VariableTable,
+    _mr_is_prime,
     exps_from_dict,
 )
 from .bruteforce import certify_bounded
 from .checkpoint import DirectoryStore, config_hash, config_payload, lam_hash
-from .elimination import crt_combine, eliminate_slack, pick_lambda
+from .elimination import DEFAULT_PRIMES, crt_combine, eliminate_slack, lambda_pairing, pick_lambda
 from .engine import ElliottTerm, Stats, ct_all, start_termsum
 from .univariate import (
     FactoredAccumulator,
@@ -201,14 +205,6 @@ def convert_terms(terms, ring):
 # outcome assembly
 
 
-def _as_int(c):
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    raise ArithmeticError(f"expected an integer, got {c!r}")
-
-
 @dataclass
 class RunOutcome:
     task: str                     # "count" | "series"
@@ -297,24 +293,20 @@ def factored_denominator(den):
 def series_coeffs(num, den, count):
     """First `count` power-series coefficients of num/den as exact integers.
 
-    A solution count is never negative, so a negative coefficient raises
-    ArithmeticError.
+    den[0] must be 1, as in every reduced series.  A solution count is never
+    negative, so a negative coefficient raises ArithmeticError.
     """
-    out = []
-    for c in power_series_div(ExactRing(), num, den, count):
-        v = _as_int(c)
-        if v < 0:
-            raise ArithmeticError("series coefficient went negative")
-        out.append(v)
+    out = power_series_div(ExactRing(), num, den, count)
+    if any(c < 0 for c in out):
+        raise ArithmeticError("series coefficient went negative")
     return out
 
 
 def _reduce_series(num, den_counts):
     """Reduce the sparse integer numerator num over prod (1 - q^k)^e to lowest terms."""
     ring = ExactRing()
-    num_dense = [_as_int(c) for c in dense_from_sparse(ring, num)]
-    den_dense = expand_factored(ring, den_counts)
-    num_r, den_r = reduce_fraction_int(num_dense, den_dense)
+    num_r, den_r = reduce_fraction_int(dense_from_sparse(ring, num),
+                                       expand_factored(ring, den_counts))
     if den_r and den_r[0] < 0:
         num_r = [-c for c in num_r]
         den_r = [-c for c in den_r]
@@ -325,18 +317,55 @@ def _reduce_series(num, den_counts):
 # the pipeline
 
 
-def elimination_rings(moduli):
-    return [PrimeField(p) for p in moduli] if moduli else [ExactRing()]
+def check_boundedness(system):
+    """The certificate y of certify_bounded; InputError when the solution set is infinite."""
+    y = certify_bounded(system.matrix)
+    if y is None:
+        raise InputError("the homogeneous system has a nonzero nonnegative solution; "
+                         "the solution set is infinite")
+    return y
 
 
-def check_boundedness(system, assume_bounded=False):
-    if assume_bounded:
-        return
-    if not certify_bounded(system.matrix):
-        raise InputError(
-            "the homogeneous system has a nonzero nonnegative solution; "
-            "the solution set is infinite"
-        )
+def dilation_bound(system, y, t):
+    """A bound on the number of solutions of A x = t b, from y with y^T A > 0.
+
+    y^T A x = t y^T b and x >= 0 keep each x_j within t y^T b / (y^T A)_j.
+    """
+    ytb = t * sum(yi * bi for yi, bi in zip(y, system.rhs))
+    return prod(max(0, ytb // sum(yi * c for yi, c in zip(y, col))) + 1
+                for col in zip(*system.matrix))
+
+
+def certified_primes(system, y, chunks, lam_map):
+    """(primes, den) of an exact run: enough primes to lift the numerator over den.
+
+    den = prod_m (1 - q^m)^e_m, e_m the largest j_m + r of a term with j_m
+    mixed factors at q-exponent m and r pure ones, covers every piece of
+    ct_s_term in any ring.  The series is N/den with f_t a quasi-polynomial
+    for t >= 1 (Stanley, EC1, 4.6), so deg N <= deg den and |N_d| <=
+    ||den||_1 max(f_t : t <= d) <= 2^(sum e) dilation_bound(deg den); a
+    count has den = 1 and is f_1.  The primes are the fewest whose product
+    exceeds twice that, DEFAULT_PRIMES first and then the primes above
+    them, skipping those that divide a nonzero pairing, so that every
+    structural test of stage B reads as over Z.
+    """
+    terms = [t for chunk in chunks for t in chunk]
+    pairing = {f: lambda_pairing(lam_map, f) for f in {f for t in terms for f in t.den}}
+    den = {}
+    for t in terms:
+        ms = [pairing[f][1] for f in t.den]
+        for m in set(ms) - {0}:
+            den[m] = max(den.get(m, 0), ms.count(m) + ms.count(0))
+    degree = sum(m * e for m, e in den.items())
+    bound = 2 ** sum(den.values()) * dilation_bound(system, y, max(1, degree))
+    pairings = {b for b, _ in pairing.values() if b}
+    primes, product = [], 1
+    for p in chain(DEFAULT_PRIMES, filter(_mr_is_prime, count(DEFAULT_PRIMES[-1] + 2, 2))):
+        if product > 2 * bound:
+            return primes, den
+        if all(b % p for b in pairings):
+            primes.append(p)
+            product *= p
 
 
 class MemoryStore:
@@ -366,7 +395,6 @@ def run_pipeline(
     seed=0,
     lam=None,
     chunk_size=1000,
-    assume_bounded=False,
     max_units=None,
     log=None,
     stats=None,
@@ -376,6 +404,8 @@ def run_pipeline(
 
     Stage B runs once per chunk for all moduli that still need it, modulo
     their product, and is split into one partial per modulus.  Without
+    moduli the run is exact: its moduli are those of certified_primes, its
+    stats count each chunk once, and the numerator is lifted by CRT.  Without
     ckpt_dir every stage stays in memory.  With it, stage A and each
     per-ring per-chunk stage-B partial are kept in that directory (see the
     checkpoint module): a second call resumes where the first one stopped,
@@ -388,7 +418,8 @@ def run_pipeline(
         raise InputError("chunk size must be at least 1")
     if len(set(moduli)) != len(moduli):
         raise InputError("moduli must be pairwise distinct")
-    rings = elimination_rings(moduli)
+    rings = [PrimeField(p) for p in moduli]
+    y = check_boundedness(system)
     payload = config_payload(task, system, seed, order, chunk_size)
     chash = config_hash(payload)
     if ckpt_dir is None:
@@ -397,7 +428,6 @@ def run_pipeline(
         store = DirectoryStore(ckpt_dir, payload, chash, max_units, log)
 
     def stage_a():
-        check_boundedness(system, assume_bounded)
         table = VariableTable()
         build = build_count_termsum if task == "count" else build_series_termsum
         ts = build(system, table, ExactRing())
@@ -417,16 +447,22 @@ def run_pipeline(
     stats.merge(stats_a)
     lam_map = pick_lambda(chunks, table.vids_of_rank(SLACK), moduli=moduli, seed=seed, lam=lam)
     lhash = lam_hash(lam_map)
+    den = None
+    if not moduli:
+        primes, den = certified_primes(system, y, chunks, lam_map)
+        rings = [PrimeField(p) for p in primes]
 
-    # a chunk's stats count once per ring, so ct-s-calls is terms x rings
+    # a chunk's stats count once per modulus, so ct-s-calls is terms x
+    # moduli, and once in an exact run
     results = [FactoredAccumulator(ring) for ring in rings]
     for i, chunk in enumerate(chunks):
         parts = store.partials(rings, i, lhash, lambda todo: stage_b(todo, chunk))
-        for acc, (part, st) in zip(results, parts):
-            stats.merge(st)
+        for k, (acc, (part, st)) in enumerate(zip(results, parts)):
+            if moduli or not k:
+                stats.merge(st)
             acc.merge(part)
 
-    out = _assemble(task, results, moduli, crt)
+    out = _assemble(task, results, moduli, crt, den)
     out.lam = {table.name_of(v): w for v, w in lam_map.items()}
     out.stats = stats
     out.table = table
@@ -434,26 +470,20 @@ def run_pipeline(
     return out
 
 
-def _assemble(task, results, moduli, crt):
-    """The outcome of a run from its stage-B accumulators, one per ring.
+def _assemble(task, results, moduli, crt, target=None):
+    """The outcome of a run from its stage-B accumulators, one per prime.
 
-    Every ring's numerator is taken over the common denominator of all of
-    them; a count's is {}, and its value is the constant coefficient.
-    Exact runs read that numerator, modular runs keep it as residues, and
-    CRT runs lift it coefficient by coefficient with the worst confidence.
+    Every prime's numerator is taken over target, by default the common
+    denominator of all of them; a count's is {}, and its value is the
+    constant coefficient.  Modular runs keep that numerator as residues;
+    CRT runs and exact runs (no moduli) lift it coefficient by
+    coefficient, and CRT runs report the worst confidence.
     """
-    target = {}
-    for acc in results:
-        for k, e in acc.den.items():
-            target[k] = max(e, target.get(k, 0))
+    if target is None:
+        target = {k: max(a.den.get(k, 0) for a in results) for acc in results for k in acc.den}
     out = RunOutcome(task=task, exact=not moduli)
-    if not moduli:
-        num = results[0].numerator(target)
-    else:
-        residues = {}
-        for acc in results:
-            p = acc.ring.modulus
-            residues[p] = {d: c % p for d, c in sorted(acc.numerator(target).items())}
+    residues = {acc.ring.modulus: dict(sorted(acc.numerator(target).items())) for acc in results}
+    if moduli:
         if task == "count":
             out.residues = {p: r.get(0, 0) for p, r in residues.items()}
         if not crt:
@@ -462,15 +492,15 @@ def _assemble(task, results, moduli, crt):
                     p: {"num": r, "den_counts": dict(target)} for p, r in residues.items()
                 }
             return out
-        num = {}
         out.confidence = Fraction(0)
-        for d in sorted({d for r in residues.values() for d in r}):
-            v, conf = crt_combine([r.get(d, 0) for r in residues.values()], list(residues))
-            out.confidence = max(out.confidence, conf)
-            if v:
-                num[d] = v
+    num = {}
+    for d in sorted({d for r in residues.values() for d in r}):
+        v, conf = crt_combine([r.get(d, 0) for r in residues.values()], list(residues))
+        out.confidence = max(out.confidence, conf) if moduli else None
+        if v:
+            num[d] = v
     if task == "count":
-        out.value = _as_int(num.get(0, 0))
+        out.value = num.get(0, 0)
     else:
         out.num, out.den, out.den_factors = _reduce_series(num, target)
     return out

@@ -64,16 +64,15 @@ def expand_factored(ring, den_counts):
 
 
 def power_series_div(ring, num, den, count):
-    """First `count` series coefficients of num/den; den must be a unit at 0."""
-    if not den:
-        raise ZeroDivisionError("denominator is zero")
-    inv0 = ring.inv(den[0])
+    """First `count` series coefficients of num/den; den[0] must be one."""
+    if not den or den[0] != ring.one():
+        raise ArithmeticError("the denominator's constant coefficient is not 1")
     out = []
     for n in range(count):
         acc = num[n] if n < len(num) else ring.zero()
         for i in range(1, min(n, len(den) - 1) + 1):
             acc = ring.sub(acc, ring.mul(den[i], out[n - i]))
-        out.append(ring.mul(acc, inv0))
+        out.append(acc)
     return out
 
 

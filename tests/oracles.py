@@ -21,6 +21,12 @@ package computes another way; the tests compare the two.
   ``elimination`` keeps integer exponential rows and divides once per
   piece; its pieces must match these in order and value, and in
   coefficient type wherever no pure pairing is +-1.
+* ``RationalRing`` is the ring of arbitrary-precision rationals in which
+  those two forms of stage B are compared; the package runs stage B only
+  modulo primes.
+* ``homogeneous_nonzero_exists`` searches a box for a nonzero solution
+  x >= 0 of A x = 0, which ``bruteforce.certify_bounded`` must find
+  exactly when it refuses a system.
 """
 
 from fractions import Fraction
@@ -29,12 +35,13 @@ from math import comb, factorial, gcd
 from cteuclid.algebra import (
     CT,
     EXPS_ONE,
+    ExactRing,
     exps_get,
     poly_add_inplace,
     poly_neg,
     srem_split,
 )
-from cteuclid.bruteforce import naive_ct
+from cteuclid.bruteforce import OracleRefusal, _suffix_extremes, naive_ct
 from cteuclid.elimination import SeriesTables, group_series, lambda_pairing, split_factors
 from cteuclid.engine import CollisionError, ElliottTerm, Stats, add_slack_term
 from cteuclid.univariate import sparse_mul, sparse_mul_binomial
@@ -621,6 +628,68 @@ def enumerate_pieces(ring, term, lam_map, tables=None):
 
     descend(0, 0, None)
     return pieces, leaves
+
+
+# ---------------------------------------------------------------------------
+# the rationals, and the homogeneous search behind the boundedness certificate
+
+
+class RationalRing(ExactRing):
+    """Arbitrary-precision rationals, ints kept as ints when possible."""
+
+    def from_fraction(self, fr):
+        return fr.numerator if fr.denominator == 1 else fr
+
+    def scale(self, num, x):
+        """The sparse numerator {degree: coeff} with each coefficient times x."""
+        out = {}
+        for d, c in num.items():
+            c *= x
+            out[d] = c.numerator if c.denominator == 1 else c
+        return out
+
+    def div(self, a, b):
+        q = Fraction(a) / Fraction(b)
+        return q.numerator if q.denominator == 1 else q
+
+    def inv(self, a):
+        return self.div(1, a)
+
+    def pow_int(self, a, k):
+        """a**k for integer k (k may be negative)."""
+        if k >= 0:
+            return a ** k
+        return self.div(1, a ** (-k))
+
+    def __repr__(self):
+        return "RationalRing()"
+
+
+def homogeneous_nonzero_exists(A, box, budget=10**7):
+    """Whether A x = 0 has a nonzero nonnegative solution inside the box."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    minadd, maxadd = _suffix_extremes(A, box)
+    nodes = 0
+
+    def rec(j, resid, nonzero):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise OracleRefusal("homogeneous search budget exceeded")
+        lo, hi = minadd[j], maxadd[j]
+        for i in range(m):
+            if not lo[i] <= resid[i] <= hi[i]:
+                return False
+        if j == n:
+            return nonzero
+        col = [A[i][j] for i in range(m)]
+        for v in range(box[j] + 1):
+            if rec(j + 1, [resid[i] - col[i] * v for i in range(m)], nonzero or v > 0):
+                return True
+        return False
+
+    return rec(0, [0] * m, False)
 
 
 # ---------------------------------------------------------------------------

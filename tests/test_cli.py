@@ -8,15 +8,16 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cteuclid import cli
-from cteuclid.bruteforce import OracleRefusal
+from cteuclid.bruteforce import OracleRefusal, brute_count
 from cteuclid.checkpoint import CheckpointError, CheckpointPause, config_hash
-from cteuclid.elimination import LambdaExhaustion, PrimeClash
+from cteuclid.elimination import DEFAULT_PRIMES, LambdaExhaustion, PrimeClash
 from cteuclid.engine import CollisionError
 
 
@@ -239,13 +240,37 @@ def test_resume_with_damaged_partial_refused(in_tmp, capsys, text):
     run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
              "--checkpoint-dir", "ck")
     (in_tmp / "ck" / "result.txt").unlink()
-    (in_tmp / "ck" / "partial-exact-0000.json").write_text(text)
+    # an exact run of this knapsack needs one prime, the first default one
+    name = f"partial-{DEFAULT_PRIMES[0]}-0000.json"
+    (in_tmp / "ck" / name).write_text(text)
     rc, out, err = run_main(capsys, "resume", "--checkpoint-dir", "ck")
     assert rc == 7
     assert out == ""
     errors = err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("error: ")
-    assert "partial-exact-0000.json" in errors[0]
+    assert name in errors[0]
+    assert not (in_tmp / "ck" / "result.txt").exists()
+
+
+P = 1152921504606847009
+
+
+@pytest.mark.parametrize("value", ["0.5", "1e3", str(P)])
+def test_resume_with_partial_holding_no_residue_refused(in_tmp, capsys, value):
+    # a saved residue is a decimal integer in [0, p), never a rational to invert
+    run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14", "--mod", str(P),
+             "--checkpoint-dir", "ck")
+    (in_tmp / "ck" / "result.txt").unlink()
+    path = in_tmp / "ck" / f"partial-{P}-0000.json"
+    obj = json.loads(path.read_text())
+    obj["body"]["value"] = value
+    path.write_text(json.dumps(obj))
+    rc, out, err = run_main(capsys, "resume", "--checkpoint-dir", "ck", "--mod", str(P))
+    assert rc == 7
+    assert out == ""
+    errors = err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert path.name in errors[0]
     assert not (in_tmp / "ck" / "result.txt").exists()
 
 
@@ -449,12 +474,16 @@ def test_unbounded_refused(in_tmp, capsys):
     assert rc == 2 and "infinite" in err
 
 
-def test_assume_bounded_noninteger_reports_unbounded_hint(in_tmp, capsys):
-    path = in_tmp / "sys.json"
-    path.write_text(json.dumps({"matrix": [[1, -1]], "rhs": [5]}))
-    rc, _, err = run_main(capsys, "count", "--input", str(path), "--assume-bounded")
-    assert rc == 1
-    assert "unbounded" in err
+def test_system_with_no_nonnegative_row_is_certified(in_tmp, capsys):
+    # y = (1, 1) gives y^T A = (2, 1, 3, 2, 2, 3, 3) > 0 and y^T b = 8
+    A, b = [[3, -1, 2, 5, -2, 1, 4], [-1, 2, 1, -3, 4, 2, -1]], [4, 4]
+    (in_tmp / "sys.json").write_text(json.dumps({"matrix": A, "rhs": b}))
+    start = time.perf_counter()
+    rc, out, err = run_main(capsys, "count", "--input", "sys.json")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 0 and err == ""
+    assert out.splitlines()[0] == "9"
+    assert brute_count(A, b, box=[8 // c for c in (2, 1, 3, 2, 2, 3, 3)]) == 9
 
 
 def test_oracle_refusal_on_huge_instance(in_tmp, capsys):

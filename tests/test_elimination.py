@@ -10,7 +10,6 @@ from cteuclid.algebra import (
     EXPS_ONE,
     FREE,
     SLACK,
-    ExactRing,
     InputError,
     PrimeField,
     VariableTable,
@@ -33,9 +32,15 @@ from cteuclid.engine import Stats
 from cteuclid.problems import build_count_termsum, diophantine_count, knapsack_system
 from cteuclid.univariate import FactoredAccumulator
 
-from oracles import enumerate_pieces, make_term, ordinary_ct_s_term, stirling_row
+from oracles import (
+    RationalRing,
+    enumerate_pieces,
+    make_term,
+    ordinary_ct_s_term,
+    stirling_row,
+)
 
-RING = ExactRing()
+RING = RationalRing()
 
 
 def _table(nslack, nfree=0):

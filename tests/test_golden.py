@@ -11,6 +11,9 @@ included.
 golden/partials/INSTANCE-MODE/ holds every stage-B partial file that a
 fresh checkpointed run writes at --chunk-size 2, so the per-chunk series
 numerators and denominators are pinned too, not only their merged sum.
+An exact run is a CRT run over primes it picks itself, the first ones of
+the --crt run, so its partials are pinned by the files of those primes in
+golden/partials/INSTANCE-crt/.
 The ehrhart instance (golden/ehrhart.json) has 24 stage-B pieces over 5
 distinct denominators, (1 - q^2) among them.
 
@@ -30,11 +33,13 @@ pipeline run), followed by its wall time and the result-file path.
 import contextlib
 import io
 import re
+import shutil
 from pathlib import Path
 
 import pytest
 
 from cteuclid import cli
+from cteuclid.elimination import DEFAULT_PRIMES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -105,11 +110,45 @@ def test_result_file_matches_golden(tmp_path, instance, mode, chunk, path):
     assert (tmp_path / "r.txt").read_bytes() == want
     assert re.fullmatch(r"[^\n]*\n" + echo_pattern(want.decode(), tmp_path / "r.txt"), stdout)
     if path == "fresh" and chunk == "-chunk2":
-        pinned = GOLDEN / "partials" / f"{instance}-{mode}"
         got = sorted((tmp_path / "ck").glob("partial-*.json"))
-        assert [p.name for p in got] == sorted(p.name for p in pinned.iterdir())
-        for p in got:
-            assert p.read_bytes() == (pinned / p.name).read_bytes(), p.name
+        if mode == "exact":
+            primes = {int(p.name.split("-")[1]) for p in got}
+            assert primes and primes == set(DEFAULT_PRIMES[:len(primes)])
+            pinned = sorted(p for p in (GOLDEN / "partials" / f"{instance}-crt").iterdir()
+                            if int(p.name.split("-")[1]) in primes)
+        else:
+            pinned = sorted((GOLDEN / "partials" / f"{instance}-{mode}").iterdir())
+        assert [p.name for p in got] == [p.name for p in pinned]
+        for p, want in zip(got, pinned):
+            assert p.read_bytes() == want.read_bytes(), p.name
+
+
+@pytest.mark.parametrize("instance", INSTANCES)
+def test_exact_resume_reads_the_partials_of_a_crt_run(tmp_path, instance):
+    argv, resume_extra = INSTANCES[instance]
+    ck, out = tmp_path / "ck", ["--output", str(tmp_path / "r.txt")]
+    call(argv + MODES["crt"] + CHUNKS["-chunk2"] + ["--checkpoint-dir", str(ck)] + out)
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in ck.glob("partial-*")}
+    _, err = call(["resume", "--checkpoint-dir", str(ck)] + resume_extra + out)
+    assert "# phase B:" not in err
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in ck.glob("partial-*")} \
+        == before
+    want = (GOLDEN / f"{instance}-exact-chunk2.txt").read_bytes()
+    assert (tmp_path / "r.txt").read_bytes() == want
+
+
+def test_exact_resume_ignores_partial_exact_files(tmp_path):
+    # earlier versions saved exact partials as partial-exact-NNNN.json; a
+    # checkpoint paused after stage A recomputes stage B from its terms
+    shutil.copytree(GOLDEN / "paused" / "magic3-crt-chunk2", tmp_path / "ck")
+    stale = tmp_path / "ck" / "partial-exact-0000.json"
+    stale.write_text('{"lam_hash": "not read"')
+    _, err = call(["resume", "--checkpoint-dir", str(tmp_path / "ck"), "--coeffs", "8",
+                   "--output", str(tmp_path / "r.txt")])
+    assert len([line for line in err.splitlines() if line.startswith("# phase B:")]) == 4
+    assert stale.read_text() == '{"lam_hash": "not read"'
+    want = (GOLDEN / "magic3-exact-chunk2.txt").read_bytes()
+    assert (tmp_path / "r.txt").read_bytes() == want
 
 
 def test_resume_that_adds_primes_computes_only_theirs(tmp_path):

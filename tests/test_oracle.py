@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cteuclid.algebra import CT, FREE, ExactRing, exps_from_dict
 from cteuclid.bruteforce import (
@@ -10,10 +11,9 @@ from cteuclid.bruteforce import (
     certify_bounded,
     column_bounds,
     dp_knapsack,
-    homogeneous_nonzero_exists,
     naive_ct,
 )
-from oracles import make_term, term_y_series
+from oracles import homogeneous_nonzero_exists, make_term, term_y_series
 
 RING = ExactRing()
 Y, X = (FREE, 0), (CT, 0)
@@ -96,6 +96,26 @@ def test_certify_bounded_easy_cases():
     assert not certify_bounded([[1, -1]])
     assert not certify_bounded([[1, -1], [-1, 1]])
     assert certify_bounded([[1, 0], [0, 1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda m: st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=m, max_size=m))))
+def test_certificate_agrees_with_homogeneous_search(A):
+    y = certify_bounded(A)
+    if y is not None:
+        assert all(type(c) is int for c in y)
+        assert all(sum(yi * row[j] for yi, row in zip(y, A)) > 0 for j in range(len(A[0])))
+    # a ray of {x >= 0 : A x = 0} with minimal support is a vector of signed
+    # minors of at most m rows, each at most (max |a| * m)^m by Hadamard
+    m = len(A)
+    cap = (max(1, max(abs(c) for row in A for c in row)) * m) ** m
+    try:
+        found = homogeneous_nonzero_exists(A, [cap] * len(A[0]), budget=10**5)
+    except OracleRefusal:
+        return
+    assert found == (y is None)
 
 
 def test_homogeneous_search_finds_rays():

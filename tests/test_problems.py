@@ -6,14 +6,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cteuclid.algebra import ExactRing, InputError, PrimeField
+from cteuclid.algebra import SLACK, ExactRing, InputError, PrimeField, VariableTable
 from cteuclid.bruteforce import brute_count, dp_knapsack
 from cteuclid.checkpoint import CheckpointPause
-from cteuclid.elimination import DEFAULT_PRIMES, PrimeClash, SeriesTables
-from cteuclid.engine import Stats
+from cteuclid.elimination import DEFAULT_PRIMES, PrimeClash, SeriesTables, pick_lambda
+from cteuclid.engine import Stats, ct_all
 from cteuclid.problems import (
     DiophantineSystem,
+    build_series_termsum,
+    certified_primes,
     check_boundedness,
+    dilation_bound,
     diophantine_count,
     ehrhart_series,
     factored_denominator,
@@ -24,7 +27,13 @@ from cteuclid.problems import (
     series_coeffs,
     system_from_json,
 )
-from cteuclid.univariate import dense_from_sparse, expand_factored, pmul, power_series_div
+from cteuclid.univariate import (
+    dense_from_sparse,
+    divexact_int,
+    expand_factored,
+    pmul,
+    power_series_div,
+)
 
 RING = ExactRing()
 
@@ -80,8 +89,45 @@ def test_magic_square_system_shape():
 def test_boundedness_check():
     with pytest.raises(InputError):
         check_boundedness(DiophantineSystem([[1, -1]], [3]))
-    check_boundedness(DiophantineSystem([[1, -1]], [3]), assume_bounded=True)
-    check_boundedness(DiophantineSystem([[1, 1]], [3]))
+    assert check_boundedness(DiophantineSystem([[1, 1]], [3])) == [1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.integers(1, 2), st.integers(2, 3)).flatmap(lambda mn: st.tuples(
+    st.lists(st.lists(st.integers(-2, 3), min_size=mn[1], max_size=mn[1]),
+             min_size=mn[0], max_size=mn[0]),
+    st.lists(st.integers(0, 3), min_size=mn[0], max_size=mn[0]))))
+def test_dilations_stay_within_the_certified_bound(case):
+    A, b = case
+    try:
+        system = DiophantineSystem(A, b)
+        y = check_boundedness(system)
+    except InputError:
+        return  # a zero column, or an infinite solution set
+    table = VariableTable()
+    terms = ct_all(build_series_termsum(system, table, RING)).unpacked()
+    lam = pick_lambda([terms], table.vids_of_rank(SLACK))
+    primes, den = certified_primes(system, y, [terms], lam)
+    degree = sum(m * e for m, e in den.items())
+    top = dilation_bound(system, y, degree)
+    yb = sum(yi * bi for yi, bi in zip(y, b))
+    ya = [sum(yi * c for yi, c in zip(y, col)) for col in zip(*A)]
+    f = []
+    for t in range(degree + 1):
+        f.append(brute_count(A, [t * c for c in b], box=[max(0, t * yb // c) for c in ya]))
+        assert f[-1] <= dilation_bound(system, y, t) <= top
+    # the series over den has a numerator of degree at most deg den, whose
+    # coefficients the primes lift
+    out = ehrhart_series(system)
+    assert series_coeffs(out.num, out.den, degree + 1) == f
+    num = pmul(RING, out.num, divexact_int(expand_factored(RING, den), out.den))
+    assert len(num) - 1 <= degree
+    bound = 2 ** sum(den.values()) * top
+    assert all(abs(c) <= bound for c in num)
+    product = 1
+    for p in primes:
+        product *= p
+    assert product > 2 * bound and primes[0] == DEFAULT_PRIMES[0]
 
 
 # ---------------------------------------------------------------------------
