@@ -329,10 +329,21 @@ class _Digits:
         self.bias = sum(self.half << s for s in self.shift.values())
 
     def digits(self, m):
-        """(index in working order, biased digit e + B/2) of every nonzero exponent of m."""
+        """(index in working order, biased digit e + B/2) of every nonzero exponent of m.
+
+        A digit of u = m + bias differs from B/2 exactly where u ^ bias has
+        a bit in it, so the top bit of that names the next nonzero digit.
+        """
         u = m + self.bias
-        mask, half, shift = self.mask, self.half, self.shift
-        return [(i, c) for i, v in enumerate(self.vids) if (c := (u >> shift[v]) & mask) != half]
+        d = u ^ self.bias
+        w, mask, last = self.width, self.mask, len(self.vids) - 1
+        out = []
+        while d:
+            k = (d.bit_length() - 1) // w
+            s = k * w
+            out.append((last - k, (u >> s) & mask))
+            d &= (1 << s) - 1
+        return out
 
     def unpack(self, m):
         vids, half = self.vids, self.half

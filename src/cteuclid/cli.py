@@ -53,12 +53,14 @@ from .checkpoint import (
 from .elimination import DEFAULT_PRIMES, LambdaExhaustion, PrimeClash
 from .engine import CollisionError, Stats, add_slack, ct_all, start_termsum
 from .problems import (
+    check_boundedness,
     format_series,
     json_int,
     knapsack_system,
     magic_square_system,
     run_pipeline,
     series_coeffs,
+    solution_box,
     system_from_json,
 )
 
@@ -287,13 +289,19 @@ def _result_path(args):
 
 # ---------------------------------------------------------------------------
 # oracle checks
+#
+# Both searches take their region from the boundedness certificate y, with
+# y^T A > 0: one row becomes the knapsack y*a x = y*b, and otherwise x lies
+# in solution_box.
 
 
 def _oracle_check_count(system, out):
+    y = check_boundedness(system)
     if len(system.matrix) == 1:
-        want = dp_knapsack(system.rhs[0], system.matrix[0])
+        (yi,) = y
+        want = dp_knapsack(yi * system.rhs[0], [yi * c for c in system.matrix[0]])
     else:
-        want = brute_count(system.matrix, system.rhs)
+        want = brute_count(system.matrix, system.rhs, box=solution_box(system, y, 1))
     if out.value is not None:
         ok = out.value == want
         got = out.value
@@ -309,7 +317,9 @@ def _oracle_check_series(system, out, kcheck):
             "series oracle check needs an exact or CRT-reconstructed series"
         )
     got = series_coeffs(out.num, out.den, kcheck + 1)
-    want = [brute_count(system.matrix, [k * b for b in system.rhs]) for k in range(kcheck + 1)]
+    y = check_boundedness(system)
+    want = [brute_count(system.matrix, [k * b for b in system.rhs], box=solution_box(system, y, k))
+            for k in range(kcheck + 1)]
     return got == want, want, got
 
 

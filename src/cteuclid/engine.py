@@ -25,6 +25,14 @@ the denominator factors (kd) and one for those of the numerator (kn); before
 it forms a value it checks the value's bound against the layout's reach and
 raises WidthError past it.  Terms leave the engine in tuple form through
 ``TermSum.unpacked``.
+
+Each exponent is decoded once: ct_var reads the x-exponent of every
+denominator factor and hands the normalized list down with the factors, and
+each Euclid node passes on the reduced exponents it computed.  A round pays
+only for what it changes: when no term needs a Euclid node, every term keeps
+its denominator and a slice of its numerator, so a round over collected
+terms (a dependent equation, say) stays collected without being collected
+again.
 """
 
 from __future__ import annotations
@@ -177,12 +185,17 @@ def _largest_exponent(terms):
 
 
 class TermSum:
-    """Stage-A terms in one coefficient ring, packed by one Layout."""
+    """Stage-A terms in one coefficient ring, packed by one Layout.
 
-    def __init__(self, layout, ring, terms=None):
+    ``collected`` is set by ct_all alone: its terms have distinct
+    denominators in key order, and the layout bound covers every exponent.
+    """
+
+    def __init__(self, layout, ring, terms=None, collected=False):
         self.layout = layout
         self.ring = ring
         self.terms = list(terms) if terms else []
+        self.collected = collected
 
     @property
     def table(self):
@@ -234,19 +247,19 @@ def add_slack_term(table, t):
     return ElliottTerm(dict(t.num), tuple(den))
 
 
-def normalize_for_var(ring, t, xvid, layout):
+def normalize_for_var(ring, t, xs, layout):
     """Rewrite every denominator factor to nonnegative x-exponent.
 
-    1/(1 - u*x^-a) = (-u^-1 x^a) / (1 - u^-1 x^a); the units collect into
-    the numerator.  Returns (num, den_list); the den list is working form,
-    not canonical orientation.  t is a stored term, within the layout bound.
+    xs holds the x-exponents of t.den.  1/(1 - u*x^-a) =
+    (-u^-1 x^a) / (1 - u^-1 x^a); the units collect into the numerator.
+    Returns (num, den_list); the den list is working form, not canonical
+    orientation.  t is a stored term, within the layout bound.
     """
-    bias, s, mask, half = _xdigit(layout, xvid)
     unit = 0
     flips = 0
     den = []
-    for f in t.den:
-        if (((f + bias) >> s) & mask) - half < 0:
+    for f, x in zip(t.den, xs):
+        if x < 0:
             den.append(-f)
             unit -= f
             flips += 1
@@ -278,19 +291,19 @@ def _check_pairwise_coprime(den, xs, layout):
         seen.add(p)
 
 
-def linear_contribution(ring, num, den, i, xvid, layout, kd, kn):
+def linear_contribution(ring, num, den, xs, i, xvid, layout, kd, kn):
     """<E, 1-u*x| for a linear pivot: drop the factor and set x = u^-1.
 
-    With f = u*x, a monomial with x-exponent k becomes e - k*f.  Returns a
-    canonical term or None (zero).  A surviving factor monomial collapsing
-    to 1 is a non-coprime collision.
+    xs holds the x-exponents of den, all nonnegative.  With f = u*x, a
+    monomial with x-exponent k becomes e - k*f.  Returns a canonical term or
+    None (zero).  A surviving factor monomial collapsing to 1 is a
+    non-coprime collision.
     """
     bias, s, mask, half = _xdigit(layout, xvid)
     f = den[i]
-    ks = [(((g + bias) >> s) & mask) - half for g in den]
-    kd1 = kd * (1 + max(map(abs, ks)))
+    kd1 = kd * (1 + max(xs))
     _check(layout, kd1)
-    new_factors = [g - k * f if k else g for j, (g, k) in enumerate(zip(den, ks)) if j != i]
+    new_factors = [g - k * f if k else g for j, (g, k) in enumerate(zip(den, xs)) if j != i]
     if not all(new_factors):
         raise CollisionError("factor monomial became 1 after linear substitution")
     ks = [(((e + bias) >> s) & mask) - half for e in num]
@@ -302,12 +315,13 @@ def linear_contribution(ring, num, den, i, xvid, layout, kd, kn):
     return make_term(ring, new_num, new_factors, layout)
 
 
-def euclid_contribution(ring, num, den, i, xvid, layout, kd, kn, stats=None):
+def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, stats=None):
     """<E, 1-u*x^a| by the halving remainder recursion.
 
-    Every other factor's x-power is reduced symmetrically modulo the pivot
-    (new exponents lie in [0, a/2]); the numerator is reduced to x-degrees
-    in [0, a).  If no reduced factor keeps an x-power the answer can be read
+    xs holds the x-exponents of den, all nonnegative, so a = xs[i].  Every
+    other factor's x-power is reduced symmetrically modulo the pivot (new
+    exponents lie in [0, a/2]); the numerator is reduced to x-degrees in
+    [0, a).  If no reduced factor keeps an x-power the answer can be read
     off directly; otherwise the numerator is shifted into x * L' and the
     bracket re-expressed through the reduced factors, whose exponents are at
     most half the pivot's.  kd and kn bound the exponents of den and num; a
@@ -318,20 +332,20 @@ def euclid_contribution(ring, num, den, i, xvid, layout, kd, kn, stats=None):
         stats.euclid_nodes += 1
     bias, s, mask, half = _xdigit(layout, xvid)
     f = den[i]
-    a = (((f + bias) >> s) & mask) - half
+    a = xs[i]
     if a <= 0:
         raise ValueError("pivot factor must have positive x-exponent")
     if a == 1:
-        t = linear_contribution(ring, num, den, i, xvid, layout, kd, kn)
+        t = linear_contribution(ring, num, den, xs, i, xvid, layout, kd, kn)
         return [t] if t is not None else []
 
-    splits = [srem_split((((g + bias) >> s) & mask) - half, a) for g in den]
+    splits = [srem_split(x, a) for x in xs]
     kd1 = kd * (1 + max(abs(l) for l, _ in splits))
     _check(layout, kd1)
     unit = 0
     flips = 0
     reduced = []
-    xs = []
+    rxs = []
     for j, (g, (l, r)) in enumerate(zip(den, splits)):
         if j == i:
             continue
@@ -340,11 +354,11 @@ def euclid_contribution(ring, num, den, i, xvid, layout, kd, kn, stats=None):
             if r == 0 and not nf:
                 raise CollisionError("factor reduced to 1 modulo the pivot")
             reduced.append(nf)
-            xs.append(r)
+            rxs.append(r)
         else:
             # negative power: flip, unit -v^-1 x^-r joins the numerator
             reduced.append(-nf)
-            xs.append(-r)
+            rxs.append(-r)
             unit -= nf
             flips += 1
 
@@ -362,7 +376,7 @@ def euclid_contribution(ring, num, den, i, xvid, layout, kd, kn, stats=None):
     if not rem:
         return []
 
-    if not any(xs):
+    if not any(rxs):
         # the bracket is the x^0 coefficient of the reduced numerator over
         # the x-free reduced factors
         l0 = {e: c for e, c in rem.items() if (((e + bias) >> s) & mask) == half}
@@ -382,10 +396,12 @@ def euclid_contribution(ring, num, den, i, xvid, layout, kd, kn, stats=None):
     # the brackets are linear in the numerator: negate it once, not every term
     shifted = poly_neg(ring, shifted)
     den2 = tuple(reduced) + (f,)
+    xs2 = rxs + [a]
     out = []
-    for idx, x in enumerate(xs):
+    for idx, x in enumerate(rxs):
         if x > 0:
-            out.extend(euclid_contribution(ring, shifted, den2, idx, xvid, layout, kd1, kn3, stats))
+            out.extend(euclid_contribution(ring, shifted, den2, xs2, idx, xvid, layout, kd1, kn3,
+                                           stats))
     return out
 
 
@@ -397,7 +413,7 @@ def ct_var(ring, t, xvid, layout, stats=None):
         sliced = {e: c for e, c in t.num.items() if (((e + bias) >> s) & mask) == half}
         return [ElliottTerm(sliced, t.den)] if sliced else []
 
-    num, den = normalize_for_var(ring, t, xvid, layout)
+    num, den = normalize_for_var(ring, t, xs, layout)
     _check_pairwise_coprime(t.den, xs, layout)
     # l1 (positive x-exponents) enters the large-factor brackets negated
     l1, l2 = {}, {}
@@ -408,15 +424,17 @@ def ct_var(ring, t, xvid, layout, stats=None):
             l2[e] = c
     kd = layout.bound
     kn = kd * (1 + sum(1 for x in xs if x < 0))
+    # the x-exponents of the normalized den, handed down to every bracket
+    xs = [abs(x) for x in xs]
     out = []
     for i, f in enumerate(den):
         if xs[i] == 0:
             continue
         if f > 0:
             if l2:
-                out.extend(euclid_contribution(ring, l2, den, i, xvid, layout, kd, kn, stats))
+                out.extend(euclid_contribution(ring, l2, den, xs, i, xvid, layout, kd, kn, stats))
         elif l1:
-            out.extend(euclid_contribution(ring, l1, den, i, xvid, layout, kd, kn, stats))
+            out.extend(euclid_contribution(ring, l1, den, xs, i, xvid, layout, kd, kn, stats))
     return out
 
 
@@ -479,6 +497,12 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
     The terms already done in the round move to the new layout, the rest
     as they come up.  After each round the layout bound grows to cover the
     collected terms.
+
+    A round that makes no Euclid node, restarts no term and starts from
+    collected terms (those of an earlier round, or a TermSum ct_all
+    returned) passes through: the sliced terms keep their order, and
+    neither collect_terms nor the layout bound runs again.  The result is
+    the one collecting would give, and the round's counters are unchanged.
     """
     ring = ts.ring
     layout = ts.layout
@@ -488,6 +512,7 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
         ct_vids = table.vids_of_rank(CT)
     remaining = list(ct_vids)
     terms = list(ts.terms)
+    collected = ts.collected
     while remaining:
         if order == "sparse-first":
             counts = _occurrence_counts(terms, remaining, layout)
@@ -496,6 +521,7 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
         else:
             xvid = remaining.pop(0)
         src = layout
+        nodes_before = stats.euclid_nodes
         new_terms = []
         for t in terms:
             if layout is not src and not layout.packs_like(src):
@@ -522,7 +548,14 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
                 layout = grown
                 t = pack_term(layout, plain)
         stats.raw_terms += len(new_terms)
+        if collected and layout is src and stats.euclid_nodes == nodes_before:
+            # only a Euclid node makes a new denominator: every term kept
+            # its own and a slice of its numerator, or vanished, so the
+            # terms stay collected and inside the layout bound
+            terms = new_terms
+            continue
         terms = collect_terms(ring, new_terms, layout)
+        collected = True
         bound = layout.magnitude(_monomials(terms))
         if bound > layout.bound:
             room = max(layout.reach, bound * bound << ROOM_BITS)
@@ -530,4 +563,4 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
             terms = _relayout(layout, grown, terms)
             layout = grown
     stats.collected_terms = len(terms)
-    return TermSum(layout, ring, terms)
+    return TermSum(layout, ring, terms, collected)

@@ -326,14 +326,18 @@ def check_boundedness(system):
     return y
 
 
-def dilation_bound(system, y, t):
-    """A bound on the number of solutions of A x = t b, from y with y^T A > 0.
+def solution_box(system, y, t):
+    """Caps on each x_j over the solutions of A x = t b, from y with y^T A > 0.
 
     y^T A x = t y^T b and x >= 0 keep each x_j within t y^T b / (y^T A)_j.
     """
     ytb = t * sum(yi * bi for yi, bi in zip(y, system.rhs))
-    return prod(max(0, ytb // sum(yi * c for yi, c in zip(y, col))) + 1
-                for col in zip(*system.matrix))
+    return [max(0, ytb // sum(yi * c for yi, c in zip(y, col))) for col in zip(*system.matrix)]
+
+
+def dilation_bound(system, y, t):
+    """A bound on the number of solutions of A x = t b, from y with y^T A > 0."""
+    return prod(u + 1 for u in solution_box(system, y, t))
 
 
 def certified_primes(system, y, chunks, lam_map):

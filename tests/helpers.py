@@ -63,7 +63,8 @@ class Packed:
 
     def normalize_for_var(self, t, xvid):
         layout, (p,) = self._pack([t])
-        num, den = engine.normalize_for_var(self.ring, p, xvid, layout)
+        xs = [layout.get(f, xvid) for f in p.den]
+        num, den = engine.normalize_for_var(self.ring, p, xs, layout)
         return {layout.unpack(e): c for e, c in num.items()}, [layout.unpack(f) for f in den]
 
     def collect_terms(self, terms):
@@ -73,7 +74,9 @@ class Packed:
     def bracket(self, t, f_exps, xvid, stats=None):
         """Single-factor contribution <t, 1-f| in x; zero if f is absent."""
         layout, (p,) = self._pack([t])
-        num, den = engine.normalize_for_var(self.ring, p, xvid, layout)
+        xs = [layout.get(f, xvid) for f in p.den]
+        num, den = engine.normalize_for_var(self.ring, p, xs, layout)
+        xs = [abs(x) for x in xs]
         f = layout.pack(f_exps)
         x = layout.get(f, xvid)
         if x == 0:
@@ -82,7 +85,7 @@ class Packed:
         kn = layout.bound * (1 + len(den))
         for i, g in enumerate(den):
             if g == nf:
-                out = engine.euclid_contribution(self.ring, num, den, i, xvid, layout,
+                out = engine.euclid_contribution(self.ring, num, den, xs, i, xvid, layout,
                                                  layout.bound, kn, stats)
                 return [unpack_term(layout, r) for r in out]
         return []

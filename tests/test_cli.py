@@ -486,6 +486,23 @@ def test_system_with_no_nonnegative_row_is_certified(in_tmp, capsys):
     assert brute_count(A, b, box=[8 // c for c in (2, 1, 3, 2, 2, 3, 3)]) == 9
 
 
+NEGATIVE_ROW = {"matrix": [[-1, -2]], "rhs": [-4]}
+SEVEN_COLUMNS = {"matrix": [[3, -1, 2, 5, -2, 1, 4], [-1, 2, 1, -3, 4, 2, -1]], "rhs": [4, 4]}
+
+
+@pytest.mark.parametrize("system, command, want", [
+    (NEGATIVE_ROW, ["count"], "3"),
+    (NEGATIVE_ROW, ["ehrhart", "--coeffs", "4"], "[1, 3, 5, 7, 9]"),
+    (SEVEN_COLUMNS, ["count"], "9"),
+], ids=["negative-row-count", "negative-row-ehrhart", "seven-columns-count"])
+def test_oracle_check_searches_the_certified_box(in_tmp, capsys, system, command, want):
+    """No row of these systems is nonnegative; the boundedness certificate gives the region."""
+    (in_tmp / "sys.json").write_text(json.dumps(system))
+    rc, out, _ = run_main(capsys, *command, "--input", "sys.json", "--oracle-check")
+    assert rc == 0
+    assert f"# oracle-check: ok ({want})" in out
+
+
 def test_oracle_refusal_on_huge_instance(in_tmp, capsys):
     rc, _, err = run_main(capsys, "knapsack", "--a0", "89733124481",
                           "--weights", "12223,12224,36671", "--oracle-check")

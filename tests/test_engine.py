@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cteuclid import engine
 from cteuclid.algebra import (
     CT,
     EXPS_ONE,
@@ -214,6 +215,49 @@ def test_collect_terms_merges_same_denominator():
     out = PK.collect_terms([t1, t2])
     assert len(out) == 1
     assert out[0].num == {E(y1=1): 1, E(y1=2): 4}
+
+
+def test_ct_all_merges_a_packed_sum_without_x():
+    """Terms ct_all did not collect are collected even when no Euclid node is made."""
+    t1 = T({E(y1=1): 1}, [E(y2=1)])
+    t2 = T({E(y1=2): 4, E(y1=1, x=1): 1}, [E(y2=1)])
+    got = ct_all(TermSum.pack(PK.table, RING, [t1, t2]), ct_vids=[X]).unpacked()
+    assert [(t.num, t.den) for t in got] == [({E(y1=1): 1, E(y1=2): 4}, (E(y2=1),))]
+
+
+def test_dependent_round_passes_through(monkeypatch):
+    """Magic-4's round 8, the last column sum, makes no Euclid node and is not collected."""
+    table = VariableTable()
+    start = build_series_termsum(magic_square_system(4), table, RING)
+    vids = table.vids_of_rank(CT)
+    ts = start
+    for v in vids[:7]:
+        ts = ct_all(ts, ct_vids=[v])
+    calls = []  # raw terms per collect_terms call
+    collect = engine.collect_terms
+
+    def counted(ring, terms, layout):
+        calls.append(len(terms))
+        return collect(ring, terms, layout)
+
+    monkeypatch.setattr(engine, "collect_terms", counted)
+    mine = Stats()
+    got = ct_all(ts, ct_vids=[vids[7]], stats=mine)
+    assert calls == []
+    assert (mine.raw_terms, mine.collected_terms, mine.euclid_nodes) == (140, 140, 0)
+    ref = Stats()
+    _same_terms(got.unpacked(), oracles.ct_all(table, RING, ts.unpacked(), ct_vids=[vids[7]],
+                                               stats=ref))
+    assert mine.as_dict() == ref.as_dict()
+
+    # the same round inside one call over rounds 1-8
+    whole_stats, ref = Stats(), Stats()
+    whole = ct_all(start, ct_vids=vids[:8], stats=whole_stats)
+    assert calls == [1, 4, 16, 64, 81, 96, 256]
+    _same_terms(got.unpacked(), whole.unpacked())
+    assert got.layout.bound == whole.layout.bound
+    oracles.ct_all(table, RING, start.unpacked(), ct_vids=vids[:8], stats=ref)
+    assert whole_stats.as_dict() == ref.as_dict()
 
 
 def _two_var_table_term():
