@@ -378,8 +378,11 @@ class Layout:
     ``order_key(m)`` an int that sorts packed monomials the way their exps
     tuples sort, and ``primitive(m)`` m divided by the gcd of its exponents,
     which is equal for positive multiples of one vector.  All three are memo
-    lookups; the memos live as long as the layout, and a layout that packs
-    the same way takes them over.
+    lookups.  ``intern(f, f)`` (a dict's setdefault) gives the layout's one
+    int object of value f: a stored denominator factor is always that
+    object, so the many terms sharing a factor hold one int between them.
+    The memos and the intern table live as long as the layout, and a layout
+    that packs the same way takes them over.
     """
 
     def __init__(self, table, bound=1, reach=None, like=None):
@@ -392,10 +395,12 @@ class Layout:
         self.vids, self.width, self.half = digits.vids, digits.width, digits.half
         self.mask, self.shift, self.bias = digits.mask, digits.shift, digits.bias
         if like is not None and self.packs_like(like):
-            self._memos = like._memos
+            self._memos, self._factors = like._memos, like._factors
         else:
             self._memos = [_Memo(digits.unpack), _Memo(digits.order_key), _Memo(digits.primitive)]
+            self._factors = {}
         self.unpack, self.order_key, self.primitive = (memo.__getitem__ for memo in self._memos)
+        self.intern = self._factors.setdefault
 
     def packs_like(self, other):
         """True when other packs every monomial into the same int."""

@@ -466,9 +466,13 @@ def eliminate_slack(ring, table, terms, lam_map, stats=None):
 
     Returns one FactoredAccumulator in the free variable q holding every
     piece.  A count has no q: its denominator is {} and its value is the
-    constant coefficient numerator().get(0, 0).  More than one free
-    variable raises RuntimeError.
+    constant coefficient numerator().get(0, 0).  Each piece divides once,
+    so a ring that cannot divide, such as stage A's ExactRing, raises
+    TypeError; more than one free variable raises RuntimeError.
     """
+    if not hasattr(ring, "inv"):
+        raise TypeError(f"stage B divides, which {ring!r} cannot; "
+                        "eliminate slack in a PrimeField")
     if len(table.vids_of_rank(FREE)) > 1:
         raise RuntimeError("terms kept several free variables")
     tables = SeriesTables(ring)

@@ -31,8 +31,14 @@ denominator factor and hands the normalized list down with the factors, and
 each Euclid node passes on the reduced exponents it computed.  A round pays
 only for what it changes: when no term needs a Euclid node, every term keeps
 its denominator and a slice of its numerator, so a round over collected
-terms (a dependent equation, say) stays collected without being collected
+terms (a dependent equation, say) stays collected without being ordered
 again.
+
+A round holds only what it keeps.  Every stored denominator factor is the
+layout's one int object of its value (``Layout.intern``), and ct_all merges
+the terms ct_var returns for one input term into the round's buckets, one
+numerator per denominator, before it takes the next; a round's raw terms
+never exist side by side.
 """
 
 from __future__ import annotations
@@ -149,18 +155,18 @@ def make_term(ring, num, factors, layout):
     denominator vanished: that is the non-coprime collision.  The caller
     has checked that the numerator has room for the unit.
     """
+    intern = layout.intern
     unit = 0
     flips = 0
     canon = []
     for f in factors:
-        if f > 0:
-            canon.append(f)
-        elif f < 0:
-            canon.append(-f)
+        if f < 0:
             unit -= f
             flips += 1
-        else:
+            f = -f
+        elif not f:
             raise CollisionError("denominator factor monomial equals 1")
+        canon.append(intern(f, f))
     if flips:
         sign = ring.from_int(-1) if flips % 2 else ring.one()
         num = _mul_monomial(ring, num, sign, unit)
@@ -171,8 +177,9 @@ def make_term(ring, num, factors, layout):
 
 
 def pack_term(layout, t):
+    intern = layout.intern
     return ElliottTerm({layout.pack(e): c for e, c in t.num.items()},
-                       tuple(layout.pack(f) for f in t.den))
+                       tuple(intern(f, f) for f in map(layout.pack, t.den)))
 
 
 def unpack_term(layout, t):
@@ -438,25 +445,29 @@ def ct_var(ring, t, xvid, layout, stats=None):
     return out
 
 
-def collect_terms(ring, terms, layout):
-    """Merge terms with identical denominators; drop zero numerators.
+def merge_terms(ring, buckets, terms):
+    """Add terms into buckets {den: num}, in place.
 
-    The output order is the order of the denominators as tuples of exps
-    tuples, so it does not depend on the input order or on the layout.
+    A term whose denominator opens a bucket hands its numerator over to it,
+    so the terms must not be used afterwards; ct_var's results qualify.
     """
-    buckets = {}
     for t in terms:
         num = buckets.get(t.den)
         if num is None:
-            buckets[t.den] = dict(t.num)
+            buckets[t.den] = t.num
         else:
             poly_add_inplace(ring, num, t.num)
-    out = []
-    for den in sorted(buckets, key=lambda d: tuple(map(layout.order_key, d))):
-        num = buckets[den]
-        if num:
-            out.append(ElliottTerm(num, den))
-    return out
+
+
+def collect_terms(layout, buckets):
+    """The terms of buckets {den: num} whose numerator is not zero, ordered.
+
+    The order is that of the denominators as tuples of exps tuples, so it
+    does not depend on the order of merging or on the layout.
+    """
+    return [ElliottTerm(buckets[den], den)
+            for den in sorted(buckets, key=lambda d: tuple(map(layout.order_key, d)))
+            if buckets[den]]
 
 
 def _occurrence_counts(terms, vids, layout):
@@ -482,8 +493,16 @@ def _relayout(old, new, terms):
     return [pack_term(new, unpack_term(old, t)) for t in terms]
 
 
+def _relayout_buckets(old, new, buckets):
+    if new.packs_like(old):
+        return buckets
+    moved = (pack_term(new, unpack_term(old, ElliottTerm(num, den)))
+             for den, num in buckets.items())
+    return {t.den: t.num for t in moved}
+
+
 def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
-    """Eliminate every ct variable, collecting after each round.
+    """Eliminate every ct variable, collecting each round as it goes.
 
     order "sparse-first" greedily picks the variable occurring in the fewest
     denominator factors.  With delayed=True (the raw ct command's delayed
@@ -491,18 +510,22 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
     slack variables on all its factors; pipeline runs start with slack on
     every factor and pass delayed=False, so a collision there raises.
 
-    A term that needs more room than the layout's reach (WidthError) is
-    redone, its Euclid nodes uncounted, under a layout with the reach it
-    asked for; a restart grows the table, which also takes a new layout.
-    The terms already done in the round move to the new layout, the rest
-    as they come up.  After each round the layout bound grows to cover the
-    collected terms.
+    The terms ct_var returns for one input term are merged into the
+    round's buckets (merge_terms) before the next input term starts, and
+    collect_terms orders the buckets once the round is done.  A term that
+    needs more room than the layout's reach (WidthError) is redone, its
+    Euclid nodes uncounted, under a layout with the reach it asked for; a
+    restart grows the table, which also takes a new layout.  Either way the
+    term merged nothing yet: the buckets move to the new layout, the input
+    terms still to come as they come up.  After each round the layout bound
+    grows to cover the collected terms.
 
     A round that makes no Euclid node, restarts no term and starts from
     collected terms (those of an earlier round, or a TermSum ct_all
-    returned) passes through: the sliced terms keep their order, and
-    neither collect_terms nor the layout bound runs again.  The result is
-    the one collecting would give, and the round's counters are unchanged.
+    returned) passes through: every bucket holds one sliced term, in input
+    order, and neither collect_terms nor the layout bound runs again.  The
+    result is the one collecting would give, and the round's counters are
+    unchanged.
     """
     ring = ts.ring
     layout = ts.layout
@@ -522,7 +545,8 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
             xvid = remaining.pop(0)
         src = layout
         nodes_before = stats.euclid_nodes
-        new_terms = []
+        buckets = {}
+        raw = 0
         for t in terms:
             if layout is not src and not layout.packs_like(src):
                 t = pack_term(layout, unpack_term(src, t))
@@ -530,7 +554,7 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
             while True:
                 nodes = stats.euclid_nodes
                 try:
-                    new_terms.extend(ct_var(ring, t, xvid, layout, stats))
+                    out = ct_var(ring, t, xvid, layout, stats)
                     break
                 except WidthError as exc:
                     stats.euclid_nodes = nodes
@@ -544,17 +568,20 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
                     stats.restarts += 1
                     plain = add_slack_term(table, unpack_term(layout, t))
                     grown = Layout(table, layout.bound, layout.reach)
-                new_terms = _relayout(layout, grown, new_terms)
+                buckets = _relayout_buckets(layout, grown, buckets)
                 layout = grown
                 t = pack_term(layout, plain)
-        stats.raw_terms += len(new_terms)
+            raw += len(out)
+            merge_terms(ring, buckets, out)
+        stats.raw_terms += raw  # a round that raises counts none
         if collected and layout is src and stats.euclid_nodes == nodes_before:
             # only a Euclid node makes a new denominator: every term kept
             # its own and a slice of its numerator, or vanished, so the
             # terms stay collected and inside the layout bound
-            terms = new_terms
+            terms = [ElliottTerm(num, den) for den, num in buckets.items()]
             continue
-        terms = collect_terms(ring, new_terms, layout)
+        terms = collect_terms(layout, buckets)
+        del buckets  # else it would keep the old terms alive through a relayout
         collected = True
         bound = layout.magnitude(_monomials(terms))
         if bound > layout.bound:

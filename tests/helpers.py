@@ -69,7 +69,9 @@ class Packed:
 
     def collect_terms(self, terms):
         layout, packed = self._pack(terms)
-        return [unpack_term(layout, t) for t in engine.collect_terms(self.ring, packed, layout)]
+        buckets = {}
+        engine.merge_terms(self.ring, buckets, packed)
+        return [unpack_term(layout, t) for t in engine.collect_terms(layout, buckets)]
 
     def bracket(self, t, f_exps, xvid, stats=None):
         """Single-factor contribution <t, 1-f| in x; zero if f is absent."""

@@ -471,6 +471,18 @@ def test_elimination_is_direction_invariant():
         assert acc1.numerator() == acc2.numerator() == ({0: want} if want else {})
 
 
+def test_eliminate_slack_refuses_a_ring_that_cannot_divide():
+    from cteuclid.algebra import ExactRing
+    from cteuclid.engine import ct_all
+
+    table = VariableTable()
+    ring = ExactRing()
+    done = ct_all(build_count_termsum(knapsack_system(41, [1, 5, 14]), table, ring)).unpacked()
+    lam = pick_lambda([done], table.vids_of_rank(SLACK))
+    with pytest.raises(TypeError, match="PrimeField"):
+        eliminate_slack(ring, table, done, lam)
+
+
 # ---------------------------------------------------------------------------
 # CRT
 

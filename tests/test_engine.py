@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -233,17 +234,18 @@ def test_dependent_round_passes_through(monkeypatch):
     ts = start
     for v in vids[:7]:
         ts = ct_all(ts, ct_vids=[v])
-    calls = []  # raw terms per collect_terms call
+    # the run's raw-terms counter whenever collect_terms orders a round
+    seen = []
     collect = engine.collect_terms
 
-    def counted(ring, terms, layout):
-        calls.append(len(terms))
-        return collect(ring, terms, layout)
+    def counted(layout, buckets):
+        seen.append(watched.raw_terms)
+        return collect(layout, buckets)
 
     monkeypatch.setattr(engine, "collect_terms", counted)
-    mine = Stats()
+    mine = watched = Stats()
     got = ct_all(ts, ct_vids=[vids[7]], stats=mine)
-    assert calls == []
+    assert seen == []
     assert (mine.raw_terms, mine.collected_terms, mine.euclid_nodes) == (140, 140, 0)
     ref = Stats()
     _same_terms(got.unpacked(), oracles.ct_all(table, RING, ts.unpacked(), ct_vids=[vids[7]],
@@ -252,7 +254,9 @@ def test_dependent_round_passes_through(monkeypatch):
 
     # the same round inside one call over rounds 1-8
     whole_stats, ref = Stats(), Stats()
+    watched = whole_stats
     whole = ct_all(start, ct_vids=vids[:8], stats=whole_stats)
+    calls = [b - a for a, b in zip([0] + seen, seen)]  # raw terms of each ordered round
     assert calls == [1, 4, 16, 64, 81, 96, 256]
     _same_terms(got.unpacked(), whole.unpacked())
     assert got.layout.bound == whole.layout.bound
@@ -498,3 +502,100 @@ def test_magic5_rounds_one_call_each():
     assert counts == MAGIC5_ROUNDS
     assert nodes == MAGIC5_NODES
     assert len(ts) == 3680
+
+
+# ---------------------------------------------------------------------------
+# what a round holds: one int per distinct factor, and no raw terms
+
+
+def _one_object_per_factor(ts):
+    factors = [f for t in ts.terms for f in t.den]
+    return len({id(f) for f in factors}) == len(set(factors))
+
+
+def test_stored_factors_are_shared():
+    table = VariableTable()
+    start = build_series_termsum(magic_square_system(4), table, RING)
+    vids = table.vids_of_rank(CT)
+    done = ct_all(start)
+    assert _one_object_per_factor(done)
+    assert _one_object_per_factor(TermSum.pack(table, RING, done.unpacked()))
+
+    # rounds 1-6 repacked as narrowly as their exponents allow: round 7
+    # outgrows the layout and moves to a wider one
+    head = ct_all(start, ct_vids=vids[:6])
+    plain = head.unpacked()
+    narrow = Layout(table, head.layout.bound, reach=head.layout.bound)
+    packed = TermSum(narrow, RING, [pack_term(narrow, t) for t in plain])
+    assert _one_object_per_factor(packed)
+    got = ct_all(packed, ct_vids=[vids[6]])
+    assert got.layout.width > narrow.width
+    assert _one_object_per_factor(got)
+    _same_terms(got.unpacked(), ct_all(head, ct_vids=[vids[6]]).unpacked())
+
+
+def _free_terms(mono):
+    """Three terms over one x-free denominator, which a round merges into one."""
+    den = [mono({"y1": 2, "y2": -1}), mono({"y2": 3})]
+    return [oracles.make_term(RING, num, den) for num in (
+        {mono({"y1": 1}): 2, mono({"y2": 1, "x1": 1}): 5},
+        {mono({"y1": 1}): -2, mono({"y1": 3}): 1},
+        {mono({"y1": 3}): 4, mono({"y2": -2}): 1},
+    )]
+
+
+def test_mid_round_widening_keeps_merged_terms():
+    """A later term outgrows the layout after earlier ones merged: they move with it."""
+    table, ref_table = _twin_tables(2, 0, 1)
+
+    def mono(d):
+        return exps_from_dict({table.vid_of(k): e for k, e in d.items()})
+
+    a, b, c = _free_terms(mono)
+    wide = oracles.make_term(RING, {mono(NARROW_CASES[0][0]): 1},
+                             [mono(f) for f in NARROW_CASES[0][1]])
+    terms = [a, b, wide, c]
+    bound = max(abs(e) for t in terms for m in (*t.num, *t.den) for _, e in m)
+    narrow = Layout(table, bound, reach=bound)
+    mine, ref = Stats(), Stats()
+    got = ct_all(TermSum(narrow, RING, [pack_term(narrow, t) for t in terms]), stats=mine)
+    assert got.layout.width > narrow.width
+    _same_terms(got.unpacked(), oracles.ct_all(ref_table, RING, terms, stats=ref))
+    assert mine.as_dict() == ref.as_dict()
+    assert (mine.raw_terms, mine.collected_terms) == (4, 2)
+    assert _one_object_per_factor(got)
+
+
+def test_mid_round_restart_keeps_merged_terms():
+    """A delayed-slack restart after earlier terms merged moves them to the grown table."""
+    table, ref_table = _twin_tables(2, 0, 1)
+
+    def mono(d):
+        return exps_from_dict({table.vid_of(k): e for k, e in d.items()})
+
+    euclid = oracles.make_term(RING, {(): 1}, [mono({"y1": 1, "x1": 1}),
+                                              mono({"y2": 1, "x1": -2})])
+    colliding = oracles.make_term(RING, {(): 1}, [mono({"y1": 1, "x1": 1})] * 2)
+    a, _, c = _free_terms(mono)
+    terms = [euclid, a, colliding, c]
+    mine, ref = Stats(), Stats()
+    got = ct_all(TermSum.pack(table, RING, terms), delayed=True, stats=mine)
+    _same_terms(got.unpacked(), oracles.ct_all(ref_table, RING, terms, delayed=True, stats=ref))
+    assert mine.as_dict() == ref.as_dict()
+    assert mine.restarts == 1
+    assert table.ordered() == ref_table.ordered()
+    assert _one_object_per_factor(got)
+
+
+def test_magic5_rounds_hold_no_raw_terms():
+    """Rounds 1-8 trace about 9 MB at peak; keeping every raw term and factor int took 22 MB."""
+    tracemalloc.start()
+    try:
+        table = VariableTable()
+        ts = build_series_termsum(magic_square_system(5), table, RING)
+        ts = ct_all(ts, ct_vids=table.vids_of_rank(CT)[:8])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ts) == 3680
+    assert peak < 15_000_000
