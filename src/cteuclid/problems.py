@@ -42,14 +42,7 @@ from .bruteforce import certify_bounded
 from .checkpoint import DirectoryStore, config_hash, config_payload, lam_hash
 from .elimination import DEFAULT_PRIMES, crt_combine, eliminate_slack, lambda_pairing, pick_lambda
 from .engine import ElliottTerm, Stats, ct_all, start_termsum
-from .univariate import (
-    FactoredAccumulator,
-    dense_from_sparse,
-    divexact_int,
-    expand_factored,
-    power_series_div,
-    reduce_fraction_int,
-)
+from .univariate import FactoredAccumulator, power_series_div, reduce_factored
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +226,19 @@ class RunOutcome:
 
 
 def format_series(num, den, den_factors=None):
-    nstr = poly_str_1var(num, "q")
-    if den_factors is not None:
+    nstr = poly_str_1var(num)
+    if den_factors:
         bits = []
         for k, e in sorted(den_factors.items()):
             base = "(1 - q)" if k == 1 else f"(1 - q^{k})"
             bits.append(f"{base}^{e}" if e > 1 else base)
         d = " * ".join(bits)
     else:
-        d = poly_str_1var(den, "q")
+        d = poly_str_1var(den)
     return f"({nstr}) / ({d})"
 
 
-def poly_str_1var(cs, name):
+def poly_str_1var(cs):
     if not cs:
         return "0"
     out = []
@@ -257,37 +250,14 @@ def poly_str_1var(cs, name):
         if d == 0:
             body = str(a)
         elif d == 1:
-            body = f"{a}*{name}" if a != 1 else name
+            body = f"{a}*q" if a != 1 else "q"
         else:
-            body = f"{a}*{name}^{d}" if a != 1 else f"{name}^{d}"
+            body = f"{a}*q^{d}" if a != 1 else f"q^{d}"
         if not out:
             out.append(body if sign == "+" else f"-{body}")
         else:
             out.append(f"{sign} {body}")
     return " ".join(out) if out else "0"
-
-
-def factored_denominator(den):
-    """{k: e} with den = prod (1 - q^k)^e, or None if there is none.
-
-    Greedy from the largest k is exact: the largest k with Phi_k dividing
-    a product of such binomials is itself one of its factors.
-    """
-    rem = list(den)
-    if not rem or rem[0] != 1:
-        return None
-    out = {}
-    for k in range(len(rem) - 1, 0, -1):
-        binom = [1] + [0] * (k - 1) + [-1]
-        while len(rem) - 1 >= k:
-            try:
-                rem = divexact_int(rem, binom)
-            except ArithmeticError:
-                break
-            out[k] = out.get(k, 0) + 1
-    if rem == [1]:
-        return out
-    return None
 
 
 def series_coeffs(num, den, count):
@@ -300,17 +270,6 @@ def series_coeffs(num, den, count):
     if any(c < 0 for c in out):
         raise ArithmeticError("series coefficient went negative")
     return out
-
-
-def _reduce_series(num, den_counts):
-    """Reduce the sparse integer numerator num over prod (1 - q^k)^e to lowest terms."""
-    ring = ExactRing()
-    num_r, den_r = reduce_fraction_int(dense_from_sparse(ring, num),
-                                       expand_factored(ring, den_counts))
-    if den_r and den_r[0] < 0:
-        num_r = [-c for c in num_r]
-        den_r = [-c for c in den_r]
-    return num_r, den_r, factored_denominator(den_r)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +465,7 @@ def _assemble(task, results, moduli, crt, target=None):
     if task == "count":
         out.value = num.get(0, 0)
     else:
-        out.num, out.den, out.den_factors = _reduce_series(num, target)
+        out.num, out.den, out.den_factors = reduce_factored(num, target)
     return out
 
 

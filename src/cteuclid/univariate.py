@@ -5,8 +5,9 @@ After slack elimination the surviving values live in at most one variable
 at all for plain counts).  The pieces num / prod_k (1 - q^k)^(e_k) are summed
 per distinct denominator {k: e}, and each of those sums is brought onto the
 common factored denominator once, by FactoredAccumulator, which is the only
-code that knows this format.  The final reduction runs one integer gcd via
-the subresultant PRS, so coefficients never leave Z.
+code that knows this format.  The final reduction, reduce_factored, cancels
+the cyclotomic factors of that known denominator from the integer
+numerator by exact division, so coefficients never leave Z.
 
 Dense polynomials are plain lists, index = degree, over a coefficient ring
 (exact integers or a prime field).  Sparse Laurent numerators are dicts
@@ -15,9 +16,9 @@ Dense polynomials are plain lists, index = degree, over a coefficient ring
 
 from __future__ import annotations
 
-from math import gcd
+from functools import lru_cache
 
-from .algebra import poly_add_inplace
+from .algebra import ExactRing, poly_add_inplace
 
 
 # ---------------------------------------------------------------------------
@@ -44,25 +45,6 @@ def pmul(ring, a, b):
     return trim(out)
 
 
-def binomial_factor(ring, k, e):
-    """(1 - q^k)^e as a dense list."""
-    out = [ring.one()]
-    step = [ring.zero()] * (k + 1)
-    step[0] = ring.one()
-    step[k] = ring.from_int(-1)
-    for _ in range(e):
-        out = pmul(ring, out, step)
-    return out
-
-
-def expand_factored(ring, den_counts):
-    """prod_k (1 - q^k)^(e_k); constant coefficient is 1."""
-    out = [ring.one()]
-    for k in sorted(den_counts):
-        out = pmul(ring, out, binomial_factor(ring, k, den_counts[k]))
-    return out
-
-
 def power_series_div(ring, num, den, count):
     """First `count` series coefficients of num/den; den[0] must be one."""
     if not den or den[0] != ring.one():
@@ -77,61 +59,7 @@ def power_series_div(ring, num, den, count):
 
 
 # ---------------------------------------------------------------------------
-# integer gcd via the subresultant PRS (no rational arithmetic)
-
-
-def content_int(a):
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-        if g == 1:
-            return 1
-    return g if g else 1
-
-
-def primitive_int(a):
-    g = content_int(a)
-    if g == 1:
-        return list(a)
-    return [c // g for c in a]
-
-
-def pseudo_rem_int(a, b):
-    """Remainder of lc(b)^(deg a - deg b + 1) * a modulo b, integer arithmetic."""
-    r = list(a)
-    d = len(b) - 1
-    lc = b[-1]
-    while len(r) - 1 >= d and r:
-        if not r[-1]:
-            r.pop()
-            continue
-        shift = len(r) - 1 - d
-        top = r[-1]
-        r = [c * lc for c in r]
-        for i in range(d + 1):
-            r[shift + i] -= top * b[i]
-        trim(r)
-    return r
-
-
-def gcd_int(a, b):
-    """Primitive gcd in Z[q] with positive leading coefficient."""
-    a = primitive_int(trim(list(a)))
-    b = primitive_int(trim(list(b)))
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        if len(a) < len(b):
-            a, b = b, a
-        while b:
-            r = pseudo_rem_int(a, b)
-            a, b = b, primitive_int(r)
-        g = a
-    if g and g[-1] < 0:
-        g = [-c for c in g]
-    return g
+# exact division in Z[q]
 
 
 def divexact_int(a, b):
@@ -157,29 +85,6 @@ def divexact_int(a, b):
     if r:
         raise ArithmeticError("inexact polynomial division")
     return q
-
-
-def reduce_fraction_int(num, den):
-    """Cancel the gcd; make the result primitive with den's leading coeff > 0."""
-    num = trim(list(num))
-    den = trim(list(den))
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return [], [1]
-    g = gcd_int(num, den)
-    if len(g) > 1 or g[0] != 1:
-        num = divexact_int(num, g)
-        den = divexact_int(den, g)
-    cn, cd = content_int(num), content_int(den)
-    c = gcd(cn, cd)
-    if c > 1:
-        num = [x // c for x in num]
-        den = [x // c for x in den]
-    if den[-1] < 0:
-        num = [-x for x in num]
-        den = [-x for x in den]
-    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +189,56 @@ class FactoredAccumulator:
                     num = sparse_mul_binomial(ring, num, k, deficit)
             poly_add_inplace(ring, out, num)
         return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(d):
+    """Phi_d over Z as a dense tuple, with Phi_1 = 1 - q, so Phi_d(0) = 1.
+
+    1 - q^d is the product of Phi_e over the divisors e of d.
+    """
+    out = [1] + [0] * (d - 1) + [-1]
+    for e in range(1, d):
+        if d % e == 0:
+            out = divexact_int(out, cyclotomic(e))
+    return tuple(out)
+
+
+def reduce_factored(num, den_counts):
+    """(num, den, factors): the integer num / prod_k (1 - q^k)^(e_k) in lowest terms.
+
+    num is sparse and comes back dense.  The denominator is
+    prod_d Phi_d^(m_d), m_d the sum of e_k over the multiples k of d.  The
+    Phi_d are irreducible and pairwise coprime, so the gcd with num is the
+    Phi_d that divide num exactly, each at most m_d times.  den is the
+    product of the rest, den[0] = 1.  factors is den as {k: e} with
+    den = prod_k (1 - q^k)^e, or None if it is no such product: from the
+    largest k down, e_k is m_k less the e_j of the multiples j of k
+    already taken.
+    """
+    ring = ExactRing()
+    num = dense_from_sparse(ring, num)
+    mult = {}
+    for k, e in den_counts.items():
+        for d in range(1, k + 1):
+            if k % d == 0:
+                mult[d] = mult.get(d, 0) + e
+    den = [1]
+    for d in sorted(mult):
+        phi = cyclotomic(d)
+        while mult[d]:
+            try:
+                num = divexact_int(num, phi)
+            except ArithmeticError:
+                break
+            mult[d] -= 1
+        for _ in range(mult[d]):
+            den = pmul(ring, den, phi)
+    factors = {}
+    for k in sorted(mult, reverse=True):
+        e = mult[k] - sum(f for j, f in factors.items() if j % k == 0)
+        if e < 0:
+            return num, den, None
+        if e:
+            factors[k] = e
+    return num, den, factors

@@ -14,7 +14,7 @@ from cteuclid import engine
 from cteuclid.algebra import CT, FREE, VariableTable, exps_from_dict
 from cteuclid.bruteforce import naive_ct
 from cteuclid.engine import CollisionError, TermSum, start_termsum, unpack_term
-from cteuclid.univariate import trim
+from cteuclid.univariate import pmul, trim
 
 from oracles import make_term, term_y_series
 
@@ -35,6 +35,25 @@ def padd(ring, a, b):
         y = b[i] if i < len(b) else ring.zero()
         out.append(ring.add(x, y))
     return trim(out)
+
+
+def binomial_factor(ring, k, e):
+    """(1 - q^k)^e as a dense list."""
+    out = [ring.one()]
+    step = [ring.zero()] * (k + 1)
+    step[0] = ring.one()
+    step[k] = ring.from_int(-1)
+    for _ in range(e):
+        out = pmul(ring, out, step)
+    return out
+
+
+def expand_factored(ring, den_counts):
+    """prod_k (1 - q^k)^(e_k); constant coefficient is 1."""
+    out = [ring.one()]
+    for k in sorted(den_counts):
+        out = pmul(ring, out, binomial_factor(ring, k, den_counts[k]))
+    return out
 
 
 class Packed:

@@ -27,6 +27,11 @@ package computes another way; the tests compare the two.
 * ``homogeneous_nonzero_exists`` searches a box for a nonzero solution
   x >= 0 of A x = 0, which ``bruteforce.certify_bounded`` must find
   exactly when it refuses a system.
+* ``reduce_series`` is stage C by one general integer gcd, the
+  subresultant PRS ``gcd_int``, on the dense denominator, which
+  ``factored_denominator`` then factors into binomials by trial division;
+  ``univariate.reduce_factored`` cancels the cyclotomic factors of the
+  known {k: e} instead.
 """
 
 from fractions import Fraction
@@ -44,7 +49,7 @@ from cteuclid.algebra import (
 from cteuclid.bruteforce import OracleRefusal, _suffix_extremes, naive_ct
 from cteuclid.elimination import SeriesTables, group_series, lambda_pairing, split_factors
 from cteuclid.engine import CollisionError, ElliottTerm, Stats, add_slack_term
-from cteuclid.univariate import sparse_mul, sparse_mul_binomial
+from cteuclid.univariate import divexact_int, sparse_mul, sparse_mul_binomial, trim
 
 SMALL, LARGE, ONE = "small", "large", "one"
 
@@ -837,3 +842,116 @@ def ordinary_ct_s_term(ring, term, lam_map, tables=None, stats=None):
         if leaves > comb(d + 1, (d + 1) // 2):
             stats.summand_bound_ok = False
     return pieces
+
+
+# ---------------------------------------------------------------------------
+# stage C by one integer gcd via the subresultant PRS (no rational arithmetic)
+
+
+def content_int(a):
+    g = 0
+    for c in a:
+        g = gcd(g, c)
+        if g == 1:
+            return 1
+    return g if g else 1
+
+
+def primitive_int(a):
+    g = content_int(a)
+    if g == 1:
+        return list(a)
+    return [c // g for c in a]
+
+
+def pseudo_rem_int(a, b):
+    """Remainder of lc(b)^(deg a - deg b + 1) * a modulo b, integer arithmetic."""
+    r = list(a)
+    d = len(b) - 1
+    lc = b[-1]
+    while len(r) - 1 >= d and r:
+        if not r[-1]:
+            r.pop()
+            continue
+        shift = len(r) - 1 - d
+        top = r[-1]
+        r = [c * lc for c in r]
+        for i in range(d + 1):
+            r[shift + i] -= top * b[i]
+        trim(r)
+    return r
+
+
+def gcd_int(a, b):
+    """Primitive gcd in Z[q] with positive leading coefficient."""
+    a = primitive_int(trim(list(a)))
+    b = primitive_int(trim(list(b)))
+    if not a:
+        g = b
+    elif not b:
+        g = a
+    else:
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            r = pseudo_rem_int(a, b)
+            a, b = b, primitive_int(r)
+        g = a
+    if g and g[-1] < 0:
+        g = [-c for c in g]
+    return g
+
+
+def reduce_fraction_int(num, den):
+    """Cancel the gcd; make the result primitive with den's leading coeff > 0."""
+    num = trim(list(num))
+    den = trim(list(den))
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return [], [1]
+    g = gcd_int(num, den)
+    if len(g) > 1 or g[0] != 1:
+        num = divexact_int(num, g)
+        den = divexact_int(den, g)
+    cn, cd = content_int(num), content_int(den)
+    c = gcd(cn, cd)
+    if c > 1:
+        num = [x // c for x in num]
+        den = [x // c for x in den]
+    if den[-1] < 0:
+        num = [-x for x in num]
+        den = [-x for x in den]
+    return num, den
+
+
+def factored_denominator(den):
+    """{k: e} with den = prod (1 - q^k)^e, or None if there is none.
+
+    Greedy from the largest k is exact: the largest k with Phi_k dividing
+    a product of such binomials is itself one of its factors.
+    """
+    rem = list(den)
+    if not rem or rem[0] != 1:
+        return None
+    out = {}
+    for k in range(len(rem) - 1, 0, -1):
+        binom = [1] + [0] * (k - 1) + [-1]
+        while len(rem) - 1 >= k:
+            try:
+                rem = divexact_int(rem, binom)
+            except ArithmeticError:
+                break
+            out[k] = out.get(k, 0) + 1
+    if rem == [1]:
+        return out
+    return None
+
+
+def reduce_series(num, den):
+    """(num, den, factors) of the dense integer num / den in lowest terms, den[0] = 1."""
+    num_r, den_r = reduce_fraction_int(num, den)
+    if den_r and den_r[0] < 0:
+        num_r = [-c for c in num_r]
+        den_r = [-c for c in den_r]
+    return num_r, den_r, factored_denominator(den_r)

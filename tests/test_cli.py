@@ -416,6 +416,16 @@ def test_ehrhart_factors_binomials_past_twelve(in_tmp, capsys):
     assert "series: (1) / ((1 - q) * (1 - q^13))" in out.splitlines()
 
 
+def test_ehrhart_polynomial_series_has_denominator_one(in_tmp, capsys):
+    # x = -t has a solution only at t = 0, so the series is the polynomial 1
+    path = in_tmp / "sys.json"
+    path.write_text(json.dumps({"matrix": [[1]], "rhs": [-1]}))
+    rc, out, _ = run_main(capsys, "ehrhart", "--input", str(path))
+    assert rc == 0
+    assert "series: (1) / (1)" in out.splitlines()
+    assert "series: (1) / (1)" in (in_tmp / "ct-result.txt").read_text().splitlines()
+
+
 def test_ct_rejects_two_moduli(in_tmp, capsys):
     path = in_tmp / "term.json"
     path.write_text(json.dumps({"variables": [["x", "ct"]], "denominator": [{"x": 1}]}))

@@ -19,7 +19,6 @@ from cteuclid.problems import (
     dilation_bound,
     diophantine_count,
     ehrhart_series,
-    factored_denominator,
     format_series,
     knapsack_count,
     magic_square_system,
@@ -30,10 +29,12 @@ from cteuclid.problems import (
 from cteuclid.univariate import (
     dense_from_sparse,
     divexact_int,
-    expand_factored,
     pmul,
     power_series_div,
+    reduce_factored,
 )
+
+from helpers import expand_factored
 
 RING = ExactRing()
 
@@ -402,9 +403,7 @@ def test_counts_are_the_series_coefficients(name, mode, tmp_path):
 
 def test_factored_denominator_round_trip():
     den = pmul(RING, pmul(RING, [1, -1], [1, -1]), [1, 0, 0, -1])
-    got = factored_denominator(den)
-    assert got == {1: 2, 3: 1}
-    assert expand_factored(RING, got) == den
+    assert reduce_factored({0: 1}, {1: 2, 3: 1}) == ([1], den, {1: 2, 3: 1})
 
 
 @given(st.dictionaries(st.integers(min_value=1, max_value=16),
@@ -412,10 +411,7 @@ def test_factored_denominator_round_trip():
                        min_size=1, max_size=3))
 @settings(max_examples=40)
 def test_factored_denominator_inverts_expand(counts):
-    den = expand_factored(RING, counts)
-    got = factored_denominator(den)
-    assert got == counts
-    assert expand_factored(RING, got) == den
+    assert reduce_factored({0: 1}, counts) == ([1], expand_factored(RING, counts), counts)
 
 
 def test_series_coeffs_rejects_negative_counts():
@@ -426,6 +422,8 @@ def test_series_coeffs_rejects_negative_counts():
 def test_format_series():
     assert format_series([1, 0, 2], [1, -1]) == "(1 + 2*q^2) / (1 - q)"
     assert format_series([1], None, {2: 3}) == "(1) / ((1 - q^2)^3)"
+    # a polynomial series: the reduced denominator is 1, with no factors
+    assert format_series([1], [1], {}) == "(1) / (1)"
 
 
 def test_stats_threading():

@@ -7,22 +7,19 @@ from hypothesis import given, settings, strategies as st
 from cteuclid.algebra import ExactRing, PrimeField
 from cteuclid.univariate import (
     FactoredAccumulator,
-    binomial_factor,
-    content_int,
+    cyclotomic,
     dense_from_sparse,
     divexact_int,
-    expand_factored,
-    gcd_int,
     pmul,
     power_series_div,
-    primitive_int,
-    reduce_fraction_int,
+    reduce_factored,
     sparse_mul,
     sparse_mul_binomial,
     trim,
 )
 
-from helpers import padd
+from helpers import binomial_factor, expand_factored, padd
+from oracles import content_int, gcd_int, primitive_int, reduce_fraction_int, reduce_series
 
 RING = ExactRing()
 
@@ -73,7 +70,7 @@ def test_power_series_div_inverts_multiplication(num, den, count):
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial gcd / exact division
+# integer polynomial gcd (the oracle's) / exact division
 
 
 def test_content_primitive():
@@ -126,6 +123,44 @@ def test_reduce_fraction_round_trip(num, den):
     if c1 and c2:
         assert [Fraction(c, c1) for c in lhs] == [Fraction(c, c2) for c in rhs]
     assert d2 and d2[-1] > 0 or d2[0] > 0  # positive leading convention
+
+
+# ---------------------------------------------------------------------------
+# reduction over a factored denominator
+
+
+def test_cyclotomic_factors_multiply_to_binomials():
+    for d in range(1, 41):
+        prod = [1]
+        for e in range(1, d + 1):
+            if d % e == 0:
+                assert cyclotomic(e)[0] == 1
+                prod = pmul(RING, prod, cyclotomic(e))
+        assert prod == [1] + [0] * (d - 1) + [-1]
+
+
+def test_reduce_factored_known():
+    # (1 - q)(1 + q^2) / (1 - q^4) = 1 / (1 + q), not a product of binomials
+    assert reduce_factored({0: 1, 1: -1, 2: 1, 3: -1}, {4: 1}) == ([1], [1, 1], None)
+    assert reduce_factored({}, {2: 1}) == ([], [1], {})
+    assert reduce_factored({0: 1, 1: 1}, {2: 1}) == ([1], [1, -1], {1: 1})
+
+
+@given(
+    base=small_poly,
+    shared=st.lists(st.integers(min_value=1, max_value=12), max_size=4),
+    counts=st.dictionaries(st.integers(min_value=1, max_value=12),
+                           st.integers(min_value=1, max_value=2), max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_reduce_factored_matches_gcd_reference(base, shared, counts):
+    """Equal to one PRS gcd on the dense fraction and trial division of its denominator."""
+    num = base
+    for d in shared:
+        num = pmul(RING, num, cyclotomic(d))
+    num = trim(list(num))
+    got = reduce_factored({i: c for i, c in enumerate(num) if c}, counts)
+    assert got == reduce_series(num, expand_factored(RING, counts))
 
 
 # ---------------------------------------------------------------------------
