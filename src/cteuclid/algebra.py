@@ -23,6 +23,10 @@ Representation choices, used by every other module:
   product is ``+``, an inverse is unary ``-``, a power is ``* k``, the
   monomial is small exactly when the int is positive, and one exponent is
   one shift and mask away.  The empty product is 0.
+* packed ints sort as plain ints, which is the order of their dense
+  exponent vectors in the working order, not that of their exps tuples.
+  Stage A sorts by the int alone; the tuple order is decided once, where
+  terms leave it in tuple form.
 * the width rule: B = 2**w, and w is the least multiple of 8 for which
   B/2 exceeds the layout's ``reach``.  A layout promises that the terms it
   stores have every exponent at most ``bound`` (a power of two) in absolute
@@ -42,7 +46,7 @@ Representation choices, used by every other module:
 from __future__ import annotations
 
 from functools import reduce
-from math import gcd, prod
+from math import prod
 from operator import or_
 
 FREE, SLACK, CT = 0, 1, 2
@@ -57,18 +61,25 @@ class InputError(ValueError):
 # coefficient rings
 
 
+# Miller-Rabin with the first thirteen primes as bases is deterministic
+# below this (Sorenson and Webster 2015).  Twelve are too few:
+# 318665857834031151167461 is a strong pseudoprime to bases 2 to 37.
+MR_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _mr_is_prime(n):
-    # deterministic Miller-Rabin for n < 3.3e24 (covers 64-bit comfortably)
+    """Whether n < MR_LIMIT is prime, decided by Miller-Rabin with fixed bases."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -134,6 +145,9 @@ class PrimeField:
         if not primes:
             raise InputError("a prime field needs at least one modulus")
         for p in primes:
+            if p >= MR_LIMIT:
+                raise InputError(f"modulus {p} cannot be certified prime: it must be below "
+                                 f"{MR_LIMIT}")
             if not _mr_is_prime(p) or p == 2:
                 raise InputError(f"modulus {p} is not an odd prime")
         if len(set(primes)) != len(primes):
@@ -293,77 +307,6 @@ class WidthError(RuntimeError):
         self.need = need
 
 
-class _Memo(dict):
-    """A dict that fills in a missing key from a function of the key."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
-class _Digits:
-    """The digit geometry of a layout, and the decoders its memos fill from.
-
-    The memos hold this, not the layout: a memo whose fill was a method of
-    the layout would close a reference cycle, and the layout with every
-    factor in its memos would then outlive its last use until the cyclic
-    garbage collector came round.  Without the cycle both go as soon as
-    the last term sum packed by them does.
-    """
-
-    __slots__ = ("vids", "width", "half", "mask", "shift", "bias")
-
-    def __init__(self, vids, width):
-        self.vids = vids
-        self.width = width
-        self.half = 1 << (width - 1)
-        self.mask = (1 << width) - 1
-        n = len(vids)
-        self.shift = {v: (n - 1 - i) * width for i, v in enumerate(vids)}
-        self.bias = sum(self.half << s for s in self.shift.values())
-
-    def digits(self, m):
-        """(index in working order, biased digit e + B/2) of every nonzero exponent of m.
-
-        A digit of u = m + bias differs from B/2 exactly where u ^ bias has
-        a bit in it, so the top bit of that names the next nonzero digit.
-        """
-        u = m + self.bias
-        d = u ^ self.bias
-        w, mask, last = self.width, self.mask, len(self.vids) - 1
-        out = []
-        while d:
-            k = (d.bit_length() - 1) // w
-            s = k * w
-            out.append((last - k, (u >> s) & mask))
-            d &= (1 << s) - 1
-        return out
-
-    def unpack(self, m):
-        vids, half = self.vids, self.half
-        return tuple((vids[i], c - half) for i, c in self.digits(m))
-
-    def order_key(self, m):
-        # exps tuples compare pair by pair, a prefix first; pair j of m gets
-        # the code i*B + e + B/2 >= 1 in slot j, and unused slots stay 0
-        n, w = len(self.vids), self.width
-        size = (n << w).bit_length()
-        key = 0
-        for j, (i, c) in enumerate(self.digits(m)):
-            key |= ((i << w) + c) << ((n - 1 - j) * size)
-        return key
-
-    def primitive(self, m):
-        g = gcd(*(c - self.half for _, c in self.digits(m)))
-        return m // g if g > 1 else m
-
-
 class Layout:
     """Packs the exponent vectors of one VariableTable into signed ints.
 
@@ -374,33 +317,28 @@ class Layout:
     by default bound**2 * 2**ROOM_BITS) those of any value formed from them;
     the width is the least multiple of 8 bits whose digits hold ``reach``.
 
-    ``unpack(m)`` gives the exps tuple of a packed monomial,
-    ``order_key(m)`` an int that sorts packed monomials the way their exps
-    tuples sort, and ``primitive(m)`` m divided by the gcd of its exponents,
-    which is equal for positive multiples of one vector.  All three are memo
-    lookups.  ``intern(f, f)`` (a dict's setdefault) gives the layout's one
-    int object of value f: a stored denominator factor is always that
-    object, so the many terms sharing a factor hold one int between them.
-    The memos and the intern table live as long as the layout, and a layout
-    that packs the same way takes them over.
+    ``unpack(m)`` decodes a packed monomial into its exps tuple; the order
+    of exps tuples is no concern of a layout (see the module docstring).
+    ``intern(f, f)`` (a dict's setdefault) gives the layout's one int
+    object of value f: a stored denominator factor is always that object,
+    so the many terms sharing a factor hold one int between them.  The
+    intern table is the only state a layout keeps per monomial; it lives as
+    long as the layout, and a layout that packs the same way takes it over.
     """
 
     def __init__(self, table, bound=1, reach=None, like=None):
         self.table = table
         self.bound = 1 << (max(bound, 1) - 1).bit_length()
         self.reach = max(self.bound, reach or self.bound * self.bound << ROOM_BITS)
-        width = -(-(self.reach.bit_length() + 1) // 8) * 8
+        self.width = -(-(self.reach.bit_length() + 1) // 8) * 8
         # working order, earliest first: the earliest variable is most significant
-        digits = _Digits([v for v, _ in table.ordered()], width)
-        self.vids, self.width, self.half = digits.vids, digits.width, digits.half
-        self.mask, self.shift, self.bias = digits.mask, digits.shift, digits.bias
-        if like is not None and self.packs_like(like):
-            self._memos, self._factors = like._memos, like._factors
-        else:
-            self._memos = [_Memo(digits.unpack), _Memo(digits.order_key), _Memo(digits.primitive)]
-            self._factors = {}
-        self.unpack, self.order_key, self.primitive = (memo.__getitem__ for memo in self._memos)
-        self.intern = self._factors.setdefault
+        self.vids = [v for v, _ in table.ordered()]
+        self.half = 1 << (self.width - 1)
+        self.mask = (1 << self.width) - 1
+        n = len(self.vids)
+        self.shift = {v: (n - 1 - i) * self.width for i, v in enumerate(self.vids)}
+        self.bias = sum(self.half << s for s in self.shift.values())
+        self.intern = like.intern if like is not None and self.packs_like(like) else {}.setdefault
 
     def packs_like(self, other):
         """True when other packs every monomial into the same int."""
@@ -414,6 +352,24 @@ class Layout:
                 raise WidthError(abs(e))
             m += e << self.shift[v]
         return m
+
+    def unpack(self, m):
+        """The exps tuple of a packed monomial.
+
+        A digit of u = m + bias differs from B/2 exactly where u ^ bias has
+        a bit in it, so the top bit of that names the next nonzero digit.
+        """
+        u = m + self.bias
+        d = u ^ self.bias
+        vids, w, mask, half = self.vids, self.width, self.mask, self.half
+        last = len(vids) - 1
+        out = []
+        while d:
+            k = (d.bit_length() - 1) // w
+            s = k * w
+            out.append((vids[last - k], ((u >> s) & mask) - half))
+            d &= (1 << s) - 1
+        return tuple(out)
 
     def get(self, m, vid):
         """The exponent of vid in m: one add, shift and mask."""

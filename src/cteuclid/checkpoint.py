@@ -222,7 +222,13 @@ class DirectoryStore:
             self._spend_units(1)
         phase_a = self.meta["phase_a"]
         stats = Stats()
-        stats.load(phase_a["stats"])
+        try:
+            stats.load(phase_a["stats"])
+        except (ValueError, KeyError) as exc:
+            raise CheckpointError(
+                f"damaged stage-A counters in {self.meta_path} ({exc}); "
+                "delete the directory and rerun"
+            ) from None
         chunks = [self._load_chunk(i) for i in range(phase_a["chunks"])]
         return table_from_obj(phase_a["table"]), chunks, stats
 
@@ -316,11 +322,20 @@ def _partial_from_obj(ring, obj):
         num, den = {"0": body["value"]}, {}
     else:
         num, den = body["num"], body["den"]
-    # a residue is saved as a string of decimal digits, for an int in [0, p)
+        if not (isinstance(num, dict) and isinstance(den, dict)):
+            raise ValueError("num and den are not JSON objects")
+    # a numerator term is saved as "d": "c", decimal digits for a degree
+    # d >= 0 and a residue c in [0, p)
     p = ring.modulus
-    for c in num.values():
+    for d, c in num.items():
+        if not re.fullmatch(r"[0-9]+", d):
+            raise ValueError(f"{json.dumps(d)} is not a degree")
         if not (re.fullmatch(r"[0-9]+", c) and int(c) < p):
             raise ValueError(f"{json.dumps(c)} is not a residue mod {p}")
+    # and a denominator (1 - q^k)^e as "k": e with k >= 1 and an int e >= 1
+    for k, e in den.items():
+        if not (re.fullmatch(r"[1-9][0-9]*", k) and type(e) is int and e >= 1):
+            raise ValueError(f"{json.dumps(k)}: {json.dumps(e)} is no factor (1 - q^k)^e, k, e >= 1")
     acc = FactoredAccumulator(ring)
     acc.add_piece({int(d): int(c) for d, c in num.items() if int(c)},
                   {int(k): e for k, e in den.items()})

@@ -26,6 +26,12 @@ it forms a value it checks the value's bound against the layout's reach and
 raises WidthError past it.  Terms leave the engine in tuple form through
 ``TermSum.unpacked``.
 
+Inside the engine a denominator is its factors sorted as ints, which is
+all that collecting needs, and two factors are tested for a common
+binomial divisor by cross-multiplying them with each other's x-exponent.
+The order of exps tuples is applied once, as terms leave: the result file,
+the checkpoint's term chunks and stage B's chunks see only that order.
+
 Each exponent is decoded once: ct_var reads the x-exponent of every
 denominator factor and hands the normalized list down with the factors, and
 each Euclid node passes on the reduced exponents it computed.  A round pays
@@ -43,6 +49,7 @@ never exist side by side.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain
 
 from .algebra import (
@@ -93,9 +100,20 @@ class Stats:
         return {k: getattr(self, k) for k in self.__slots__}
 
     def load(self, d):
+        """Take the counters saved in d, a dict; keys that name none are ignored.
+
+        ValueError unless every counter is an int >= 0 and summand_bound_ok
+        a bool.
+        """
+        if not isinstance(d, dict):
+            raise ValueError("the counters are not a JSON object")
         for k, v in d.items():
-            if k in self.__slots__:
-                setattr(self, k, v)
+            if k not in self.__slots__:
+                continue
+            ok = isinstance(v, bool) if k == "summand_bound_ok" else type(v) is int and v >= 0
+            if not ok:
+                raise ValueError(f"counter {k} holds {v!r}")
+            setattr(self, k, v)
 
     def merge(self, other):
         """Add the counters of another run part (max and all() for the summand checks)."""
@@ -109,7 +127,7 @@ class Stats:
 class ElliottTerm:
     """One summand L / prod(1 - M_i), factors kept small-oriented and sorted.
 
-    The factors are sorted in the order of their exps tuples, packed or not.
+    Packed factors are sorted as ints, tuple-form factors as exps tuples.
     """
 
     __slots__ = ("num", "den")
@@ -172,19 +190,20 @@ def make_term(ring, num, factors, layout):
         num = _mul_monomial(ring, num, sign, unit)
     if not num:
         return None
-    canon.sort(key=layout.order_key)
+    canon.sort()
     return ElliottTerm(num, tuple(canon))
 
 
 def pack_term(layout, t):
     intern = layout.intern
     return ElliottTerm({layout.pack(e): c for e, c in t.num.items()},
-                       tuple(intern(f, f) for f in map(layout.pack, t.den)))
+                       tuple(sorted(intern(f, f) for f in map(layout.pack, t.den))))
 
 
-def unpack_term(layout, t):
-    return ElliottTerm({layout.unpack(e): c for e, c in t.num.items()},
-                       tuple(layout.unpack(f) for f in t.den))
+def unpack_term(unpack, t):
+    """t in tuple form, its factors sorted as exps tuples; unpack decodes one monomial."""
+    return ElliottTerm({unpack(e): c for e, c in t.num.items()},
+                       tuple(sorted(map(unpack, t.den))))
 
 
 def _largest_exponent(terms):
@@ -195,7 +214,7 @@ class TermSum:
     """Stage-A terms in one coefficient ring, packed by one Layout.
 
     ``collected`` is set by ct_all alone: its terms have distinct
-    denominators in key order, and the layout bound covers every exponent.
+    denominators in int order, and the layout bound covers every exponent.
     """
 
     def __init__(self, layout, ring, terms=None, collected=False):
@@ -215,8 +234,13 @@ class TermSum:
         return cls(layout, ring, [pack_term(layout, t) for t in terms])
 
     def unpacked(self):
-        """The terms in tuple form, in the same order."""
-        return [unpack_term(self.layout, t) for t in self.terms]
+        """The terms in tuple form, ordered by denominator when collected."""
+        # a cache local to this pass decodes each distinct monomial once
+        unpack = cache(self.layout.unpack)
+        terms = [unpack_term(unpack, t) for t in self.terms]
+        if self.collected:
+            terms.sort(key=lambda t: t.den)
+        return terms
 
     def __len__(self):
         return len(self.terms)
@@ -284,18 +308,21 @@ def _check_pairwise_coprime(den, xs, layout):
     """Non-coprime x-factors (positively proportional after normalization) collide.
 
     den is canonical and xs holds its x-exponents; a factor with a negative
-    one normalizes to its inverse, whose primitive part is the negative.
+    one normalizes to its inverse.  Normalized f and g with x-exponents
+    a, b > 0 are positively proportional exactly when f*b == g*a, values
+    whose exponents the layout bound squared bounds.
     """
-    seen = set()
-    for f, x in zip(den, xs):
-        if x == 0:
+    _check(layout, layout.bound ** 2)
+    seen = []
+    for f, a in zip(den, xs):
+        if a == 0:
             continue
-        p = layout.primitive(f)
-        if x < 0:
-            p = -p
-        if p in seen:
-            raise CollisionError("denominator factors share a common binomial divisor")
-        seen.add(p)
+        if a < 0:
+            f, a = -f, -a
+        for g, b in seen:
+            if f * b == g * a:
+                raise CollisionError("denominator factors share a common binomial divisor")
+        seen.append((f, a))
 
 
 def linear_contribution(ring, num, den, xs, i, xvid, layout, kd, kn):
@@ -460,14 +487,12 @@ def merge_terms(ring, buckets, terms):
 
 
 def collect_terms(layout, buckets):
-    """The terms of buckets {den: num} whose numerator is not zero, ordered.
+    """The terms of buckets {den: num} packed by layout whose numerator is not zero.
 
-    The order is that of the denominators as tuples of exps tuples, so it
-    does not depend on the order of merging or on the layout.
+    They are ordered by denominator as tuples of ints, so the order does
+    not depend on the order of merging.
     """
-    return [ElliottTerm(buckets[den], den)
-            for den in sorted(buckets, key=lambda d: tuple(map(layout.order_key, d)))
-            if buckets[den]]
+    return [ElliottTerm(buckets[den], den) for den in sorted(buckets) if buckets[den]]
 
 
 def _occurrence_counts(terms, vids, layout):
@@ -487,18 +512,14 @@ def _monomials(terms):
     return chain.from_iterable(chain(t.num, t.den) for t in terms)
 
 
-def _relayout(old, new, terms):
+def _relayout(old, new):
+    """A function that moves a term packed by old to new, each distinct monomial once."""
     if new.packs_like(old):
-        return terms
-    return [pack_term(new, unpack_term(old, t)) for t in terms]
-
-
-def _relayout_buckets(old, new, buckets):
-    if new.packs_like(old):
-        return buckets
-    moved = (pack_term(new, unpack_term(old, ElliottTerm(num, den)))
-             for den, num in buckets.items())
-    return {t.den: t.num for t in moved}
+        return lambda t: t
+    move = cache(lambda m: new.pack(old.unpack(m)))
+    intern = new.intern
+    return lambda t: ElliottTerm({move(e): c for e, c in t.num.items()},
+                                 tuple(sorted(intern(f, f) for f in map(move, t.den))))
 
 
 def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
@@ -544,12 +565,12 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
         else:
             xvid = remaining.pop(0)
         src = layout
+        take = _relayout(src, layout)
         nodes_before = stats.euclid_nodes
         buckets = {}
         raw = 0
         for t in terms:
-            if layout is not src and not layout.packs_like(src):
-                t = pack_term(layout, unpack_term(src, t))
+            t = take(t)
             restarts = 0
             while True:
                 nodes = stats.euclid_nodes
@@ -558,7 +579,7 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
                     break
                 except WidthError as exc:
                     stats.euclid_nodes = nodes
-                    plain = unpack_term(layout, t)
+                    plain = unpack_term(layout.unpack, t)
                     grown = Layout(table, layout.bound, exc.need << ROOM_BITS, like=layout)
                 except CollisionError:
                     stats.collisions += 1
@@ -566,10 +587,13 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
                         raise
                     restarts += 1
                     stats.restarts += 1
-                    plain = add_slack_term(table, unpack_term(layout, t))
+                    plain = add_slack_term(table, unpack_term(layout.unpack, t))
                     grown = Layout(table, layout.bound, layout.reach)
-                buckets = _relayout_buckets(layout, grown, buckets)
+                move = _relayout(layout, grown)
+                moved = (move(ElliottTerm(num, den)) for den, num in buckets.items())
+                buckets = {m.den: m.num for m in moved}
                 layout = grown
+                take = _relayout(src, layout)
                 t = pack_term(layout, plain)
             raw += len(out)
             merge_terms(ring, buckets, out)
@@ -587,7 +611,7 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
         if bound > layout.bound:
             room = max(layout.reach, bound * bound << ROOM_BITS)
             grown = Layout(table, bound, room, like=layout)
-            terms = _relayout(layout, grown, terms)
+            terms = list(map(_relayout(layout, grown), terms))
             layout = grown
     stats.collected_terms = len(terms)
     return TermSum(layout, ring, terms, collected)

@@ -78,7 +78,8 @@ class Packed:
 
     def ct_var(self, t, xvid, stats=None):
         layout, (p,) = self._pack([t])
-        return [unpack_term(layout, r) for r in engine.ct_var(self.ring, p, xvid, layout, stats)]
+        out = engine.ct_var(self.ring, p, xvid, layout, stats)
+        return [unpack_term(layout.unpack, r) for r in out]
 
     def normalize_for_var(self, t, xvid):
         layout, (p,) = self._pack([t])
@@ -90,7 +91,7 @@ class Packed:
         layout, packed = self._pack(terms)
         buckets = {}
         engine.merge_terms(self.ring, buckets, packed)
-        return [unpack_term(layout, t) for t in engine.collect_terms(layout, buckets)]
+        return [unpack_term(layout.unpack, t) for t in engine.collect_terms(layout, buckets)]
 
     def bracket(self, t, f_exps, xvid, stats=None):
         """Single-factor contribution <t, 1-f| in x; zero if f is absent."""
@@ -108,7 +109,7 @@ class Packed:
             if g == nf:
                 out = engine.euclid_contribution(self.ring, num, den, xs, i, xvid, layout,
                                                  layout.bound, kn, stats)
-                return [unpack_term(layout, r) for r in out]
+                return [unpack_term(layout.unpack, r) for r in out]
         return []
 
 

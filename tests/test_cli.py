@@ -204,15 +204,31 @@ def test_resume_of_delayed_slack_checkpoint_refused(in_tmp, capsys):
     assert not (in_tmp / "ck" / "result.txt").exists()
 
 
-@pytest.mark.parametrize("text", [
+@pytest.mark.parametrize("damage", [
     '{"config": ',                      # truncated
     '["config"]',                       # not an object
     '{}',                               # no configuration
     '{"config": {}, "phase_a": {}}',    # a configuration without its keys
-], ids=["truncated", "list", "empty", "no-keys"])
-def test_resume_of_damaged_meta_refused(in_tmp, capsys, text):
-    (in_tmp / "ck").mkdir()
-    (in_tmp / "ck" / "meta.json").write_text(text)
+    ("raw_terms", "5"),                 # a string for a stage-A counter
+    ("euclid_nodes", -1),               # a negative counter
+    ("collisions", True),               # a bool for a counter
+    ("summand_bound_ok", 1),            # an int for a flag
+], ids=["truncated", "list", "empty", "no-keys", "counter-string", "counter-negative",
+        "counter-bool", "flag-int"])
+def test_resume_of_damaged_meta_refused(in_tmp, capsys, damage):
+    meta = in_tmp / "ck" / "meta.json"
+    if isinstance(damage, str):
+        (in_tmp / "ck").mkdir()
+        meta.write_text(damage)
+    else:
+        # a run paused after stage A, whose counters the resume reads back
+        rc, _, _ = run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
+                            "--checkpoint-dir", "ck", "--max-units", "1")
+        assert rc == 0
+        obj = json.loads(meta.read_text())
+        key, value = damage
+        obj["phase_a"]["stats"][key] = value
+        meta.write_text(json.dumps(obj))
     rc, out, err = run_main(capsys, "resume", "--checkpoint-dir", "ck")
     assert rc == 7
     assert out == ""
@@ -232,27 +248,48 @@ def test_run_into_damaged_meta_refused(in_tmp, capsys):
     assert not (in_tmp / "ck" / "result.txt").exists()
 
 
-@pytest.mark.parametrize("text", [
-    '{"lam_hash": ',                    # truncated
-    '["lam_hash"]',                     # not an object
-], ids=["truncated", "list"])
-def test_resume_with_damaged_partial_refused(in_tmp, capsys, text):
-    run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
-             "--checkpoint-dir", "ck")
+P = 1152921504606847009
+
+
+@pytest.mark.parametrize("moduli, damage", [
+    ([], '{"lam_hash": '),                          # truncated
+    ([], '["lam_hash"]'),                           # not an object
+    ([P], ("body", "den", {"3": -1})),              # a negative power
+    ([P], ("body", "den", {"3": 1.5})),             # a fractional power
+    ([P], ("body", "den", {"3": True})),            # a bool for a power
+    ([P], ("body", "den", {"0": 3})),               # a factor (1 - q^0) = 0
+    ([P], ("body", "den", [3])),                    # not an object
+    ([P], ("body", "num", {"-3": "1", "0": "1"})),  # a negative degree
+    ([P], ("stats", "ct_s_calls", "8")),            # a string for a counter
+    ([P], ("stats", "summand_bound_ok", "no")),     # a string for a flag
+], ids=["truncated", "list", "den-negative", "den-fraction", "den-bool", "den-k-zero",
+        "den-list", "num-negative-degree", "counter-string", "flag-string"])
+def test_resume_with_damaged_partial_refused(in_tmp, capsys, moduli, damage):
+    if moduli:
+        argv = ["magic", "--n", "3", "--mod", str(P)]
+    else:
+        argv = ["knapsack", "--a0", "41", "--weights", "1,5,14"]
+    rc, _, _ = run_main(capsys, *argv, "--checkpoint-dir", "ck")
+    assert rc == 0
     (in_tmp / "ck" / "result.txt").unlink()
     # an exact run of this knapsack needs one prime, the first default one
-    name = f"partial-{DEFAULT_PRIMES[0]}-0000.json"
-    (in_tmp / "ck" / name).write_text(text)
-    rc, out, err = run_main(capsys, "resume", "--checkpoint-dir", "ck")
+    name = f"partial-{moduli[0] if moduli else DEFAULT_PRIMES[0]}-0000.json"
+    path = in_tmp / "ck" / name
+    if isinstance(damage, str):
+        path.write_text(damage)
+    else:
+        section, key, value = damage
+        obj = json.loads(path.read_text())
+        obj[section][key] = value
+        path.write_text(json.dumps(obj))
+    mods = [arg for p in moduli for arg in ("--mod", str(p))]
+    rc, out, err = run_main(capsys, "resume", "--checkpoint-dir", "ck", *mods)
     assert rc == 7
     assert out == ""
     errors = err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("error: ")
     assert name in errors[0]
     assert not (in_tmp / "ck" / "result.txt").exists()
-
-
-P = 1152921504606847009
 
 
 @pytest.mark.parametrize("value", ["0.5", "1e3", str(P)])
@@ -475,6 +512,20 @@ def test_bad_modulus_refused_before_any_work(in_tmp, capsys, modulus):
         f"error: modulus {modulus} is not an odd prime"
     ]
     assert not (in_tmp / "ck").exists()
+
+
+@pytest.mark.parametrize("modulus, why", [
+    ("318665857834031151167461", "is not an odd prime"),  # strong pseudoprime to bases 2-37
+    ("3317044064679887385961981", "cannot be certified prime"),
+])
+def test_modulus_past_the_certified_range_refused(in_tmp, capsys, modulus, why):
+    rc, out, err = run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
+                            "--mod", modulus)
+    assert rc == 2
+    assert out == ""
+    errors = err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(f"error: modulus {modulus} {why}")
+    assert not (in_tmp / "ct-result.txt").exists()
 
 
 def test_unbounded_refused(in_tmp, capsys):

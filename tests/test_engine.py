@@ -13,6 +13,7 @@ from cteuclid.algebra import (
     Layout,
     PrimeField,
     VariableTable,
+    WidthError,
     exps_from_dict,
     exps_get,
 )
@@ -419,6 +420,10 @@ def _same_terms(got, want):
     assert [(t.num, t.den) for t in got] == [(t.num, t.den) for t in want]
 
 
+def _term_key(t):
+    return t.den, sorted(t.num.items())
+
+
 @settings(max_examples=200, deadline=None)
 @given(reference_cases())
 def test_ct_var_matches_tuple_reference(case):
@@ -432,7 +437,10 @@ def test_ct_var_matches_tuple_reference(case):
             with pytest.raises(CollisionError):
                 Packed(table, ring).ct_var(t, x, mine)
             continue
-        _same_terms(Packed(table, ring).ct_var(t, x, mine), want)
+        # ct_var's raw terms follow the int order of the factors, which no
+        # result shows: ct_all merges them into buckets
+        got = Packed(table, ring).ct_var(t, x, mine)
+        _same_terms(sorted(got, key=_term_key), sorted(want, key=_term_key))
         assert mine.as_dict() == ref.as_dict()
 
 
@@ -453,6 +461,47 @@ def test_ct_all_matches_tuple_reference(case, order, delayed):
     _same_terms(got.unpacked(), want)
     assert mine.as_dict() == ref.as_dict()
     assert table.ordered() == ref_table.ordered()  # restarts name the same slack variables
+
+
+def test_unpacked_orders_by_tuple_denominator():
+    table = VariableTable()
+    done = ct_all(build_series_termsum(magic_square_system(3), table, RING))
+    # inside stage A factors and denominators sort as ints, which differs
+    # from the tuple order here
+    inside = [tuple(map(done.layout.unpack, t.den)) for t in done.terms]
+    assert inside != sorted(inside)
+    assert any(den != tuple(sorted(den)) for den in inside)
+    dens = [t.den for t in done.unpacked()]
+    assert dens == sorted(dens)
+    assert all(den == tuple(sorted(den)) for den in dens)
+    assert sorted(dens) == sorted(tuple(sorted(den)) for den in inside)
+
+
+def test_coprimality_check_needs_room_for_cross_multiples():
+    """f*b == g*a is tested only where those products cannot wrap."""
+    table, ref_table = _twin_tables(2, 0, 1)
+
+    def mono(d):
+        return exps_from_dict({table.vid_of(k): e for k, e in d.items()})
+
+    # y1*y2^-64*x1 and y1^3*x1^4 are not proportional, but in 8-bit digits
+    # 4*(1, -64, 1) = (4, -256, 4) carries into (3, 0, 4) = 1*(3, 0, 4)
+    f, g = mono({"y1": 1, "y2": -64, "x1": 1}), mono({"y1": 3, "x1": 4})
+    t = oracles.make_term(RING, {EXPS_ONE: 1}, [f, g])
+    narrow = Layout(table, 64, reach=64)
+    assert narrow.width == 8
+    p = pack_term(narrow, t)
+    xs = [narrow.get(m, table.vid_of("x1")) for m in p.den]
+    assert sorted(xs) == [1, 4]
+    assert narrow.pack(f) * 4 == narrow.pack(g)
+    with pytest.raises(WidthError):
+        engine._check_pairwise_coprime(p.den, xs, narrow)
+    mine, ref = Stats(), Stats()
+    got = ct_all(TermSum(narrow, RING, [p]), stats=mine)
+    assert got.layout.width > narrow.width
+    _same_terms(got.unpacked(), oracles.ct_all(ref_table, RING, [t], stats=ref))
+    assert mine.as_dict() == ref.as_dict()
+    assert mine.collisions == 0
 
 
 # (numerator monomial, factors) over y1, y2, x1 whose values outgrow a layout
