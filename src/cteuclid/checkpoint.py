@@ -140,8 +140,18 @@ def table_to_obj(table):
 
 
 def table_from_obj(obj):
+    """The VariableTable of table_to_obj's rows [rank, index, name].
+
+    ValueError unless obj is a list of such rows; CheckpointError when
+    they do not rebuild the table they describe.
+    """
+    if not isinstance(obj, list):
+        raise ValueError("the variable table is not a list")
     table = VariableTable()
-    for r, s, name in obj:
+    for row in obj:
+        if not (isinstance(row, list) and len(row) == 3):
+            raise ValueError(f"variable table row {json.dumps(row)} does not have three fields")
+        r, s, name = row
         vid = table.add(name, int(r))
         if vid != (int(r), int(s)):
             raise CheckpointError("variable table snapshot is inconsistent")
@@ -155,6 +165,11 @@ def lam_to_obj(lam_map):
 def lam_hash(lam_map):
     blob = json.dumps(lam_to_obj(lam_map), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _chunk_count(nterms, size):
+    """The number of term chunk files of nterms terms in chunks of size: at least one."""
+    return max(1, -(-nterms // size))
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +217,19 @@ class DirectoryStore:
             raise CheckpointPause(f"paused after {self.units} unit(s)")
 
     def stage_a(self, compute):
-        """(table, term chunks, stage-A stats); compute() runs only once per directory."""
+        """(table, term chunks, stage-A stats); compute() runs only once per directory.
+
+        compute() gives stage A's TermSum, whose terms are saved in tuple
+        form and read back as tuple-form chunks; the computed terms are
+        dropped before that, so the run holds one copy of them at a time.
+        """
+        size = self.meta["config"]["chunk_size"]
         if not self.meta["phase_a"].get("done"):
             self.log("phase A: extracting constant terms")
-            table, terms, stats = compute()
-            size = self.meta["config"]["chunk_size"]
-            nchunks = max(1, (len(terms) + size - 1) // size)
+            table, done, stats = compute()
+            terms = done.unpacked()
+            del done
+            nchunks = _chunk_count(len(terms), size)
             for i in range(nchunks):
                 lines = "".join(term_to_line(t) + "\n" for t in terms[i * size : (i + 1) * size])
                 _write_atomic(os.path.join(self.path, f"terms-{i:04d}.jsonl"), lines)
@@ -218,19 +240,32 @@ class DirectoryStore:
                 "stats": stats.as_dict(),
                 "table": table_to_obj(table),
             }
+            del terms
             self._write_meta()
             self._spend_units(1)
         phase_a = self.meta["phase_a"]
         stats = Stats()
         try:
             stats.load(phase_a["stats"])
-        except (ValueError, KeyError) as exc:
+            table = table_from_obj(phase_a["table"])
+            nterms, nchunks = phase_a["terms"], phase_a["chunks"]
+            if not (type(nterms) is int and nterms >= 0):
+                raise ValueError(f"terms holds {nterms!r}")
+            if not (type(nchunks) is int and nchunks == _chunk_count(nterms, size)):
+                raise ValueError(f"chunks holds {nchunks!r} for {nterms} terms "
+                                 f"in chunks of {size}")
+        except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(
-                f"damaged stage-A counters in {self.meta_path} ({exc}); "
+                f"damaged stage-A state in {self.meta_path} ({exc}); "
                 "delete the directory and rerun"
             ) from None
-        chunks = [self._load_chunk(i) for i in range(phase_a["chunks"])]
-        return table_from_obj(phase_a["table"]), chunks, stats
+        chunks = [self._load_chunk(i) for i in range(nchunks)]
+        if sum(map(len, chunks)) != nterms:
+            raise CheckpointError(
+                f"the term chunks hold {sum(map(len, chunks))} terms where "
+                f"{self.meta_path} records {nterms}; delete the directory and rerun"
+            )
+        return table, chunks, stats
 
     def _load_chunk(self, i):
         path = os.path.join(self.path, f"terms-{i:04d}.jsonl")

@@ -51,16 +51,25 @@ counts toward the summand count below.
 The summand count in the result file is the number of ways to split r
 factor by factor over the k' mixed factors with a pairing nonzero in the
 ring, C(r + k', k'); it is computed in closed form, not enumerated.
+
+Stage B's input is stage A's output as it stands, with integer
+coefficients: in memory the packed TermSum itself, from a checkpoint the
+tuple-form terms of one chunk file.  A pass maps each term's coefficients
+into its ring when it reaches the term, and reads every monomial through
+one pairing function, m -> (<lambda, slack part>, q-degree), which decodes
+m through the chunk's decoder and memoizes only that pair.  So the pass
+makes no second copy of the terms, packed or decoded.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import cache, lru_cache
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 
 from .algebra import FREE, SLACK, InputError, poly_add_inplace
+from .engine import ElliottTerm, TermSum
 from .univariate import FactoredAccumulator, sparse_mul
 
 # moduli used when --crt is requested without explicit --mod values
@@ -96,27 +105,51 @@ def lambda_pairing(lam_map, exps):
     return b, degree
 
 
+def _decoder(chunk):
+    """The function that reads a monomial of chunk as its exps tuple.
+
+    A stage-B chunk is stage A's packed TermSum, decoded by its layout, or
+    a list of tuple-form terms read back from a checkpoint, which need no
+    decoding; so do the terms of a single-term call (chunk None).
+    """
+    if isinstance(chunk, TermSum):
+        return chunk.layout.unpack
+    return lambda m: m
+
+
+def pairing_function(lam_map, chunk=None):
+    """The function m -> lambda_pairing(lam_map, m) of one pass over chunk.
+
+    It decodes a monomial through the chunk's decoder (see _decoder) and
+    memoizes the pair (b, degree) it returns, never the decoded tuple, so
+    the pass keeps one small pair per distinct monomial and factor.
+    """
+    decode = _decoder(chunk)
+    return cache(lambda m: lambda_pairing(lam_map, decode(m)))
+
+
 def collect_slack_info(chunks):
-    """Slack vids and factor descriptors that validate a direction, over term lists.
+    """Slack vids and factor descriptors that validate a direction, over term chunks.
 
     Returns (sorted slack vids, sorted descriptor tuple); a descriptor is the
     slack part of a denominator factor plus a flag telling whether the rest of
     the factor is trivial (such factors must not collapse).  Both halves are
     sorted so retry loops walk them in the same order in every process.
+    Each distinct monomial and factor of a chunk is decoded once.
     """
     slacks = set()
     descriptors = set()
     for chunk in chunks:
-        for t in chunk:
-            for e in t.num:
-                for v, _ in e:
-                    if v[0] == SLACK:
-                        slacks.add(v)
-            for f in t.den:
-                bvec = tuple((v, e) for v, e in f if v[0] == SLACK)
-                for v, _ in bvec:
+        decode = _decoder(chunk)
+        for e in {e for t in chunk for e in t.num}:
+            for v, _ in decode(e):
+                if v[0] == SLACK:
                     slacks.add(v)
-                descriptors.add((bvec, len(bvec) == len(f)))
+        for f in map(decode, {f for t in chunk for f in t.den}):
+            bvec = tuple((v, e) for v, e in f if v[0] == SLACK)
+            for v, _ in bvec:
+                slacks.add(v)
+            descriptors.add((bvec, len(bvec) == len(f)))
     return sorted(slacks), tuple(sorted(descriptors))
 
 
@@ -250,16 +283,17 @@ class SeriesTables:
         return rows
 
 
-def split_factors(ring, term, lam_map):
+def split_factors(ring, term, pair):
     """(pure pairings, mixed (m, b) pairs) of a term's denominator factors.
 
-    A pure factor has no free variable and must keep a pairing b that is
-    nonzero in the ring; a mixed factor q^m z^B has m > 0 and any b.
+    pair is a pairing_function.  A pure factor has no free variable and
+    must keep a pairing b that is nonzero in the ring; a mixed factor
+    q^m z^B has m > 0 and any b.
     """
     pure_b = []
     mixed = []
     for f in term.den:
-        b, m = lambda_pairing(lam_map, f)
+        b, m = pair(f)
         if not m:
             if b == 0:
                 raise LambdaExhaustion("direction collapses a pure denominator factor")
@@ -272,7 +306,7 @@ def split_factors(ring, term, lam_map):
     return pure_b, mixed
 
 
-def base_series(ring, tables, term, lam_map, pure_b, low):
+def base_series(ring, tables, term, pair, pure_b, low):
     """The numerator series times the pure-factor product, as exponential rows.
 
     With r = len(pure_b), entry n <= r is n! L_r^r prod(b) times the s^n
@@ -289,7 +323,7 @@ def base_series(ring, tables, term, lam_map, pure_b, low):
     # numerator series: sum over monomials of c * q^d * m^n
     lnum = [{} for _ in range(r + 1)]
     for e, c in term.num.items():
-        m, d = lambda_pairing(lam_map, e)
+        m, d = pair(e)
         mint = ring.from_int(m)
         mp = c
         for n in range(r + 1):
@@ -375,8 +409,11 @@ def group_series(ring, tables, bs, m, r):
     return out
 
 
-def ct_s_term(ring, term, lam_map, tables=None, stats=None):
+def ct_s_term(ring, term, pair, tables=None, stats=None):
     """Constant term at s = 0 of one term under the direction substitution.
+
+    pair is the pass's pairing_function, which gives each monomial and
+    factor of the term its (<lambda, slack part>, q-degree).
 
     Returns a list of univariate pieces (num, den_counts), possibly empty:
     num is a sparse numerator {degree: coeff} in the free variable q, and
@@ -406,7 +443,7 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
     """
     if tables is None:
         tables = SeriesTables(ring)
-    pure_b, mixed = split_factors(ring, term, lam_map)
+    pure_b, mixed = split_factors(ring, term, pair)
     r = len(pure_b)
     _, binom, d_r = tables.ensure(r)
 
@@ -418,7 +455,7 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
     # the groups take at most this much of the order; a count has no groups
     # and reads base entry r alone
     reach = min(r, sum(len(series) - 1 for _, _, series in groups))
-    base = base_series(ring, tables, term, lam_map, pure_b, r - reach)
+    base = base_series(ring, tables, term, pair, pure_b, r - reach)
     inv_d = ring.inv(ring.from_int(d_r * prod(pure_b)))
 
     pieces = []
@@ -461,14 +498,19 @@ def ct_s_term(ring, term, lam_map, tables=None, stats=None):
     return pieces
 
 
-def eliminate_slack(ring, table, terms, lam_map, stats=None):
-    """Remove every slack variable from a sum of tuple-form terms over table.
+def eliminate_slack(ring, table, chunk, lam_map, stats=None):
+    """Remove every slack variable from one chunk of stage-A terms over table.
 
-    Returns one FactoredAccumulator in the free variable q holding every
-    piece.  A count has no q: its denominator is {} and its value is the
-    constant coefficient numerator().get(0, 0).  Each piece divides once,
-    so a ring that cannot divide, such as stage A's ExactRing, raises
-    TypeError; more than one free variable raises RuntimeError.
+    The chunk is stage A's packed TermSum itself, or a list of tuple-form
+    terms (see _decoder), with integer coefficients.  Each term's
+    coefficients are mapped into the ring as the pass reaches it, and a term
+    whose numerator vanishes there is skipped; one pairing_function serves
+    the whole pass.  Returns one FactoredAccumulator in the free variable q
+    holding every piece.  A count has no q: its denominator is {} and its
+    value is the constant coefficient numerator().get(0, 0).  Each piece
+    divides once, so a ring that cannot divide, such as stage A's
+    ExactRing, raises TypeError; more than one free variable raises
+    RuntimeError.
     """
     if not hasattr(ring, "inv"):
         raise TypeError(f"stage B divides, which {ring!r} cannot; "
@@ -477,9 +519,16 @@ def eliminate_slack(ring, table, terms, lam_map, stats=None):
         raise RuntimeError("terms kept several free variables")
     tables = SeriesTables(ring)
     acc = FactoredAccumulator(ring)
-    for t in terms:
-        for num, den_counts in ct_s_term(ring, t, lam_map, tables, stats):
-            acc.add_piece(num, den_counts)
+    pair = pairing_function(lam_map, chunk)
+    for t in chunk:
+        num = {}
+        for e, c in t.num.items():
+            c = ring.from_int(c)
+            if not ring.is_zero(c):
+                num[e] = c
+        if num:
+            for piece, den_counts in ct_s_term(ring, ElliottTerm(num, t.den), pair, tables, stats):
+                acc.add_piece(piece, den_counts)
     return acc
 
 

@@ -23,8 +23,9 @@ l whole steps of the binomial is ``e - l*f``, and a factor is small exactly
 when it is positive.  Each function carries one bound for the exponents of
 the denominator factors (kd) and one for those of the numerator (kn); before
 it forms a value it checks the value's bound against the layout's reach and
-raises WidthError past it.  Terms leave the engine in tuple form through
-``TermSum.unpacked``.
+raises WidthError past it.  Stage B reads the packed terms as they are,
+through the layout's ``unpack``; only a checkpoint writes them in tuple form,
+through ``TermSum.unpacked``.
 
 Inside the engine a denominator is its factors sorted as ints, which is
 all that collecting needs, and two factors are tested for a common
@@ -40,11 +41,13 @@ its denominator and a slice of its numerator, so a round over collected
 terms (a dependent equation, say) stays collected without being ordered
 again.
 
-A round holds only what it keeps.  Every stored denominator factor is the
-layout's one int object of its value (``Layout.intern``), and ct_all merges
-the terms ct_var returns for one input term into the round's buckets, one
-numerator per denominator, before it takes the next; a round's raw terms
-never exist side by side.
+A round holds only what it keeps, and so does each input term.  Every
+stored denominator factor is the layout's one int object of its value
+(``Layout.intern``).  ct_var and the Euclid recursion hand each term they
+make to a sink as it is made: ct_all's sink merges it into the input term's
+own buckets, one numerator per denominator, and those join the round's
+buckets once ct_var returns.  So neither a round's nor an input term's raw
+terms ever exist side by side.
 """
 
 from __future__ import annotations
@@ -242,6 +245,9 @@ class TermSum:
             terms.sort(key=lambda t: t.den)
         return terms
 
+    def __iter__(self):
+        return iter(self.terms)
+
     def __len__(self):
         return len(self.terms)
 
@@ -349,7 +355,7 @@ def linear_contribution(ring, num, den, xs, i, xvid, layout, kd, kn):
     return make_term(ring, new_num, new_factors, layout)
 
 
-def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, stats=None):
+def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, emit, stats=None):
     """<E, 1-u*x^a| by the halving remainder recursion.
 
     xs holds the x-exponents of den, all nonnegative, so a = xs[i].  Every
@@ -360,7 +366,7 @@ def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, stats=None)
     bracket re-expressed through the reduced factors, whose exponents are at
     most half the pivot's.  kd and kn bound the exponents of den and num; a
     reduction by l steps multiplies the factor bound by at most 1 + |l|.
-    Returns a list of canonical terms.
+    Each canonical term of the answer goes to emit as it is made.
     """
     if stats is not None:
         stats.euclid_nodes += 1
@@ -371,7 +377,9 @@ def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, stats=None)
         raise ValueError("pivot factor must have positive x-exponent")
     if a == 1:
         t = linear_contribution(ring, num, den, xs, i, xvid, layout, kd, kn)
-        return [t] if t is not None else []
+        if t is not None:
+            emit(t)
+        return
 
     splits = [srem_split(x, a) for x in xs]
     kd1 = kd * (1 + max(abs(l) for l, _ in splits))
@@ -408,17 +416,19 @@ def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, stats=None)
     for (e, c), l in zip(num.items(), ls):
         _add_into(ring, rem, e - l * f, c)
     if not rem:
-        return []
+        return
 
     if not any(rxs):
         # the bracket is the x^0 coefficient of the reduced numerator over
         # the x-free reduced factors
         l0 = {e: c for e, c in rem.items() if (((e + bias) >> s) & mask) == half}
         if not l0:
-            return []
+            return
         _check(layout, kn2 + len(reduced) * kd1)
         t = make_term(ring, l0, reduced, layout)
-        return [t] if t is not None else []
+        if t is not None:
+            emit(t)
+        return
 
     # shift: numerator = x * L'(x) with deg L' < a, then expand through the
     # reduced factors; the pivot contribution equals minus the sum of theirs
@@ -431,21 +441,23 @@ def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, stats=None)
     shifted = poly_neg(ring, shifted)
     den2 = tuple(reduced) + (f,)
     xs2 = rxs + [a]
-    out = []
     for idx, x in enumerate(rxs):
         if x > 0:
-            out.extend(euclid_contribution(ring, shifted, den2, xs2, idx, xvid, layout, kd1, kn3,
-                                           stats))
-    return out
+            euclid_contribution(ring, shifted, den2, xs2, idx, xvid, layout, kd1, kn3, emit, stats)
 
 
-def ct_var(ring, t, xvid, layout, stats=None):
-    """Constant term of one stored term in one variable; result is free of x."""
+def ct_var(ring, t, xvid, layout, emit, stats=None):
+    """Constant term of one stored term in one variable, free of x.
+
+    Its terms go to emit one at a time, as they are made.
+    """
     bias, s, mask, half = _xdigit(layout, xvid)
     xs = [(((f + bias) >> s) & mask) - half for f in t.den]
     if not any(xs):
         sliced = {e: c for e, c in t.num.items() if (((e + bias) >> s) & mask) == half}
-        return [ElliottTerm(sliced, t.den)] if sliced else []
+        if sliced:
+            emit(ElliottTerm(sliced, t.den))
+        return
 
     num, den = normalize_for_var(ring, t, xs, layout)
     _check_pairwise_coprime(t.den, xs, layout)
@@ -460,30 +472,45 @@ def ct_var(ring, t, xvid, layout, stats=None):
     kn = kd * (1 + sum(1 for x in xs if x < 0))
     # the x-exponents of the normalized den, handed down to every bracket
     xs = [abs(x) for x in xs]
-    out = []
     for i, f in enumerate(den):
         if xs[i] == 0:
             continue
         if f > 0:
             if l2:
-                out.extend(euclid_contribution(ring, l2, den, xs, i, xvid, layout, kd, kn, stats))
+                euclid_contribution(ring, l2, den, xs, i, xvid, layout, kd, kn, emit, stats)
         elif l1:
-            out.extend(euclid_contribution(ring, l1, den, xs, i, xvid, layout, kd, kn, stats))
-    return out
+            euclid_contribution(ring, l1, den, xs, i, xvid, layout, kd, kn, emit, stats)
 
 
-def merge_terms(ring, buckets, terms):
-    """Add terms into buckets {den: num}, in place.
+def merge_into(ring, buckets, den, num):
+    """Add num / den into buckets {den: num}, in place.
 
-    A term whose denominator opens a bucket hands its numerator over to it,
-    so the terms must not be used afterwards; ct_var's results qualify.
+    A numerator that opens a bucket is handed over to it, so it must not be
+    used afterwards; the terms the engine makes qualify.  A term is merged
+    twice (into its sink, then into the round), so each merge hashes its
+    denominator, a tuple of long ints, only once.
     """
-    for t in terms:
-        num = buckets.get(t.den)
-        if num is None:
-            buckets[t.den] = t.num
-        else:
-            poly_add_inplace(ring, num, t.num)
+    old = buckets.setdefault(den, num)
+    if old is not num:
+        poly_add_inplace(ring, old, num)
+
+
+class TermSink:
+    """Buckets {den: num} that merge the terms handed to ``add`` as they come.
+
+    ``made`` counts those terms: the raw terms of the input term it serves.
+    """
+
+    __slots__ = ("ring", "buckets", "made")
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.buckets = {}
+        self.made = 0
+
+    def add(self, t):
+        self.made += 1
+        merge_into(self.ring, self.buckets, t.den, t.num)
 
 
 def collect_terms(layout, buckets):
@@ -531,15 +558,16 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
     slack variables on all its factors; pipeline runs start with slack on
     every factor and pass delayed=False, so a collision there raises.
 
-    The terms ct_var returns for one input term are merged into the
-    round's buckets (merge_terms) before the next input term starts, and
-    collect_terms orders the buckets once the round is done.  A term that
-    needs more room than the layout's reach (WidthError) is redone, its
-    Euclid nodes uncounted, under a layout with the reach it asked for; a
-    restart grows the table, which also takes a new layout.  Either way the
-    term merged nothing yet: the buckets move to the new layout, the input
-    terms still to come as they come up.  After each round the layout bound
-    grows to cover the collected terms.
+    Each input term gets its own TermSink, which merges the terms ct_var
+    makes as they come; once ct_var returns, the sink's buckets join the
+    round's, and collect_terms orders those once the round is done.  A term
+    that needs more room than the layout's reach (WidthError) is redone,
+    its Euclid nodes uncounted, under a layout with the reach it asked for;
+    a restart grows the table, which also takes a new layout.  Either way
+    the term's sink is dropped, so the term merged nothing yet: the round's
+    buckets move to the new layout, the input terms still to come as they
+    come up.  After each round the layout bound grows to cover the
+    collected terms.  raw-terms counts the terms handed to the kept sinks.
 
     A round that makes no Euclid node, restarts no term and starts from
     collected terms (those of an earlier round, or a TermSum ct_all
@@ -574,8 +602,9 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
             restarts = 0
             while True:
                 nodes = stats.euclid_nodes
+                sink = TermSink(ring)
                 try:
-                    out = ct_var(ring, t, xvid, layout, stats)
+                    ct_var(ring, t, xvid, layout, sink.add, stats)
                     break
                 except WidthError as exc:
                     stats.euclid_nodes = nodes
@@ -589,14 +618,16 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
                     stats.restarts += 1
                     plain = add_slack_term(table, unpack_term(layout.unpack, t))
                     grown = Layout(table, layout.bound, layout.reach)
+                del sink  # what the term made so far is redone
                 move = _relayout(layout, grown)
                 moved = (move(ElliottTerm(num, den)) for den, num in buckets.items())
                 buckets = {m.den: m.num for m in moved}
                 layout = grown
                 take = _relayout(src, layout)
                 t = pack_term(layout, plain)
-            raw += len(out)
-            merge_terms(ring, buckets, out)
+            raw += sink.made
+            for den, num in sink.buckets.items():
+                merge_into(ring, buckets, den, num)
         stats.raw_terms += raw  # a round that raises counts none
         if collected and layout is src and stats.euclid_nodes == nodes_before:
             # only a Euclid node makes a new denominator: every term kept

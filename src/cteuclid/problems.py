@@ -40,8 +40,14 @@ from .algebra import (
 )
 from .bruteforce import certify_bounded
 from .checkpoint import DirectoryStore, config_hash, config_payload, lam_hash
-from .elimination import DEFAULT_PRIMES, crt_combine, eliminate_slack, lambda_pairing, pick_lambda
-from .engine import ElliottTerm, Stats, ct_all, start_termsum
+from .elimination import (
+    DEFAULT_PRIMES,
+    crt_combine,
+    eliminate_slack,
+    pairing_function,
+    pick_lambda,
+)
+from .engine import Stats, ct_all, start_termsum
 from .univariate import FactoredAccumulator, power_series_div, reduce_factored
 
 
@@ -180,20 +186,6 @@ def build_series_termsum(system, table, ring):
     return _start_termsum(system, table, ring, series=True)
 
 
-def convert_terms(terms, ring):
-    """Reinterpret integer-coefficient terms in another coefficient ring."""
-    out = []
-    for t in terms:
-        num = {}
-        for e, c in t.num.items():
-            rc = ring.from_int(c)
-            if not ring.is_zero(rc):
-                num[e] = rc
-        if num:
-            out.append(ElliottTerm(num, t.den))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # outcome assembly
 
@@ -310,18 +302,22 @@ def certified_primes(system, y, chunks, lam_map):
     count has den = 1 and is f_1.  The primes are the fewest whose product
     exceeds twice that, DEFAULT_PRIMES first and then the primes above
     them, skipping those that divide a nonzero pairing, so that every
-    structural test of stage B reads as over Z.
+    structural test of stage B reads as over Z.  Each chunk is read through
+    a pairing_function of its own.
     """
-    terms = [t for chunk in chunks for t in chunk]
-    pairing = {f: lambda_pairing(lam_map, f) for f in {f for t in terms for f in t.den}}
     den = {}
-    for t in terms:
-        ms = [pairing[f][1] for f in t.den]
-        for m in set(ms) - {0}:
-            den[m] = max(den.get(m, 0), ms.count(m) + ms.count(0))
+    pairings = set()
+    for chunk in chunks:
+        pair = pairing_function(lam_map, chunk)
+        factors = set()
+        for t in chunk:
+            factors.update(t.den)
+            ms = [pair(f)[1] for f in t.den]
+            for m in set(ms) - {0}:
+                den[m] = max(den.get(m, 0), ms.count(m) + ms.count(0))
+        pairings.update(b for b, _ in map(pair, factors) if b)
     degree = sum(m * e for m, e in den.items())
     bound = 2 ** sum(den.values()) * dilation_bound(system, y, max(1, degree))
-    pairings = {b for b, _ in pairing.values() if b}
     primes, product = [], 1
     for p in chain(DEFAULT_PRIMES, filter(_mr_is_prime, count(DEFAULT_PRIMES[-1] + 2, 2))):
         if product > 2 * bound:
@@ -334,13 +330,13 @@ def certified_primes(system, y, chunks, lam_map):
 class MemoryStore:
     """Keeps every stage result as a Python object: nothing is serialized.
 
-    Stage B gets one chunk holding every term, so all rings are eliminated
-    in one call.
+    Stage B gets one chunk, stage A's packed TermSum itself, so all rings
+    are eliminated in one call and no other copy of the terms is made.
     """
 
     def stage_a(self, compute):
-        table, terms, stats = compute()
-        return table, [terms], stats
+        table, done, stats = compute()
+        return table, [done], stats
 
     def partials(self, rings, i, lhash, compute):
         acc, stats = compute(rings)
@@ -395,15 +391,14 @@ def run_pipeline(
         build = build_count_termsum if task == "count" else build_series_termsum
         ts = build(system, table, ExactRing())
         st = Stats()
-        done = ct_all(ts, order=order, stats=st)
-        return table, done.unpacked(), st
+        return table, ct_all(ts, order=order, stats=st), st
 
     def stage_b(todo, chunk):
         # one pass for all of todo: the ring itself, or Z/PZ for the product
         # P of their primes, which FactoredAccumulator.split reduces mod each
         ring = todo[0] if len(todo) == 1 else PrimeField(tuple(r.modulus for r in todo))
         st = Stats()
-        return eliminate_slack(ring, table, convert_terms(chunk, ring), lam_map, st), st
+        return eliminate_slack(ring, table, chunk, lam_map, st), st
 
     table, chunks, stats_a = store.stage_a(stage_a)
     stats = stats if stats is not None else Stats()

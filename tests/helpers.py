@@ -78,7 +78,8 @@ class Packed:
 
     def ct_var(self, t, xvid, stats=None):
         layout, (p,) = self._pack([t])
-        out = engine.ct_var(self.ring, p, xvid, layout, stats)
+        out = []
+        engine.ct_var(self.ring, p, xvid, layout, out.append, stats)
         return [unpack_term(layout.unpack, r) for r in out]
 
     def normalize_for_var(self, t, xvid):
@@ -89,9 +90,10 @@ class Packed:
 
     def collect_terms(self, terms):
         layout, packed = self._pack(terms)
-        buckets = {}
-        engine.merge_terms(self.ring, buckets, packed)
-        return [unpack_term(layout.unpack, t) for t in engine.collect_terms(layout, buckets)]
+        sink = engine.TermSink(self.ring)
+        for t in packed:
+            sink.add(t)
+        return [unpack_term(layout.unpack, t) for t in engine.collect_terms(layout, sink.buckets)]
 
     def bracket(self, t, f_exps, xvid, stats=None):
         """Single-factor contribution <t, 1-f| in x; zero if f is absent."""
@@ -107,8 +109,9 @@ class Packed:
         kn = layout.bound * (1 + len(den))
         for i, g in enumerate(den):
             if g == nf:
-                out = engine.euclid_contribution(self.ring, num, den, xs, i, xvid, layout,
-                                                 layout.bound, kn, stats)
+                out = []
+                engine.euclid_contribution(self.ring, num, den, xs, i, xvid, layout,
+                                           layout.bound, kn, out.append, stats)
                 return [unpack_term(layout.unpack, r) for r in out]
         return []
 

@@ -47,7 +47,13 @@ from cteuclid.algebra import (
     srem_split,
 )
 from cteuclid.bruteforce import OracleRefusal, _suffix_extremes, naive_ct
-from cteuclid.elimination import SeriesTables, group_series, lambda_pairing, split_factors
+from cteuclid.elimination import (
+    SeriesTables,
+    group_series,
+    lambda_pairing,
+    pairing_function,
+    split_factors,
+)
 from cteuclid.engine import CollisionError, ElliottTerm, Stats, add_slack_term
 from cteuclid.univariate import divexact_int, sparse_mul, sparse_mul_binomial, trim
 
@@ -587,7 +593,7 @@ def enumerate_pieces(ring, term, lam_map, tables=None):
     """
     if tables is None:
         tables = FractionTables(ring)
-    pure_b, mixed = split_factors(ring, term, lam_map)
+    pure_b, mixed = split_factors(ring, term, pairing_function(lam_map))
     r = len(pure_b)
     tables.ensure(r)
     base = ordinary_base_series(ring, tables, term, lam_map, pure_b)
@@ -788,7 +794,7 @@ def ordinary_ct_s_term(ring, term, lam_map, tables=None, stats=None):
     """
     if tables is None:
         tables = FractionTables(ring)
-    pure_b, mixed = split_factors(ring, term, lam_map)
+    pure_b, mixed = split_factors(ring, term, pairing_function(lam_map))
     r = len(pure_b)
     tables.ensure(r)
     base = ordinary_base_series(ring, tables, term, lam_map, pure_b)

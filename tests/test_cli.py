@@ -213,13 +213,34 @@ def test_resume_of_delayed_slack_checkpoint_refused(in_tmp, capsys):
     ("euclid_nodes", -1),               # a negative counter
     ("collisions", True),               # a bool for a counter
     ("summand_bound_ok", 1),            # an int for a flag
+    # stage-A state of a magic-3 run paused with 8 terms in 4 chunks
+    {"chunks": 1},                      # resumed from one chunk, it gave a wrong answer
+    {"chunks": "1"},                    # a string for the chunk count
+    {"chunks": 5},                      # more chunks than the terms fill
+    {"terms": 7},                       # the chunks hold 8 terms
+    {"terms": -1},                      # a negative term count
+    {"terms": "8"},                     # a string for the term count
+    {"table": [[0, 0]]},                # a table row without its name
+    {"table": "q"},                     # a table that is not a list
 ], ids=["truncated", "list", "empty", "no-keys", "counter-string", "counter-negative",
-        "counter-bool", "flag-int"])
+        "counter-bool", "flag-int", "chunks-short", "chunks-string", "chunks-long",
+        "terms-short", "terms-negative", "terms-string", "table-row", "table-string"])
 def test_resume_of_damaged_meta_refused(in_tmp, capsys, damage):
     meta = in_tmp / "ck" / "meta.json"
     if isinstance(damage, str):
         (in_tmp / "ck").mkdir()
         meta.write_text(damage)
+    elif isinstance(damage, dict):
+        rc, _, _ = run_main(capsys, "magic", "--n", "3", "--mod", "1152921504606847009",
+                            "--chunk-size", "2", "--checkpoint-dir", "ck", "--max-units", "1")
+        assert rc == 0
+        obj = json.loads(meta.read_text())
+        assert (obj["phase_a"]["terms"], obj["phase_a"]["chunks"]) == (8, 4)
+        for key, value in damage.items():
+            if key == "table" and isinstance(value, list):
+                value = obj["phase_a"]["table"] + value
+            obj["phase_a"][key] = value
+        meta.write_text(json.dumps(obj))
     else:
         # a run paused after stage A, whose counters the resume reads back
         rc, _, _ = run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",

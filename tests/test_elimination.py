@@ -25,6 +25,7 @@ from cteuclid.elimination import (
     ct_s_term,
     eliminate_slack,
     lambda_pairing,
+    pairing_function,
     pick_lambda,
     validate_lambda,
 )
@@ -131,7 +132,7 @@ def test_small_prime_refused_from_pole_order_p_minus_1(p, shift):
     lam = {z: 1 for z in zs}
     if shift == -2:
         SeriesTables(ring).ensure(r)
-        assert ct_s_term(ring, term, lam)
+        assert ct_s_term(ring, term, pairing_function(lam))
         return
     den = SMALL_PRIME_DENOMINATORS[p][shift + 1]
     message = f"modulus {p} divides the denominator {den}; use a larger prime"
@@ -139,7 +140,7 @@ def test_small_prime_refused_from_pole_order_p_minus_1(p, shift):
         SeriesTables(ring).ensure(r)
     assert str(excinfo.value) == message
     with pytest.raises(InputError) as excinfo:
-        ct_s_term(ring, term, lam)
+        ct_s_term(ring, term, pairing_function(lam))
     assert str(excinfo.value) == message
 
 
@@ -301,7 +302,7 @@ def test_ct_s_term_prime_clash_guard():
     ring = PrimeField(3)
     term = make_term(ring, {EXPS_ONE: ring.one()}, [exps_from_dict({z: 1})])
     with pytest.raises(PrimeClash):
-        ct_s_term(ring, term, {z: 3})
+        ct_s_term(ring, term, pairing_function({z: 3}))
 
 
 def test_summand_bound_is_tracked():
@@ -312,7 +313,8 @@ def test_summand_bound_is_tracked():
     den.append(exps_from_dict({zs[0]: 1, zs[1]: 1}))
     term = term_of(table, {EXPS_ONE: 1}, den)
     stats = Stats()
-    ct_s_term(RING, term, {z: w for z, w in zip(zs, (3, 5, 7, 11))}, stats=stats)
+    ct_s_term(RING, term, pairing_function({z: w for z, w in zip(zs, (3, 5, 7, 11))}),
+              stats=stats)
     assert stats.ct_s_calls == 1
     assert stats.summand_max >= 1
     assert stats.summand_bound_ok
@@ -356,7 +358,7 @@ def _grouped_against_enumerated(ring, pure, mixed, num):
     if term is None:
         return None
     stats = Stats()
-    pieces = ct_s_term(ring, term, lam, stats=stats)
+    pieces = ct_s_term(ring, term, pairing_function(lam), stats=stats)
     want, leaves = enumerate_pieces(ring, term, lam)
     grouped, enumerated = _accumulate(ring, pieces), _accumulate(ring, want)
     assert grouped.sums == enumerated.sums
@@ -407,7 +409,7 @@ def test_pairing_divisible_by_the_modulus_counts_no_leaves():
     for ring, leaves in ((RING, 3), (PrimeField(SMALL_P), 1)):
         term, lam = _factor_term(ring, [1, 2], [(1, SMALL_P)], [(0, 0, 1)])
         stats = Stats()
-        ct_s_term(ring, term, lam, stats=stats)
+        ct_s_term(ring, term, pairing_function(lam), stats=stats)
         assert stats.summand_max == leaves
 
 
@@ -526,7 +528,7 @@ def test_integer_rows_match_ordinary_coefficients(ring, case):
     if term is None:
         return
     got_stats, want_stats = Stats(), Stats()
-    got = ct_s_term(ring, term, lam, stats=got_stats)
+    got = ct_s_term(ring, term, pairing_function(lam), stats=got_stats)
     want = ordinary_ct_s_term(ring, term, lam, stats=want_stats)
     assert [dc for _, dc in got] == [dc for _, dc in want]
     assert [list(num.items()) for num, _ in got] == [list(num.items()) for num, _ in want]

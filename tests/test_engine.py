@@ -26,7 +26,12 @@ from cteuclid.engine import (
     ct_all,
     pack_term,
 )
-from cteuclid.problems import build_series_termsum, magic_square_system
+from cteuclid.problems import (
+    build_count_termsum,
+    build_series_termsum,
+    knapsack_system,
+    magic_square_system,
+)
 
 import oracles
 
@@ -634,6 +639,63 @@ def test_mid_round_restart_keeps_merged_terms():
     assert mine.restarts == 1
     assert table.ordered() == ref_table.ordered()
     assert _one_object_per_factor(got)
+
+
+def test_width_error_after_emitting_merges_nothing(monkeypatch):
+    """A term that outgrows its layout after it has made terms is redone from nothing.
+
+    Under this layout the term makes one term below a Euclid node, then
+    needs more than the layout's reach: that attempt's sink is dropped, and
+    neither its term nor its Euclid nodes count.
+    """
+    table, ref_table = _twin_tables(2, 0, 1)
+
+    def mono(d):
+        return exps_from_dict({table.vid_of(k): e for k, e in d.items()})
+
+    t = oracles.make_term(RING, {mono({"y1": 1, "y2": 11, "x1": -2}): 1},
+                          [mono({"y1": 2}), mono({"y1": 5, "y2": -1, "x1": 3}),
+                           mono({"y2": 5, "x1": 2})])
+    made_before_error = []
+    ct_var = engine.ct_var
+
+    def spy(ring, t, xvid, layout, emit, stats=None):
+        try:
+            return ct_var(ring, t, xvid, layout, emit, stats)
+        except WidthError:
+            made_before_error.append(emit.__self__.made)
+            raise
+
+    monkeypatch.setattr(engine, "ct_var", spy)
+    narrow = Layout(table, 11, reach=352)
+    mine, ref = Stats(), Stats()
+    got = ct_all(TermSum(narrow, RING, [pack_term(narrow, t)]), stats=mine)
+    assert made_before_error == [1]
+    assert got.layout.width > narrow.width
+    _same_terms(got.unpacked(), oracles.ct_all(ref_table, RING, [t], stats=ref))
+    assert mine.as_dict() == ref.as_dict()
+    assert (mine.raw_terms, mine.collected_terms, mine.euclid_nodes) == (2, 1, 4)
+
+
+def test_knapsack_input_term_holds_no_raw_terms():
+    """The knapsack pool's instance with the most Euclid nodes traces 1.67 MB at peak.
+
+    One input term is the whole round here.  When ct_var returned that
+    term's 9,686 raw terms as one list, ct_all traced 4.43 MB; merged as
+    they are made, they never exist side by side.
+    """
+    table = VariableTable()
+    ts = build_count_termsum(knapsack_system(9605029289, [27853, 8897, 21816, 12574]),
+                             table, RING)
+    stats = Stats()
+    tracemalloc.start()
+    try:
+        done = ct_all(ts, stats=stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (stats.raw_terms, len(done), stats.euclid_nodes) == (9686, 1625, 17430)
+    assert peak < 2_500_000
 
 
 def test_magic5_rounds_hold_no_raw_terms():

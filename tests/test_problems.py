@@ -9,10 +9,17 @@ from hypothesis import given, settings, strategies as st
 from cteuclid.algebra import SLACK, ExactRing, InputError, PrimeField, VariableTable
 from cteuclid.bruteforce import brute_count, dp_knapsack
 from cteuclid.checkpoint import CheckpointPause
-from cteuclid.elimination import DEFAULT_PRIMES, PrimeClash, SeriesTables, pick_lambda
-from cteuclid.engine import Stats, ct_all
+from cteuclid.elimination import (
+    DEFAULT_PRIMES,
+    PrimeClash,
+    SeriesTables,
+    eliminate_slack,
+    pick_lambda,
+)
+from cteuclid.engine import Stats, TermSum, ct_all
 from cteuclid.problems import (
     DiophantineSystem,
+    build_count_termsum,
     build_series_termsum,
     certified_primes,
     check_boundedness,
@@ -433,3 +440,51 @@ def test_stats_threading():
     assert stats.collected_terms <= stats.raw_terms
     assert stats.ct_s_calls > 0
     assert stats.summand_bound_ok
+
+
+# stage B's inputs: (system, task) with the ehrhart system of tests/golden
+STAGE_B_INPUTS = {
+    "knapsack": (DiophantineSystem([[12223, 12224, 36671]], [149389505]), "count"),
+    "magic3": (magic_square_system(3), "series"),
+    "ehrhart": (DiophantineSystem([[1, 1, 1, 1], [1, 2, 3, 4]], [2, 5]), "series"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_B_INPUTS))
+def test_stage_b_reads_a_packed_sum_as_its_tuple_form(name):
+    """Direction, primes and pieces agree for stage A's TermSum and for its unpacked() form."""
+    system, task = STAGE_B_INPUTS[name]
+    y = check_boundedness(system)
+    table = VariableTable()
+    build = build_count_termsum if task == "count" else build_series_termsum
+    packed = ct_all(build(system, table, RING))
+    plain = packed.unpacked()
+    zs = table.vids_of_rank(SLACK)
+    lam = pick_lambda([packed], zs, seed=3)
+    assert pick_lambda([plain], zs, seed=3) == lam
+    primes, den = certified_primes(system, y, [packed], lam)
+    assert certified_primes(system, y, [plain], lam) == (primes, den)
+    ring = PrimeField(DEFAULT_PRIMES[:2])  # one pass modulo two primes, as a --crt run
+    got, want = Stats(), Stats()
+    a = eliminate_slack(ring, table, packed, lam, got)
+    b = eliminate_slack(ring, table, plain, lam, want)
+    assert a.den == b.den
+    assert a.sums == b.sums
+    assert got.as_dict() == want.as_dict() and got.ct_s_calls == len(plain)
+
+
+def test_in_memory_run_builds_no_tuple_form(monkeypatch, tmp_path):
+    """Stage B reads stage A's TermSum itself; only a checkpoint unpacks it."""
+    calls = []
+    unpacked = TermSum.unpacked
+
+    def spy(self):
+        calls.append(len(self))
+        return unpacked(self)
+
+    monkeypatch.setattr(TermSum, "unpacked", spy)
+    assert run_pipeline(magic_square_system(3), "series").num == [1, 0, 0, 2, 0, 0, 1]
+    assert knapsack_count(41, [1, 5, 14], moduli=DEFAULT_PRIMES[:2], crt=True) == 18
+    assert calls == []
+    run_pipeline(magic_square_system(3), "series", tmp_path / "ck")
+    assert calls == [8]
