@@ -567,7 +567,10 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
     the term's sink is dropped, so the term merged nothing yet: the round's
     buckets move to the new layout, the input terms still to come as they
     come up.  After each round the layout bound grows to cover the
-    collected terms.  raw-terms counts the terms handed to the kept sinks.
+    collected terms.  raw-terms counts the terms handed to the kept sinks,
+    and euclid-nodes the nodes of the attempts that finished: an attempt
+    that raises (WidthError or a collision) counts none of its nodes, since
+    which of them it reached first follows the order of its factors.
 
     A round that makes no Euclid node, restarts no term and starts from
     collected terms (those of an earlier round, or a TermSum ct_all
@@ -611,6 +614,7 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
                     plain = unpack_term(layout.unpack, t)
                     grown = Layout(table, layout.bound, exc.need << ROOM_BITS, like=layout)
                 except CollisionError:
+                    stats.euclid_nodes = nodes
                     stats.collisions += 1
                     if not delayed or restarts == 4:
                         raise

@@ -464,8 +464,18 @@ def ct_all(table, ring, terms, ct_vids=None, order="given", delayed=False, stats
     slack mode) a collision restarts just the offending term with fresh
     slack variables on all its factors; pipeline runs start with slack on
     every factor and pass delayed=False, so a collision there raises.
+    An attempt that collides counts none of its Euclid nodes.
     """
     stats = stats if stats is not None else Stats()
+
+    def attempt(t):
+        nodes = stats.euclid_nodes
+        try:
+            return ct_var(ring, t, xvid, stats)
+        except CollisionError:
+            stats.euclid_nodes = nodes
+            raise
+
     if ct_vids is None:
         ct_vids = table.vids_of_rank(CT)
     remaining = list(ct_vids)
@@ -480,7 +490,7 @@ def ct_all(table, ring, terms, ct_vids=None, order="given", delayed=False, stats
         new_terms = []
         for t in terms:
             try:
-                new_terms.extend(ct_var(ring, t, xvid, stats))
+                new_terms.extend(attempt(t))
             except CollisionError:
                 stats.collisions += 1
                 if not delayed:
@@ -490,7 +500,7 @@ def ct_all(table, ring, terms, ct_vids=None, order="given", delayed=False, stats
                     stats.restarts += 1
                     cur = add_slack_term(table, cur)
                     try:
-                        new_terms.extend(ct_var(ring, cur, xvid, stats))
+                        new_terms.extend(attempt(cur))
                         break
                     except CollisionError:
                         stats.collisions += 1
