@@ -471,7 +471,7 @@ def cmd_ct(args):
     with open(args.input) as fh:
         table, num, den = load_raw_term(fh.read())
     ring = PrimeField(args.mod[0]) if args.mod else ExactRing()
-    num_r = {e: ring.from_int(c) for e, c in num.items() if c}
+    num_r = {e: r for e, c in num.items() if not ring.is_zero(r := ring.from_int(c))}
     ts = start_termsum(table, ring, num_r, den)
     if args.slack == "eager":
         ts = add_slack(ts)

@@ -41,17 +41,17 @@ its denominator and a slice of its numerator, so a round over collected
 terms (a dependent equation, say) stays collected without being ordered
 again.
 
-A round holds only what it keeps, and so does each input term.  Every
-stored denominator factor is the layout's one int object of its value
-(``Layout.intern``).  ct_var and the Euclid recursion hand each term they
-make to a sink as it is made: ct_all's sink merges it into the input term's
-own buckets, one numerator per denominator, and those join the round's
-buckets once ct_var returns.  So neither a round's nor an input term's raw
-terms ever exist side by side.
+A round holds only what it keeps.  Every stored denominator factor is the
+layout's one int object of its value (``Layout.intern``).  ct_var and the
+Euclid recursion hand each term they make to a sink as it is made: ct_all
+gives each round one sink, which merges the term into the round's buckets,
+one numerator per denominator.  So a round's raw terms never exist side by
+side, and each is merged once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import chain
 
@@ -153,8 +153,11 @@ def _xdigit(layout, xvid):
     return layout.bias, layout.shift[xvid], layout.mask, layout.half
 
 
-def _mul_monomial(ring, num, sign, unit):
-    return {e + unit: ring.mul(c, sign) for e, c in num.items()}
+def _push_units(ring, num, unit, flips):
+    """num times (-1)**flips * unit, the units that inverting flips factors pushes into it."""
+    if flips % 2:
+        return {e + unit: ring.neg(c) for e, c in num.items()}
+    return {e + unit: c for e, c in num.items()}
 
 
 def _add_into(ring, out, e, c):
@@ -189,8 +192,7 @@ def make_term(ring, num, factors, layout):
             raise CollisionError("denominator factor monomial equals 1")
         canon.append(intern(f, f))
     if flips:
-        sign = ring.from_int(-1) if flips % 2 else ring.one()
-        num = _mul_monomial(ring, num, sign, unit)
+        num = _push_units(ring, num, unit, flips)
     if not num:
         return None
     canon.sort()
@@ -305,8 +307,7 @@ def normalize_for_var(ring, t, xs, layout):
     num = t.num
     if flips:
         _check(layout, layout.bound * (1 + flips))
-        sign = ring.from_int(-1) if flips % 2 else ring.one()
-        num = _mul_monomial(ring, num, sign, unit)
+        num = _push_units(ring, num, unit, flips)
     return num, den
 
 
@@ -407,8 +408,7 @@ def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, emit, stats
     kn1 = kn + flips * kd1
     if flips:
         _check(layout, kn1)
-        sign = ring.from_int(-1) if flips % 2 else ring.one()
-        num = _mul_monomial(ring, num, sign, unit)
+        num = _push_units(ring, num, unit, flips)
     ls = [((((e + bias) >> s) & mask) - half) // a for e in num]
     kn2 = kn1 + max(map(abs, ls), default=0) * kd
     _check(layout, kn2)
@@ -482,23 +482,12 @@ def ct_var(ring, t, xvid, layout, emit, stats=None):
             euclid_contribution(ring, l1, den, xs, i, xvid, layout, kd, kn, emit, stats)
 
 
-def merge_into(ring, buckets, den, num):
-    """Add num / den into buckets {den: num}, in place.
-
-    A numerator that opens a bucket is handed over to it, so it must not be
-    used afterwards; the terms the engine makes qualify.  A term is merged
-    twice (into its sink, then into the round), so each merge hashes its
-    denominator, a tuple of long ints, only once.
-    """
-    old = buckets.setdefault(den, num)
-    if old is not num:
-        poly_add_inplace(ring, old, num)
-
-
 class TermSink:
-    """Buckets {den: num} that merge the terms handed to ``add`` as they come.
+    """The buckets {den: num} of one stage-A round, merging each term handed to ``add``.
 
-    ``made`` counts those terms: the raw terms of the input term it serves.
+    ``made`` counts those terms: the round's raw terms.  A numerator that
+    opens a bucket is handed over to it, so it must not be used afterwards;
+    the terms the engine makes qualify.
     """
 
     __slots__ = ("ring", "buckets", "made")
@@ -510,7 +499,9 @@ class TermSink:
 
     def add(self, t):
         self.made += 1
-        merge_into(self.ring, self.buckets, t.den, t.num)
+        old = self.buckets.setdefault(t.den, t.num)
+        if old is not t.num:
+            poly_add_inplace(self.ring, old, t.num)
 
 
 def collect_terms(layout, buckets):
@@ -555,21 +546,21 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
     order "sparse-first" greedily picks the variable occurring in the fewest
     denominator factors.  With delayed=True (the raw ct command's delayed
     slack mode) a collision restarts just the offending term with fresh
-    slack variables on all its factors; pipeline runs start with slack on
-    every factor and pass delayed=False, so a collision there raises.
+    slack variables on all its factors, at most 4 times; pipeline runs start
+    with slack on every factor and pass delayed=False, so a collision there
+    raises.
 
-    Each input term gets its own TermSink, which merges the terms ct_var
-    makes as they come; once ct_var returns, the sink's buckets join the
-    round's, and collect_terms orders those once the round is done.  A term
-    that needs more room than the layout's reach (WidthError) is redone,
-    its Euclid nodes uncounted, under a layout with the reach it asked for;
-    a restart grows the table, which also takes a new layout.  Either way
-    the term's sink is dropped, so the term merged nothing yet: the round's
-    buckets move to the new layout, the input terms still to come as they
-    come up.  After each round the layout bound grows to cover the
-    collected terms.  raw-terms counts the terms handed to the kept sinks,
-    and euclid-nodes the nodes of the attempts that finished: an attempt
-    that raises (WidthError or a collision) counts none of its nodes, since
+    Each round gets one TermSink, which merges the terms ct_var makes as
+    they come; collect_terms orders its buckets once the round is done.  A
+    round in which a term needs more room than the layout's reach
+    (WidthError) is redone from its first term under a layout with the
+    reach asked for; a restart grows the table, which also takes a new
+    layout, and the colliding term is redone with its slack variables.
+    Either way the round's sink is dropped and its input terms move to the
+    new layout.  After each round the layout bound grows to cover the
+    collected terms.  raw-terms and euclid-nodes count the attempt of each
+    round that finished.  A collision that raises keeps the nodes of the
+    round's earlier terms and counts none of the colliding term's, since
     which of them it reached first follows the order of its factors.
 
     A round that makes no Euclid node, restarts no term and starts from
@@ -596,51 +587,42 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
         else:
             xvid = remaining.pop(0)
         src = layout
-        take = _relayout(src, layout)
         nodes_before = stats.euclid_nodes
-        buckets = {}
-        raw = 0
-        for t in terms:
-            t = take(t)
-            restarts = 0
-            while True:
-                nodes = stats.euclid_nodes
-                sink = TermSink(ring)
-                try:
+        restarts = Counter()  # of each input term, by its index
+        while True:
+            sink = TermSink(ring)
+            try:
+                for i, t in enumerate(terms):
+                    nodes = stats.euclid_nodes
                     ct_var(ring, t, xvid, layout, sink.add, stats)
-                    break
-                except WidthError as exc:
+                break
+            except WidthError as exc:
+                grown = Layout(table, layout.bound, exc.need << ROOM_BITS, like=layout)
+                slacked = None
+            except CollisionError:
+                stats.collisions += 1
+                if not delayed or restarts[i] == 4:
                     stats.euclid_nodes = nodes
-                    plain = unpack_term(layout.unpack, t)
-                    grown = Layout(table, layout.bound, exc.need << ROOM_BITS, like=layout)
-                except CollisionError:
-                    stats.euclid_nodes = nodes
-                    stats.collisions += 1
-                    if not delayed or restarts == 4:
-                        raise
-                    restarts += 1
-                    stats.restarts += 1
-                    plain = add_slack_term(table, unpack_term(layout.unpack, t))
-                    grown = Layout(table, layout.bound, layout.reach)
-                del sink  # what the term made so far is redone
-                move = _relayout(layout, grown)
-                moved = (move(ElliottTerm(num, den)) for den, num in buckets.items())
-                buckets = {m.den: m.num for m in moved}
-                layout = grown
-                take = _relayout(src, layout)
-                t = pack_term(layout, plain)
-            raw += sink.made
-            for den, num in sink.buckets.items():
-                merge_into(ring, buckets, den, num)
-        stats.raw_terms += raw  # a round that raises counts none
+                    raise
+                restarts[i] += 1
+                stats.restarts += 1
+                slacked = add_slack_term(table, unpack_term(layout.unpack, t))
+                grown = Layout(table, layout.bound, layout.reach)
+            del sink  # the round is redone from its first term
+            stats.euclid_nodes = nodes_before
+            terms = list(map(_relayout(layout, grown), terms))
+            layout = grown
+            if slacked is not None:
+                terms[i] = pack_term(layout, slacked)
+        stats.raw_terms += sink.made  # a round that raises counts none
         if collected and layout is src and stats.euclid_nodes == nodes_before:
             # only a Euclid node makes a new denominator: every term kept
             # its own and a slice of its numerator, or vanished, so the
             # terms stay collected and inside the layout bound
-            terms = [ElliottTerm(num, den) for den, num in buckets.items()]
+            terms = [ElliottTerm(num, den) for den, num in sink.buckets.items()]
             continue
-        terms = collect_terms(layout, buckets)
-        del buckets  # else it would keep the old terms alive through a relayout
+        terms = collect_terms(layout, sink.buckets)
+        del sink  # else its buckets would keep the old terms alive through a relayout
         collected = True
         bound = layout.magnitude(_monomials(terms))
         if bound > layout.bound:

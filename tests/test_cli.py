@@ -116,6 +116,31 @@ def test_ct_command_closed_form(in_tmp, capsys):
     assert "term[0]: (1) / (1 - y)" in out
 
 
+def test_ct_command_mod_drops_vanishing_coefficients(in_tmp, capsys):
+    path = in_tmp / "term.json"
+    term = {
+        "variables": [["y", "free"], ["x", "ct"]],
+        "numerator": [[3, {}], [1, {"x": 1}]],
+        "denominator": [{"x": 1}, {"x": -1, "y": 1}],
+    }
+    path.write_text(json.dumps(term))
+    rc, out, _ = run_main(capsys, "ct", "--input", str(path), "--mod", "3")
+    assert rc == 0
+    lines = out.splitlines()
+    assert "terms: 1" in lines
+    assert "term[0]: (y*z1) / (1 - y*z1*z2)" in lines
+    # a numerator that vanishes mod 3 leaves no term and no work
+    term["numerator"] = [[3, {}]]
+    path.write_text(json.dumps(term))
+    rc, out, _ = run_main(capsys, "ct", "--input", str(path), "--mod", "3")
+    assert rc == 0
+    lines = out.splitlines()
+    assert "terms: 0" in lines
+    assert not any(line.startswith("term[") for line in lines)
+    for counter in ("raw-terms", "collected-terms", "euclid-nodes", "collisions", "restarts"):
+        assert f"{counter}: 0" in lines
+
+
 # ---------------------------------------------------------------------------
 # checkpoint / resume through the CLI
 

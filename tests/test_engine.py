@@ -404,21 +404,26 @@ def _twin_tables(nfree, nslack, nct):
 
 
 @st.composite
-def reference_cases(draw):
-    """(tables, ring, tuple-form term or None) over a few variables of every role."""
+def reference_cases(draw, max_terms=1):
+    """(tables, ring, 1 to max_terms tuple-form terms) over a few variables of every role.
+
+    The terms are None when making one of them collides.
+    """
     nfree, nslack, nct = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 3))
     tables = _twin_tables(nfree, nslack, nct)
     vids = [v for v, _ in tables[0].ordered()]
     ring = draw(st.sampled_from([ExactRing(), PrimeField(101)]))
     exps = st.dictionaries(st.sampled_from(vids), st.integers(-3, 3), max_size=4).map(exps_from_dict)
-    factors = draw(st.lists(exps.filter(bool), min_size=1, max_size=4))
-    num = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
-    num = {e: ring.from_int(c) for e, c in num.items()}
-    try:
-        t = oracles.make_term(ring, num, factors)
-    except CollisionError:
-        t = None
-    return tables, ring, t
+    terms = []
+    for _ in range(draw(st.integers(1, max_terms))):
+        factors = draw(st.lists(exps.filter(bool), min_size=1, max_size=4))
+        num = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+        num = {e: ring.from_int(c) for e, c in num.items()}
+        try:
+            terms.append(oracles.make_term(ring, num, factors))
+        except CollisionError:
+            return tables, ring, None
+    return tables, ring, terms
 
 
 def _same_terms(got, want):
@@ -432,8 +437,9 @@ def _term_key(t):
 @settings(max_examples=200, deadline=None)
 @given(reference_cases())
 def test_ct_var_matches_tuple_reference(case):
-    (table, _), ring, t = case
-    assume(t is not None)
+    (table, _), ring, terms = case
+    assume(terms is not None)
+    (t,) = terms
     for x in table.vids_of_rank(CT):
         mine, ref = Stats(), Stats()
         try:
@@ -449,20 +455,76 @@ def test_ct_var_matches_tuple_reference(case):
         assert mine.as_dict() == ref.as_dict()
 
 
+def _engine_order(table, terms):
+    """terms in the order of a collected round of the engine, whatever the layout.
+
+    It orders denominators as tuples of factor ints, and a factor int orders
+    as the factor's exponent vector in the working order.
+    """
+    vids = [v for v, _ in table.ordered()]
+
+    def vector(f):
+        d = dict(f)
+        return tuple(d.get(v, 0) for v in vids)
+
+    return sorted(terms, key=lambda t: sorted(map(vector, t.den)))
+
+
+def _reference_rounds(table, ring, terms, order, delayed, stats):
+    """oracles.ct_all a round at a time, each round meeting its terms in the engine's order.
+
+    The order in which a round meets its terms decides which restart names
+    which slack variables, and how many Euclid nodes precede a collision
+    that raises; the oracle would meet the terms of a later round in the
+    order of their exps tuples.
+    """
+    remaining = table.vids_of_rank(CT)
+    while remaining:
+        if order == "sparse-first":
+            counts = oracles._occurrence_counts(terms, remaining)
+            xvid = min(remaining, key=lambda v: (counts[v], v))
+        else:
+            xvid = remaining[0]
+        remaining.remove(xvid)
+        stats.collected_terms = 0  # as if the rounds were one call: a round that raises sets none
+        terms = oracles.ct_all(table, ring, terms, ct_vids=[xvid], delayed=delayed, stats=stats)
+        if remaining:
+            terms = _engine_order(table, terms)
+    return terms
+
+
+def _narrow_sum(table, ring, terms, power=1):
+    """The terms packed under a layout whose reach is their exponent bound to the power."""
+    top = max(abs(e) for t in terms for m in (*t.num, *t.den) for _, e in m)
+    bound = 1 << (top - 1).bit_length()
+    narrow = Layout(table, bound, reach=bound**power)
+    return TermSum(narrow, ring, [pack_term(narrow, t) for t in terms])
+
+
 @settings(max_examples=200, deadline=None)
-@given(reference_cases(), st.sampled_from(["given", "sparse-first"]), st.booleans())
-def test_ct_all_matches_tuple_reference(case, order, delayed):
-    (table, ref_table), ring, t = case
-    assume(t is not None)
+@given(reference_cases(max_terms=3), st.sampled_from(["given", "sparse-first"]), st.booleans(),
+       st.sampled_from([None, None, 1, 2]))
+def test_ct_all_matches_tuple_reference(case, order, delayed, power):
+    """Rounds of 1-3 terms, packed as usual or so narrowly that a round may be redone.
+
+    A reach of the bound fails every round's first coprimality check; a
+    reach of its square passes that check and may fail below a Euclid node.
+    """
+    (table, ref_table), ring, terms = case
+    assume(terms is not None)
+    if power is None:
+        ts = TermSum.pack(table, ring, terms)
+    else:
+        ts = _narrow_sum(table, ring, terms, power)
     mine, ref = Stats(), Stats()
     try:
-        want = oracles.ct_all(ref_table, ring, [t], order=order, delayed=delayed, stats=ref)
+        want = _reference_rounds(ref_table, ring, terms, order, delayed, ref)
     except CollisionError:
         with pytest.raises(CollisionError):
-            ct_all(TermSum.pack(table, ring, [t]), order=order, delayed=delayed, stats=mine)
+            ct_all(ts, order=order, delayed=delayed, stats=mine)
         assert mine.as_dict() == ref.as_dict()
         return
-    got = ct_all(TermSum.pack(table, ring, [t]), order=order, delayed=delayed, stats=mine)
+    got = ct_all(ts, order=order, delayed=delayed, stats=mine)
     _same_terms(got.unpacked(), want)
     assert mine.as_dict() == ref.as_dict()
     assert table.ordered() == ref_table.ordered()  # restarts name the same slack variables
@@ -599,7 +661,7 @@ def _free_terms(mono):
 
 
 def test_mid_round_widening_keeps_merged_terms():
-    """A later term outgrows the layout after earlier ones merged: they move with it."""
+    """A later term outgrows the layout after earlier ones merged: the round is redone wider."""
     table, ref_table = _twin_tables(2, 0, 1)
 
     def mono(d):
@@ -621,7 +683,7 @@ def test_mid_round_widening_keeps_merged_terms():
 
 
 def test_mid_round_restart_keeps_merged_terms():
-    """A delayed-slack restart after earlier terms merged moves them to the grown table."""
+    """A delayed-slack restart after earlier terms merged redoes the round on the grown table."""
     table, ref_table = _twin_tables(2, 0, 1)
 
     def mono(d):
@@ -642,11 +704,11 @@ def test_mid_round_restart_keeps_merged_terms():
 
 
 def test_width_error_after_emitting_merges_nothing(monkeypatch):
-    """A term that outgrows its layout after it has made terms is redone from nothing.
+    """A round whose term outgrows its layout after making terms is redone from nothing.
 
-    Under this layout the term makes one term below a Euclid node, then
-    needs more than the layout's reach: that attempt's sink is dropped, and
-    neither its term nor its Euclid nodes count.
+    Under this layout the round's one term makes one term below a Euclid
+    node, then needs more than the layout's reach: the round's sink is
+    dropped, and neither that term nor those Euclid nodes count.
     """
     table, ref_table = _twin_tables(2, 0, 1)
 
@@ -675,6 +737,37 @@ def test_width_error_after_emitting_merges_nothing(monkeypatch):
     _same_terms(got.unpacked(), oracles.ct_all(ref_table, RING, [t], stats=ref))
     assert mine.as_dict() == ref.as_dict()
     assert (mine.raw_terms, mine.collected_terms, mine.euclid_nodes) == (2, 1, 4)
+
+
+# the four reference knapsacks of the README and the acceptance tests
+NAMED_KNAPSACKS = [(41, [1, 5, 14]), (149389505, [12223, 12224, 36671]),
+                   (89643481, [12223, 12224, 36674, 61119, 85569]),
+                   (89733124481, [12223, 12224, 36674, 61119, 85569])]
+
+
+def test_stage_a_redoes_no_round(monkeypatch):
+    """Magic-4's stage A and the named knapsacks never outgrow a layout.
+
+    A round that does is redone whole, which costs nothing only while no
+    workload takes that path.
+    """
+    calls, width_errors = [], []
+    ct_var = engine.ct_var
+
+    def spy(ring, t, xvid, layout, emit, stats=None):
+        calls.append(xvid)
+        try:
+            return ct_var(ring, t, xvid, layout, emit, stats)
+        except WidthError:
+            width_errors.append(xvid)
+            raise
+
+    monkeypatch.setattr(engine, "ct_var", spy)
+    ct_all(build_series_termsum(magic_square_system(4), VariableTable(), RING))
+    for a0, weights in NAMED_KNAPSACKS:
+        ct_all(build_count_termsum(knapsack_system(a0, weights), VariableTable(), RING))
+    assert len(calls) == 899
+    assert width_errors == []
 
 
 def test_knapsack_input_term_holds_no_raw_terms():
