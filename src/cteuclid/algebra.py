@@ -222,10 +222,9 @@ class VariableTable:
     The order of the working field is the sort order of the ids handed out:
     all free variables precede all slack variables precede all ct variables,
     and within a role creation order decides.  Appends never change the
-    order of existing variables, which is what makes delayed slack insertion
-    (raw ct runs only) safe mid-computation.  Pipeline runs add every
-    variable when they build the starting term, so their table is fixed
-    before the first constant term is taken.
+    order of existing variables.  Every run adds all its variables, slack
+    included, when it builds the starting term, so the table is fixed before
+    the first constant term is taken and never grows mid-run.
 
     A ``Layout`` packs monomials for the table as it was when the layout was
     built: a new slack variable takes a digit in the middle of the order, so

@@ -47,11 +47,16 @@ Euclid recursion hand each term they make to a sink as it is made: ct_all
 gives each round one sink, which merges the term into the round's buckets,
 one numerator per denominator.  So a round's raw terms never exist side by
 side, and each is merged once.
+
+Stage A has one slack policy: every denominator factor gets its own slack
+variable before the first round (a pipeline run when it builds its starting
+term, the raw ct command through add_slack), which keeps the factors of a
+term pairwise coprime in every ct variable.  So the variable table is fixed
+while ct_all runs, and a collision is a broken invariant that raises.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from itertools import chain
 
@@ -69,9 +74,9 @@ from .algebra import (
 class CollisionError(RuntimeError):
     """Non-coprime denominator factors met during elimination.
 
-    With eager slack insertion, the only policy of pipeline runs, this
-    signals a broken invariant.  In delayed mode, which only the raw ct
-    command offers, ct_all restarts the offending term with slack variables.
+    Every run gives each factor its own slack variable before stage A,
+    which keeps the factors pairwise coprime, so this signals a broken
+    invariant, and ct_all raises it.
     """
 
 
@@ -83,7 +88,6 @@ class Stats:
         "collected_terms",
         "euclid_nodes",
         "collisions",
-        "restarts",
         "ct_s_calls",
         "summand_max",
         "summand_bound_ok",
@@ -94,7 +98,6 @@ class Stats:
         self.collected_terms = 0
         self.euclid_nodes = 0
         self.collisions = 0
-        self.restarts = 0
         self.ct_s_calls = 0
         self.summand_max = 0
         self.summand_bound_ok = True
@@ -120,8 +123,7 @@ class Stats:
 
     def merge(self, other):
         """Add the counters of another run part (max and all() for the summand checks)."""
-        for k in ("raw_terms", "collected_terms", "euclid_nodes", "collisions", "restarts",
-                  "ct_s_calls"):
+        for k in ("raw_terms", "collected_terms", "euclid_nodes", "collisions", "ct_s_calls"):
             setattr(self, k, getattr(self, k) + getattr(other, k))
         self.summand_max = max(self.summand_max, other.summand_max)
         self.summand_bound_ok = self.summand_bound_ok and other.summand_bound_ok
@@ -274,16 +276,14 @@ def add_slack(ts):
     its own slack), and setting all slacks to 1 formally recovers the input.
     The table grows, so the result has a new layout.
     """
-    out = [add_slack_term(ts.table, t) for t in ts.unpacked()]
-    return TermSum.pack(ts.table, ts.ring, out)
-
-
-def add_slack_term(table, t):
-    """add_slack for one tuple-form term."""
-    # f never holds the fresh slack variable, so sorting the pairs places it
-    den = sorted(tuple(sorted((*f, (table.fresh_slack(), 1)))) for f in t.den)
-    # slack lead keeps every factor small-oriented
-    return ElliottTerm(dict(t.num), tuple(den))
+    table = ts.table
+    out = []
+    for t in ts.unpacked():
+        # f never holds the fresh slack variable, so sorting the pairs places it
+        den = sorted(tuple(sorted((*f, (table.fresh_slack(), 1)))) for f in t.den)
+        # slack lead keeps every factor small-oriented
+        out.append(ElliottTerm(t.num, tuple(den)))
+    return TermSum.pack(table, ts.ring, out)
 
 
 def normalize_for_var(ring, t, xs, layout):
@@ -540,35 +540,29 @@ def _relayout(old, new):
                                  tuple(sorted(intern(f, f) for f in map(move, t.den))))
 
 
-def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
+def ct_all(ts, ct_vids=None, order="given", stats=None):
     """Eliminate every ct variable, collecting each round as it goes.
 
     order "sparse-first" greedily picks the variable occurring in the fewest
-    denominator factors.  With delayed=True (the raw ct command's delayed
-    slack mode) a collision restarts just the offending term with fresh
-    slack variables on all its factors, at most 4 times; pipeline runs start
-    with slack on every factor and pass delayed=False, so a collision there
-    raises.
+    denominator factors.  The factors of every term must be pairwise coprime
+    in each ct variable, as a slack variable on each factor makes them; the
+    table does not change here.  A collision raises CollisionError.
 
     Each round gets one TermSink, which merges the terms ct_var makes as
     they come; collect_terms orders its buckets once the round is done.  A
     round in which a term needs more room than the layout's reach
     (WidthError) is redone from its first term under a layout with the
-    reach asked for; a restart grows the table, which also takes a new
-    layout, and the colliding term is redone with its slack variables.
-    Either way the round's sink is dropped and its input terms move to the
-    new layout.  After each round the layout bound grows to cover the
-    collected terms.  raw-terms and euclid-nodes count the attempt of each
-    round that finished.  A collision that raises keeps the nodes of the
-    round's earlier terms and counts none of the colliding term's, since
-    which of them it reached first follows the order of its factors.
+    reach asked for: the round's sink is dropped and its input terms move
+    to the new layout.  After each round the layout bound grows to cover
+    the collected terms.  raw-terms and euclid-nodes count the attempt of
+    each round that finished; a round that raises counts none of its own,
+    so no counter depends on the order in which a round meets its terms.
 
-    A round that makes no Euclid node, restarts no term and starts from
-    collected terms (those of an earlier round, or a TermSum ct_all
-    returned) passes through: every bucket holds one sliced term, in input
-    order, and neither collect_terms nor the layout bound runs again.  The
-    result is the one collecting would give, and the round's counters are
-    unchanged.
+    A round that makes no Euclid node and starts from collected terms
+    (those of an earlier round, or a TermSum ct_all returned) passes
+    through: every bucket holds one sliced term, in input order, and
+    neither collect_terms nor the layout bound runs again.  The result is
+    the one collecting would give, and the round's counters are unchanged.
     """
     ring = ts.ring
     layout = ts.layout
@@ -588,33 +582,23 @@ def ct_all(ts, ct_vids=None, order="given", delayed=False, stats=None):
             xvid = remaining.pop(0)
         src = layout
         nodes_before = stats.euclid_nodes
-        restarts = Counter()  # of each input term, by its index
         while True:
             sink = TermSink(ring)
             try:
-                for i, t in enumerate(terms):
-                    nodes = stats.euclid_nodes
+                for t in terms:
                     ct_var(ring, t, xvid, layout, sink.add, stats)
                 break
             except WidthError as exc:
                 grown = Layout(table, layout.bound, exc.need << ROOM_BITS, like=layout)
-                slacked = None
             except CollisionError:
                 stats.collisions += 1
-                if not delayed or restarts[i] == 4:
-                    stats.euclid_nodes = nodes
-                    raise
-                restarts[i] += 1
-                stats.restarts += 1
-                slacked = add_slack_term(table, unpack_term(layout.unpack, t))
-                grown = Layout(table, layout.bound, layout.reach)
+                stats.euclid_nodes = nodes_before
+                raise
             del sink  # the round is redone from its first term
             stats.euclid_nodes = nodes_before
             terms = list(map(_relayout(layout, grown), terms))
             layout = grown
-            if slacked is not None:
-                terms[i] = pack_term(layout, slacked)
-        stats.raw_terms += sink.made  # a round that raises counts none
+        stats.raw_terms += sink.made
         if collected and layout is src and stats.euclid_nodes == nodes_before:
             # only a Euclid node makes a new denominator: every term kept
             # its own and a slice of its numerator, or vanished, so the

@@ -54,7 +54,7 @@ from cteuclid.elimination import (
     pairing_function,
     split_factors,
 )
-from cteuclid.engine import CollisionError, ElliottTerm, Stats, add_slack_term
+from cteuclid.engine import CollisionError, ElliottTerm, Stats
 from cteuclid.univariate import divexact_int, sparse_mul, sparse_mul_binomial, trim
 
 SMALL, LARGE, ONE = "small", "large", "one"
@@ -456,26 +456,14 @@ def _occurrence_counts(terms, vids):
     return counts
 
 
-def ct_all(table, ring, terms, ct_vids=None, order="given", delayed=False, stats=None):
+def ct_all(table, ring, terms, ct_vids=None, order="given", stats=None):
     """Eliminate every ct variable, collecting after each round.
 
     order "sparse-first" greedily picks the variable occurring in the fewest
-    denominator factors.  With delayed=True (the raw ct command's delayed
-    slack mode) a collision restarts just the offending term with fresh
-    slack variables on all its factors; pipeline runs start with slack on
-    every factor and pass delayed=False, so a collision there raises.
-    An attempt that collides counts none of its Euclid nodes.
+    denominator factors.  A collision raises, and the round it ends counts
+    none of its raw terms or Euclid nodes.
     """
     stats = stats if stats is not None else Stats()
-
-    def attempt(t):
-        nodes = stats.euclid_nodes
-        try:
-            return ct_var(ring, t, xvid, stats)
-        except CollisionError:
-            stats.euclid_nodes = nodes
-            raise
-
     if ct_vids is None:
         ct_vids = table.vids_of_rank(CT)
     remaining = list(ct_vids)
@@ -487,25 +475,15 @@ def ct_all(table, ring, terms, ct_vids=None, order="given", delayed=False, stats
             remaining.remove(xvid)
         else:
             xvid = remaining.pop(0)
+        nodes = stats.euclid_nodes
         new_terms = []
-        for t in terms:
-            try:
-                new_terms.extend(attempt(t))
-            except CollisionError:
-                stats.collisions += 1
-                if not delayed:
-                    raise
-                cur = t
-                for _ in range(4):
-                    stats.restarts += 1
-                    cur = add_slack_term(table, cur)
-                    try:
-                        new_terms.extend(attempt(cur))
-                        break
-                    except CollisionError:
-                        stats.collisions += 1
-                else:
-                    raise
+        try:
+            for t in terms:
+                new_terms.extend(ct_var(ring, t, xvid, stats))
+        except CollisionError:
+            stats.collisions += 1
+            stats.euclid_nodes = nodes
+            raise
         stats.raw_terms += len(new_terms)
         terms = collect_terms(ring, new_terms)
     stats.collected_terms = len(terms)

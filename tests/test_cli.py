@@ -104,16 +104,27 @@ def test_ct_command_closed_form(in_tmp, capsys):
         "variables": [["y", "free"], ["x", "ct"]],
         "denominator": [{"x": 1}, {"x": -1, "y": 1}],
     }))
-    # eager mode keeps its slack markers in the reported term
+    # the reported term keeps the slack variables of its factors
     rc, out, _ = run_main(capsys, "ct", "--input", str(path))
     assert rc == 0
     assert "terms: 1" in out
     assert "term[0]: (1) / (1 - y*z1*z2)" in out
     assert (in_tmp / "ct-result.txt").exists()
-    # this instance never collides, so delayed mode gives the bare form
-    rc, out, _ = run_main(capsys, "ct", "--input", str(path), "--slack", "delayed")
-    assert rc == 0
-    assert "term[0]: (1) / (1 - y)" in out
+
+
+@pytest.mark.parametrize("one", [{}, {"y": 0}], ids=["empty", "zero-exponent"])
+def test_term_file_zero_factor_refused(in_tmp, capsys, one):
+    """A denominator monomial equal to 1 makes the factor 1 - 1 = 0: bad input, not a collision."""
+    path = in_tmp / "term.json"
+    path.write_text(json.dumps({
+        "variables": [["y", "free"], ["x", "ct"]],
+        "denominator": [{"x": 1}, one],
+    }))
+    rc, out, err = run_main(capsys, "ct", "--input", str(path))
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: bad term file:")
+    assert out == ""
+    assert not (in_tmp / "ct-result.txt").exists()
 
 
 def test_ct_command_mod_drops_vanishing_coefficients(in_tmp, capsys):
@@ -474,12 +485,13 @@ def test_numeric_flags_checked_at_parse_time(in_tmp, capsys, argv, flag):
     assert not (in_tmp / "ct-result.txt").exists()
 
 
-@pytest.mark.parametrize("command", ["knapsack", "magic", "resume"])
-def test_slack_flag_is_ct_only(in_tmp, capsys, command):
+@pytest.mark.parametrize("command", ["knapsack", "magic", "resume", "ct"])
+def test_slack_flag_refused(in_tmp, capsys, command):
     argv = {
         "knapsack": ["knapsack", "--a0", "41", "--weights", "1,5,14"],
         "magic": ["magic", "--n", "3"],
         "resume": ["resume", "--checkpoint-dir", "ck"],
+        "ct": ["ct", "--input", "term.json"],
     }[command]
     with pytest.raises(SystemExit) as info:
         cli.main(argv + ["--slack", "delayed", "--checkpoint-dir", "ck"])
@@ -750,6 +762,11 @@ def test_readme_command_line_flags_exist():
     for command in ("knapsack", "count", "ehrhart", "magic"):
         stray = sorted(set(re.findall(r"--[a-z][a-z0-9-]*", common)) - _long_options(subs[command]))
         assert not stray, f"README.md lists {stray} as common flags, but {command} lacks them"
+    # the raw ct command's sentence names exactly the flags it takes
+    raw = re.search(r"The raw `ct` command takes (.*?)\.(?:\s|$)", section, re.S)
+    assert raw, "README.md's Command line section has no sentence on the raw ct flags"
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", raw[1]))
+    assert named == _long_options(subs["ct"]), f"README.md gives the raw ct command {named}"
 
 
 # ---------------------------------------------------------------------------

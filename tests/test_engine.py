@@ -270,18 +270,13 @@ def test_dependent_round_passes_through(monkeypatch):
     assert whole_stats.as_dict() == ref.as_dict()
 
 
-def _two_var_table_term():
+def test_ct_all_eager_slack_resolves_duplicate_factors():
     table, ys, x = table_xy(1)
     t = make_term(
         RING,
         {EXPS_ONE: RING.one()},
         [exps_from_dict({ys[0]: 1, x: 1}), exps_from_dict({ys[0]: 1, x: 1})],
     )
-    return table, ys, x, t
-
-
-def test_ct_all_eager_slack_resolves_duplicate_factors():
-    table, ys, x, t = _two_var_table_term()
     ts = add_slack(TermSum.pack(table, RING, [t]))
     stats = Stats()
     done = ct_all(ts, stats=stats)
@@ -292,18 +287,6 @@ def test_ct_all_eager_slack_resolves_duplicate_factors():
             assert exps_get(f, x) == 0
         for e in r.num:
             assert exps_get(e, x) == 0
-
-
-def test_ct_all_delayed_slack_restarts_on_collision():
-    table, ys, x, t = _two_var_table_term()
-    stats = Stats()
-    done = ct_all(TermSum.pack(table, RING, [t]), delayed=True, stats=stats)
-    assert stats.collisions >= 1
-    assert stats.restarts >= 1
-    assert done.terms  # produced something x-free
-    for r in done.unpacked():
-        for f in r.den:
-            assert exps_get(f, x) == 0
 
 
 def _random_term_two_ct(rng, ys, xs):
@@ -325,19 +308,6 @@ def _random_term_two_ct(rng, ys, xs):
     return make_term(RING, {EXPS_ONE: RING.one()}, den)
 
 
-def _slack_free(terms, table):
-    from cteuclid.algebra import SLACK
-
-    for t in terms:
-        for f in t.den:
-            if any(v[0] == SLACK for v, _ in f):
-                return False
-        for e in t.num:
-            if any(v[0] == SLACK for v, _ in e):
-                return False
-    return True
-
-
 def test_ct_all_order_policies_agree():
     rng = random.Random(3)
     tested = 0
@@ -349,12 +319,9 @@ def test_ct_all_order_policies_agree():
         if t is None:
             continue
         try:
-            a = ct_all(TermSum.pack(table, RING, [t]), delayed=True).unpacked()
-            b = ct_all(TermSum.pack(table, RING, [t]), delayed=True,
-                       order="sparse-first").unpacked()
+            a = ct_all(TermSum.pack(table, RING, [t])).unpacked()
+            b = ct_all(TermSum.pack(table, RING, [t]), order="sparse-first").unpacked()
         except CollisionError:
-            continue
-        if not (_slack_free(a, table) and _slack_free(b, table)):
             continue
         try:
             sa = collapsed_series(RING, a, ys, xs[0], YN, XN, ymax=24)
@@ -375,7 +342,7 @@ def test_stats_counters_are_monotone():
         if t is None:
             continue
         try:
-            ct_all(TermSum.pack(table, RING, [t]), delayed=True, stats=stats)
+            ct_all(TermSum.pack(table, RING, [t]), stats=stats)
             ran += 1
         except CollisionError:
             continue
@@ -388,30 +355,26 @@ def test_stats_counters_are_monotone():
 # the packed engine against the tuple-form reference
 
 
-def _twin_tables(nfree, nslack, nct):
-    """Two equal tables: the packed run and the reference may each grow one."""
-    out = []
-    for _ in range(2):
-        table = VariableTable()
-        for j in range(nfree):
-            table.add(f"y{j + 1}", FREE)
-        for _ in range(nslack):
-            table.fresh_slack()
-        for j in range(nct):
-            table.add(f"x{j + 1}", CT)
-        out.append(table)
-    return out
+def _table(nfree, nslack, nct):
+    table = VariableTable()
+    for j in range(nfree):
+        table.add(f"y{j + 1}", FREE)
+    for _ in range(nslack):
+        table.fresh_slack()
+    for j in range(nct):
+        table.add(f"x{j + 1}", CT)
+    return table
 
 
 @st.composite
 def reference_cases(draw, max_terms=1):
-    """(tables, ring, 1 to max_terms tuple-form terms) over a few variables of every role.
+    """(table, ring, 1 to max_terms tuple-form terms) over a few variables of every role.
 
     The terms are None when making one of them collides.
     """
     nfree, nslack, nct = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 3))
-    tables = _twin_tables(nfree, nslack, nct)
-    vids = [v for v, _ in tables[0].ordered()]
+    table = _table(nfree, nslack, nct)
+    vids = [v for v, _ in table.ordered()]
     ring = draw(st.sampled_from([ExactRing(), PrimeField(101)]))
     exps = st.dictionaries(st.sampled_from(vids), st.integers(-3, 3), max_size=4).map(exps_from_dict)
     terms = []
@@ -422,8 +385,8 @@ def reference_cases(draw, max_terms=1):
         try:
             terms.append(oracles.make_term(ring, num, factors))
         except CollisionError:
-            return tables, ring, None
-    return tables, ring, terms
+            return table, ring, None
+    return table, ring, terms
 
 
 def _same_terms(got, want):
@@ -437,7 +400,7 @@ def _term_key(t):
 @settings(max_examples=200, deadline=None)
 @given(reference_cases())
 def test_ct_var_matches_tuple_reference(case):
-    (table, _), ring, terms = case
+    table, ring, terms = case
     assume(terms is not None)
     (t,) = terms
     for x in table.vids_of_rank(CT):
@@ -455,44 +418,6 @@ def test_ct_var_matches_tuple_reference(case):
         assert mine.as_dict() == ref.as_dict()
 
 
-def _engine_order(table, terms):
-    """terms in the order of a collected round of the engine, whatever the layout.
-
-    It orders denominators as tuples of factor ints, and a factor int orders
-    as the factor's exponent vector in the working order.
-    """
-    vids = [v for v, _ in table.ordered()]
-
-    def vector(f):
-        d = dict(f)
-        return tuple(d.get(v, 0) for v in vids)
-
-    return sorted(terms, key=lambda t: sorted(map(vector, t.den)))
-
-
-def _reference_rounds(table, ring, terms, order, delayed, stats):
-    """oracles.ct_all a round at a time, each round meeting its terms in the engine's order.
-
-    The order in which a round meets its terms decides which restart names
-    which slack variables, and how many Euclid nodes precede a collision
-    that raises; the oracle would meet the terms of a later round in the
-    order of their exps tuples.
-    """
-    remaining = table.vids_of_rank(CT)
-    while remaining:
-        if order == "sparse-first":
-            counts = oracles._occurrence_counts(terms, remaining)
-            xvid = min(remaining, key=lambda v: (counts[v], v))
-        else:
-            xvid = remaining[0]
-        remaining.remove(xvid)
-        stats.collected_terms = 0  # as if the rounds were one call: a round that raises sets none
-        terms = oracles.ct_all(table, ring, terms, ct_vids=[xvid], delayed=delayed, stats=stats)
-        if remaining:
-            terms = _engine_order(table, terms)
-    return terms
-
-
 def _narrow_sum(table, ring, terms, power=1):
     """The terms packed under a layout whose reach is their exponent bound to the power."""
     top = max(abs(e) for t in terms for m in (*t.num, *t.den) for _, e in m)
@@ -502,15 +427,15 @@ def _narrow_sum(table, ring, terms, power=1):
 
 
 @settings(max_examples=200, deadline=None)
-@given(reference_cases(max_terms=3), st.sampled_from(["given", "sparse-first"]), st.booleans(),
+@given(reference_cases(max_terms=3), st.sampled_from(["given", "sparse-first"]),
        st.sampled_from([None, None, 1, 2]))
-def test_ct_all_matches_tuple_reference(case, order, delayed, power):
+def test_ct_all_matches_tuple_reference(case, order, power):
     """Rounds of 1-3 terms, packed as usual or so narrowly that a round may be redone.
 
     A reach of the bound fails every round's first coprimality check; a
     reach of its square passes that check and may fail below a Euclid node.
     """
-    (table, ref_table), ring, terms = case
+    table, ring, terms = case
     assume(terms is not None)
     if power is None:
         ts = TermSum.pack(table, ring, terms)
@@ -518,16 +443,15 @@ def test_ct_all_matches_tuple_reference(case, order, delayed, power):
         ts = _narrow_sum(table, ring, terms, power)
     mine, ref = Stats(), Stats()
     try:
-        want = _reference_rounds(ref_table, ring, terms, order, delayed, ref)
+        want = oracles.ct_all(table, ring, terms, order=order, stats=ref)
     except CollisionError:
         with pytest.raises(CollisionError):
-            ct_all(ts, order=order, delayed=delayed, stats=mine)
+            ct_all(ts, order=order, stats=mine)
         assert mine.as_dict() == ref.as_dict()
         return
-    got = ct_all(ts, order=order, delayed=delayed, stats=mine)
+    got = ct_all(ts, order=order, stats=mine)
     _same_terms(got.unpacked(), want)
     assert mine.as_dict() == ref.as_dict()
-    assert table.ordered() == ref_table.ordered()  # restarts name the same slack variables
 
 
 def test_unpacked_orders_by_tuple_denominator():
@@ -546,7 +470,7 @@ def test_unpacked_orders_by_tuple_denominator():
 
 def test_coprimality_check_needs_room_for_cross_multiples():
     """f*b == g*a is tested only where those products cannot wrap."""
-    table, ref_table = _twin_tables(2, 0, 1)
+    table = _table(2, 0, 1)
 
     def mono(d):
         return exps_from_dict({table.vid_of(k): e for k, e in d.items()})
@@ -566,7 +490,7 @@ def test_coprimality_check_needs_room_for_cross_multiples():
     mine, ref = Stats(), Stats()
     got = ct_all(TermSum(narrow, RING, [p]), stats=mine)
     assert got.layout.width > narrow.width
-    _same_terms(got.unpacked(), oracles.ct_all(ref_table, RING, [t], stats=ref))
+    _same_terms(got.unpacked(), oracles.ct_all(table, RING, [t], stats=ref))
     assert mine.as_dict() == ref.as_dict()
     assert mine.collisions == 0
 
@@ -585,7 +509,7 @@ NARROW_CASES = [
 @pytest.mark.parametrize("num, factors", NARROW_CASES)
 def test_ct_all_widens_a_narrow_layout(num, factors):
     """Terms that outgrow their layout move to a wider one; nothing wraps."""
-    table, ref_table = _twin_tables(2, 0, 1)
+    table = _table(2, 0, 1)
 
     def mono(d):
         return exps_from_dict({table.vid_of(k): e for k, e in d.items()})
@@ -596,7 +520,7 @@ def test_ct_all_widens_a_narrow_layout(num, factors):
     mine, ref = Stats(), Stats()
     got = ct_all(TermSum(narrow, RING, [pack_term(narrow, t)]), stats=mine)
     assert got.layout.width > narrow.width
-    _same_terms(got.unpacked(), oracles.ct_all(ref_table, RING, [t], stats=ref))
+    _same_terms(got.unpacked(), oracles.ct_all(table, RING, [t], stats=ref))
     assert mine.as_dict() == ref.as_dict()
 
 
@@ -662,7 +586,7 @@ def _free_terms(mono):
 
 def test_mid_round_widening_keeps_merged_terms():
     """A later term outgrows the layout after earlier ones merged: the round is redone wider."""
-    table, ref_table = _twin_tables(2, 0, 1)
+    table = _table(2, 0, 1)
 
     def mono(d):
         return exps_from_dict({table.vid_of(k): e for k, e in d.items()})
@@ -676,15 +600,16 @@ def test_mid_round_widening_keeps_merged_terms():
     mine, ref = Stats(), Stats()
     got = ct_all(TermSum(narrow, RING, [pack_term(narrow, t) for t in terms]), stats=mine)
     assert got.layout.width > narrow.width
-    _same_terms(got.unpacked(), oracles.ct_all(ref_table, RING, terms, stats=ref))
+    _same_terms(got.unpacked(), oracles.ct_all(table, RING, terms, stats=ref))
     assert mine.as_dict() == ref.as_dict()
     assert (mine.raw_terms, mine.collected_terms) == (4, 2)
     assert _one_object_per_factor(got)
 
 
-def test_mid_round_restart_keeps_merged_terms():
-    """A delayed-slack restart after earlier terms merged redoes the round on the grown table."""
-    table, ref_table = _twin_tables(2, 0, 1)
+@pytest.mark.parametrize("colliding_first", [False, True])
+def test_round_that_collides_counts_nothing(colliding_first):
+    """A round that raises counts none of its raw terms or Euclid nodes, whatever its order."""
+    table = _table(2, 0, 1)
 
     def mono(d):
         return exps_from_dict({table.vid_of(k): e for k, e in d.items()})
@@ -692,15 +617,14 @@ def test_mid_round_restart_keeps_merged_terms():
     euclid = oracles.make_term(RING, {(): 1}, [mono({"y1": 1, "x1": 1}),
                                               mono({"y2": 1, "x1": -2})])
     colliding = oracles.make_term(RING, {(): 1}, [mono({"y1": 1, "x1": 1})] * 2)
-    a, _, c = _free_terms(mono)
-    terms = [euclid, a, colliding, c]
+    terms = [colliding, euclid] if colliding_first else [euclid, colliding]
     mine, ref = Stats(), Stats()
-    got = ct_all(TermSum.pack(table, RING, terms), delayed=True, stats=mine)
-    _same_terms(got.unpacked(), oracles.ct_all(ref_table, RING, terms, delayed=True, stats=ref))
+    with pytest.raises(CollisionError):
+        ct_all(TermSum.pack(table, RING, terms), stats=mine)
+    with pytest.raises(CollisionError):
+        oracles.ct_all(table, RING, terms, stats=ref)
     assert mine.as_dict() == ref.as_dict()
-    assert mine.restarts == 1
-    assert table.ordered() == ref_table.ordered()
-    assert _one_object_per_factor(got)
+    assert (mine.raw_terms, mine.euclid_nodes, mine.collisions) == (0, 0, 1)
 
 
 def test_width_error_after_emitting_merges_nothing(monkeypatch):
@@ -710,7 +634,7 @@ def test_width_error_after_emitting_merges_nothing(monkeypatch):
     node, then needs more than the layout's reach: the round's sink is
     dropped, and neither that term nor those Euclid nodes count.
     """
-    table, ref_table = _twin_tables(2, 0, 1)
+    table = _table(2, 0, 1)
 
     def mono(d):
         return exps_from_dict({table.vid_of(k): e for k, e in d.items()})
@@ -734,7 +658,7 @@ def test_width_error_after_emitting_merges_nothing(monkeypatch):
     got = ct_all(TermSum(narrow, RING, [pack_term(narrow, t)]), stats=mine)
     assert made_before_error == [1]
     assert got.layout.width > narrow.width
-    _same_terms(got.unpacked(), oracles.ct_all(ref_table, RING, [t], stats=ref))
+    _same_terms(got.unpacked(), oracles.ct_all(table, RING, [t], stats=ref))
     assert mine.as_dict() == ref.as_dict()
     assert (mine.raw_terms, mine.collected_terms, mine.euclid_nodes) == (2, 1, 4)
 

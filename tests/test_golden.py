@@ -17,14 +17,15 @@ golden/partials/INSTANCE-crt/.
 The ehrhart instance (golden/ehrhart.json) has 24 stage-B pieces over 5
 distinct denominators, (1 - q^2) among them.
 
-golden/ct-SLACK.txt holds the result file of a raw constant-term run on
-golden/ct.json under each slack policy.
+golden/ct-eager.txt holds the result file of a raw constant-term run on
+golden/ct.json; eager slack, a slack variable on every factor before the
+first round, is the one policy of every run.
 
 golden/NAME.txt, for each NAME in ORDER_PINS, pins what no other file
-does: the choices of --order sparse-first on a pipeline run, and the
-delayed-slack restart of a raw run on golden/ct-collide.json.  Its two equal
-factors collide in x1; under sparse-first that happens after x2 is gone, so
-the restart names its slack variables mid-run.
+does: the choices of --order sparse-first on a pipeline run, and a raw run
+on golden/ct-collide.json in either order.  Its two equal factors would
+collide in x1 without their slack variables; under sparse-first x1 is
+taken after x2 is gone.
 
 Every run echoes its result file to stdout (after the value line on a
 pipeline run), followed by its wall time and the result-file path.
@@ -170,11 +171,10 @@ def test_resume_that_adds_primes_computes_only_theirs(tmp_path):
     assert all(" ring 2305843009213693951+1152921504606847067, " in line for line in passes)
 
 
-@pytest.mark.parametrize("slack", ["eager", "delayed"])
+@pytest.mark.parametrize("slack", ["eager"])  # the one policy, named by its golden file
 def test_ct_result_file_matches_golden(tmp_path, slack):
     result = tmp_path / "r.txt"
-    stdout, _ = call(["ct", "--input", str(GOLDEN / "ct.json"), "--slack", slack,
-                      "--output", str(result)])
+    stdout, _ = call(["ct", "--input", str(GOLDEN / "ct.json"), "--output", str(result)])
     want = (GOLDEN / f"ct-{slack}.txt").read_bytes()
     assert result.read_bytes() == want
     assert re.fullmatch(echo_pattern(want.decode(), result), stdout)
@@ -185,10 +185,9 @@ ORDER_PINS = {
     "magic3-sparse-first": ["magic", "--n", "3", "--order", "sparse-first"],
     "knapsack-sparse-first": ["knapsack", "--a0", "89733124481", "--weights",
                               "12223,12224,36674,61119,85569", "--order", "sparse-first"],
-    "ct-collide-delayed": ["ct", "--input", str(GOLDEN / "ct-collide.json"),
-                           "--slack", "delayed"],
-    "ct-collide-delayed-sparse-first": ["ct", "--input", str(GOLDEN / "ct-collide.json"),
-                                        "--slack", "delayed", "--order", "sparse-first"],
+    "ct-collide": ["ct", "--input", str(GOLDEN / "ct-collide.json")],
+    "ct-collide-sparse-first": ["ct", "--input", str(GOLDEN / "ct-collide.json"),
+                                "--order", "sparse-first"],
 }
 
 
