@@ -377,15 +377,17 @@ class Layout:
     def magnitude(self, monomials):
         """The least power of two T, at least ``bound``, with every exponent in [-T, T).
 
-        m + sum_v T*B**pos(v) has every digit in [0, 2T) exactly when every
-        exponent of m is in [-T, T); one pass ORs that over all monomials.
+        monomials is a function that gives a fresh iterator over the packed
+        monomials each time it is called.  m + sum_v T*B**pos(v) has every
+        digit in [0, 2T) exactly when every exponent of m is in [-T, T); one
+        pass over the monomials ORs that for each candidate T, so no list of
+        them is ever held.
         """
-        monomials = list(monomials)
         t = self.bound
         while t < self.half:  # past that, every digit is in (-B/2, B/2) already
             offset = sum(t << s for s in self.shift.values())
             low = sum((2 * t - 1) << s for s in self.shift.values())
-            acc = reduce(or_, map(offset.__add__, monomials), 0)
+            acc = reduce(or_, map(offset.__add__, monomials()), 0)
             if acc >= 0 and not acc & ~low:
                 break
             t <<= 1

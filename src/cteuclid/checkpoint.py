@@ -33,6 +33,7 @@ byte-identical result files.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -104,12 +105,19 @@ def load_meta(path):
 
 
 def _write_atomic(path, text):
+    """Write text to path through path.tmp, which a failed write removes."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _exps_to_obj(exps):

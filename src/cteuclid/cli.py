@@ -280,11 +280,26 @@ def _publish(path, text, wall, value_line=None):
 
 
 def _result_path(args):
+    """Where the run writes its result, refused before any work if that is a directory."""
     if args.output:
-        return args.output
-    if args.checkpoint_dir:
-        return os.path.join(args.checkpoint_dir, "result.txt")
-    return "ct-result.txt"
+        path = args.output
+    elif getattr(args, "checkpoint_dir", None):
+        path = os.path.join(args.checkpoint_dir, "result.txt")
+    else:
+        path = "ct-result.txt"
+    if os.path.isdir(path):
+        raise InputError(f"the result path {path} is a directory")
+    return path
+
+
+def _read_text(path):
+    """The text of an input file; InputError unless it is UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +363,7 @@ def _moduli_of(args):
 
 def run_task(system, task, args, coeffs=None):
     moduli = _moduli_of(args)
+    path = _result_path(args)
     t0 = time.time()
     out = run_pipeline(
         system,
@@ -368,7 +384,7 @@ def run_task(system, task, args, coeffs=None):
         coeff_list = series_coeffs(out.num, out.den, coeffs + 1)
 
     cfg = {"order": args.order, "seed": args.seed, "moduli": moduli, "crt": args.crt}
-    _publish(_result_path(args), render_result(out, cfg, coeff_list), wall, out.value_str())
+    _publish(path, render_result(out, cfg, coeff_list), wall, out.value_str())
 
     if args.oracle_check:
         kcheck = coeffs if coeffs is not None else 4
@@ -381,14 +397,12 @@ def cmd_knapsack(args):
 
 
 def cmd_count(args):
-    with open(args.input) as fh:
-        system = system_from_json(fh.read())
+    system = system_from_json(_read_text(args.input))
     return run_task(system, "count", args)
 
 
 def cmd_ehrhart(args):
-    with open(args.input) as fh:
-        system = system_from_json(fh.read())
+    system = system_from_json(_read_text(args.input))
     return run_task(system, "series", args, coeffs=args.coeffs)
 
 
@@ -412,8 +426,7 @@ def cmd_resume(args):
             f"malformed checkpoint configuration ({type(exc).__name__}: {exc})"
         ) from None
     if args.input is not None:
-        with open(args.input) as fh:
-            other = system_from_json(fh.read())
+        other = system_from_json(_read_text(args.input))
         if (other.matrix, other.rhs) != (system.matrix, system.rhs):
             raise CheckpointError("input file does not match the checkpoint")
     return run_task(system, task, args, coeffs=args.coeffs)
@@ -470,8 +483,8 @@ def _term_str(table, t):
 def cmd_ct(args):
     if len(args.mod) > 1:
         raise InputError("raw constant-term runs take at most one modulus")
-    with open(args.input) as fh:
-        table, num, den = load_raw_term(fh.read())
+    path = _result_path(args)
+    table, num, den = load_raw_term(_read_text(args.input))
     ring = PrimeField(args.mod[0]) if args.mod else ExactRing()
     num_r = {e: r for e, c in num.items() if not ring.is_zero(r := ring.from_int(c))}
     ts = add_slack(start_termsum(table, ring, num_r, den))
@@ -486,7 +499,7 @@ def cmd_ct(args):
     for i, term in enumerate(done.unpacked()):
         lines.append(f"term[{i}]: {_term_str(table, term)}")
     lines.extend(_counter_lines(stats))
-    _publish(args.output or "ct-result.txt", "\n".join(lines) + "\n", wall)
+    _publish(path, "\n".join(lines) + "\n", wall)
     return EXIT_OK
 
 
@@ -522,7 +535,9 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing or unreadable input file, a result path or checkpoint
+        # directory that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CollisionError as exc:

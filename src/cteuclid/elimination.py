@@ -69,7 +69,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 
 from .algebra import FREE, SLACK, InputError, poly_add_inplace
-from .engine import ElliottTerm, TermSum
+from .engine import ElliottTerm, TermSum, num_items
 from .univariate import FactoredAccumulator, sparse_mul
 
 # moduli used when --crt is requested without explicit --mod values
@@ -106,15 +106,18 @@ def lambda_pairing(lam_map, exps):
 
 
 def _decoder(chunk):
-    """The function that reads a monomial of chunk as its exps tuple.
+    """(decode, items) for the terms of chunk.
 
-    A stage-B chunk is stage A's packed TermSum, decoded by its layout, or
-    a list of tuple-form terms read back from a checkpoint, which need no
-    decoding; so do the terms of a single-term call (chunk None).
+    decode reads a monomial as its exps tuple, and items(num) gives the
+    (monomial, coefficient) pairs of a term's numerator.  A stage-B chunk
+    is stage A's packed TermSum, read by its layout and engine.num_items,
+    or a list of tuple-form terms read back from a checkpoint, which need
+    no decoding and hold dicts; so do the terms of a single-term call
+    (chunk None).
     """
     if isinstance(chunk, TermSum):
-        return chunk.layout.unpack
-    return lambda m: m
+        return chunk.layout.unpack, num_items
+    return (lambda m: m), dict.items
 
 
 def pairing_function(lam_map, chunk=None):
@@ -124,7 +127,7 @@ def pairing_function(lam_map, chunk=None):
     memoizes the pair (b, degree) it returns, never the decoded tuple, so
     the pass keeps one small pair per distinct monomial and factor.
     """
-    decode = _decoder(chunk)
+    decode, _ = _decoder(chunk)
     return cache(lambda m: lambda_pairing(lam_map, decode(m)))
 
 
@@ -140,8 +143,8 @@ def collect_slack_info(chunks):
     slacks = set()
     descriptors = set()
     for chunk in chunks:
-        decode = _decoder(chunk)
-        for e in {e for t in chunk for e in t.num}:
+        decode, items = _decoder(chunk)
+        for e in {e for t in chunk for e, _ in items(t.num)}:
             for v, _ in decode(e):
                 if v[0] == SLACK:
                     slacks.add(v)
@@ -520,9 +523,10 @@ def eliminate_slack(ring, table, chunk, lam_map, stats=None):
     tables = SeriesTables(ring)
     acc = FactoredAccumulator(ring)
     pair = pairing_function(lam_map, chunk)
+    _, items = _decoder(chunk)
     for t in chunk:
         num = {}
-        for e, c in t.num.items():
+        for e, c in items(t.num):
             c = ring.from_int(c)
             if not ring.is_zero(c):
                 num[e] = c

@@ -24,8 +24,16 @@ when it is positive.  Each function carries one bound for the exponents of
 the denominator factors (kd) and one for those of the numerator (kn); before
 it forms a value it checks the value's bound against the layout's reach and
 raises WidthError past it.  Stage B reads the packed terms as they are,
-through the layout's ``unpack``; only a checkpoint writes them in tuple form,
-through ``TermSum.unpacked``.
+through the layout's ``unpack`` and ``num_items``; only a checkpoint writes
+them in tuple form, through ``TermSum.unpacked``.
+
+A packed term stores its numerator as one immutable flat tuple
+(e1, c1, e2, c2, ...), which costs a fraction of a dict's shell: most
+stored numerators hold one monomial.  Dicts live only as the working
+numerators of ct_var and the Euclid recursion; make_term, pack_term and
+_relayout pack them, and num_items and unpack_term read them back.  A
+stored term never changes, so a round that keeps a term as it is hands on
+the term itself.
 
 Inside the engine a denominator is its factors sorted as ints, which is
 all that collecting needs, and two factors are tested for a common
@@ -37,16 +45,16 @@ Each exponent is decoded once: ct_var reads the x-exponent of every
 denominator factor and hands the normalized list down with the factors, and
 each Euclid node passes on the reduced exponents it computed.  A round pays
 only for what it changes: when no term needs a Euclid node, every term keeps
-its denominator and a slice of its numerator, so a round over collected
-terms (a dependent equation, say) stays collected without being ordered
-again.
+its denominator and a slice of its numerator (the term itself when no
+monomial holds x), so a round over collected terms (a dependent equation,
+say) stays collected without being ordered again.
 
 A round holds only what it keeps.  Every stored denominator factor is the
 layout's one int object of its value (``Layout.intern``).  ct_var and the
 Euclid recursion hand each term they make to a sink as it is made: ct_all
 gives each round one sink, which merges the term into the round's buckets,
-one numerator per denominator.  So a round's raw terms never exist side by
-side, and each is merged once.
+one term per denominator, and drops a bucket whose numerator cancels.  So a
+round's raw terms never exist side by side, and each is merged once.
 
 Stage A has one slack policy: every denominator factor gets its own slack
 variable before the first round (a pipeline run when it builds its starting
@@ -65,7 +73,6 @@ from .algebra import (
     ROOM_BITS,
     Layout,
     WidthError,
-    poly_add_inplace,
     poly_neg,
     srem_split,
 )
@@ -132,7 +139,9 @@ class Stats:
 class ElliottTerm:
     """One summand L / prod(1 - M_i), factors kept small-oriented and sorted.
 
-    Packed factors are sorted as ints, tuple-form factors as exps tuples.
+    A packed term holds its numerator as a flat tuple (see the module
+    docstring) and its factors sorted as ints; a tuple-form term holds a
+    dict {exps: coeff} and its factors sorted as exps tuples.
     """
 
     __slots__ = ("num", "den")
@@ -142,7 +151,7 @@ class ElliottTerm:
         self.den = den
 
     def __repr__(self):
-        return f"ElliottTerm(num={len(self.num)} monomials, den={len(self.den)} factors)"
+        return f"ElliottTerm(num={self.num!r}, den={self.den!r})"
 
 
 def _check(layout, bound):
@@ -155,11 +164,29 @@ def _xdigit(layout, xvid):
     return layout.bias, layout.shift[xvid], layout.mask, layout.half
 
 
-def _push_units(ring, num, unit, flips):
-    """num times (-1)**flips * unit, the units that inverting flips factors pushes into it."""
+def num_items(num):
+    """The (monomial, coefficient) pairs of a packed numerator."""
+    it = iter(num)
+    return zip(it, it)
+
+
+def _packed(num):
+    """The packed numerator of a working numerator (a dict)."""
+    if len(num) == 1:
+        # the one (monomial, coefficient) pair is the packed numerator itself
+        (pair,) = num.items()
+        return pair
+    return tuple(chain.from_iterable(num.items()))
+
+
+def _push_units(ring, items, unit, flips):
+    """The working numerator of items times (-1)**flips * unit.
+
+    Those are the units that inverting flips factors pushes into it.
+    """
     if flips % 2:
-        return {e + unit: ring.neg(c) for e, c in num.items()}
-    return {e + unit: c for e, c in num.items()}
+        return {e + unit: ring.neg(c) for e, c in items}
+    return {e + unit: c for e, c in items}
 
 
 def _add_into(ring, out, e, c):
@@ -176,10 +203,11 @@ def _add_into(ring, out, e, c):
 def make_term(ring, num, factors, layout):
     """Build a term in canonical form; returns None for the zero term.
 
-    Large factor monomials are inverted, 1/(1-M) = -M^-1/(1-M^-1), with the
-    unit pushed into the numerator.  A factor monomial equal to 1 means the
-    denominator vanished: that is the non-coprime collision.  The caller
-    has checked that the numerator has room for the unit.
+    num is a working numerator (a dict); the term packs it.  Large factor
+    monomials are inverted, 1/(1-M) = -M^-1/(1-M^-1), with the unit pushed
+    into the numerator.  A factor monomial equal to 1 means the denominator
+    vanished: that is the non-coprime collision.  The caller has checked
+    that the numerator has room for the unit.
     """
     intern = layout.intern
     unit = 0
@@ -194,22 +222,23 @@ def make_term(ring, num, factors, layout):
             raise CollisionError("denominator factor monomial equals 1")
         canon.append(intern(f, f))
     if flips:
-        num = _push_units(ring, num, unit, flips)
+        num = _push_units(ring, num.items(), unit, flips)
     if not num:
         return None
     canon.sort()
-    return ElliottTerm(num, tuple(canon))
+    return ElliottTerm(_packed(num), tuple(canon))
 
 
 def pack_term(layout, t):
+    """The tuple-form term t packed by layout."""
     intern = layout.intern
-    return ElliottTerm({layout.pack(e): c for e, c in t.num.items()},
+    return ElliottTerm(_packed({layout.pack(e): c for e, c in t.num.items()}),
                        tuple(sorted(intern(f, f) for f in map(layout.pack, t.den))))
 
 
 def unpack_term(unpack, t):
     """t in tuple form, its factors sorted as exps tuples; unpack decodes one monomial."""
-    return ElliottTerm({unpack(e): c for e, c in t.num.items()},
+    return ElliottTerm({unpack(e): c for e, c in num_items(t.num)},
                        tuple(sorted(map(unpack, t.den))))
 
 
@@ -291,8 +320,9 @@ def normalize_for_var(ring, t, xs, layout):
 
     xs holds the x-exponents of t.den.  1/(1 - u*x^-a) =
     (-u^-1 x^a) / (1 - u^-1 x^a); the units collect into the numerator.
-    Returns (num, den_list); the den list is working form, not canonical
-    orientation.  t is a stored term, within the layout bound.
+    Returns (num, den_list): a working numerator (a dict) and a den list in
+    working form, not canonical orientation.  t is a stored term, within
+    the layout bound.
     """
     unit = 0
     flips = 0
@@ -304,11 +334,10 @@ def normalize_for_var(ring, t, xs, layout):
             flips += 1
         else:
             den.append(f)
-    num = t.num
     if flips:
         _check(layout, layout.bound * (1 + flips))
-        num = _push_units(ring, num, unit, flips)
-    return num, den
+        return _push_units(ring, num_items(t.num), unit, flips), den
+    return dict(num_items(t.num)), den
 
 
 def _check_pairwise_coprime(den, xs, layout):
@@ -408,7 +437,7 @@ def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, emit, stats
     kn1 = kn + flips * kd1
     if flips:
         _check(layout, kn1)
-        num = _push_units(ring, num, unit, flips)
+        num = _push_units(ring, num.items(), unit, flips)
     ls = [((((e + bias) >> s) & mask) - half) // a for e in num]
     kn2 = kn1 + max(map(abs, ls), default=0) * kd
     _check(layout, kn2)
@@ -449,14 +478,18 @@ def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, emit, stats
 def ct_var(ring, t, xvid, layout, emit, stats=None):
     """Constant term of one stored term in one variable, free of x.
 
-    Its terms go to emit one at a time, as they are made.
+    Its terms go to emit one at a time, as they are made.  A term with no
+    x in its denominator keeps its x-free monomials: when that is all of
+    them, the term itself is emitted.
     """
     bias, s, mask, half = _xdigit(layout, xvid)
     xs = [(((f + bias) >> s) & mask) - half for f in t.den]
     if not any(xs):
-        sliced = {e: c for e, c in t.num.items() if (((e + bias) >> s) & mask) == half}
-        if sliced:
-            emit(ElliottTerm(sliced, t.den))
+        kept = {e: c for e, c in num_items(t.num) if (((e + bias) >> s) & mask) == half}
+        if 2 * len(kept) == len(t.num):
+            emit(t)
+        elif kept:
+            emit(ElliottTerm(_packed(kept), t.den))
         return
 
     num, den = normalize_for_var(ring, t, xs, layout)
@@ -482,12 +515,32 @@ def ct_var(ring, t, xvid, layout, emit, stats=None):
             euclid_contribution(ring, l1, den, xs, i, xvid, layout, kd, kn, emit, stats)
 
 
-class TermSink:
-    """The buckets {den: num} of one stage-A round, merging each term handed to ``add``.
+def _num_sum(ring, a, b):
+    """The packed numerator a + b, in the order a dict would keep its monomials."""
+    if len(b) == 2:
+        # b is one monomial, as in most merges: no dict is built
+        e, c = b
+        es = a[::2]
+        if e not in es:
+            return a + b
+        i = 2 * es.index(e)
+        c = ring.add(a[i + 1], c)
+        if ring.is_zero(c):
+            return a[:i] + a[i + 2:]
+        return a[:i + 1] + (c,) + a[i + 2:]
+    acc = dict(num_items(a))
+    for e, c in num_items(b):
+        _add_into(ring, acc, e, c)
+    return _packed(acc)
 
-    ``made`` counts those terms: the round's raw terms.  A numerator that
-    opens a bucket is handed over to it, so it must not be used afterwards;
-    the terms the engine makes qualify.
+
+class TermSink:
+    """The buckets {den: term} of one stage-A round, merging each term handed to ``add``.
+
+    ``made`` counts those terms: the round's raw terms.  The first term of
+    a denominator opens its bucket as it is; a later one replaces it by the
+    sum, and a bucket whose numerator cancels to zero is dropped until a
+    term with its denominator comes again.
     """
 
     __slots__ = ("ring", "buckets", "made")
@@ -499,18 +552,25 @@ class TermSink:
 
     def add(self, t):
         self.made += 1
-        old = self.buckets.setdefault(t.den, t.num)
-        if old is not t.num:
-            poly_add_inplace(self.ring, old, t.num)
+        buckets = self.buckets
+        n = len(buckets)
+        old = buckets.setdefault(t.den, t)
+        if len(buckets) > n:
+            return
+        num = _num_sum(self.ring, old.num, t.num)
+        if num:
+            buckets[t.den] = ElliottTerm(num, t.den)
+        else:
+            del buckets[t.den]
 
 
 def collect_terms(layout, buckets):
-    """The terms of buckets {den: num} packed by layout whose numerator is not zero.
+    """The terms of buckets {den: term} packed by layout, every numerator nonzero.
 
     They are ordered by denominator as tuples of ints, so the order does
     not depend on the order of merging.
     """
-    return [ElliottTerm(buckets[den], den) for den in sorted(buckets) if buckets[den]]
+    return [buckets[den] for den in sorted(buckets)]
 
 
 def _occurrence_counts(terms, vids, layout):
@@ -527,7 +587,8 @@ def _occurrence_counts(terms, vids, layout):
 
 
 def _monomials(terms):
-    return chain.from_iterable(chain(t.num, t.den) for t in terms)
+    """A function giving a fresh iterator over every monomial and factor of terms."""
+    return lambda: chain.from_iterable(chain(t.num[::2], t.den) for t in terms)
 
 
 def _relayout(old, new):
@@ -536,7 +597,7 @@ def _relayout(old, new):
         return lambda t: t
     move = cache(lambda m: new.pack(old.unpack(m)))
     intern = new.intern
-    return lambda t: ElliottTerm({move(e): c for e, c in t.num.items()},
+    return lambda t: ElliottTerm(_packed({move(e): c for e, c in num_items(t.num)}),
                                  tuple(sorted(intern(f, f) for f in map(move, t.den))))
 
 
@@ -560,9 +621,10 @@ def ct_all(ts, ct_vids=None, order="given", stats=None):
 
     A round that makes no Euclid node and starts from collected terms
     (those of an earlier round, or a TermSum ct_all returned) passes
-    through: every bucket holds one sliced term, in input order, and
-    neither collect_terms nor the layout bound runs again.  The result is
-    the one collecting would give, and the round's counters are unchanged.
+    through: every bucket holds one sliced term, in input order, or the
+    input term itself when it has no x, and neither collect_terms nor the
+    layout bound runs again.  The result is the one collecting would give,
+    and the round's counters are unchanged.
     """
     ring = ts.ring
     layout = ts.layout
@@ -603,7 +665,7 @@ def ct_all(ts, ct_vids=None, order="given", stats=None):
             # only a Euclid node makes a new denominator: every term kept
             # its own and a slice of its numerator, or vanished, so the
             # terms stay collected and inside the layout bound
-            terms = [ElliottTerm(num, den) for den, num in sink.buckets.items()]
+            terms = list(sink.buckets.values())
             continue
         terms = collect_terms(layout, sink.buckets)
         del sink  # else its buckets would keep the old terms alive through a relayout

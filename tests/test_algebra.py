@@ -373,12 +373,49 @@ def test_layout_digit_read_is_exps_get(data):
 def test_layout_magnitude_bounds_every_exponent(data):
     layout = data.draw(layouts())
     monos = data.draw(st.lists(sparse_exps(layout), min_size=1, max_size=8))
-    t = layout.magnitude(layout.pack(e) for e in monos)
+    t = layout.magnitude(lambda: (layout.pack(e) for e in monos))
     biggest = max((abs(k) for e in monos for _, k in e), default=0)
     assert t >= layout.bound
     assert biggest <= t
     if t > layout.bound:
         assert biggest >= t // 2  # the least such power of two
+
+
+def _magnitude_of_list(layout, monomials):
+    """Layout.magnitude as it was when it took one list of the monomials."""
+    t = layout.bound
+    while t < layout.half:
+        offset = sum(t << s for s in layout.shift.values())
+        low = sum((2 * t - 1) << s for s in layout.shift.values())
+        acc = 0
+        for m in monomials:
+            acc |= offset + m
+        if acc >= 0 and not acc & ~low:
+            break
+        t <<= 1
+    return t
+
+
+@given(st.data())
+def test_layout_magnitude_matches_the_list_walk(data):
+    """Re-walking the monomials per candidate bound gives the one-list answer.
+
+    The exponents run up to B/2 - 1, past the reach, where the walk stops at
+    B/2 without a bound; no list of the monomials is handed over.
+    """
+    layout = data.draw(layouts())
+    top = data.draw(st.sampled_from([layout.reach, layout.half - 1]))
+    monos = data.draw(st.lists(sparse_exps(layout, limit=top), max_size=8))
+    packed = [sum(k << layout.shift[v] for v, k in e) for e in monos]
+    walks = []
+
+    def monomials():
+        walks.append(1)
+        return iter(packed)
+
+    t = layout.magnitude(monomials)
+    assert t == _magnitude_of_list(layout, packed)
+    assert len(walks) == (t // layout.bound).bit_length() - (t >= layout.half)
 
 
 def test_narrow_layout_refuses_what_it_cannot_hold():

@@ -9,6 +9,7 @@ from cteuclid.bruteforce import dp_knapsack
 from cteuclid.checkpoint import (
     CheckpointError,
     CheckpointPause,
+    _write_atomic,
     config_hash,
     config_payload,
     system_from_payload,
@@ -54,6 +55,14 @@ def test_term_line_round_trip():
         t = random_term(rng, ring, ys, x)
         u = term_from_line(term_to_line(t))
         assert u.num == t.num and u.den == t.den
+
+
+def test_failed_atomic_write_leaves_no_tmp(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        _write_atomic(str(target), "text\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 def test_table_snapshot_round_trip():

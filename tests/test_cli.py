@@ -404,6 +404,42 @@ def test_missing_input_file(in_tmp, capsys):
     assert rc == 2 and "error:" in err
 
 
+def _one_error_line(err):
+    """Whether stderr holds one error: line, besides # progress lines, and no traceback."""
+    lines = [line for line in err.splitlines() if not line.startswith("# ")]
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_input_that_is_a_directory(in_tmp, capsys):
+    (in_tmp / "system").mkdir()
+    rc, _, err = run_main(capsys, "count", "--input", "system")
+    assert rc == 2 and _one_error_line(err), err
+
+
+def test_input_that_is_not_utf8(in_tmp, capsys):
+    (in_tmp / "system.json").write_bytes(b'\xff\xfe{"matrix": [[1, 2]], "rhs": [3]}')
+    rc, _, err = run_main(capsys, "ehrhart", "--input", "system.json")
+    assert rc == 2 and _one_error_line(err) and "UTF-8" in err, err
+
+
+def test_result_path_that_is_a_directory(in_tmp, capsys):
+    (in_tmp / "out").mkdir()
+    rc, out, err = run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
+                            "--output", "out")
+    assert rc == 2 and _one_error_line(err) and out == "", err
+    assert sorted(p.name for p in in_tmp.iterdir()) == ["out"]
+    assert list((in_tmp / "out").iterdir()) == []
+
+
+def test_checkpoint_dir_that_is_a_file(in_tmp, capsys):
+    (in_tmp / "ck").write_text("not a directory\n")
+    rc, _, err = run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
+                          "--checkpoint-dir", "ck")
+    assert rc == 2 and _one_error_line(err), err
+    assert sorted(p.name for p in in_tmp.iterdir()) == ["ck"]
+    assert (in_tmp / "ck").read_text() == "not a directory\n"
+
+
 def test_garbage_system_file(in_tmp, capsys):
     path = in_tmp / "bad.json"
     path.write_text("{]")

@@ -16,6 +16,7 @@ from cteuclid.algebra import (
     WidthError,
     exps_from_dict,
     exps_get,
+    poly_add_inplace,
 )
 from cteuclid.bruteforce import naive_ct
 from cteuclid.engine import (
@@ -268,6 +269,62 @@ def test_dependent_round_passes_through(monkeypatch):
     assert got.layout.bound == whole.layout.bound
     oracles.ct_all(table, RING, start.unpacked(), ct_vids=vids[:8], stats=ref)
     assert whole_stats.as_dict() == ref.as_dict()
+
+
+def test_pass_through_round_hands_on_the_stored_terms():
+    """A round with no Euclid node keeps a term with no x as the same object."""
+    table = _table(2, 0, 2)
+
+    def mono(d):
+        return exps_from_dict({table.vid_of(k): e for k, e in d.items()})
+
+    plain = oracles.make_term(RING, {mono({"y1": 1}): 2}, [mono({"y2": 1})])
+    mixed = oracles.make_term(RING, {mono({"y1": 2}): 4, mono({"y1": 1, "x2": 1}): 1},
+                              [mono({"y1": 1, "y2": -1})])
+    first = ct_all(TermSum.pack(table, RING, [plain, mixed]), ct_vids=[table.vid_of("x1")])
+    stats = Stats()
+    second = ct_all(first, ct_vids=[table.vid_of("x2")], stats=stats)
+    assert second.layout is first.layout
+    # the terms keep their order: plain's denominator is the smaller int
+    assert [t is u for t, u in zip(second.terms, first.terms)] == [True, False]
+    assert (stats.raw_terms, stats.collected_terms, stats.euclid_nodes) == (2, 2, 0)
+    _same_terms(second.unpacked(),
+                [oracles.make_term(RING, {mono({"y1": 2}): 4}, mixed.den), plain])
+
+
+def test_sink_drops_a_cancelled_bucket_and_reopens_it():
+    layout, (a, b, c, d) = PK._pack([
+        T({E(y1=1): 1}, [E(y1=1)]),
+        T({E(y1=1): -1}, [E(y1=1)]),
+        T({E(y1=2): 3}, [E(y1=1)]),
+        T({EXPS_ONE: 1}, [E(y2=1)]),
+    ])
+    sink = engine.TermSink(RING)
+    for t in (a, d, b):
+        sink.add(t)
+    assert sink.made == 3
+    assert list(sink.buckets.values()) == [d]
+    sink.add(c)
+    assert sink.made == 4
+    assert sink.buckets[c.den] is c
+    assert engine.collect_terms(layout, sink.buckets) == sorted([c, d], key=lambda t: t.den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(-2, 2), st.integers(-2, 2).filter(bool),
+                                min_size=1, max_size=3), min_size=1, max_size=6))
+def test_sink_sums_numerators_as_dicts_do(nums):
+    """Merging packed numerators over one denominator gives the dict sum, in dict order."""
+    terms = [T({E(y1=k): c for k, c in num.items()}, [E(y2=1)]) for num in nums]
+    layout, packed = PK._pack(terms)
+    sink = engine.TermSink(RING)
+    want = {}
+    for t, p in zip(terms, packed):
+        sink.add(p)
+        poly_add_inplace(RING, want, t.num)
+    got = [engine.unpack_term(layout.unpack, t) for t in sink.buckets.values()]
+    assert [list(t.num.items()) for t in got] == ([list(want.items())] if want else [])
+    assert sink.made == len(terms)
 
 
 def test_ct_all_eager_slack_resolves_duplicate_factors():
@@ -713,6 +770,30 @@ def test_knapsack_input_term_holds_no_raw_terms():
         tracemalloc.stop()
     assert (stats.raw_terms, len(done), stats.euclid_nodes) == (9686, 1625, 17430)
     assert peak < 2_500_000
+
+
+def test_magic5_round_peaks_stay_small():
+    """The largest traced peak of magic-5 rounds 1-10, one ct_all each, is at most 13 MB.
+
+    Round 9 peaks highest: 11.7 MB with packed numerators in flat tuples,
+    cancelled buckets dropped and no monomial list in the layout bound,
+    against 15.6 MB with a dict per numerator.
+    """
+    peaks, counts = [], []
+    tracemalloc.start()
+    try:
+        table = VariableTable()
+        ts = build_series_termsum(magic_square_system(5), table, RING)
+        for v in table.vids_of_rank(CT)[:10]:
+            tracemalloc.reset_peak()
+            stats = Stats()
+            ts = ct_all(ts, ct_vids=[v], stats=stats)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            counts.append([stats.raw_terms, stats.collected_terms])
+    finally:
+        tracemalloc.stop()
+    assert counts == MAGIC5_ROUNDS + [[22200, 12600], [12600, 12600]]
+    assert max(peaks) <= 13_000_000
 
 
 def test_magic5_rounds_hold_no_raw_terms():

@@ -192,7 +192,7 @@ ORDER_PINS = {
 
 
 @pytest.mark.parametrize("name", ORDER_PINS)
-def test_order_and_restart_pins_match_golden(tmp_path, name):
+def test_order_pins_match_golden(tmp_path, name):
     argv = ORDER_PINS[name]
     result = tmp_path / "r.txt"
     stdout, _ = call(argv + ["--output", str(result)])
