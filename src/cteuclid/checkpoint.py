@@ -7,6 +7,17 @@ A checkpoint directory holds:
     partial-P-NNNN.json    one elimination result per prime P per chunk (phase B)
     result.txt             final rendered result (phase C)
 
+Phase A's state in meta.json is its term and chunk counts, its counters,
+the variable table and the stage-B summary of its terms
+(elimination.Summary): the slack variables, the slack part of every
+denominator factor, and the denominator an exact run takes its numerators
+over.  A direction and the exact primes are drawn from that summary alone,
+so no chunk is read before stage B, and stage B reads one chunk at a time,
+only when a partial of it is missing.  Stage A writes its chunks one at a
+time too, straight from its packed terms, so neither side ever holds more
+than one chunk of tuple-form terms.  A meta.json without a summary, as
+older versions wrote it, gets one from a pass over the chunks.
+
 A work unit is stage A, or the partial of one chunk modulo one prime.
 Stage B eliminates a chunk once for all the primes that lack its partial,
 modulo their product, and then writes one file per prime, as a run modulo
@@ -38,9 +49,11 @@ import hashlib
 import json
 import os
 import re
+from itertools import chain, islice
 
 from . import __version__
-from .algebra import VariableTable
+from .algebra import SLACK, VariableTable
+from .elimination import Summary, summarize
 from .engine import ElliottTerm, Stats
 from .univariate import FactoredAccumulator
 
@@ -124,8 +137,16 @@ def _exps_to_obj(exps):
     return [[v[0], v[1], e] for v, e in exps]
 
 
-def _exps_from_obj(obj):
-    return tuple(((int(r), int(s)), int(e)) for r, s, e in obj)
+def _exps_from_obj(obj, memo):
+    exps = []
+    for r, s, e in obj:
+        key = (r, s, e)
+        pair = memo.get(key)
+        if pair is None:
+            pair = memo[key] = ((int(r), int(s)), int(e))
+        exps.append(pair)
+    exps = tuple(exps)
+    return memo.setdefault(exps, exps)
 
 
 def term_to_line(t):
@@ -136,10 +157,18 @@ def term_to_line(t):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def term_from_line(line):
+def term_from_line(line, memo=None):
+    """The tuple-form term of a term_to_line line.
+
+    memo, a dict, gives the terms read through it one object for each equal
+    monomial and (vid, exponent) pair, which it keys by the pair's JSON
+    row: a chunk's terms share most of their factors, and each pair is
+    built once.
+    """
+    memo = {} if memo is None else memo
     obj = json.loads(line)
-    num = {_exps_from_obj(e): int(c) for e, c in obj["n"]}
-    den = tuple(sorted(_exps_from_obj(f) for f in obj["d"]))
+    num = {_exps_from_obj(e, memo): int(c) for e, c in obj["n"]}
+    den = tuple(sorted(_exps_from_obj(f, memo) for f in obj["d"]))
     return ElliottTerm(num, den)
 
 
@@ -164,6 +193,55 @@ def table_from_obj(obj):
         if vid != (int(r), int(s)):
             raise CheckpointError("variable table snapshot is inconsistent")
     return table
+
+
+def summary_to_obj(summary):
+    """The JSON form of a Summary: slack variables by their index among the slacks.
+
+    A descriptor (bvec, pure) becomes [pure, s1, e1, s2, e2, ...] for
+    bvec = ((z_s1, e1), (z_s2, e2), ...), and den {m: e} maps "m" to e.
+    """
+    return {
+        "terms": summary.terms,
+        "slacks": [v[1] for v in summary.slacks],
+        "descriptors": [[pure, *chain.from_iterable((v[1], e) for v, e in bvec)]
+                        for bvec, pure in summary.descriptors],
+        "den": {str(m): e for m, e in sorted(summary.den.items())},
+    }
+
+
+def summary_from_obj(obj, table):
+    """The Summary of summary_to_obj's obj over table; ValueError unless obj is one."""
+    slack_vids = set(table.vids_of_rank(SLACK))
+
+    def index(s):
+        if not (type(s) is int and (SLACK, s) in slack_vids):
+            raise ValueError(f"the summary names {json.dumps(s)}, no slack variable")
+        return s
+
+    if not isinstance(obj, dict):
+        raise ValueError("the summary is not a JSON object")
+    terms, slacks, descriptors, den = (obj[k] for k in ("terms", "slacks", "descriptors", "den"))
+    if not (type(terms) is int and terms >= 0):
+        raise ValueError(f"the summary counts {json.dumps(terms)} terms")
+    if not (isinstance(slacks, list) and isinstance(descriptors, list) and isinstance(den, dict)):
+        raise ValueError("the summary's slacks and descriptors are not lists, or its den "
+                         "not a JSON object")
+    slacks = {(SLACK, index(s)) for s in slacks}
+    out = set()
+    for d in descriptors:
+        if not (isinstance(d, list) and d and isinstance(d[0], bool) and len(d) % 2):
+            raise ValueError(f"descriptor {json.dumps(d)} is not [pure, s1, e1, ...]")
+        bvec = tuple(((SLACK, index(s)), e) for s, e in zip(d[1::2], d[2::2]))
+        if not all(v in slacks and type(e) is int and e for v, e in bvec):
+            raise ValueError(f"descriptor {json.dumps(d)} holds no slack part of a factor")
+        out.add((bvec, d[0]))
+    for m, e in den.items():
+        if not (re.fullmatch(r"[1-9][0-9]*", m) and type(e) is int and e >= 1):
+            raise ValueError(f"den holds {json.dumps(m)}: {json.dumps(e)}, "
+                             "no factor (1 - q^m)^e, m, e >= 1")
+    return Summary(terms, sorted(slacks), tuple(sorted(out)),
+                   {int(m): e for m, e in den.items()})
 
 
 def lam_to_obj(lam_map):
@@ -217,7 +295,10 @@ class DirectoryStore:
             self._write_meta()
 
     def _write_meta(self):
-        _write_atomic(self.meta_path, json.dumps(self.meta, sort_keys=True, indent=1))
+        # not indented: indenting takes json's pure-Python encoder, which
+        # makes a string for every number of the summary before joining them
+        text = json.dumps(self.meta, sort_keys=True, separators=(",", ":"))
+        _write_atomic(self.meta_path, text + "\n")
 
     def _spend_units(self, n):
         self.units += n
@@ -225,30 +306,29 @@ class DirectoryStore:
             raise CheckpointPause(f"paused after {self.units} unit(s)")
 
     def stage_a(self, compute):
-        """(table, term chunks, stage-A stats); compute() runs only once per directory.
+        """(table, number of term chunks, stage-A stats, Summary); compute() runs once per directory.
 
-        compute() gives stage A's TermSum, whose terms are saved in tuple
-        form and read back as tuple-form chunks; the computed terms are
-        dropped before that, so the run holds one copy of them at a time.
+        compute() gives stage A's TermSum.  Its Summary goes into meta.json
+        with the rest of phase A, and its terms are written in tuple form,
+        one chunk file at a time, straight from the packed sum; then it is
+        dropped.  Stage B reads each chunk back only when a partial of it
+        is missing (see partials).  A directory whose meta.json holds no
+        Summary, as older versions wrote it, gets one from a pass that
+        reads the chunks one at a time.
         """
         size = self.meta["config"]["chunk_size"]
         if not self.meta["phase_a"].get("done"):
             self.log("phase A: extracting constant terms")
             table, done, stats = compute()
-            terms = done.unpacked()
-            del done
-            nchunks = _chunk_count(len(terms), size)
-            for i in range(nchunks):
-                lines = "".join(term_to_line(t) + "\n" for t in terms[i * size : (i + 1) * size])
-                _write_atomic(os.path.join(self.path, f"terms-{i:04d}.jsonl"), lines)
             self.meta["phase_a"] = {
                 "done": True,
-                "chunks": nchunks,
-                "terms": len(terms),
+                "chunks": self._write_chunks(done, size),
+                "terms": len(done),
                 "stats": stats.as_dict(),
                 "table": table_to_obj(table),
+                "summary": summary_to_obj(summarize([done])),
             }
-            del terms
+            del done
             self._write_meta()
             self._spend_units(1)
         phase_a = self.meta["phase_a"]
@@ -262,40 +342,67 @@ class DirectoryStore:
             if not (type(nchunks) is int and nchunks == _chunk_count(nterms, size)):
                 raise ValueError(f"chunks holds {nchunks!r} for {nterms} terms "
                                  f"in chunks of {size}")
+            summary = phase_a.get("summary")
+            if summary is not None:
+                summary = summary_from_obj(summary, table)
+                if summary.terms != nterms:
+                    raise ValueError(f"the summary counts {summary.terms} terms "
+                                     f"where terms holds {nterms}")
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(
                 f"damaged stage-A state in {self.meta_path} ({exc}); "
                 "delete the directory and rerun"
             ) from None
-        chunks = [self._load_chunk(i) for i in range(nchunks)]
-        if sum(map(len, chunks)) != nterms:
-            raise CheckpointError(
-                f"the term chunks hold {sum(map(len, chunks))} terms where "
-                f"{self.meta_path} records {nterms}; delete the directory and rerun"
-            )
-        return table, chunks, stats
+        if summary is None:
+            summary = summarize(map(self._load_chunk, range(nchunks)))
+        return table, nchunks, stats, summary
+
+    def _write_chunks(self, done, size):
+        """Save the terms of done in tuple form, size to a file; the number of files.
+
+        The terms go in the order of TermSum.unpacked, but only one term at
+        a time is in tuple form (TermSum.tuple_terms), and one chunk's lines
+        at a time are held.
+        """
+        terms = done.tuple_terms()
+        nchunks = _chunk_count(len(done), size)
+        for i in range(nchunks):
+            lines = "".join(term_to_line(t) + "\n" for t in islice(terms, size))
+            _write_atomic(os.path.join(self.path, f"terms-{i:04d}.jsonl"), lines)
+        return nchunks
 
     def _load_chunk(self, i):
+        """The tuple-form terms of chunk i, which must hold its share of phase A's terms."""
         path = os.path.join(self.path, f"terms-{i:04d}.jsonl")
         try:
             with open(path) as fh:
-                return [term_from_line(line) for line in fh if line.strip()]
+                memo = {}
+                terms = [term_from_line(line, memo) for line in fh if line.strip()]
         except FileNotFoundError:
             raise CheckpointError(f"missing term chunk {i}; delete the directory and rerun")
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(
                 f"damaged term chunk {i} ({exc}); delete the directory and rerun"
             ) from None
+        size = self.meta["config"]["chunk_size"]
+        share = min(size, self.meta["phase_a"]["terms"] - i * size)
+        if len(terms) != share:
+            raise CheckpointError(
+                f"term chunk {i} holds {len(terms)} terms where {self.meta_path} "
+                f"gives it {share}; delete the directory and rerun"
+            )
+        return terms
 
     def partials(self, rings, i, lhash, compute):
         """[(FactoredAccumulator, stats)] of chunk i, one per ring, under direction hash lhash.
 
         A ring whose partial file was saved under lhash reads it.  The rings
-        left are eliminated together: compute(rings left) gives one
+        left are eliminated together: compute(rings left, chunk i) gives one
         accumulator over their product ring and the chunk's stats, which
-        FactoredAccumulator.split reduces into each of them.  All their
-        files are written before their units count, so a pause never falls
-        between the rings of one chunk.
+        FactoredAccumulator.split reduces into each of them.  Chunk i is
+        read only then, and dropped on return.  All their files are written
+        before their units count, so a pause never falls between the rings
+        of one chunk.
 
         The file body follows the run's task: a count is saved as the
         constant coefficient ("scalar"), a series as its numerator over its
@@ -309,9 +416,10 @@ class DirectoryStore:
         if not todo:
             return out
         left = [rings[k] for k in todo]
+        chunk = self._load_chunk(i)
         tags = "+".join(str(r.modulus) for r in left)
         self.log(f"phase B: ring {tags}, chunk {i + 1}/{self.meta['phase_a']['chunks']}")
-        acc, stats = compute(left)
+        acc, stats = compute(left, chunk)
         for k, part in zip(todo, acc.split(left)):
             obj = _partial_to_obj(self.meta["config"]["task"], part, stats, lhash)
             _write_atomic(paths[k], json.dumps(obj, sort_keys=True))

@@ -280,16 +280,28 @@ def _publish(path, text, wall, value_line=None):
 
 
 def _result_path(args):
-    """Where the run writes its result, refused before any work if that is a directory."""
+    """Where the run writes its result, refused before any work if no file can go there.
+
+    That is a path which is a directory, or whose parent is not one.  The
+    parent may be a checkpoint directory that the run is about to make.
+    """
+    ckdir = getattr(args, "checkpoint_dir", None)
     if args.output:
         path = args.output
-    elif getattr(args, "checkpoint_dir", None):
-        path = os.path.join(args.checkpoint_dir, "result.txt")
+    elif ckdir:
+        path = os.path.join(ckdir, "result.txt")
     else:
         path = "ct-result.txt"
     if os.path.isdir(path):
         raise InputError(f"the result path {path} is a directory")
-    return path
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(parent):
+        return path
+    if not os.path.exists(parent):
+        if ckdir and os.path.normpath(parent) == os.path.normpath(ckdir):
+            return path
+        raise InputError(f"the directory of the result path {path} does not exist")
+    raise InputError(f"the result path {path} lies in {parent}, which is not a directory")
 
 
 def _read_text(path):

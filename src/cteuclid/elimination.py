@@ -67,6 +67,7 @@ import random
 from functools import cache, lru_cache
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
+from typing import NamedTuple
 
 from .algebra import FREE, SLACK, InputError, poly_add_inplace
 from .engine import ElliottTerm, TermSum, num_items
@@ -131,29 +132,52 @@ def pairing_function(lam_map, chunk=None):
     return cache(lambda m: lambda_pairing(lam_map, decode(m)))
 
 
-def collect_slack_info(chunks):
-    """Slack vids and factor descriptors that validate a direction, over term chunks.
+class Summary(NamedTuple):
+    """What the direction search and the exact primes need of stage A's terms.
 
-    Returns (sorted slack vids, sorted descriptor tuple); a descriptor is the
-    slack part of a denominator factor plus a flag telling whether the rest of
-    the factor is trivial (such factors must not collapse).  Both halves are
-    sorted so retry loops walk them in the same order in every process.
-    Each distinct monomial and factor of a chunk is decoded once.
+    terms counts the terms summarized.  slacks are the slack vids the terms
+    hold, sorted; descriptors are the sorted pairs (bvec, pure) of their
+    denominator factors, bvec a factor's slack part and pure telling
+    whether the rest of it is trivial (such a factor must not collapse).
+    den is {m: e} for the denominator prod_m (1 - q^m)^e_m of
+    certified_primes.  None of it depends on a direction or a modulus: a
+    factor's pairing <lambda, B> is that of its bvec.
     """
+
+    terms: int
+    slacks: list
+    descriptors: tuple
+    den: dict
+
+
+def summarize(chunks):
+    """The Summary of the terms of chunks, in one pass that holds one chunk at a time.
+
+    Each distinct monomial and factor of a chunk is decoded once.  A
+    term with j_m mixed factors at q-exponent m and r pure ones raises
+    e_m to at least j_m + r.
+    """
+    terms = 0
     slacks = set()
     descriptors = set()
+    den = {}
     for chunk in chunks:
         decode, items = _decoder(chunk)
         for e in {e for t in chunk for e, _ in items(t.num)}:
-            for v, _ in decode(e):
-                if v[0] == SLACK:
-                    slacks.add(v)
-        for f in map(decode, {f for t in chunk for f in t.den}):
-            bvec = tuple((v, e) for v, e in f if v[0] == SLACK)
-            for v, _ in bvec:
-                slacks.add(v)
-            descriptors.add((bvec, len(bvec) == len(f)))
-    return sorted(slacks), tuple(sorted(descriptors))
+            slacks.update(v for v, _ in decode(e) if v[0] == SLACK)
+        degree = {}
+        for f in {f for t in chunk for f in t.den}:
+            f_exps = decode(f)
+            bvec = tuple((v, e) for v, e in f_exps if v[0] == SLACK)
+            slacks.update(v for v, _ in bvec)
+            descriptors.add((bvec, len(bvec) == len(f_exps)))
+            degree[f] = next((e for v, e in f_exps if v[0] == FREE), 0)
+        for t in chunk:
+            terms += 1
+            ms = [degree[f] for f in t.den]
+            for m in set(ms) - {0}:
+                den[m] = max(den.get(m, 0), ms.count(m) + ms.count(0))
+    return Summary(terms, sorted(slacks), tuple(sorted(descriptors)), den)
 
 
 def validate_lambda(descriptors, lam_map, moduli=()):
@@ -170,17 +194,18 @@ def validate_lambda(descriptors, lam_map, moduli=()):
     return None
 
 
-def pick_lambda(chunks, slack_vids, moduli=(), seed=0, max_retries=100, lam=None):
+def pick_lambda(summary, slack_vids, moduli=(), seed=0, max_retries=100, lam=None):
     """Choose a direction valid for every factor and every modulus at once.
 
-    A user-supplied direction (dict over slack vids, or a sequence matching
-    slack_vids, the run's slack variables in working order; zero entries
-    are allowed) is validated and returned; a sequence of another length, or
-    a dict naming a variable that is not among slack_vids, is refused.
+    The factors are those of summary, the terms' Summary.  A user-supplied
+    direction (dict over slack vids, or a sequence matching slack_vids, the
+    run's slack variables in working order; zero entries are allowed) is
+    validated and returned; a sequence of another length, or a dict naming
+    a variable that is not among slack_vids, is refused.
     Otherwise seeded random directions are tried, then a deterministic
     moment-curve fallback k -> (1, k, k^2, ...).
     """
-    slacks, descriptors = collect_slack_info(chunks)
+    slacks, descriptors = summary.slacks, summary.descriptors
     if lam is not None:
         if isinstance(lam, dict):
             known = set(slack_vids)

@@ -25,7 +25,7 @@ the denominator factors (kd) and one for those of the numerator (kn); before
 it forms a value it checks the value's bound against the layout's reach and
 raises WidthError past it.  Stage B reads the packed terms as they are,
 through the layout's ``unpack`` and ``num_items``; only a checkpoint writes
-them in tuple form, through ``TermSum.unpacked``.
+them in tuple form, one at a time, through ``TermSum.tuple_terms``.
 
 A packed term stores its numerator as one immutable flat tuple
 (e1, c1, e2, c2, ...), which costs a fraction of a dict's shell: most
@@ -236,10 +236,13 @@ def pack_term(layout, t):
                        tuple(sorted(intern(f, f) for f in map(layout.pack, t.den))))
 
 
-def unpack_term(unpack, t):
-    """t in tuple form, its factors sorted as exps tuples; unpack decodes one monomial."""
+def unpack_term(unpack, t, factor=None):
+    """t in tuple form, its factors sorted as exps tuples.
+
+    unpack decodes one monomial, and factor, unpack by default, one factor.
+    """
     return ElliottTerm({unpack(e): c for e, c in num_items(t.num)},
-                       tuple(sorted(map(unpack, t.den))))
+                       tuple(sorted(map(factor or unpack, t.den))))
 
 
 def _largest_exponent(terms):
@@ -269,14 +272,45 @@ class TermSum:
         layout = Layout(table, _largest_exponent(terms))
         return cls(layout, ring, [pack_term(layout, t) for t in terms])
 
+    def tuple_terms(self):
+        """The terms in tuple form, one at a time, ordered by denominator when collected.
+
+        The factors recur from term to term and are decoded once for the
+        whole pass; numerator monomials seldom recur and are decoded as
+        they come, so the pass holds no other decoded term.
+        """
+        unpack = self.layout.unpack
+        factor = cache(unpack)
+        for t in self._tuple_order(factor):
+            yield unpack_term(unpack, t, factor)
+
+    def _tuple_order(self, factor):
+        """The packed terms by their tuple-form denominators when collected; factor decodes one.
+
+        Each distinct factor is ranked by its exps tuple.  A term's key
+        packs the ranks of its factors, in rising order, into one int, one
+        digit each, zero digits filling up to the longest denominator; so
+        the keys compare as the sorted exps tuples of the denominators do,
+        a prefix first, and only factors are decoded.
+        """
+        if not self.collected:
+            return self.terms
+        rank = {f: r for r, f in enumerate(sorted({f for t in self.terms for f in t.den},
+                                                  key=factor), 1)}
+        width = len(rank).bit_length()
+        longest = max((len(t.den) for t in self.terms), default=0)
+
+        def key(t):
+            k = 0
+            for r in sorted(map(rank.__getitem__, t.den)):
+                k = k << width | r
+            return k << width * (longest - len(t.den))
+
+        return sorted(self.terms, key=key)
+
     def unpacked(self):
-        """The terms in tuple form, ordered by denominator when collected."""
-        # a cache local to this pass decodes each distinct monomial once
-        unpack = cache(self.layout.unpack)
-        terms = [unpack_term(unpack, t) for t in self.terms]
-        if self.collected:
-            terms.sort(key=lambda t: t.den)
-        return terms
+        """The terms in tuple form, as a list (see tuple_terms)."""
+        return list(self.tuple_terms())
 
     def __iter__(self):
         return iter(self.terms)

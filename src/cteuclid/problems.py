@@ -44,8 +44,8 @@ from .elimination import (
     DEFAULT_PRIMES,
     crt_combine,
     eliminate_slack,
-    pairing_function,
     pick_lambda,
+    summarize,
 )
 from .engine import Stats, ct_all, start_termsum
 from .univariate import FactoredAccumulator, power_series_div, reduce_factored
@@ -291,31 +291,24 @@ def dilation_bound(system, y, t):
     return prod(u + 1 for u in solution_box(system, y, t))
 
 
-def certified_primes(system, y, chunks, lam_map):
+def certified_primes(system, y, summary, lam_map):
     """(primes, den) of an exact run: enough primes to lift the numerator over den.
 
-    den = prod_m (1 - q^m)^e_m, e_m the largest j_m + r of a term with j_m
-    mixed factors at q-exponent m and r pure ones, covers every piece of
-    ct_s_term in any ring.  The series is N/den with f_t a quasi-polynomial
-    for t >= 1 (Stanley, EC1, 4.6), so deg N <= deg den and |N_d| <=
-    ||den||_1 max(f_t : t <= d) <= 2^(sum e) dilation_bound(deg den); a
-    count has den = 1 and is f_1.  The primes are the fewest whose product
-    exceeds twice that, DEFAULT_PRIMES first and then the primes above
-    them, skipping those that divide a nonzero pairing, so that every
-    structural test of stage B reads as over Z.  Each chunk is read through
-    a pairing_function of its own.
+    den = prod_m (1 - q^m)^e_m is the summary's (see summarize): e_m is
+    the largest j_m + r of a term with j_m mixed factors at q-exponent m
+    and r pure ones, which covers every piece of ct_s_term in any ring.
+    The series is N/den with f_t a quasi-polynomial for t >= 1 (Stanley,
+    EC1, 4.6), so deg N <= deg den and |N_d| <= ||den||_1 max(f_t : t <=
+    d) <= 2^(sum e) dilation_bound(deg den); a count has den = 1 and is
+    f_1.  The primes are the fewest whose product exceeds twice that,
+    DEFAULT_PRIMES first and then the primes above them, skipping those
+    that divide a nonzero pairing, so that every structural test of stage
+    B reads as over Z.  A factor's pairing is that of its slack part, so
+    the summary's descriptors give every one.
     """
-    den = {}
-    pairings = set()
-    for chunk in chunks:
-        pair = pairing_function(lam_map, chunk)
-        factors = set()
-        for t in chunk:
-            factors.update(t.den)
-            ms = [pair(f)[1] for f in t.den]
-            for m in set(ms) - {0}:
-                den[m] = max(den.get(m, 0), ms.count(m) + ms.count(0))
-        pairings.update(b for b, _ in map(pair, factors) if b)
+    den = dict(summary.den)
+    pairings = {sum(lam_map[v] * e for v, e in bvec) for bvec, _ in summary.descriptors}
+    pairings.discard(0)
     degree = sum(m * e for m, e in den.items())
     bound = 2 ** sum(den.values()) * dilation_bound(system, y, max(1, degree))
     primes, product = [], 1
@@ -332,14 +325,16 @@ class MemoryStore:
 
     Stage B gets one chunk, stage A's packed TermSum itself, so all rings
     are eliminated in one call and no other copy of the terms is made.
+    The summary that the direction and the exact primes come from is one
+    pass over it.
     """
 
     def stage_a(self, compute):
-        table, done, stats = compute()
-        return table, [done], stats
+        table, self.done, stats = compute()
+        return table, 1, stats, summarize([self.done])
 
     def partials(self, rings, i, lhash, compute):
-        acc, stats = compute(rings)
+        acc, stats = compute(rings, self.done)
         return [(part, stats) for part in acc.split(rings)]
 
 
@@ -400,21 +395,22 @@ def run_pipeline(
         st = Stats()
         return eliminate_slack(ring, table, chunk, lam_map, st), st
 
-    table, chunks, stats_a = store.stage_a(stage_a)
+    table, nchunks, stats_a, summary = store.stage_a(stage_a)
     stats = stats if stats is not None else Stats()
     stats.merge(stats_a)
-    lam_map = pick_lambda(chunks, table.vids_of_rank(SLACK), moduli=moduli, seed=seed, lam=lam)
+    lam_map = pick_lambda(summary, table.vids_of_rank(SLACK), moduli=moduli, seed=seed, lam=lam)
     lhash = lam_hash(lam_map)
     den = None
     if not moduli:
-        primes, den = certified_primes(system, y, chunks, lam_map)
+        primes, den = certified_primes(system, y, summary, lam_map)
         rings = [PrimeField(p) for p in primes]
+    del summary  # a tuple per distinct factor, which stage B need not hold
 
     # a chunk's stats count once per modulus, so ct-s-calls is terms x
     # moduli, and once in an exact run
     results = [FactoredAccumulator(ring) for ring in rings]
-    for i, chunk in enumerate(chunks):
-        parts = store.partials(rings, i, lhash, lambda todo: stage_b(todo, chunk))
+    for i in range(nchunks):
+        parts = store.partials(rings, i, lhash, stage_b)
         for k, (acc, (part, st)) in enumerate(zip(results, parts)):
             if moduli or not k:
                 stats.merge(st)

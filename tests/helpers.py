@@ -10,6 +10,8 @@ Tests state terms in tuple form; ``Packed`` runs the per-term functions of
 the packed engine on them.
 """
 
+import tracemalloc
+
 from cteuclid import engine
 from cteuclid.algebra import CT, FREE, VariableTable, exps_from_dict
 from cteuclid.bruteforce import naive_ct
@@ -114,6 +116,26 @@ class Packed:
                                            layout.bound, kn, out.append, stats)
                 return [unpack_term(layout.unpack, r) for r in out]
         return []
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the largest traced size in bytes while it ran).
+
+    Tracing starts here and stops on return, so the peak counts only what
+    fn allocates.  Called while tracemalloc traces already, it resets the
+    peak and leaves tracing on: the peak then also counts what is still
+    held of the blocks traced before.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    else:
+        tracemalloc.reset_peak()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def table_xy(m=2):

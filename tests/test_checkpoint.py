@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -6,28 +7,43 @@ import pytest
 
 from cteuclid.algebra import CT, FREE, SLACK, ExactRing, InputError, VariableTable
 from cteuclid.bruteforce import dp_knapsack
+from cteuclid import checkpoint
 from cteuclid.checkpoint import (
     CheckpointError,
     CheckpointPause,
+    DirectoryStore,
     _write_atomic,
     config_hash,
     config_payload,
+    summary_from_obj,
     system_from_payload,
     table_from_obj,
     table_to_obj,
     term_from_line,
     term_to_line,
 )
-from cteuclid.elimination import DEFAULT_PRIMES
+from cteuclid.elimination import (
+    DEFAULT_PRIMES,
+    LambdaExhaustion,
+    PrimeClash,
+    pairing_function,
+    pick_lambda,
+    summarize,
+)
+from cteuclid.engine import ElliottTerm, Stats, ct_all
 from cteuclid.problems import (
     DiophantineSystem,
+    build_count_termsum,
+    build_series_termsum,
+    certified_primes,
+    check_boundedness,
     ehrhart_series,
     magic_square_system,
     run_pipeline,
     series_coeffs,
 )
 
-from helpers import random_term, table_xy
+from helpers import random_term, table_xy, traced_peak
 
 KNAP = DiophantineSystem([[1, 5, 14]], [41])
 
@@ -228,3 +244,136 @@ def test_crt_through_checkpoints(tmp_path):
     assert out.value == 18
     assert out.exact is False
     assert out.confidence is not None
+
+
+# ---------------------------------------------------------------------------
+# one chunk at a time
+
+
+def _pause_after_stage_a(d, system, task, **kw):
+    with pytest.raises(CheckpointPause):
+        run_pipeline(system, task, d, max_units=1, **kw)
+
+
+def test_resume_traces_under_two_megabytes(tmp_path):
+    """A magic-4 --crt --chunk-size 12 resume holds one chunk of parsed terms.
+
+    It traced 3.2 MB at peak when it parsed all 33 chunks before stage B
+    and held them to the end, and traces 0.6 MB reading one at a time.
+    """
+    system = magic_square_system(4)
+    kw = dict(moduli=DEFAULT_PRIMES, crt=True, chunk_size=12)
+    d = str(tmp_path / "ck")
+    _pause_after_stage_a(d, system, "series", **kw)
+    out, peak = traced_peak(run_pipeline, system, "series", d, **kw)
+    want = run_pipeline(system, "series", **kw)
+    assert (out.num, out.den) == (want.num, want.den)
+    assert peak <= 2_000_000
+
+
+def _tuple_form_terms():
+    return sum(1 for o in gc.get_objects()
+               if isinstance(o, ElliottTerm) and isinstance(o.num, dict))
+
+
+def test_stage_a_write_unpacks_one_chunk_at_a_time(tmp_path, monkeypatch):
+    """No more than one chunk of terms is in tuple form when a chunk file is written."""
+    system, size = magic_square_system(4), 50
+    table, stats = VariableTable(), Stats()
+    done = ct_all(build_series_termsum(system, table, ExactRing()), stats=stats)
+    payload = config_payload("series", system, 0, "given", size)
+    store = DirectoryStore(str(tmp_path), payload, config_hash(payload))
+    before = _tuple_form_terms()
+    held = []
+    write = checkpoint._write_atomic
+
+    def spy(path, text):
+        if os.path.basename(path).startswith("terms-"):
+            held.append(_tuple_form_terms() - before)
+        write(path, text)
+
+    monkeypatch.setattr(checkpoint, "_write_atomic", spy)
+    store.stage_a(lambda: (table, done, stats))
+    assert len(held) == -(-len(done) // size) > 1
+    assert max(held) <= size
+
+
+STAGE_B_RUNS = {
+    "knapsack": (DiophantineSystem([[12223, 12224, 36671]], [149389505]), "count", 3),
+    "magic3": (magic_square_system(3), "series", 2),
+    "magic4": (magic_square_system(4), "series", 12),
+    "ehrhart": (DiophantineSystem([[1, 1, 1, 1], [1, 2, 3, 4]], [2, 5]), "series", 2),
+}
+
+
+def _reference_den_and_pairings(lam, chunks):
+    """den and the nonzero pairings of certified_primes, read term by term through pair."""
+    den, pairings = {}, set()
+    for chunk in chunks:
+        pair = pairing_function(lam, chunk)
+        for t in chunk:
+            ms = [pair(f)[1] for f in t.den]
+            for m in set(ms) - {0}:
+                den[m] = max(den.get(m, 0), ms.count(m) + ms.count(0))
+            pairings.update(b for b, _ in map(pair, t.den) if b)
+    return den, pairings
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except (LambdaExhaustion, PrimeClash) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_B_RUNS))
+def test_saved_summary_matches_the_chunks(tmp_path, name):
+    """Phase A's saved summary is the one its chunk files, packed or not, give.
+
+    pick_lambda and certified_primes answer alike from each, and the
+    summary's descriptors give the pairings and den read from the terms.
+    """
+    system, task, size = STAGE_B_RUNS[name]
+    d = tmp_path / "ck"
+    _pause_after_stage_a(str(d), system, task, chunk_size=size)
+    phase_a = json.loads((d / "meta.json").read_text())["phase_a"]
+    table = table_from_obj(phase_a["table"])
+    files = [[term_from_line(line) for line in (d / f"terms-{i:04d}.jsonl").open()]
+             for i in range(phase_a["chunks"])]
+    build = build_count_termsum if task == "count" else build_series_termsum
+    packed = ct_all(build(system, VariableTable(), ExactRing()))
+    plain = packed.unpacked()
+    saved = summary_from_obj(phase_a["summary"], table)
+    assert saved == summarize(files) == summarize([packed]) == summarize([plain])
+    assert saved.terms == phase_a["terms"] == len(plain)
+
+    y = check_boundedness(system)
+    zs = table.vids_of_rank(SLACK)
+    for seed in range(4):
+        for moduli in [(), DEFAULT_PRIMES, (3,), (5, 7)]:
+            lam = _outcome(pick_lambda, saved, zs, moduli=moduli, seed=seed)
+            for chunks in (files, [packed], [plain]):
+                assert _outcome(pick_lambda, summarize(chunks), zs, moduli=moduli,
+                                seed=seed) == lam
+            if isinstance(lam, dict):
+                primes, den = certified_primes(system, y, saved, lam)
+                for chunks in (files, [packed]):
+                    assert certified_primes(system, y, summarize(chunks), lam) == (primes, den)
+                    want_den, pairings = _reference_den_and_pairings(lam, chunks)
+                    assert den == want_den
+                    assert {sum(lam[v] * e for v, e in bvec)
+                            for bvec, _ in saved.descriptors} - {0} == pairings
+
+
+def test_resume_does_not_open_a_chunk_whose_partials_exist(tmp_path):
+    d = str(tmp_path / "ck")
+    system, kw = magic_square_system(3), dict(moduli=(DEFAULT_PRIMES[1],), chunk_size=2)
+    first = run_pipeline(system, "series", d, **kw)
+    part = tmp_path / "ck" / f"partial-{DEFAULT_PRIMES[1]}-0001.json"
+    saved = part.read_bytes()
+    # chunk 0 is gone but all its partials are on disk; chunk 1 lacks its one
+    os.remove(os.path.join(d, "terms-0000.jsonl"))
+    part.unlink()
+    again = run_pipeline(system, "series", d, **kw)
+    assert again.series_residues == first.series_residues
+    assert part.read_bytes() == saved

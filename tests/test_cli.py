@@ -258,9 +258,23 @@ def test_resume_of_delayed_slack_checkpoint_refused(in_tmp, capsys):
     {"terms": "8"},                     # a string for the term count
     {"table": [[0, 0]]},                # a table row without its name
     {"table": "q"},                     # a table that is not a list
+    # the stage-B summary saved with it
+    {"summary": "q"},                   # not an object
+    {"summary": {"terms": 7}},          # the chunks hold 8 terms
+    {"summary": {"slacks": [9]}},       # a slack variable the table lacks
+    {"summary": {"slacks": ["0"]}},     # a string for a slack variable
+    {"summary": {"descriptors": [[1, 0, 1]]}},     # an int for the pure flag
+    {"summary": {"descriptors": [[True, 0]]}},     # a slack index without its exponent
+    {"summary": {"descriptors": [[True, 0, 0]]}},  # a zero exponent
+    {"summary": {"den": {"0": 1}}},     # a factor (1 - q^0) = 0
+    {"summary": {"den": {"1": "2"}}},   # a string for a power
+    {"summary": {"den": None}},         # no den
 ], ids=["truncated", "list", "empty", "no-keys", "counter-string", "counter-negative",
         "counter-bool", "flag-int", "chunks-short", "chunks-string", "chunks-long",
-        "terms-short", "terms-negative", "terms-string", "table-row", "table-string"])
+        "terms-short", "terms-negative", "terms-string", "table-row", "table-string",
+        "summary-string", "summary-terms", "summary-slack-unknown", "summary-slack-string",
+        "summary-pure-int", "summary-descriptor-odd", "summary-exponent-zero",
+        "summary-den-zero", "summary-den-string", "summary-den-none"])
 def test_resume_of_damaged_meta_refused(in_tmp, capsys, damage):
     meta = in_tmp / "ck" / "meta.json"
     if isinstance(damage, str):
@@ -275,6 +289,8 @@ def test_resume_of_damaged_meta_refused(in_tmp, capsys, damage):
         for key, value in damage.items():
             if key == "table" and isinstance(value, list):
                 value = obj["phase_a"]["table"] + value
+            if key == "summary" and isinstance(value, dict):
+                value = {**obj["phase_a"]["summary"], **value}
             obj["phase_a"][key] = value
         meta.write_text(json.dumps(obj))
     else:
@@ -383,6 +399,18 @@ def test_resume_with_damaged_term_chunk_refused(in_tmp, capsys):
     assert not (in_tmp / "ck" / "result.txt").exists()
 
 
+def test_resume_with_a_term_chunk_one_term_short_refused(in_tmp, capsys):
+    rc, _, _ = run_main(capsys, "magic", "--n", "3", "--mod", "1152921504606847009",
+                        "--chunk-size", "2", "--checkpoint-dir", "ck", "--max-units", "1")
+    assert rc == 0
+    chunk = in_tmp / "ck" / "terms-0002.jsonl"
+    chunk.write_text(chunk.read_text().splitlines(keepends=True)[0])
+    rc, out, err = run_main(capsys, "resume", "--checkpoint-dir", "ck")
+    assert rc == 7 and out == "" and _one_error_line(err), err
+    assert "term chunk 2 holds 1 terms" in err
+    assert not (in_tmp / "ck" / "result.txt").exists()
+
+
 def test_checkpoint_paused_by_older_version_resumes(in_tmp, capsys):
     """A magic-3 --crt --chunk-size 2 run paused after stage A by the version
     that still took --slack resumes to the fresh run's result file."""
@@ -429,6 +457,25 @@ def test_result_path_that_is_a_directory(in_tmp, capsys):
     assert rc == 2 and _one_error_line(err) and out == "", err
     assert sorted(p.name for p in in_tmp.iterdir()) == ["out"]
     assert list((in_tmp / "out").iterdir()) == []
+
+
+def test_result_path_in_a_missing_directory(in_tmp, capsys):
+    rc, out, err = run_main(capsys, "magic", "--n", "3", "--output", "nodir/x.txt")
+    assert rc == 2 and _one_error_line(err) and out == "", err
+    assert "nodir/x.txt " in err and ".tmp" not in err
+    assert list(in_tmp.iterdir()) == []
+
+
+def test_result_path_under_a_file(in_tmp, capsys):
+    argv = ["knapsack", "--a0", "41", "--weights", "1,5,14", "--checkpoint-dir", "c1"]
+    rc, _, _ = run_main(capsys, *argv, "--max-units", "1")
+    assert rc == 0
+    names = sorted(p.name for p in (in_tmp / "c1").iterdir())
+    rc, out, err = run_main(capsys, *argv, "--output", "c1/meta.json/x")
+    assert rc == 2 and _one_error_line(err) and out == "", err
+    assert "c1/meta.json/x " in err and ".tmp" not in err
+    # refused before stage B: no partial was written
+    assert sorted(p.name for p in (in_tmp / "c1").iterdir()) == names
 
 
 def test_checkpoint_dir_that_is_a_file(in_tmp, capsys):

@@ -20,13 +20,13 @@ from cteuclid.elimination import (
     LambdaExhaustion,
     PrimeClash,
     SeriesTables,
-    collect_slack_info,
     crt_combine,
     ct_s_term,
     eliminate_slack,
     lambda_pairing,
     pairing_function,
     pick_lambda,
+    summarize,
     validate_lambda,
 )
 from cteuclid.engine import Stats
@@ -159,17 +159,19 @@ def test_lambda_pairing_splits_slack_part():
     assert lambda_pairing({z1: 3, z2: 4}, exps_from_dict({z1: 1})) == (3, 0)
 
 
-def test_collect_slack_info_is_sorted_and_deterministic():
+def test_summarize_is_sorted_and_deterministic():
     table, ys, (z1, z2) = _table(2, nfree=1)
     q = ys[0]
     t1 = term_of(table, {EXPS_ONE: 1}, [exps_from_dict({z1: 1}), exps_from_dict({z2: 1, q: 1})])
     t2 = term_of(table, {EXPS_ONE: 1}, [exps_from_dict({z2: 1})])
-    s1 = collect_slack_info([[t1, t2]])
-    s2 = collect_slack_info([[t2, t1]])
+    s1 = summarize([[t1, t2]])
+    s2 = summarize([[t2], [t1]])
     assert s1 == s2
-    slacks, descriptors = s1
-    assert slacks == [z1, z2]
-    assert descriptors == tuple(sorted(descriptors))
+    assert s1.terms == 2
+    assert s1.slacks == [z1, z2]
+    assert s1.descriptors == tuple(sorted(s1.descriptors))
+    # t1 has one mixed factor at q^1 and one pure factor
+    assert s1.den == {1: 2}
 
 
 def test_validate_lambda_failure_kinds():
@@ -192,14 +194,15 @@ def test_pick_lambda_respects_user_direction():
     )
     ts = [t]
     zs = table.vids_of_rank(SLACK)
-    lam = pick_lambda([ts], zs, lam={z1: 7, z2: 3})
+    lam = pick_lambda(summarize([ts]), zs, lam={z1: 7, z2: 3})
     assert lam == {z1: 7, z2: 3}
     with pytest.raises(LambdaExhaustion):
-        pick_lambda([ts], zs, lam={z1: 3, z2: 3})  # collapses the pure factor
+        pick_lambda(summarize([ts]), zs, lam={z1: 3, z2: 3})  # collapses the pure factor
     with pytest.raises(PrimeClash):
-        pick_lambda([ts], zs, moduli=(2305843009213693951,), lam={z1: 2305843009213693955, z2: 4})
+        pick_lambda(summarize([ts]), zs, moduli=(2305843009213693951,),
+                    lam={z1: 2305843009213693955, z2: 4})
     with pytest.raises(InputError):
-        pick_lambda([ts], zs, lam={z1: 7})  # does not cover z2
+        pick_lambda(summarize([ts]), zs, lam={z1: 7})  # does not cover z2
 
 
 def test_pick_lambda_refuses_a_sequence_of_the_wrong_length():
@@ -223,16 +226,16 @@ def test_pick_lambda_refuses_a_key_that_is_not_a_slack_variable():
     zs = table.vids_of_rank(SLACK)
     with pytest.raises(InputError, match="^direction vector names 1 variables that are "
                                          "not slack variables among its 3 entries$"):
-        pick_lambda([[t]], zs, lam={z1: 7, z2: 3, q: 5})
+        pick_lambda(summarize([[t]]), zs, lam={z1: 7, z2: 3, q: 5})
     with pytest.raises(InputError, match="^direction vector names 2 variables that are "
                                          "not slack variables among its 3 entries$"):
-        pick_lambda([[t]], zs, lam={z1: 7, "z2": 3, 2: 5})
+        pick_lambda(summarize([[t]]), zs, lam={z1: 7, "z2": 3, 2: 5})
     # shaped like a slack variable, but the run has no such variable
     with pytest.raises(InputError, match="^direction vector names 1 variables that are "
                                          "not slack variables among its 3 entries$"):
-        pick_lambda([[t]], zs, lam={z1: 7, z2: 3, (SLACK, 9): 1})
+        pick_lambda(summarize([[t]]), zs, lam={z1: 7, z2: 3, (SLACK, 9): 1})
     # a slack variable of the run that no term carries any more is accepted
-    assert pick_lambda([[t]], zs, lam={z1: 7, z2: 3, z3: 1}) == {z1: 7, z2: 3, z3: 1}
+    assert pick_lambda(summarize([[t]]), zs, lam={z1: 7, z2: 3, z3: 1}) == {z1: 7, z2: 3, z3: 1}
     system = knapsack_system(41, [1, 5, 14])
     table = VariableTable()
     build_count_termsum(system, table, RING)
@@ -248,9 +251,9 @@ def test_pick_lambda_is_deterministic_per_seed():
     q = ys[0]
     t = term_of(table, {EXPS_ONE: 1}, [exps_from_dict({z: 1, q: 1}) for z in zs])
     ts = [t]
-    a = pick_lambda([ts], zs, seed=5)
-    b = pick_lambda([ts], zs, seed=5)
-    c = pick_lambda([ts], zs, seed=6)
+    a = pick_lambda(summarize([ts]), zs, seed=5)
+    b = pick_lambda(summarize([ts]), zs, seed=5)
+    c = pick_lambda(summarize([ts]), zs, seed=6)
     assert a == b
     assert a != c
     assert all(1 <= v <= 1 << 16 for v in a.values())
@@ -462,8 +465,8 @@ def test_elimination_is_direction_invariant():
         lam1 = {z: 1009 + 13 * i for i, z in enumerate(zs)}
         lam2 = {z: 577 + 101 * i * i for i, z in enumerate(zs)}
         try:
-            pick_lambda([done], zs, lam=lam1)
-            pick_lambda([done], zs, lam=lam2)
+            pick_lambda(summarize([done]), zs, lam=lam1)
+            pick_lambda(summarize([done]), zs, lam=lam2)
         except (LambdaExhaustion, PrimeClash):
             continue
         acc1 = eliminate_slack(RING, table, done, lam1)
@@ -480,7 +483,7 @@ def test_eliminate_slack_refuses_a_ring_that_cannot_divide():
     table = VariableTable()
     ring = ExactRing()
     done = ct_all(build_count_termsum(knapsack_system(41, [1, 5, 14]), table, ring)).unpacked()
-    lam = pick_lambda([done], table.vids_of_rank(SLACK))
+    lam = pick_lambda(summarize([done]), table.vids_of_rank(SLACK))
     with pytest.raises(TypeError, match="PrimeField"):
         eliminate_slack(ring, table, done, lam)
 

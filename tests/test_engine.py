@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -44,6 +43,7 @@ from helpers import (
     engine_vs_naive,
     random_term,
     table_xy,
+    traced_peak,
 )
 from oracles import ct_via_at_zero, ct_via_proper, make_term
 
@@ -762,12 +762,7 @@ def test_knapsack_input_term_holds_no_raw_terms():
     ts = build_count_termsum(knapsack_system(9605029289, [27853, 8897, 21816, 12574]),
                              table, RING)
     stats = Stats()
-    tracemalloc.start()
-    try:
-        done = ct_all(ts, stats=stats)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    done, peak = traced_peak(ct_all, ts, stats=stats)
     assert (stats.raw_terms, len(done), stats.euclid_nodes) == (9686, 1625, 17430)
     assert peak < 2_500_000
 
@@ -780,31 +775,30 @@ def test_magic5_round_peaks_stay_small():
     against 15.6 MB with a dict per numerator.
     """
     peaks, counts = [], []
-    tracemalloc.start()
-    try:
+
+    def rounds():
         table = VariableTable()
         ts = build_series_termsum(magic_square_system(5), table, RING)
         for v in table.vids_of_rank(CT)[:10]:
-            tracemalloc.reset_peak()
             stats = Stats()
-            ts = ct_all(ts, ct_vids=[v], stats=stats)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            # traced from the first round on, each round's peak counts the
+            # terms it starts from
+            ts, peak = traced_peak(ct_all, ts, ct_vids=[v], stats=stats)
+            peaks.append(peak)
             counts.append([stats.raw_terms, stats.collected_terms])
-    finally:
-        tracemalloc.stop()
+
+    traced_peak(rounds)
     assert counts == MAGIC5_ROUNDS + [[22200, 12600], [12600, 12600]]
     assert max(peaks) <= 13_000_000
 
 
 def test_magic5_rounds_hold_no_raw_terms():
     """Rounds 1-8 trace about 9 MB at peak; keeping every raw term and factor int took 22 MB."""
-    tracemalloc.start()
-    try:
+    def rounds():
         table = VariableTable()
         ts = build_series_termsum(magic_square_system(5), table, RING)
-        ts = ct_all(ts, ct_vids=table.vids_of_rank(CT)[:8])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return ct_all(ts, ct_vids=table.vids_of_rank(CT)[:8])
+
+    ts, peak = traced_peak(rounds)
     assert len(ts) == 3680
     assert peak < 15_000_000
