@@ -133,8 +133,16 @@ def _write_atomic(path, text):
         raise
 
 
-def _exps_to_obj(exps):
-    return [[v[0], v[1], e] for v, e in exps]
+def _exps_json(exps, memo):
+    """The JSON text [[rank,seq,exponent],...] of an exps tuple; memo keeps each pair's text."""
+    out = []
+    for pair in exps:
+        text = memo.get(pair)
+        if text is None:
+            (rank, seq), e = pair
+            text = memo[pair] = f"[{rank},{seq},{e}]"
+        out.append(text)
+    return "[" + ",".join(out) + "]"
 
 
 def _exps_from_obj(obj, memo):
@@ -149,12 +157,25 @@ def _exps_from_obj(obj, memo):
     return memo.setdefault(exps, exps)
 
 
-def term_to_line(t):
-    obj = {
-        "n": [[_exps_to_obj(e), str(c)] for e, c in sorted(t.num.items())],
-        "d": [_exps_to_obj(f) for f in t.den],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def term_to_line(t, memo=None):
+    """One line of a term chunk: the JSON object {"d": factors, "n": [[monomial, "coeff"], ...]}.
+
+    The text is that of json.dumps(..., sort_keys=True, separators=(",",
+    ":")), monomials as [[rank, seq, exponent], ...], coefficients as
+    decimal strings and numerator monomials in sorted order, but put
+    together from strings, which is several times faster.  memo, a dict
+    kept over a pass, holds the text of each factor and (vid, exponent)
+    pair met, since factors recur from term to term.
+    """
+    memo = {} if memo is None else memo
+    den = []
+    for f in t.den:
+        text = memo.get(f)
+        if text is None:
+            text = memo[f] = _exps_json(f, memo)
+        den.append(text)
+    num = ",".join([f'[{_exps_json(e, memo)},"{c}"]' for e, c in sorted(t.num.items())])
+    return '{"d":[' + ",".join(den) + '],"n":[' + num + "]}"
 
 
 def term_from_line(line, memo=None):
@@ -365,9 +386,10 @@ class DirectoryStore:
         at a time are held.
         """
         terms = done.tuple_terms()
+        memo = {}
         nchunks = _chunk_count(len(done), size)
         for i in range(nchunks):
-            lines = "".join(term_to_line(t) + "\n" for t in islice(terms, size))
+            lines = "".join(term_to_line(t, memo) + "\n" for t in islice(terms, size))
             _write_atomic(os.path.join(self.path, f"terms-{i:04d}.jsonl"), lines)
         return nchunks
 

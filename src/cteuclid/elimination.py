@@ -40,6 +40,13 @@ multinomial r!/((r - U)! prod N_m!) of its split divided by r! L_r^r
 prod(b): one ring element per piece, and the only division in stage B.  A
 prime p dividing r! L_r^r, exactly when r >= p - 1, is refused.
 
+A count has no q, hence no mixed factors and no groups: each term is the
+one number sum_i C(r, i) S_i pp_(r-i) / (r! L_r^r prod(b)), with S_i =
+sum c m^i the power sums of its numerator and pp the pure-factor row, the
+Todd-type coefficient that LattE evaluates once per cone.  It is formed
+with plain ints and reduced into the ring, and a chunk keeps the sum of
+its terms as one fraction, so it makes one inversion, not one per term.
+
 The ring may be Z/PZ for a product P of distinct primes, so that one pass
 serves every modulus of a run: each step is a ring operation, so the
 residues mod each p are those of a pass in Z/pZ, and the one inversion
@@ -56,9 +63,9 @@ Stage B's input is stage A's output as it stands, with integer
 coefficients: in memory the packed TermSum itself, from a checkpoint the
 tuple-form terms of one chunk file.  A pass maps each term's coefficients
 into its ring when it reaches the term, and reads every monomial through
-one pairing function, m -> (<lambda, slack part>, q-degree), which decodes
-m through the chunk's decoder and memoizes only that pair.  So the pass
-makes no second copy of the terms, packed or decoded.
+one pairing function, m -> (<lambda, slack part>, q-degree), which reads
+a packed m's digits without decoding it and memoizes only that pair.  So
+the pass makes no second copy of the terms, packed or decoded.
 """
 
 from __future__ import annotations
@@ -124,12 +131,40 @@ def _decoder(chunk):
 def pairing_function(lam_map, chunk=None):
     """The function m -> lambda_pairing(lam_map, m) of one pass over chunk.
 
-    It decodes a monomial through the chunk's decoder (see _decoder) and
-    memoizes the pair (b, degree) it returns, never the decoded tuple, so
-    the pass keeps one small pair per distinct monomial and factor.
+    On stage A's packed TermSum it reads the pair from the digits of the
+    packed int, as Layout.get does, without decoding m: <lambda, slack
+    part> is the sum of lam_v times the digit of v, and the q-degree is the
+    digit of the free variable.  One mask test finds a nonzero digit of a
+    ct variable or of a slack variable with no direction entry; such a
+    monomial is decoded and refused by lambda_pairing, with its message.
+    On tuple-form terms it is lambda_pairing itself.  Either way it
+    memoizes the pair (b, degree), never a decoded tuple, so the pass keeps
+    one small pair per distinct monomial and factor.
     """
-    decode, _ = _decoder(chunk)
-    return cache(lambda m: lambda_pairing(lam_map, decode(m)))
+    if not isinstance(chunk, TermSum):
+        return cache(lambda m: lambda_pairing(lam_map, m))
+    layout = chunk.layout
+    bias, mask, half, shift = layout.bias, layout.mask, layout.half, layout.shift
+    weights = [(shift[v], lam_map[v]) for v in layout.vids if v[0] == SLACK and lam_map.get(v)]
+    offset = half * sum(w for _, w in weights)
+    frees = [shift[v] for v in layout.vids if v[0] == FREE]
+    refused = sum(mask << shift[v] for v in layout.vids
+                  if v[0] != FREE and not (v[0] == SLACK and v in lam_map))
+
+    def pair(m):
+        u = m + bias
+        if (u ^ bias) & refused:
+            return lambda_pairing(lam_map, layout.unpack(m))
+        b = -offset
+        for s, w in weights:
+            b += w * ((u >> s) & mask)
+        degree = 0
+        for s in frees:
+            # lambda_pairing keeps the last free variable it meets
+            degree = ((u >> s) & mask) - half or degree
+        return b, degree
+
+    return cache(pair)
 
 
 class Summary(NamedTuple):
@@ -276,17 +311,24 @@ def integer_rows(r):
     return pole, binom, factorial(r) * lr**r
 
 
+def _same(x):
+    return x
+
+
 class SeriesTables:
     """The integer rows of each pole order, reduced into one coefficient ring.
 
     A prime p divides D_r exactly when r >= p - 1: p divides r! from r = p
     on, and the denominator of B_(p-1) (von Staudt-Clausen).  The field then
     has no inverse for the terms of that order, and ensure refuses it.
+    reduce maps an int into the ring: x % P in Z/PZ, the int itself in an
+    exact ring; plain int arithmetic followed by reduce is ring arithmetic.
     """
 
     def __init__(self, ring):
         self.ring = ring
         self._orders = {}
+        self.reduce = ring.modulus.__rmod__ if ring.modulus is not None else _same
 
     def ensure(self, r):
         """(pole row, binomial rows, D_r) for pole order r.
@@ -334,6 +376,33 @@ def split_factors(ring, term, pair):
     return pure_b, mixed
 
 
+def pure_row(tables, pure_b):
+    """The product of the scaled pure factors b L_r s/(1 - e^{bs}), as an exponential row.
+
+    With r = len(pure_b), entry n <= r is n! L_r^r prod(b) times the s^n
+    coefficient of prod_b s/(1 - e^{bs}): the binomial convolution of the
+    rows -L_r B_n b^n.  The entries are ints congruent to it in the ring,
+    left unreduced: they grow with r and the bits of b, not with the number
+    of terms, and the caller reduces what it forms from them.
+    """
+    r = len(pure_b)
+    pole, binom, _ = tables.ensure(r)
+    pp = [1] + [0] * r
+    for b in pure_b:
+        fac = [(j, x * b**j) for j, x in pole]
+        npp = [0] * (r + 1)
+        for i, x in enumerate(pp):
+            if not x:
+                continue
+            for j, y in fac:
+                n = i + j
+                if n > r:
+                    break
+                npp[n] += binom[n][i] * x * y
+        pp = npp
+    return pp
+
+
 def base_series(ring, tables, term, pair, pure_b, low):
     """The numerator series times the pure-factor product, as exponential rows.
 
@@ -341,12 +410,12 @@ def base_series(ring, tables, term, pair, pure_b, low):
     coefficient, a sparse numerator {degree: coeff} in q; the entries below
     low are left empty.  A numerator monomial c q^d z^B contributes c m^n
     with m = <lambda, B>, each pure factor scaled by b L_r contributes
-    -L_r B_n b^n, and products are binomial convolutions.  Every entry is
-    reduced into the ring as it is formed, so a prime field never carries
-    the integers' growth.
+    -L_r B_n b^n (pure_row), and products are binomial convolutions.
+    Every entry is reduced into the ring as it is formed, so a prime field
+    never carries the integers' growth over the numerator's monomials.
     """
     r = len(pure_b)
-    pole, binom, _ = tables.ensure(r)
+    binom = tables.ensure(r)[1]
 
     # numerator series: sum over monomials of c * q^d * m^n
     lnum = [{} for _ in range(r + 1)]
@@ -360,23 +429,7 @@ def base_series(ring, tables, term, pair, pure_b, low):
             poly_add_inplace(ring, lnum[n], {d: mp})
             mp = ring.mul(mp, mint)
 
-    # product of the scaled pure factors b L_r s/(1 - e^{bs}); the binomial
-    # coefficients are small ints, and the ring reduces each product with them
-    pp = [ring.one()] + [ring.zero()] * r
-    for b in pure_b:
-        bl = ring.from_int(b)
-        fac = [(j, ring.mul(x, ring.pow_int(bl, j))) for j, x in pole]
-        npp = [ring.zero()] * (r + 1)
-        for i, x in enumerate(pp):
-            if ring.is_zero(x):
-                continue
-            for j, y in fac:
-                n = i + j
-                if n > r:
-                    break
-                npp[n] = ring.add(npp[n], ring.mul(x, binom[n][i] * y))
-        pp = npp
-
+    pp = pure_row(tables, pure_b)
     out = [{} for _ in range(r + 1)]
     for i in range(r + 1):
         if not lnum[i]:
@@ -526,6 +579,45 @@ def ct_s_term(ring, term, pair, tables=None, stats=None):
     return pieces
 
 
+def count_terms(ring, chunk, pair, tables, stats=None):
+    """(tn, td): the sum of the constant terms of chunk, a count's terms, as tn/td.
+
+    A count term has no free variable, so every factor is pure, there are
+    no groups, and ct_s_term's one piece is base entry r over D_r prod(b).
+    The numerator's power sums S_i = sum c m^i and the pure_row pp give
+    that entry as sum_i C(r, i) S_i pp_(r - i), so a term is one ring
+    element, summed into tn/td with plain ints that tables.reduce brings
+    into the ring.  td is a unit: split_factors refuses a pairing that is
+    not, and tables.ensure a pole order whose D_r is not.  Terms are read,
+    skipped, refused and counted in stats as ct_s_term would.
+    """
+    reduce = tables.reduce
+    _, items = _decoder(chunk)
+    tn, td = 0, 1
+    for t in chunk:
+        num = [(e, c) for e, c in items(t.num) if reduce(c)]
+        if not num:
+            continue
+        pure_b, _ = split_factors(ring, t, pair)
+        r = len(pure_b)
+        _, binom, d_r = tables.ensure(r)
+        pp = pure_row(tables, pure_b)
+        sums = [0] * (r + 1)
+        for e, c in num:
+            m = pair(e)[0]
+            for i in range(r + 1):
+                sums[i] += c
+                c *= m
+        value = sum(x * s * y for x, s, y in zip(binom[r], sums, reversed(pp)))
+        den = d_r * prod(pure_b)
+        tn = reduce(tn * den + value * td)
+        td = reduce(td * den)
+        if stats is not None:
+            stats.ct_s_calls += 1
+            stats.summand_max = max(stats.summand_max, 1)
+    return tn, td
+
+
 def eliminate_slack(ring, table, chunk, lam_map, stats=None):
     """Remove every slack variable from one chunk of stage-A terms over table.
 
@@ -533,21 +625,31 @@ def eliminate_slack(ring, table, chunk, lam_map, stats=None):
     terms (see _decoder), with integer coefficients.  Each term's
     coefficients are mapped into the ring as the pass reaches it, and a term
     whose numerator vanishes there is skipped; one pairing_function serves
-    the whole pass.  Returns one FactoredAccumulator in the free variable q
-    holding every piece.  A count has no q: its denominator is {} and its
-    value is the constant coefficient numerator().get(0, 0).  Each piece
-    divides once, so a ring that cannot divide, such as stage A's
+    the whole pass, reading a packed chunk's pairings from its digits.
+    Returns one FactoredAccumulator in the free variable q.  A count's
+    table has no q: each term is one ring element (count_terms), the chunk
+    makes one inversion for their sum, and the accumulator holds it as
+    its one piece, with denominator {}, unless it is 0, so that the value
+    is numerator().get(0, 0).  A series adds every piece of ct_s_term,
+    each dividing once.  A ring that cannot divide, such as stage A's
     ExactRing, raises TypeError; more than one free variable raises
     RuntimeError.
     """
     if not hasattr(ring, "inv"):
         raise TypeError(f"stage B divides, which {ring!r} cannot; "
                         "eliminate slack in a PrimeField")
-    if len(table.vids_of_rank(FREE)) > 1:
+    free = table.vids_of_rank(FREE)
+    if len(free) > 1:
         raise RuntimeError("terms kept several free variables")
     tables = SeriesTables(ring)
     acc = FactoredAccumulator(ring)
     pair = pairing_function(lam_map, chunk)
+    if not free:
+        tn, td = count_terms(ring, chunk, pair, tables, stats)
+        inv = ring.inv(td)
+        if tn:
+            acc.add_piece(ring.scale({0: tn}, inv), {})
+        return acc
     _, items = _decoder(chunk)
     for t in chunk:
         num = {}

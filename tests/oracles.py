@@ -20,7 +20,8 @@ package computes another way; the tests compare the two.
   coefficient itself over ``Fraction`` tables of 1/n! and B_n/n!.
   ``elimination`` keeps integer exponential rows and divides once per
   piece; its pieces must match these in order and value, and in
-  coefficient type wherever no pure pairing is +-1.
+  coefficient type wherever no pure pairing is +-1.  A count divides once
+  per chunk, and its sum must match these pieces summed.
 * ``RationalRing`` is the ring of arbitrary-precision rationals in which
   those two forms of stage B are compared; the package runs stage B only
   modulo primes.

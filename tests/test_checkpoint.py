@@ -4,6 +4,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cteuclid.algebra import CT, FREE, SLACK, ExactRing, InputError, VariableTable
 from cteuclid.bruteforce import dp_knapsack
@@ -71,6 +72,36 @@ def test_term_line_round_trip():
         t = random_term(rng, ring, ys, x)
         u = term_from_line(term_to_line(t))
         assert u.num == t.num and u.den == t.den
+
+
+def _json_term(t):
+    """term_to_line's text as json.dumps writes the object it stands for."""
+    obj = {
+        "n": [[[[v[0], v[1], e] for v, e in m], str(c)] for m, c in sorted(t.num.items())],
+        "d": [[[v[0], v[1], e] for v, e in f] for f in t.den],
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+_vids = st.tuples(st.sampled_from([FREE, SLACK, CT]), st.integers(0, 12))
+_exps = st.dictionaries(_vids, st.integers(-10**6, 10**6).filter(bool), max_size=5).map(
+    lambda d: tuple(sorted(d.items())))
+_terms = st.builds(
+    lambda num, den: ElliottTerm(num, tuple(sorted(den))),
+    st.dictionaries(_exps, st.integers(-10**40, 10**40).filter(bool), max_size=4),
+    st.lists(_exps, max_size=5),
+)
+
+
+@given(st.lists(_terms, min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_term_line_is_the_json_dumps_text(terms):
+    # one memo over several terms, as a chunk write keeps it, and none
+    memo = {}
+    for t in terms:
+        want = _json_term(t)
+        assert term_to_line(t, memo) == want
+        assert term_to_line(t) == want
 
 
 def test_failed_atomic_write_leaves_no_tmp(tmp_path):

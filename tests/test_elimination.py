@@ -7,10 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from cteuclid import cli, elimination
 from cteuclid.algebra import (
+    CT,
     EXPS_ONE,
     FREE,
     SLACK,
+    ExactRing,
     InputError,
+    Layout,
     PrimeField,
     VariableTable,
     exps_from_dict,
@@ -29,7 +32,7 @@ from cteuclid.elimination import (
     summarize,
     validate_lambda,
 )
-from cteuclid.engine import Stats
+from cteuclid.engine import ElliottTerm, Stats, TermSum, ct_all
 from cteuclid.problems import build_count_termsum, diophantine_count, knapsack_system
 from cteuclid.univariate import FactoredAccumulator
 
@@ -157,6 +160,52 @@ def test_lambda_pairing_splits_slack_part():
     assert b == 2 * 3 - 4
     assert degree == 5
     assert lambda_pairing({z1: 3, z2: 4}, exps_from_dict({z1: 1})) == (3, 0)
+
+
+def _pairing_outcome(pair, m):
+    try:
+        return pair(m)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_digit_pairing_matches_the_decoded_monomial(data):
+    table = VariableTable()
+    for j in range(data.draw(st.integers(0, 2))):
+        table.add(f"q{j}", FREE)
+    zs = [table.fresh_slack() for _ in range(data.draw(st.integers(1, 4)))]
+    for j in range(data.draw(st.integers(0, 2))):
+        table.add(f"c{j}", CT)
+    bound = data.draw(st.sampled_from([1, 4, 100, 1 << 12]))
+    # a reach past the default widens every digit
+    layout = Layout(table, bound, reach=data.draw(st.sampled_from([None, bound << 40])))
+    covered = data.draw(st.lists(st.sampled_from(zs), unique=True))
+    lam = {z: data.draw(st.integers(-(1 << 20), 1 << 20)) for z in covered}
+    pair = pairing_function(lam, TermSum(layout, None))
+    vids = [v for v, _ in table.ordered()]
+    for _ in range(8):
+        exps = data.draw(st.dictionaries(st.sampled_from(vids),
+                                         st.integers(-layout.reach, layout.reach).filter(bool),
+                                         max_size=len(vids)))
+        m = layout.pack(exps_from_dict(exps))
+        assert _pairing_outcome(pair, m) == _pairing_outcome(
+            lambda m: lambda_pairing(lam, layout.unpack(m)), m)
+
+
+def test_digit_pairing_refuses_as_lambda_pairing_does():
+    table = VariableTable()
+    q = table.add("q", FREE)
+    z1, z2 = table.fresh_slack(), table.fresh_slack()
+    c = table.add("c", CT)
+    layout = Layout(table, 8)
+    pair = pairing_function({z1: 3}, TermSum(layout, None))
+    assert pair(layout.pack(exps_from_dict({q: -2, z1: 5}))) == (15, -2)
+    with pytest.raises(ValueError, match=r"^no direction entry for slack variable \(1, 1\)$"):
+        pair(layout.pack(exps_from_dict({z1: 1, z2: -1, c: 2})))
+    with pytest.raises(ValueError, match="^constant-term variable present at slack-elimination time$"):
+        pair(layout.pack(exps_from_dict({q: 1, z1: -3, c: -1})))
 
 
 def test_summarize_is_sorted_and_deterministic():
@@ -539,3 +588,118 @@ def test_integer_rows_match_ordinary_coefficients(ring, case):
         [type(c) for c in num.values()] for num, _ in want
     ]
     assert got_stats.as_dict() == want_stats.as_dict()
+
+
+# ---------------------------------------------------------------------------
+# the count kernel against ordinary coefficients, term by term
+
+COUNT_RINGS = [RING, PrimeField(DEFAULT_PRIMES[0]), PrimeField(DEFAULT_PRIMES),
+               PrimeField(11), PrimeField(13)]
+COUNT_LAM = [1, -1, 2, 3, -5, 0, 11, 13 * 11, DEFAULT_PRIMES[0]]
+# 11 * 13 and the primes vanish in some ring, so a numerator can vanish too
+COUNT_COEFFS = [1, -1, 2, -3, 7, 11 * 13, -11 * 13, DEFAULT_PRIMES[0], math.prod(DEFAULT_PRIMES)]
+_slack_monomial = st.dictionaries(st.integers(0, 3), st.integers(-2, 2).filter(bool), max_size=3)
+count_chunk = st.tuples(
+    st.lists(st.sampled_from(COUNT_LAM), min_size=4, max_size=4),
+    st.lists(
+        st.tuples(
+            st.lists(st.tuples(_slack_monomial, st.sampled_from(COUNT_COEFFS)), min_size=1, max_size=3),
+            st.lists(_slack_monomial.filter(bool), max_size=12),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+
+
+def _count_chunk(lam_values, terms):
+    """Tuple-form count terms over z1..z4, and the direction lam_values."""
+    table = VariableTable()
+    zs = [table.fresh_slack() for _ in range(4)]
+    chunk = []
+    for num, den in terms:
+        coeffs = {}
+        for d, c in num:
+            e = exps_from_dict({zs[i]: k for i, k in d.items()})
+            coeffs[e] = coeffs.get(e, 0) + c
+        den = tuple(sorted(exps_from_dict({zs[i]: k for i, k in f.items()}) for f in den))
+        chunk.append(ElliottTerm({e: c for e, c in coeffs.items() if c}, den))
+    return table, chunk, dict(zip(zs, lam_values))
+
+
+def _ordinary_count(ring, chunk, lam, stats):
+    """The numerator of ordinary_ct_s_term's pieces summed over chunk, as eliminate_slack skips terms."""
+    acc = FactoredAccumulator(ring)
+    for t in chunk:
+        num = {}
+        for e, c in t.num.items():
+            c = ring.from_int(c)
+            if not ring.is_zero(c):
+                num[e] = c
+        if num:
+            for piece, den_counts in ordinary_ct_s_term(ring, ElliottTerm(num, t.den), lam, stats=stats):
+                acc.add_piece(piece, den_counts)
+    return acc.den, acc.numerator()
+
+
+def _count_outcome(run):
+    stats = Stats()
+    try:
+        value = run(stats)
+    except (LambdaExhaustion, PrimeClash, InputError) as exc:
+        value = type(exc), str(exc)
+    return value, stats.as_dict()
+
+
+@pytest.mark.parametrize("ring", COUNT_RINGS, ids=["exact", "mod-m61", "mod-default3", "mod11", "mod13"])
+@given(count_chunk)
+@example(([1, 2, 3, 5], [([({}, 1)], [{0: 1}] * 10)]))  # pole order 10: refused mod 11
+@example(([1, -1, 3, 5], [([({}, 1)], [{0: 1}, {1: 1}] * 6)]))  # pole order 12: refused mod 13
+@example(([1, -1, 1, 1], [([({0: 1}, 2), ({1: -1}, -1)], [{0: 1}, {1: 1}, {0: 1, 2: 1}]),
+                          ([({}, 11 * 13)], [{3: 1}])]))  # pairings +-1; a numerator 0 mod 11
+@example(([2, 3, 5, 7], [([({}, 1)], [{0: 1}, {1: 1}]), ([({}, -1)], [{1: 1}, {0: 1}])]))  # sums to 0
+@settings(max_examples=100, deadline=None)
+def test_count_kernel_matches_ordinary_coefficients(ring, case):
+    table, chunk, lam = _count_chunk(*case)
+
+    def kernel(terms):
+        def run(stats):
+            acc = eliminate_slack(ring, table, terms, lam, stats)
+            return acc.den, acc.numerator()
+        return run
+
+    got = _count_outcome(kernel(chunk))
+    assert got == _count_outcome(lambda stats: _ordinary_count(ring, chunk, lam, stats))
+    if not isinstance(got[0][0], type):
+        # packed, the chunk's pairings are read from the digits
+        packed = TermSum.pack(table, ring, [t for t in chunk if t.num])
+        assert _count_outcome(kernel(packed)) == got
+
+
+def test_count_chunk_makes_one_inversion(monkeypatch):
+    """A count chunk sums its terms as one fraction: one ring.inv, at most one add_piece."""
+    table = VariableTable()
+    done = ct_all(build_count_termsum(knapsack_system(89643481, [12223, 12224, 36674, 61119, 85569]),
+                                      table, ExactRing()))
+    assert len(done) == 92
+    lam = pick_lambda(summarize([done]), table.vids_of_rank(SLACK))
+    ring = PrimeField(DEFAULT_PRIMES)
+    calls = {"inv": 0, "add_piece": 0}
+    inv, add_piece = ring.inv, FactoredAccumulator.add_piece
+
+    def counting_inv(a):
+        calls["inv"] += 1
+        return inv(a)
+
+    def counting_add_piece(self, num, den_counts):
+        calls["add_piece"] += 1
+        return add_piece(self, num, den_counts)
+
+    monkeypatch.setattr(ring, "inv", counting_inv)
+    monkeypatch.setattr(FactoredAccumulator, "add_piece", counting_add_piece)
+    stats = Stats()
+    acc = eliminate_slack(ring, table, done, lam, stats)
+    assert calls["inv"] == 1
+    assert calls["add_piece"] <= 1
+    assert stats.ct_s_calls == 92
+    assert acc.den == {} and acc.numerator() == {}  # the instance has no solution
