@@ -21,7 +21,7 @@ assembled from truncated series in s:
 
 The s^n coefficient of the product of j mixed factors sharing one m thus
 sits over (1 - q^m)^(n+j) whatever their b are, so each such group is
-multiplied out once as a truncated series (``group_series``), and the order
+formed once as a truncated series (``group_series``), and the order
 r is split over the g distinct m values only: at most C(r + g, g) pieces
 per term, each a sparse numerator {degree: coeff} in the one surviving free
 variable q over prod_k (1 - q^k)^(e_k), with no q at all for a count.
@@ -35,7 +35,14 @@ Z (or its image in a prime field), so no rational enters the products.
 With L_r the lcm of the denominators of B_0..B_r, the pure factor scaled by
 b L_r has the integer entries -L_r B_n b^n, the numerator monomial has
 c m^n, and a mixed group has integer entries too; products of exponential
-series are binomial convolutions.  A piece is then scaled once, by the
+series are binomial convolutions.  The pure-factor product and a group are
+symmetric in their pairings, so both rows come from the power sums
+P_k = sum b^k alone, by the exponential formula of one integer plan per pole
+order (``series_plan``): a group costs O(j r + r^4/24) int operations
+however many factors j it holds, the pure row O(r len(b) + r^2).  The rows,
+the base series and the products of the split descent are plain ints that
+``SeriesTables.reduce`` brings into the ring, with no ring call per
+coefficient.  A piece is then scaled once, by the
 multinomial r!/((r - U)! prod N_m!) of its split divided by r! L_r^r
 prod(b): one ring element per piece, and the only division in stage B.  A
 prime p dividing r! L_r^r, exactly when r >= p - 1, is refused.
@@ -48,9 +55,10 @@ with plain ints and reduced into the ring, and a chunk keeps the sum of
 its terms as one fraction, so it makes one inversion, not one per term.
 
 The ring may be Z/PZ for a product P of distinct primes, so that one pass
-serves every modulus of a run: each step is a ring operation, so the
-residues mod each p are those of a pass in Z/pZ, and the one inversion
-needs a unit mod every p.  Only the structural tests read the ring as a
+serves every modulus of a run: each step is ring arithmetic, int
+operations reduced mod P, so the residues mod each p are those of a pass
+in Z/pZ, and the one inversion needs a unit mod every p.  Only the
+structural tests read the ring as a
 whole: a pairing or base coefficient nonzero mod P but zero mod p keeps a
 piece that is zero mod p, whose denominator still counts, and its pairing
 counts toward the summand count below.
@@ -65,7 +73,9 @@ tuple-form terms of one chunk file.  A pass maps each term's coefficients
 into its ring when it reaches the term, and reads every monomial through
 one pairing function, m -> (<lambda, slack part>, q-degree), which reads
 a packed m's digits without decoding it and memoizes only that pair.  So
-the pass makes no second copy of the terms, packed or decoded.
+the pass makes no second copy of the terms, packed or decoded.  The
+summary the direction search reads (``summarize``) takes the slack digits
+of a packed chunk the same way.
 """
 
 from __future__ import annotations
@@ -76,9 +86,9 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from typing import NamedTuple
 
-from .algebra import FREE, SLACK, InputError, poly_add_inplace
+from .algebra import FREE, SLACK, InputError
 from .engine import ElliottTerm, TermSum, num_items
-from .univariate import FactoredAccumulator, sparse_mul
+from .univariate import FactoredAccumulator
 
 # moduli used when --crt is requested without explicit --mod values
 DEFAULT_PRIMES = (2305843009213693951, 1152921504606847009, 1152921504606847067)
@@ -113,19 +123,15 @@ def lambda_pairing(lam_map, exps):
     return b, degree
 
 
-def _decoder(chunk):
-    """(decode, items) for the terms of chunk.
+def _items(chunk):
+    """items(num), the (monomial, coefficient) pairs of a numerator of chunk.
 
-    decode reads a monomial as its exps tuple, and items(num) gives the
-    (monomial, coefficient) pairs of a term's numerator.  A stage-B chunk
-    is stage A's packed TermSum, read by its layout and engine.num_items,
-    or a list of tuple-form terms read back from a checkpoint, which need
-    no decoding and hold dicts; so do the terms of a single-term call
+    A stage-B chunk is stage A's packed TermSum, whose flat numerators
+    engine.num_items reads, or a list of tuple-form terms read back from a
+    checkpoint, which hold dicts; so do the terms of a single-term call
     (chunk None).
     """
-    if isinstance(chunk, TermSum):
-        return chunk.layout.unpack, num_items
-    return (lambda m: m), dict.items
+    return num_items if isinstance(chunk, TermSum) else dict.items
 
 
 def pairing_function(lam_map, chunk=None):
@@ -185,28 +191,75 @@ class Summary(NamedTuple):
     den: dict
 
 
+def _factor_reader(chunk):
+    """(slacks, describe) for the terms of chunk.
+
+    slacks(monomials) is the set of slack vids with a nonzero exponent in
+    any of them, and describe(f) gives a denominator factor's (bvec, pure,
+    degree): its slack part as (vid, exponent) pairs in working order,
+    whether it has no other variable, and the exponent of its first free
+    variable, 0 without one.  On stage A's packed TermSum both read digits
+    as pairing_function does, without decoding: a digit of u = m + bias
+    differs from B/2 exactly where u ^ bias has a bit in it, so one OR over
+    the monomials finds their slack digits, and the top bit of a factor's
+    slack bits names its next slack digit, as in Layout.unpack.
+    """
+    if not isinstance(chunk, TermSum):
+        def describe(f):
+            bvec = tuple((v, e) for v, e in f if v[0] == SLACK)
+            return bvec, len(bvec) == len(f), next((e for v, e in f if v[0] == FREE), 0)
+
+        return (lambda monomials: {v for e in monomials for v, _ in e if v[0] == SLACK}), describe
+    layout = chunk.layout
+    bias, mask, half, w, vids = layout.bias, layout.mask, layout.half, layout.width, layout.vids
+    last = len(vids) - 1
+    slack = [(layout.shift[v], v) for v in vids if v[0] == SLACK]
+    slack_bits = sum(mask << s for s, _ in slack)
+    frees = [layout.shift[v] for v in vids if v[0] == FREE]
+
+    def slacks(monomials):
+        d = 0
+        for m in monomials:
+            d |= (m + bias) ^ bias
+        return {v for s, v in slack if d >> s & mask}
+
+    def describe(f):
+        u = f + bias
+        d = u ^ bias
+        ds = d & slack_bits
+        bvec = []
+        while ds:
+            k = (ds.bit_length() - 1) // w
+            s = k * w
+            bvec.append((vids[last - k], ((u >> s) & mask) - half))
+            ds &= (1 << s) - 1
+        degree = next((((u >> s) & mask) - half for s in frees if d >> s & mask), 0)
+        return tuple(bvec), not d & ~slack_bits, degree
+
+    return slacks, describe
+
+
 def summarize(chunks):
     """The Summary of the terms of chunks, in one pass that holds one chunk at a time.
 
-    Each distinct monomial and factor of a chunk is decoded once.  A
-    term with j_m mixed factors at q-exponent m and r pure ones raises
-    e_m to at least j_m + r.
+    Each distinct factor of a chunk is described once, and the slack
+    variables of its numerator monomials are read in one pass over them
+    (_factor_reader), with no monomial decoded.  A term with j_m mixed
+    factors at q-exponent m and r pure ones raises e_m to at least j_m + r.
     """
     terms = 0
     slacks = set()
     descriptors = set()
     den = {}
     for chunk in chunks:
-        decode, items = _decoder(chunk)
-        for e in {e for t in chunk for e, _ in items(t.num)}:
-            slacks.update(v for v, _ in decode(e) if v[0] == SLACK)
+        monomial_slacks, describe = _factor_reader(chunk)
+        items = _items(chunk)
+        slacks |= monomial_slacks({e for t in chunk for e, _ in items(t.num)})
         degree = {}
         for f in {f for t in chunk for f in t.den}:
-            f_exps = decode(f)
-            bvec = tuple((v, e) for v, e in f_exps if v[0] == SLACK)
+            bvec, pure, degree[f] = describe(f)
             slacks.update(v for v, _ in bvec)
-            descriptors.add((bvec, len(bvec) == len(f_exps)))
-            degree[f] = next((e for v, e in f_exps if v[0] == FREE), 0)
+            descriptors.add((bvec, pure))
         for t in chunk:
             terms += 1
             ms = [degree[f] for f in t.den]
@@ -311,12 +364,96 @@ def integer_rows(r):
     return pole, binom, factorial(r) * lr**r
 
 
+class SeriesPlan(NamedTuple):
+    """The rows of pole order r as flat integer steps over power sums (series_plan).
+
+    pure lists, for each N = 1..r, the steps (c, k, N - k) of
+    H_N = sum c P_k H_(N-k); pure_scale holds (-1)^r L_r^(r - n), n <= r.
+    weights lists the pairs (w, k), w = C(N - 1, k - 1) A(k - 1, t - 1), of
+    the group steps, and cells, for each coefficient Et_N[i] of a group row
+    (M^i, 1 <= i <= N, in that order), the pairs (a, x) of
+    Et_N[i] = sum w_a P_(k_a) Et[x]: x indexes the coefficients before it,
+    Et_0 = 1 at 0 and Et_N[i] at N(N - 1)/2 + i.
+    """
+
+    pure: tuple
+    pure_scale: tuple
+    weights: tuple
+    cells: tuple
+
+
+@lru_cache(maxsize=None)
+def series_plan(r):
+    """The integer plan of pole order r: both kinds of row by the exponential formula.
+
+    Both rows are symmetric in their pairings b, so each is exp(sum_k g_k
+    s^k/k!) with g_k linear in the power sum P_k = sum b^k, and the
+    exponential formula (Stanley, EC2 5.1) gives its entries as E_0 = 1,
+    E_N = sum_(k <= N) C(N - 1, k - 1) g_k E_(N - k).
+
+    Pure factors: log(x/(e^x - 1)) = sum_k a_k x^k/k! with a_1 = -1/2 and
+    a_k = -B_k/k for k >= 2, zero for odd k >= 3.  Each c_k = L_r^k a_k,
+    k <= r, is an integer, because every prime dividing k divides L_r.
+    With g_k = c_k P_k the entries H_N are L_r^N times those of
+    prod_b x/(e^x - 1) at x = bs, so the pure row is (-1)^r L_r^(r - N) H_N.
+
+    Groups: -log(1 - M e^x) = sum_l M^l e^(lx)/l has the exponential
+    coefficients sum_l l^(k - 1) M^l = G_k/(1 - M)^k for k >= 1, G_k = M
+    A_(k-1)(M) with A_n the Eulerian polynomial (coefficients below); in
+    w = M/(1 - M) that is G_k = (1 - M)^k sum_K (K - 1)! S(k, K) w^K.  So
+    g_k = P_k G_k/(1 - M)^k, and Et_N = (1 - M)^N E_N is the polynomial
+    sum_k C(N - 1, k - 1) P_k G_k Et_(N - k) of degree N in M, with no
+    constant term for N >= 1: the numerator of the group's entry N over
+    (1 - M)^(N + j).  A step list is O(r^4/24) long and the same for every
+    group of order r, whatever its size j.
+    """
+    pole, binom, _ = integer_rows(r)
+    lr = -pole[0]
+    logc = [0, -lr // 2] + [lr ** (k - 1) * pole[k] // k for k in range(2, r + 1)]
+    pure = tuple(tuple((binom[n - 1][k - 1] * logc[k], k, n - k)
+                       for k in range(1, n + 1) if logc[k]) for n in range(1, r + 1))
+    pure_scale = tuple((-1) ** r * lr ** (r - n) for n in range(r + 1))
+
+    # Eulerian numbers A(n, t) = (t + 1) A(n - 1, t) + (n - t) A(n - 1, t - 1)
+    euler = [[1]]
+    for n in range(1, r):
+        prev = euler[-1] + [0]
+        euler.append([(t + 1) * prev[t] + (n - t) * (prev[t - 1] if t else 0) for t in range(n)])
+    weights = []
+    cells = []
+    for n in range(1, r + 1):
+        at = {}
+        for k in range(1, n + 1):
+            for t, a in enumerate(euler[k - 1], 1):
+                at[k, t] = len(weights)
+                weights.append((binom[n - 1][k - 1] * a, k))
+        for i in range(1, n + 1):
+            cell = []
+            for (k, t), a in at.items():
+                src, j = n - k, i - t
+                if (src == j == 0) or 1 <= j <= src:
+                    cell.append((a, src * (src - 1) // 2 + j if src else 0))
+            cells.append(tuple(cell))
+    return SeriesPlan(pure, pure_scale, tuple(weights), tuple(cells))
+
+
+def power_sums(bs, r):
+    """[0, P_1, ..., P_r] with P_k = sum b^k over bs, as ints."""
+    sums = [0] * (r + 1)
+    for b in bs:
+        x = b
+        for k in range(1, r + 1):
+            sums[k] += x
+            x *= b
+    return sums
+
+
 def _same(x):
     return x
 
 
 class SeriesTables:
-    """The integer rows of each pole order, reduced into one coefficient ring.
+    """The binomial rows and D_r of each pole order, and the map into one coefficient ring.
 
     A prime p divides D_r exactly when r >= p - 1: p divides r! from r = p
     on, and the denominator of B_(p-1) (von Staudt-Clausen).  The field then
@@ -327,18 +464,13 @@ class SeriesTables:
 
     def __init__(self, ring):
         self.ring = ring
-        self._orders = {}
+        self._orders = set()
         self.reduce = ring.modulus.__rmod__ if ring.modulus is not None else _same
 
     def ensure(self, r):
-        """(pole row, binomial rows, D_r) for pole order r.
-
-        The pole row lists (n, -L_r B_n) for the n <= r where that entry is
-        nonzero in the ring, so the odd n >= 3 are left out.
-        """
-        rows = self._orders.get(r)
-        if rows is None:
-            pole, binom, d = integer_rows(r)
+        """(binomial rows, D_r) for pole order r, once the ring can divide by D_r."""
+        _, binom, d = integer_rows(r)
+        if r not in self._orders:
             modulus = self.ring.modulus
             if modulus is not None and gcd(d, modulus) != 1:
                 # from_fraction refuses the first ordinary coefficient, 1/n!
@@ -347,10 +479,8 @@ class SeriesTables:
                     self.ring.from_fraction(Fraction(1, factorial(n)))
                 for n, b in enumerate(bernoulli_numbers(r)):
                     self.ring.from_fraction(b / factorial(n))
-            pole = [(n, self.ring.from_int(x)) for n, x in enumerate(pole)]
-            pole = [(n, x) for n, x in pole if not self.ring.is_zero(x)]
-            rows = self._orders[r] = (pole, binom, d)
-        return rows
+            self._orders.add(r)
+        return binom, d
 
 
 def split_factors(ring, term, pair):
@@ -380,70 +510,86 @@ def pure_row(tables, pure_b):
     """The product of the scaled pure factors b L_r s/(1 - e^{bs}), as an exponential row.
 
     With r = len(pure_b), entry n <= r is n! L_r^r prod(b) times the s^n
-    coefficient of prod_b s/(1 - e^{bs}): the binomial convolution of the
-    rows -L_r B_n b^n.  The entries are ints congruent to it in the ring,
-    left unreduced: they grow with r and the bits of b, not with the number
-    of terms, and the caller reduces what it forms from them.
+    coefficient of prod_b s/(1 - e^{bs}), reduced into the ring.  It comes
+    from the power sums P_k of pure_b by the pure steps of series_plan(r):
+    O(r len(pure_b) + r^2) int operations, for any pairings.
     """
+    reduce = tables.reduce
     r = len(pure_b)
-    pole, binom, _ = tables.ensure(r)
-    pp = [1] + [0] * r
-    for b in pure_b:
-        fac = [(j, x * b**j) for j, x in pole]
-        npp = [0] * (r + 1)
-        for i, x in enumerate(pp):
-            if not x:
-                continue
-            for j, y in fac:
-                n = i + j
-                if n > r:
-                    break
-                npp[n] += binom[n][i] * x * y
-        pp = npp
-    return pp
+    plan = series_plan(r)
+    p = power_sums(pure_b, r)
+    h = [1]
+    for steps in plan.pure:
+        h.append(sum([c * p[k] * h[x] for c, k, x in steps]))
+    return [reduce(s * x) for s, x in zip(plan.pure_scale, h)]
 
 
-def base_series(ring, tables, term, pair, pure_b, low):
+def base_series(tables, term, pair, pure_b, low):
     """The numerator series times the pure-factor product, as exponential rows.
 
     With r = len(pure_b), entry n <= r is n! L_r^r prod(b) times the s^n
     coefficient, a sparse numerator {degree: coeff} in q; the entries below
     low are left empty.  A numerator monomial c q^d z^B contributes c m^n
-    with m = <lambda, B>, each pure factor scaled by b L_r contributes
-    -L_r B_n b^n (pure_row), and products are binomial convolutions.
-    Every entry is reduced into the ring as it is formed, so a prime field
-    never carries the integers' growth over the numerator's monomials.
+    with m = <lambda, B>, the pure factors contribute pure_row, and products
+    are binomial convolutions.  Every coefficient is a plain int reduced
+    into the ring as it is formed, and each sum is added in as
+    poly_add_inplace would add it, dropping a key whose sum vanishes, so
+    the entries keep its key order.
     """
+    reduce = tables.reduce
     r = len(pure_b)
-    binom = tables.ensure(r)[1]
+    binom = tables.ensure(r)[0]
 
     # numerator series: sum over monomials of c * q^d * m^n
     lnum = [{} for _ in range(r + 1)]
     for e, c in term.num.items():
         m, d = pair(e)
-        mint = ring.from_int(m)
-        mp = c
-        for n in range(r + 1):
-            if ring.is_zero(mp):
+        for row in lnum:
+            if not c:
                 break
-            poly_add_inplace(ring, lnum[n], {d: mp})
-            mp = ring.mul(mp, mint)
+            _add_into(reduce, row, d, c)
+            c = reduce(c * m)
 
     pp = pure_row(tables, pure_b)
     out = [{} for _ in range(r + 1)]
-    for i in range(r + 1):
-        if not lnum[i]:
+    for i, row in enumerate(lnum):
+        if not row:
             continue
         for j in range(max(0, low - i), r + 1 - i):
             x = pp[j]
-            if ring.is_zero(x):
+            if not x:
                 continue
-            x = binom[i + j][i] * x
-            poly_add_inplace(ring, out[i + j], ring.scale(lnum[i], x))
+            x *= binom[i + j][i]
+            dst = out[i + j]
+            for d, c in row.items():
+                _add_into(reduce, dst, d, reduce(c * x))
     return out
 
 
-def group_series(ring, tables, bs, m, r):
+def _add_into(reduce, poly, d, c):
+    """Add the reduced int c at degree d of poly, dropping the key if the sum vanishes."""
+    s = poly.get(d)
+    if s is None:
+        poly[d] = c
+    else:
+        s = reduce(s + c)
+        if s:
+            poly[d] = s
+        else:
+            del poly[d]
+
+
+def _sparse_mul(reduce, a, b):
+    """The product of two sparse numerators of reduced ints, as univariate.sparse_mul forms it."""
+    out = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            d = d1 + d2
+            out[d] = out.get(d, 0) + c1 * c2
+    return {d: c for d, c in zip(out, map(reduce, out.values())) if c}
+
+
+def group_series(tables, bs, m, r):
     """Numerators of one group of mixed factors sharing the q-exponent m.
 
     For the j factors 1/(1 - q^m e^{b_i s}) of the group, entry N is N!
@@ -453,40 +599,24 @@ def group_series(ring, tables, bs, m, r):
     1/(1 - q^m) and only counts toward j.  Entries run to N = r, or only to
     N = 0 when bs is empty.
 
-    With M = q^m, w = M/(1 - M) and u_i = e^{b_i s} - 1, each factor is
-    1/((1 - M)(1 - w u_i)), so the product is (1 - M)^(-j) sum_K w^K h_K(u),
-    h_K the complete homogeneous symmetric polynomial.  Since u_i = O(s),
-    only K <= N reaches s^N, and the numerator of that coefficient is
-    sum_K [s^N] h_K(u) * M^K (1 - M)^(N - K).  The u_i are exponential
-    generating functions with integer coefficients b_i^n, so the table
-    N! [s^N] h_K(u) is integral.  It is built over Z one factor at a time,
-    h_K <- h_K + u_i h_(K-1) for rising K so that h_(K-1) already includes
-    u_i, with products of EGFs taken as binomial convolutions, and mapped
-    into the ring at the end.
+    With M = q^m, entry N is the polynomial Et_N(M) of series_plan(r),
+    formed from the power sums P_k of bs alone: O(j r) int operations for
+    the power sums and O(r^4/24) for the plan's steps, so the cost of a
+    group no longer grows with its size j.
     """
-    binom = tables.ensure(r)[1]
-    top = r if bs else 0
-    h = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(top)]
-    for b in bs:
-        pw = [b**n for n in range(top + 1)]
-        for k in range(1, top + 1):
-            lower, cur = h[k - 1], h[k]
-            for n in range(k, top + 1):
-                row = binom[n]
-                for i in range(1, n - k + 2):
-                    cur[n] += row[i] * pw[i] * lower[n - i]
-    out = []
-    for n in range(top + 1):
-        # sum_K h_K M^K (1 - M)^(n - K) by Horner's rule in (1 - M)
-        poly = [h[0][n]]
-        for k in range(1, n + 1):
-            poly = [poly[0]] + [poly[i] - poly[i - 1] for i in range(1, k)] + [h[k][n] - poly[-1]]
-        num = {}
-        for e, c in enumerate(poly):
-            c = ring.from_int(c)
-            if not ring.is_zero(c):
-                num[m * e] = c
-        out.append(num)
+    if not bs:
+        return [{0: 1}]
+    reduce = tables.reduce
+    plan = series_plan(r)
+    p = [reduce(x) for x in power_sums(bs, r)]
+    cp = [w * p[k] for w, k in plan.weights]
+    et = [1]
+    for cell in plan.cells:
+        et.append(reduce(sum([cp[a] * et[x] for a, x in cell])))
+    out = [{0: 1}]
+    for n in range(1, r + 1):
+        start = n * (n - 1) // 2
+        out.append({m * i: c for i, c in enumerate(et[start + 1:start + n + 1], 1) if c})
     return out
 
 
@@ -524,20 +654,21 @@ def ct_s_term(ring, term, pair, tables=None, stats=None):
     """
     if tables is None:
         tables = SeriesTables(ring)
+    reduce = tables.reduce
     pure_b, mixed = split_factors(ring, term, pair)
     r = len(pure_b)
-    _, binom, d_r = tables.ensure(r)
+    binom, d_r = tables.ensure(r)
 
     by_m = {}
     for m, b in mixed:
         by_m.setdefault(m, []).append(b)
-    live = {m: [b for b in bs if not ring.is_zero(ring.from_int(b))] for m, bs in by_m.items()}
-    groups = [(m, len(by_m[m]), group_series(ring, tables, live[m], m, r)) for m in sorted(by_m)]
+    live = {m: [b for b in bs if reduce(b)] for m, bs in by_m.items()}
+    groups = [(m, len(by_m[m]), group_series(tables, live[m], m, r)) for m in sorted(by_m)]
     # the groups take at most this much of the order; a count has no groups
     # and reads base entry r alone
     reach = min(r, sum(len(series) - 1 for _, _, series in groups))
-    base = base_series(ring, tables, term, pair, pure_b, r - reach)
-    inv_d = ring.inv(ring.from_int(d_r * prod(pure_b)))
+    base = base_series(tables, term, pair, pure_b, r - reach)
+    inv_d = ring.inv(reduce(d_r * prod(pure_b)))
 
     pieces = []
     den_counts = {}
@@ -546,9 +677,8 @@ def ct_s_term(ring, term, pair, tables=None, stats=None):
         if idx == len(groups):
             lead = base[r - used]
             if lead:
-                num = lead if mult is None else sparse_mul(ring, lead, mult)
-                scale = ring.mul(ring.from_int(multinomial), inv_d)
-                pieces.append((ring.scale(num, scale), dict(den_counts)))
+                num = lead if mult is None else _sparse_mul(reduce, lead, mult)
+                pieces.append((ring.scale(num, reduce(multinomial * inv_d)), dict(den_counts)))
             return
         m, j, series = groups[idx]
         for n in range(min(len(series) - 1, r - used) + 1):
@@ -558,7 +688,7 @@ def ct_s_term(ring, term, pair, tables=None, stats=None):
             elif mult is None:
                 nm = series[n]
             else:
-                nm = sparse_mul(ring, mult, series[n])
+                nm = _sparse_mul(reduce, mult, series[n])
             descend(idx + 1, used + n, nm, multinomial * binom[r - used][n])
         del den_counts[m]
 
@@ -592,7 +722,7 @@ def count_terms(ring, chunk, pair, tables, stats=None):
     skipped, refused and counted in stats as ct_s_term would.
     """
     reduce = tables.reduce
-    _, items = _decoder(chunk)
+    items = _items(chunk)
     tn, td = 0, 1
     for t in chunk:
         num = [(e, c) for e, c in items(t.num) if reduce(c)]
@@ -600,7 +730,7 @@ def count_terms(ring, chunk, pair, tables, stats=None):
             continue
         pure_b, _ = split_factors(ring, t, pair)
         r = len(pure_b)
-        _, binom, d_r = tables.ensure(r)
+        binom, d_r = tables.ensure(r)
         pp = pure_row(tables, pure_b)
         sums = [0] * (r + 1)
         for e, c in num:
@@ -622,7 +752,7 @@ def eliminate_slack(ring, table, chunk, lam_map, stats=None):
     """Remove every slack variable from one chunk of stage-A terms over table.
 
     The chunk is stage A's packed TermSum itself, or a list of tuple-form
-    terms (see _decoder), with integer coefficients.  Each term's
+    terms (see _items), with integer coefficients.  Each term's
     coefficients are mapped into the ring as the pass reaches it, and a term
     whose numerator vanishes there is skipped; one pairing_function serves
     the whole pass, reading a packed chunk's pairings from its digits.
@@ -650,12 +780,13 @@ def eliminate_slack(ring, table, chunk, lam_map, stats=None):
         if tn:
             acc.add_piece(ring.scale({0: tn}, inv), {})
         return acc
-    _, items = _decoder(chunk)
+    reduce = tables.reduce
+    items = _items(chunk)
     for t in chunk:
         num = {}
         for e, c in items(t.num):
-            c = ring.from_int(c)
-            if not ring.is_zero(c):
+            c = reduce(c)
+            if c:
                 num[e] = c
         if num:
             for piece, den_counts in ct_s_term(ring, ElliottTerm(num, t.den), pair, tables, stats):

@@ -24,7 +24,7 @@ when it is positive.  Each function carries one bound for the exponents of
 the denominator factors (kd) and one for those of the numerator (kn); before
 it forms a value it checks the value's bound against the layout's reach and
 raises WidthError past it.  Stage B reads the packed terms as they are,
-through the layout's ``unpack`` and ``num_items``; only a checkpoint writes
+from their digits and through ``num_items``; only a checkpoint writes
 them in tuple form, one at a time, through ``TermSum.tuple_terms``.
 
 A packed term stores its numerator as one immutable flat tuple
@@ -236,13 +236,10 @@ def pack_term(layout, t):
                        tuple(sorted(intern(f, f) for f in map(layout.pack, t.den))))
 
 
-def unpack_term(unpack, t, factor=None):
-    """t in tuple form, its factors sorted as exps tuples.
-
-    unpack decodes one monomial, and factor, unpack by default, one factor.
-    """
+def unpack_term(unpack, t):
+    """t in tuple form, its factors sorted as exps tuples; unpack decodes one monomial."""
     return ElliottTerm({unpack(e): c for e, c in num_items(t.num)},
-                       tuple(sorted(map(factor or unpack, t.den))))
+                       tuple(sorted(map(unpack, t.den))))
 
 
 def _largest_exponent(terms):
@@ -275,28 +272,31 @@ class TermSum:
     def tuple_terms(self):
         """The terms in tuple form, one at a time, ordered by denominator when collected.
 
-        The factors recur from term to term and are decoded once for the
-        whole pass; numerator monomials seldom recur and are decoded as
-        they come, so the pass holds no other decoded term.
+        The factors recur from term to term: each distinct one is decoded
+        once for the whole pass and ranked by its exps tuple, and a term's
+        factors are sorted by rank.  Numerator monomials seldom recur and
+        are decoded as they come, so the pass holds no other decoded term.
         """
         unpack = self.layout.unpack
         factor = cache(unpack)
-        for t in self._tuple_order(factor):
-            yield unpack_term(unpack, t, factor)
+        rank = {f: r for r, f in enumerate(sorted({f for t in self.terms for f in t.den},
+                                                  key=factor), 1)}
+        for t in self._tuple_order(rank):
+            yield ElliottTerm({unpack(e): c for e, c in num_items(t.num)},
+                              tuple(map(factor, sorted(t.den, key=rank.__getitem__))))
 
-    def _tuple_order(self, factor):
-        """The packed terms by their tuple-form denominators when collected; factor decodes one.
+    def _tuple_order(self, rank):
+        """The packed terms by their tuple-form denominators when collected.
 
-        Each distinct factor is ranked by its exps tuple.  A term's key
-        packs the ranks of its factors, in rising order, into one int, one
-        digit each, zero digits filling up to the longest denominator; so
-        the keys compare as the sorted exps tuples of the denominators do,
-        a prefix first, and only factors are decoded.
+        rank maps each distinct factor to its place among them by exps
+        tuple, from 1.  A term's key packs the ranks of its factors, in
+        rising order, into one int, one digit each, zero digits filling up
+        to the longest denominator; so the keys compare as the sorted exps
+        tuples of the denominators do, a prefix first, and only factors are
+        decoded.
         """
         if not self.collected:
             return self.terms
-        rank = {f: r for r, f in enumerate(sorted({f for t in self.terms for f in t.den},
-                                                  key=factor), 1)}
         width = len(rank).bit_length()
         longest = max((len(t.den) for t in self.terms), default=0)
 

@@ -17,11 +17,16 @@ package computes another way; the tests compare the two.
   mixed factors by their q-exponent instead.
 * ``FractionTables``, ``ordinary_base_series`` and ``ordinary_ct_s_term``
   are stage B in ordinary coefficients, every series entry the s^n
-  coefficient itself over ``Fraction`` tables of 1/n! and B_n/n!.
-  ``elimination`` keeps integer exponential rows and divides once per
-  piece; its pieces must match these in order and value, and in
-  coefficient type wherever no pure pairing is +-1.  A count divides once
-  per chunk, and its sum must match these pieces summed.
+  coefficient itself over ``Fraction`` tables of 1/n! and B_n/n!, the
+  groups' from ``reference_group_rows``.  ``elimination`` keeps integer
+  exponential rows and divides once per piece; its pieces must match these
+  in order and value, and in coefficient type wherever no pure pairing is
+  +-1.  A count divides once per chunk, and its sum must match these
+  pieces summed.
+* ``reference_pure_row`` and ``reference_group_rows`` are stage B's
+  integer rows multiplied out one pairing at a time, in O(r^3) and
+  O(j r^3/6) int operations; ``elimination`` forms the same integers from
+  the power sums of the pairings by the exponential formula, whatever j.
 * ``RationalRing`` is the ring of arbitrary-precision rationals in which
   those two forms of stage B are compared; the package runs stage B only
   modulo primes.
@@ -49,8 +54,7 @@ from cteuclid.algebra import (
 )
 from cteuclid.bruteforce import OracleRefusal, _suffix_extremes, naive_ct
 from cteuclid.elimination import (
-    SeriesTables,
-    group_series,
+    integer_rows,
     lambda_pairing,
     pairing_function,
     split_factors,
@@ -774,11 +778,62 @@ def ordinary_base_series(ring, tables, term, lam_map, pure_b):
     return out
 
 
+def reference_pure_row(pure_b):
+    """The pure-factor row of ``elimination.pure_row`` over Z, one factor at a time.
+
+    Entry n <= r = len(pure_b) is the binomial convolution of the rows
+    -L_r B_n b^n, one per pairing: O(r^3) int operations.
+    """
+    r = len(pure_b)
+    pole, binom, _ = integer_rows(r)
+    pp = [1] + [0] * r
+    for b in pure_b:
+        fac = [x * b**j for j, x in enumerate(pole)]
+        npp = [0] * (r + 1)
+        for i, x in enumerate(pp):
+            for j, y in enumerate(fac[: r + 1 - i]):
+                npp[i + j] += binom[i + j][i] * x * y
+        pp = npp
+    return pp
+
+
+def reference_group_rows(bs, r):
+    """The rows of ``elimination.group_series`` over Z, one factor at a time, dense in M.
+
+    Entry N lists the coefficients of M^0..M^N in sum_K h_K M^K (1 - M)^(N - K),
+    h_K = N! [s^N] of the complete homogeneous polynomial in the
+    u_i = e^{b_i s} - 1.  The table of h_K is built over Z one factor at a
+    time, h_K <- h_K + u_i h_(K-1) for rising K so that h_(K-1) already
+    includes u_i, with products of EGFs taken as binomial convolutions:
+    O(j r^3/6) int operations for j pairings.  Entries run to N = r, or
+    only to N = 0 when bs is empty.
+    """
+    binom = integer_rows(r)[1]
+    top = r if bs else 0
+    h = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(top)]
+    for b in bs:
+        pw = [b**n for n in range(top + 1)]
+        for k in range(1, top + 1):
+            lower, cur = h[k - 1], h[k]
+            for n in range(k, top + 1):
+                row = binom[n]
+                for i in range(1, n - k + 2):
+                    cur[n] += row[i] * pw[i] * lower[n - i]
+    out = []
+    for n in range(top + 1):
+        # sum_K h_K M^K (1 - M)^(n - K) by Horner's rule in (1 - M)
+        poly = [h[0][n]]
+        for k in range(1, n + 1):
+            poly = [poly[0]] + [poly[i] - poly[i - 1] for i in range(1, k)] + [h[k][n] - poly[-1]]
+        out.append(poly)
+    return out
+
+
 def ordinary_ct_s_term(ring, term, lam_map, tables=None, stats=None):
     """The ordinary-coefficient form of ``elimination.ct_s_term``, piece for piece.
 
     Every base and group entry is the s^n coefficient itself: the group
-    series are ``elimination.group_series`` divided by N!.  Each piece
+    series are ``reference_group_rows`` divided by N!.  Each piece
     coefficient is returned as from_fraction gives it, an int when integral.
     """
     if tables is None:
@@ -792,10 +847,11 @@ def ordinary_ct_s_term(ring, term, lam_map, tables=None, stats=None):
     for m, b in mixed:
         by_m.setdefault(m, []).append(b)
     live = {m: [b for b in bs if not ring.is_zero(ring.from_int(b))] for m, bs in by_m.items()}
-    rows = SeriesTables(ring)
     groups = []
     for m in sorted(by_m):
-        series = group_series(ring, rows, live[m], m, r)
+        series = [{e * m: ring.from_int(c) for e, c in enumerate(row)
+                   if not ring.is_zero(ring.from_int(c))}
+                  for row in reference_group_rows(live[m], r)]
         series = [{q: ring.mul(c, tables.inv_fact(n)) for q, c in g.items()} for n, g in enumerate(series)]
         groups.append((m, len(by_m[m]), series))
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,14 +27,23 @@ from cteuclid.elimination import (
     crt_combine,
     ct_s_term,
     eliminate_slack,
+    group_series,
+    integer_rows,
     lambda_pairing,
     pairing_function,
     pick_lambda,
+    pure_row,
     summarize,
     validate_lambda,
 )
 from cteuclid.engine import ElliottTerm, Stats, TermSum, ct_all
-from cteuclid.problems import build_count_termsum, diophantine_count, knapsack_system
+from cteuclid.problems import (
+    build_count_termsum,
+    build_series_termsum,
+    diophantine_count,
+    knapsack_system,
+    magic_square_system,
+)
 from cteuclid.univariate import FactoredAccumulator
 
 from oracles import (
@@ -41,6 +51,8 @@ from oracles import (
     enumerate_pieces,
     make_term,
     ordinary_ct_s_term,
+    reference_group_rows,
+    reference_pure_row,
     stirling_row,
 )
 
@@ -82,10 +94,11 @@ def test_pole_coefficients_are_scaled_bernoulli_numbers():
     # of B_0..B_r: 30 from r = 4 on, and 2310 once B_10 = 5/66 brings in 11
     tabs = SeriesTables(RING)
     for r, lr in ((4, 30), (9, 210), (10, 2310)):
-        pole, _, d = tabs.ensure(r)
+        pole, binom, d = integer_rows(r)
         assert d == math.factorial(r) * lr**r
-        assert all(type(x) is int for _, x in pole)
-        assert pole == [(n, -lr * BERNOULLI[n]) for n in range(r + 1) if BERNOULLI[n]]
+        assert tabs.ensure(r) == (binom, d)
+        assert all(type(x) is int for x in pole)
+        assert pole == tuple(-lr * BERNOULLI[n] for n in range(r + 1))
 
 
 def test_stirling_subset_numbers():
@@ -108,8 +121,9 @@ def test_tables_reduce_correctly_mod_p():
     p = 636286597
     exact = SeriesTables(RING)
     modp = SeriesTables(PrimeField(p))
-    pole, binom, d = exact.ensure(8)
-    assert modp.ensure(8) == ([(n, x % p) for n, x in pole], binom, d)
+    assert modp.ensure(8) == exact.ensure(8) == integer_rows(8)[1:]
+    pure_b = [3, -5, 7, 1, 2, -2, p, 4]
+    assert pure_row(modp, pure_b) == [x % p for x in pure_row(exact, pure_b)]
 
 
 # The denominator named when a small prime meets pole order r: at r = p - 1
@@ -308,6 +322,31 @@ def test_pick_lambda_is_deterministic_per_seed():
     assert all(1 <= v <= 1 << 16 for v in a.values())
 
 
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_summary_reads_packed_digits_as_the_decoded_terms(data):
+    table = VariableTable()
+    for j in range(data.draw(st.integers(0, 2))):
+        table.add(f"q{j}", FREE)
+    for _ in range(data.draw(st.integers(1, 4))):
+        table.fresh_slack()
+    for j in range(data.draw(st.integers(0, 2))):
+        table.add(f"c{j}", CT)
+    bound = data.draw(st.sampled_from([1, 4, 100, 1 << 12]))
+    # a reach past the default widens every digit
+    layout = Layout(table, bound, reach=data.draw(st.sampled_from([None, bound << 40])))
+    vids = [v for v, _ in table.ordered()]
+    monomial = st.dictionaries(st.sampled_from(vids), st.integers(-layout.reach, layout.reach).filter(bool),
+                               max_size=len(vids)).map(lambda d: layout.pack(exps_from_dict(d)))
+    terms = data.draw(st.lists(st.tuples(st.lists(monomial, min_size=1, max_size=3, unique=True),
+                                         st.lists(monomial, max_size=4)), min_size=1, max_size=4))
+    packed = TermSum(layout, None, [ElliottTerm(tuple(itertools.chain.from_iterable((e, 1) for e in num)),
+                                                tuple(den)) for num, den in terms])
+    decoded = [ElliottTerm({layout.unpack(e): 1 for e in num}, tuple(map(layout.unpack, den)))
+               for num, den in terms]
+    assert summarize([packed]) == summarize([decoded])
+
+
 # ---------------------------------------------------------------------------
 # single-term elimination
 
@@ -487,6 +526,27 @@ def test_magic4_stage_b_piece_count(tmp_path, monkeypatch, capsys):
     assert sum(counted) <= 1600
 
 
+def test_magic4_stage_b_rows_are_plain_ints(monkeypatch):
+    """Stage B of magic --n 4 forms its rows and products without ring calls.
+
+    Over two default primes, eliminate_slack makes at most 8,000 calls to
+    the field's mul, from_int and is_zero; the accumulator's own additions
+    make most of them.
+    """
+    table = VariableTable()
+    done = ct_all(build_series_termsum(magic_square_system(4), table, ExactRing()))
+    lam = pick_lambda(summarize([done]), table.vids_of_rank(SLACK))
+    ring = PrimeField(DEFAULT_PRIMES[:2])
+    calls = {}
+    for name in ("mul", "from_int", "is_zero"):
+        def counting(self, *args, _name=name, _method=getattr(PrimeField, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _method(self, *args)
+        monkeypatch.setattr(PrimeField, name, counting)
+    eliminate_slack(ring, table, done, lam)
+    assert sum(calls.values()) <= 8000
+
+
 # ---------------------------------------------------------------------------
 # direction invariance of full elimination
 #
@@ -588,6 +648,64 @@ def test_integer_rows_match_ordinary_coefficients(ring, case):
         [type(c) for c in num.values()] for num, _ in want
     ]
     assert got_stats.as_dict() == want_stats.as_dict()
+
+
+# ---------------------------------------------------------------------------
+# rows from power sums against the factor-by-factor loops
+
+ROW_RINGS = [ExactRing(), PrimeField(11), PrimeField(13), PrimeField(DEFAULT_PRIMES[0]),
+             PrimeField(DEFAULT_PRIMES)]
+ROW_RING_IDS = ["exact", "mod11", "mod13", "mod-m61", "mod-default3"]
+# 0 and pairings that vanish mod 11, 13, one default prime or their product
+ROW_PAIRINGS = [0, 1, -1, 2, -2, 3, -5, 7, 1 << 16, -11, 22, 13, -143, DEFAULT_PRIMES[0],
+                -math.prod(DEFAULT_PRIMES)]
+row_pairings = st.lists(st.sampled_from(ROW_PAIRINGS), max_size=12)
+
+
+@pytest.mark.parametrize("ring", ROW_RINGS, ids=ROW_RING_IDS)
+@given(row_pairings, st.integers(0, 12), st.integers(1, 4))
+@example([3, 3], 1, 2)
+@example([1, -1] * 6, 12, 1)  # cancelling power sums
+@example([11, 22, -11], 12, 3)  # all vanish mod 11
+@settings(max_examples=60, deadline=None)
+def test_group_rows_match_the_factor_by_factor_loop(ring, bs, r, m):
+    tables = SeriesTables(ring)
+    reduce = tables.reduce
+    want = [{m * e: reduce(c) for e, c in enumerate(row) if reduce(c)}
+            for row in reference_group_rows(bs, r)]
+    got = group_series(tables, bs, m, r)
+    assert [list(g.items()) for g in got] == [list(w.items()) for w in want]
+
+
+@pytest.mark.parametrize("ring", ROW_RINGS, ids=ROW_RING_IDS)
+@given(row_pairings)
+@example([1] * 12)
+@example([-1, 2, 11, 13] * 3)
+@settings(max_examples=60, deadline=None)
+def test_pure_rows_match_the_factor_by_factor_loop(ring, pure_b):
+    tables = SeriesTables(ring)
+    assert pure_row(tables, pure_b) == [tables.reduce(x) for x in reference_pure_row(pure_b)]
+
+
+def test_rows_depend_only_on_power_sums():
+    # {3, 3} and {1, 5} share P_1; {2, -1, -1} and {-2, 1, 1} share P_1 and
+    # P_2; a pairing 0 adds nothing to any P_k
+    for ring in ROW_RINGS:
+        tables = SeriesTables(ring)
+        assert group_series(tables, [3, 3], 2, 1) == group_series(tables, [1, 5], 2, 1) == [{0: 1}, {2: 6}]
+        assert group_series(tables, [2, -1, -1], 1, 2) == group_series(tables, [-2, 1, 1], 1, 2)
+        assert group_series(tables, [5, 0], 1, 6) == group_series(tables, [5], 1, 6)
+    assert reference_group_rows([3, 3], 1) == reference_group_rows([1, 5], 1)
+
+
+def test_rows_at_high_pole_order():
+    # the plan's scaled log coefficients L_r^k a_k must be exact integers
+    tables = SeriesTables(ExactRing())
+    for r in (13, 16, 20):
+        pure_b = [(-1) ** k * k for k in range(1, r + 1)]
+        assert pure_row(tables, pure_b) == reference_pure_row(pure_b)
+    want = [{e: c for e, c in enumerate(row) if c} for row in reference_group_rows([5, -3], 16)]
+    assert group_series(tables, [5, -3], 1, 16) == want
 
 
 # ---------------------------------------------------------------------------
