@@ -58,10 +58,10 @@ The ring may be Z/PZ for a product P of distinct primes, so that one pass
 serves every modulus of a run: each step is ring arithmetic, int
 operations reduced mod P, so the residues mod each p are those of a pass
 in Z/pZ, and the one inversion needs a unit mod every p.  Only the
-structural tests read the ring as a
-whole: a pairing or base coefficient nonzero mod P but zero mod p keeps a
-piece that is zero mod p, whose denominator still counts, and its pairing
-counts toward the summand count below.
+structural tests read the ring as a whole: a pairing or base coefficient
+nonzero mod P but zero mod p keeps a piece that is zero mod p, whose
+denominator still counts, and its pairing counts toward the summand count
+below.
 
 The summand count in the result file is the number of ways to split r
 factor by factor over the k' mixed factors with a pairing nonzero in the
