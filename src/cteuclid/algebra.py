@@ -41,6 +41,11 @@ Representation choices, used by every other module:
   Nothing ever wraps.
 * a Laurent polynomial is a dict mapping monomials (exps tuples, or packed
   ints in stage A) to nonzero ring coefficients.  The empty dict is 0.
+* a coefficient is a plain Python number.  Modules add, negate and
+  multiply coefficients with Python's operators and bring each result
+  into its ring with ``ring.reduce`` (x % P in Z/PZ, x itself in Z);
+  ``add_into`` is the one sparse adder.  Beside ``reduce`` the package
+  calls only stage B's division of a ring; its arithmetic serves the oracles.
 """
 
 from __future__ import annotations
@@ -96,6 +101,11 @@ class ExactRing:
     """Arbitrary-precision integers, the ring of stage A, which never divides."""
 
     modulus = None
+
+    @staticmethod
+    def reduce(n):
+        """n itself: every number is its own element of an exact ring."""
+        return n
 
     def from_int(self, n):
         return n
@@ -154,6 +164,7 @@ class PrimeField:
             raise InputError("moduli must be pairwise distinct")
         self.primes = primes
         self.modulus = prod(primes)
+        self.reduce = self.modulus.__rmod__
 
     def _inverse(self, den):
         """den**-1 mod P for an int den, or the InputError naming a prime that divides it."""
@@ -398,21 +409,20 @@ class Layout:
 # Laurent polynomials: dict {exps: coeff}
 
 
-def poly_add_inplace(ring, p, q):
-    for e, c in q.items():
-        if e in p:
-            s = ring.add(p[e], c)
-            if ring.is_zero(s):
-                del p[e]
-            else:
-                p[e] = s
+def add_into(reduce, poly, key, c):
+    """Add the ring element c at key of poly, deleting the key if the sum vanishes.
+
+    A key that comes back is appended anew: keys keep the order of the additions.
+    """
+    s = poly.get(key)
+    if s is None:
+        poly[key] = c
+    else:
+        s = reduce(s + c)
+        if s:
+            poly[key] = s
         else:
-            p[e] = c
-    return p
-
-
-def poly_neg(ring, p):
-    return {e: ring.neg(c) for e, c in p.items()}
+            del poly[key]
 
 
 # ---------------------------------------------------------------------------

@@ -498,7 +498,7 @@ def cmd_ct(args):
     path = _result_path(args)
     table, num, den = load_raw_term(_read_text(args.input))
     ring = PrimeField(args.mod[0]) if args.mod else ExactRing()
-    num_r = {e: r for e, c in num.items() if not ring.is_zero(r := ring.from_int(c))}
+    num_r = {e: r for e, c in num.items() if (r := ring.reduce(c))}
     ts = add_slack(start_termsum(table, ring, num_r, den))
     stats = Stats()
     t0 = time.time()

@@ -41,11 +41,11 @@ P_k = sum b^k alone, by the exponential formula of one integer plan per pole
 order (``series_plan``): a group costs O(j r + r^4/24) int operations
 however many factors j it holds, the pure row O(r len(b) + r^2).  The rows,
 the base series and the products of the split descent are plain ints that
-``SeriesTables.reduce`` brings into the ring, with no ring call per
-coefficient.  A piece is then scaled once, by the
-multinomial r!/((r - U)! prod N_m!) of its split divided by r! L_r^r
-prod(b): one ring element per piece, and the only division in stage B.  A
-prime p dividing r! L_r^r, exactly when r >= p - 1, is refused.
+``ring.reduce`` brings into the ring, with no ring call per coefficient.
+A piece is then scaled once, by the multinomial r!/((r - U)! prod N_m!)
+of its split divided by r! L_r^r prod(b): one ring element per piece,
+and the only division in stage B.  A prime p dividing r! L_r^r, exactly
+when r >= p - 1, is refused.
 
 A count has no q, hence no mixed factors and no groups: each term is the
 one number sum_i C(r, i) S_i pp_(r-i) / (r! L_r^r prod(b)), with S_i =
@@ -55,9 +55,9 @@ with plain ints and reduced into the ring, and a chunk keeps the sum of
 its terms as one fraction, so it makes one inversion, not one per term.
 
 The ring may be Z/PZ for a product P of distinct primes, so that one pass
-serves every modulus of a run: each step is ring arithmetic, int
-operations reduced mod P, so the residues mod each p are those of a pass
-in Z/pZ, and the one inversion needs a unit mod every p.  Only the
+serves every modulus of a run: each step is int arithmetic that
+``ring.reduce`` takes mod P, so the residues mod each p are those of a
+pass in Z/pZ, and the one inversion needs a unit mod every p.  Only the
 structural tests read the ring as a whole: a pairing or base coefficient
 nonzero mod P but zero mod p keeps a piece that is zero mod p, whose
 denominator still counts, and its pairing counts toward the summand count
@@ -86,9 +86,9 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from typing import NamedTuple
 
-from .algebra import FREE, SLACK, InputError
+from .algebra import FREE, SLACK, InputError, add_into
 from .engine import ElliottTerm, TermSum, num_items
-from .univariate import FactoredAccumulator
+from .univariate import FactoredAccumulator, sparse_mul
 
 # moduli used when --crt is requested without explicit --mod values
 DEFAULT_PRIMES = (2305843009213693951, 1152921504606847009, 1152921504606847067)
@@ -448,24 +448,17 @@ def power_sums(bs, r):
     return sums
 
 
-def _same(x):
-    return x
-
-
 class SeriesTables:
-    """The binomial rows and D_r of each pole order, and the map into one coefficient ring.
+    """The binomial rows and D_r of each pole order that one coefficient ring can divide by.
 
     A prime p divides D_r exactly when r >= p - 1: p divides r! from r = p
     on, and the denominator of B_(p-1) (von Staudt-Clausen).  The field then
     has no inverse for the terms of that order, and ensure refuses it.
-    reduce maps an int into the ring: x % P in Z/PZ, the int itself in an
-    exact ring; plain int arithmetic followed by reduce is ring arithmetic.
     """
 
     def __init__(self, ring):
         self.ring = ring
         self._orders = set()
-        self.reduce = ring.modulus.__rmod__ if ring.modulus is not None else _same
 
     def ensure(self, r):
         """(binomial rows, D_r) for pole order r, once the ring can divide by D_r."""
@@ -514,7 +507,7 @@ def pure_row(tables, pure_b):
     from the power sums P_k of pure_b by the pure steps of series_plan(r):
     O(r len(pure_b) + r^2) int operations, for any pairings.
     """
-    reduce = tables.reduce
+    reduce = tables.ring.reduce
     r = len(pure_b)
     plan = series_plan(r)
     p = power_sums(pure_b, r)
@@ -532,11 +525,9 @@ def base_series(tables, term, pair, pure_b, low):
     low are left empty.  A numerator monomial c q^d z^B contributes c m^n
     with m = <lambda, B>, the pure factors contribute pure_row, and products
     are binomial convolutions.  Every coefficient is a plain int reduced
-    into the ring as it is formed, and each sum is added in as
-    poly_add_inplace would add it, dropping a key whose sum vanishes, so
-    the entries keep its key order.
+    into the ring as it is formed, and each sum is added in by add_into.
     """
-    reduce = tables.reduce
+    reduce = tables.ring.reduce
     r = len(pure_b)
     binom = tables.ensure(r)[0]
 
@@ -547,7 +538,7 @@ def base_series(tables, term, pair, pure_b, low):
         for row in lnum:
             if not c:
                 break
-            _add_into(reduce, row, d, c)
+            add_into(reduce, row, d, c)
             c = reduce(c * m)
 
     pp = pure_row(tables, pure_b)
@@ -562,31 +553,8 @@ def base_series(tables, term, pair, pure_b, low):
             x *= binom[i + j][i]
             dst = out[i + j]
             for d, c in row.items():
-                _add_into(reduce, dst, d, reduce(c * x))
+                add_into(reduce, dst, d, reduce(c * x))
     return out
-
-
-def _add_into(reduce, poly, d, c):
-    """Add the reduced int c at degree d of poly, dropping the key if the sum vanishes."""
-    s = poly.get(d)
-    if s is None:
-        poly[d] = c
-    else:
-        s = reduce(s + c)
-        if s:
-            poly[d] = s
-        else:
-            del poly[d]
-
-
-def _sparse_mul(reduce, a, b):
-    """The product of two sparse numerators of reduced ints, as univariate.sparse_mul forms it."""
-    out = {}
-    for d1, c1 in a.items():
-        for d2, c2 in b.items():
-            d = d1 + d2
-            out[d] = out.get(d, 0) + c1 * c2
-    return {d: c for d, c in zip(out, map(reduce, out.values())) if c}
 
 
 def group_series(tables, bs, m, r):
@@ -606,7 +574,7 @@ def group_series(tables, bs, m, r):
     """
     if not bs:
         return [{0: 1}]
-    reduce = tables.reduce
+    reduce = tables.ring.reduce
     plan = series_plan(r)
     p = [reduce(x) for x in power_sums(bs, r)]
     cp = [w * p[k] for w, k in plan.weights]
@@ -654,7 +622,7 @@ def ct_s_term(ring, term, pair, tables=None, stats=None):
     """
     if tables is None:
         tables = SeriesTables(ring)
-    reduce = tables.reduce
+    reduce = ring.reduce
     pure_b, mixed = split_factors(ring, term, pair)
     r = len(pure_b)
     binom, d_r = tables.ensure(r)
@@ -677,7 +645,7 @@ def ct_s_term(ring, term, pair, tables=None, stats=None):
         if idx == len(groups):
             lead = base[r - used]
             if lead:
-                num = lead if mult is None else _sparse_mul(reduce, lead, mult)
+                num = lead if mult is None else sparse_mul(reduce, lead, mult)
                 pieces.append((ring.scale(num, reduce(multinomial * inv_d)), dict(den_counts)))
             return
         m, j, series = groups[idx]
@@ -688,7 +656,7 @@ def ct_s_term(ring, term, pair, tables=None, stats=None):
             elif mult is None:
                 nm = series[n]
             else:
-                nm = _sparse_mul(reduce, mult, series[n])
+                nm = sparse_mul(reduce, mult, series[n])
             descend(idx + 1, used + n, nm, multinomial * binom[r - used][n])
         del den_counts[m]
 
@@ -716,12 +684,12 @@ def count_terms(ring, chunk, pair, tables, stats=None):
     no groups, and ct_s_term's one piece is base entry r over D_r prod(b).
     The numerator's power sums S_i = sum c m^i and the pure_row pp give
     that entry as sum_i C(r, i) S_i pp_(r - i), so a term is one ring
-    element, summed into tn/td with plain ints that tables.reduce brings
+    element, summed into tn/td with plain ints that ring.reduce brings
     into the ring.  td is a unit: split_factors refuses a pairing that is
     not, and tables.ensure a pole order whose D_r is not.  Terms are read,
     skipped, refused and counted in stats as ct_s_term would.
     """
-    reduce = tables.reduce
+    reduce = ring.reduce
     items = _items(chunk)
     tn, td = 0, 1
     for t in chunk:
@@ -780,7 +748,7 @@ def eliminate_slack(ring, table, chunk, lam_map, stats=None):
         if tn:
             acc.add_piece(ring.scale({0: tn}, inv), {})
         return acc
-    reduce = tables.reduce
+    reduce = ring.reduce
     items = _items(chunk)
     for t in chunk:
         num = {}

@@ -33,7 +33,8 @@ stored numerators hold one monomial.  Dicts live only as the working
 numerators of ct_var and the Euclid recursion; make_term, pack_term and
 _relayout pack them, and num_items and unpack_term read them back.  A
 stored term never changes, so a round that keeps a term as it is hands on
-the term itself.
+the term itself.  Coefficients are plain numbers, and ``ring.reduce``
+brings each sum or negation of them into the term sum's ring.
 
 Inside the engine a denominator is its factors sorted as ints, which is
 all that collecting needs, and two factors are tested for a common
@@ -73,7 +74,7 @@ from .algebra import (
     ROOM_BITS,
     Layout,
     WidthError,
-    poly_neg,
+    add_into,
     srem_split,
 )
 
@@ -185,19 +186,8 @@ def _push_units(ring, items, unit, flips):
     Those are the units that inverting flips factors pushes into it.
     """
     if flips % 2:
-        return {e + unit: ring.neg(c) for e, c in items}
+        return {e + unit: ring.reduce(-c) for e, c in items}
     return {e + unit: c for e, c in items}
-
-
-def _add_into(ring, out, e, c):
-    if e in out:
-        s = ring.add(out[e], c)
-        if ring.is_zero(s):
-            del out[e]
-        else:
-            out[e] = s
-    else:
-        out[e] = c
 
 
 def make_term(ring, num, factors, layout):
@@ -413,9 +403,10 @@ def linear_contribution(ring, num, den, xs, i, xvid, layout, kd, kn):
     ks = [(((e + bias) >> s) & mask) - half for e in num]
     kn1 = kn + max(map(abs, ks), default=0) * kd
     _check(layout, kn1 + len(new_factors) * kd1)
+    reduce = ring.reduce
     new_num = {}
     for (e, c), k in zip(num.items(), ks):
-        _add_into(ring, new_num, e - k * f, c)
+        add_into(reduce, new_num, e - k * f, c)
     return make_term(ring, new_num, new_factors, layout)
 
 
@@ -475,9 +466,10 @@ def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, emit, stats
     ls = [((((e + bias) >> s) & mask) - half) // a for e in num]
     kn2 = kn1 + max(map(abs, ls), default=0) * kd
     _check(layout, kn2)
+    reduce = ring.reduce
     rem = {}
     for (e, c), l in zip(num.items(), ls):
-        _add_into(ring, rem, e - l * f, c)
+        add_into(reduce, rem, e - l * f, c)
     if not rem:
         return
 
@@ -499,9 +491,9 @@ def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, emit, stats
     _check(layout, kn3)
     shifted = {}
     for e, c in rem.items():
-        _add_into(ring, shifted, e + f if (((e + bias) >> s) & mask) == half else e, c)
+        add_into(reduce, shifted, e + f if (((e + bias) >> s) & mask) == half else e, c)
     # the brackets are linear in the numerator: negate it once, not every term
-    shifted = poly_neg(ring, shifted)
+    shifted = {e: reduce(-c) for e, c in shifted.items()}
     den2 = tuple(reduced) + (f,)
     xs2 = rxs + [a]
     for idx, x in enumerate(rxs):
@@ -529,10 +521,11 @@ def ct_var(ring, t, xvid, layout, emit, stats=None):
     num, den = normalize_for_var(ring, t, xs, layout)
     _check_pairwise_coprime(t.den, xs, layout)
     # l1 (positive x-exponents) enters the large-factor brackets negated
+    reduce = ring.reduce
     l1, l2 = {}, {}
     for e, c in num.items():
         if (((e + bias) >> s) & mask) > half:
-            l1[e] = ring.neg(c)
+            l1[e] = reduce(-c)
         else:
             l2[e] = c
     kd = layout.bound
@@ -551,6 +544,7 @@ def ct_var(ring, t, xvid, layout, emit, stats=None):
 
 def _num_sum(ring, a, b):
     """The packed numerator a + b, in the order a dict would keep its monomials."""
+    reduce = ring.reduce
     if len(b) == 2:
         # b is one monomial, as in most merges: no dict is built
         e, c = b
@@ -558,13 +552,13 @@ def _num_sum(ring, a, b):
         if e not in es:
             return a + b
         i = 2 * es.index(e)
-        c = ring.add(a[i + 1], c)
-        if ring.is_zero(c):
+        c = reduce(a[i + 1] + c)
+        if not c:
             return a[:i] + a[i + 2:]
         return a[:i + 1] + (c,) + a[i + 2:]
     acc = dict(num_items(a))
     for e, c in num_items(b):
-        _add_into(ring, acc, e, c)
+        add_into(reduce, acc, e, c)
     return _packed(acc)
 
 

@@ -173,7 +173,7 @@ def _start_termsum(system, table, ring, series):
         num = EXPS_ONE
     else:
         num = exps_from_dict(shift)
-    return start_termsum(table, ring, {num: ring.one()}, den)
+    return start_termsum(table, ring, {num: 1}, den)
 
 
 def build_count_termsum(system, table, ring):
@@ -258,7 +258,7 @@ def series_coeffs(num, den, count):
     den[0] must be 1, as in every reduced series.  A solution count is never
     negative, so a negative coefficient raises ArithmeticError.
     """
-    out = power_series_div(ExactRing(), num, den, count)
+    out = power_series_div(num, den, count)
     if any(c < 0 for c in out):
         raise ArithmeticError("series coefficient went negative")
     return out

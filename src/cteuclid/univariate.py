@@ -9,20 +9,21 @@ code that knows this format.  The final reduction, reduce_factored, cancels
 the cyclotomic factors of that known denominator from the integer
 numerator by exact division, so coefficients never leave Z.
 
-Dense polynomials are plain lists, index = degree, over a coefficient ring
-(exact integers or a prime field).  Sparse Laurent numerators are dicts
-{degree: coeff} and may hold negative degrees while accumulation runs.
+Dense polynomials are plain lists, index = degree, over Z.  Sparse
+Laurent numerators are dicts {degree: coeff} of plain ints that a ring's
+``reduce`` brings into the ring (a prime field while stage B accumulates),
+and may hold negative degrees while accumulation runs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import ExactRing, poly_add_inplace
+from .algebra import add_into
 
 
 # ---------------------------------------------------------------------------
-# dense arithmetic over a ring
+# dense arithmetic over Z
 
 
 def trim(cs):
@@ -33,27 +34,27 @@ def trim(cs):
     return cs
 
 
-def pmul(ring, a, b):
+def pmul(a, b):
     if not a or not b:
         return []
-    out = [ring.zero()] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if ring.is_zero(x):
+        if not x:
             continue
         for j, y in enumerate(b):
-            out[i + j] = ring.add(out[i + j], ring.mul(x, y))
+            out[i + j] += x * y
     return trim(out)
 
 
-def power_series_div(ring, num, den, count):
+def power_series_div(num, den, count):
     """First `count` series coefficients of num/den; den[0] must be one."""
-    if not den or den[0] != ring.one():
+    if not den or den[0] != 1:
         raise ArithmeticError("the denominator's constant coefficient is not 1")
     out = []
     for n in range(count):
-        acc = num[n] if n < len(num) else ring.zero()
+        acc = num[n] if n < len(num) else 0
         for i in range(1, min(n, len(den) - 1) + 1):
-            acc = ring.sub(acc, ring.mul(den[i], out[n - i]))
+            acc -= den[i] * out[n - i]
         out.append(acc)
     return out
 
@@ -91,31 +92,33 @@ def divexact_int(a, b):
 # accumulation over a common factored denominator
 
 
-def sparse_mul(ring, a, b):
-    """Product of two sparse numerators {degree: coeff}."""
+def sparse_mul(reduce, a, b):
+    """Product of two sparse numerators {degree: coeff}, each coefficient reduced once."""
     out = {}
     for d1, c1 in a.items():
         for d2, c2 in b.items():
             d = d1 + d2
-            c = ring.mul(c1, c2)
-            out[d] = ring.add(out[d], c) if d in out else c
-    return {d: c for d, c in out.items() if not ring.is_zero(c)}
+            out[d] = out.get(d, 0) + c1 * c2
+    return {d: c for d, c in zip(out, map(reduce, out.values())) if c}
 
 
-def sparse_mul_binomial(ring, num, k, e):
+def sparse_mul_binomial(reduce, num, k, e):
     """Multiply a sparse Laurent numerator by (1 - q^k)^e."""
     for _ in range(e):
-        num = poly_add_inplace(ring, {d + k: ring.neg(c) for d, c in num.items()}, num)
+        shifted = {d + k: reduce(-c) for d, c in num.items()}
+        for d, c in num.items():
+            add_into(reduce, shifted, d, c)
+        num = shifted
     return num
 
 
-def dense_from_sparse(ring, num):
+def dense_from_sparse(num):
     """A sparse numerator as a dense list; raises if a negative degree survived."""
     if not num:
         return []
     if min(num) < 0:
         raise ArithmeticError("accumulated numerator kept a negative degree")
-    out = [ring.zero()] * (max(num) + 1)
+    out = [0] * (max(num) + 1)
     for d, c in num.items():
         out[d] = c
     return trim(out)
@@ -150,7 +153,10 @@ class FactoredAccumulator:
         for k, e in key:
             if e > self.den.get(k, 0):
                 self.den[k] = e
-        poly_add_inplace(self.ring, self.sums.setdefault(key, {}), num)
+        reduce = self.ring.reduce
+        out = self.sums.setdefault(key, {})
+        for d, c in num.items():
+            add_into(reduce, out, d, c)
 
     def split(self, rings):
         """One accumulator per ring, each a quotient of self.ring.
@@ -166,11 +172,7 @@ class FactoredAccumulator:
         num = self.numerator()
         parts = []
         for ring in rings:
-            reduced = {}
-            for d, c in num.items():
-                c = ring.from_int(c)
-                if not ring.is_zero(c):
-                    reduced[d] = c
+            reduced = {d: c for d, c in zip(num, map(ring.reduce, num.values())) if c}
             part = FactoredAccumulator(ring)
             part.add_piece(reduced, self.den)
             parts.append(part)
@@ -178,7 +180,7 @@ class FactoredAccumulator:
 
     def numerator(self, den=None):
         """Sparse numerator of the sum over den (default self.den); den must cover self.den."""
-        ring = self.ring
+        reduce = self.ring.reduce
         target = self.den if den is None else den
         out = {}
         for key, num in self.sums.items():
@@ -186,8 +188,9 @@ class FactoredAccumulator:
             for k, e in target.items():
                 deficit = e - have.get(k, 0)
                 if deficit > 0:
-                    num = sparse_mul_binomial(ring, num, k, deficit)
-            poly_add_inplace(ring, out, num)
+                    num = sparse_mul_binomial(reduce, num, k, deficit)
+            for d, c in num.items():
+                add_into(reduce, out, d, c)
         return out
 
 
@@ -216,8 +219,7 @@ def reduce_factored(num, den_counts):
     largest k down, e_k is m_k less the e_j of the multiples j of k
     already taken.
     """
-    ring = ExactRing()
-    num = dense_from_sparse(ring, num)
+    num = dense_from_sparse(num)
     mult = {}
     for k, e in den_counts.items():
         for d in range(1, k + 1):
@@ -233,7 +235,7 @@ def reduce_factored(num, den_counts):
                 break
             mult[d] -= 1
         for _ in range(mult[d]):
-            den = pmul(ring, den, phi)
+            den = pmul(den, phi)
     factors = {}
     for k in sorted(mult, reverse=True):
         e = mult[k] - sum(f for j, f in factors.items() if j % k == 0)

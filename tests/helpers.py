@@ -16,9 +16,9 @@ from cteuclid import engine
 from cteuclid.algebra import CT, FREE, VariableTable, exps_from_dict
 from cteuclid.bruteforce import naive_ct
 from cteuclid.engine import CollisionError, TermSum, start_termsum, unpack_term
-from cteuclid.univariate import pmul, trim
+from cteuclid.univariate import trim
 
-from oracles import make_term, term_y_series
+from oracles import make_term, pmul, term_y_series
 
 OMEGA = 16  # dominance base; safe while every digit stays <= OMEGA - 2
 YMAX = 2 * OMEGA  # comparison window for collapsed series

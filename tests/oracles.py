@@ -30,6 +30,11 @@ package computes another way; the tests compare the two.
 * ``RationalRing`` is the ring of arbitrary-precision rationals in which
   those two forms of stage B are compared; the package runs stage B only
   modulo primes.
+* ``poly_add_inplace``, ``poly_neg``, ``sparse_mul``,
+  ``sparse_mul_binomial``, ``pmul`` and ``power_series_div`` add, negate
+  and multiply through the methods of a ring.  The package forms the same
+  sums with plain numbers reduced by ``ring.reduce`` (``algebra.add_into``
+  and ``univariate``), and over Z alone in stage C.
 * ``homogeneous_nonzero_exists`` searches a box for a nonzero solution
   x >= 0 of A x = 0, which ``bruteforce.certify_bounded`` must find
   exactly when it refuses a system.
@@ -48,8 +53,6 @@ from cteuclid.algebra import (
     EXPS_ONE,
     ExactRing,
     exps_get,
-    poly_add_inplace,
-    poly_neg,
     srem_split,
 )
 from cteuclid.bruteforce import OracleRefusal, _suffix_extremes, naive_ct
@@ -60,7 +63,7 @@ from cteuclid.elimination import (
     split_factors,
 )
 from cteuclid.engine import CollisionError, ElliottTerm, Stats
-from cteuclid.univariate import divexact_int, sparse_mul, sparse_mul_binomial, trim
+from cteuclid.univariate import divexact_int, trim
 
 SMALL, LARGE, ONE = "small", "large", "one"
 
@@ -142,6 +145,23 @@ def exps_content_primitive(exps):
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials: dict {exps: coeff}
+
+
+def poly_add_inplace(ring, p, q):
+    for e, c in q.items():
+        if e in p:
+            s = ring.add(p[e], c)
+            if ring.is_zero(s):
+                del p[e]
+            else:
+                p[e] = s
+        else:
+            p[e] = c
+    return p
+
+
+def poly_neg(ring, p):
+    return {e: ring.neg(c) for e, c in p.items()}
 
 
 def poly_mul_monomial(ring, p, coeff, exps):
@@ -893,6 +913,53 @@ def ordinary_ct_s_term(ring, term, lam_map, tables=None, stats=None):
         if leaves > comb(d + 1, (d + 1) // 2):
             stats.summand_bound_ok = False
     return pieces
+
+
+# ---------------------------------------------------------------------------
+# univariate arithmetic through ring methods
+
+
+def sparse_mul(ring, a, b):
+    """Product of two sparse numerators {degree: coeff}."""
+    out = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            d = d1 + d2
+            c = ring.mul(c1, c2)
+            out[d] = ring.add(out[d], c) if d in out else c
+    return {d: c for d, c in out.items() if not ring.is_zero(c)}
+
+
+def sparse_mul_binomial(ring, num, k, e):
+    """Multiply a sparse Laurent numerator by (1 - q^k)^e."""
+    for _ in range(e):
+        num = poly_add_inplace(ring, {d + k: ring.neg(c) for d, c in num.items()}, num)
+    return num
+
+
+def pmul(ring, a, b):
+    if not a or not b:
+        return []
+    out = [ring.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if ring.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = ring.add(out[i + j], ring.mul(x, y))
+    return trim(out)
+
+
+def power_series_div(ring, num, den, count):
+    """First `count` series coefficients of num/den; den[0] must be one."""
+    if not den or den[0] != ring.one():
+        raise ArithmeticError("the denominator's constant coefficient is not 1")
+    out = []
+    for n in range(count):
+        acc = num[n] if n < len(num) else ring.zero()
+        for i in range(1, min(n, len(den) - 1) + 1):
+            acc = ring.sub(acc, ring.mul(den[i], out[n - i]))
+        out.append(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cteuclid.algebra import (
     CT,
@@ -17,12 +17,12 @@ from cteuclid.algebra import (
     PrimeField,
     VariableTable,
     WidthError,
+    add_into,
     exps_from_dict,
     exps_get,
-    poly_add_inplace,
-    poly_neg,
     srem_split,
 )
+from cteuclid.elimination import DEFAULT_PRIMES
 
 from oracles import (
     LARGE,
@@ -35,6 +35,7 @@ from oracles import (
     exps_mul,
     exps_pow,
     exps_without,
+    poly_add_inplace,
     poly_mul_monomial,
     poly_rem,
     rem_monomial,
@@ -269,9 +270,33 @@ def P(ring, *monos):
 def test_poly_ops():
     r = ExactRing()
     p = P(r, (2, E(y1=1)), (1, EXPS_ONE))
-    assert poly_add_inplace(r, dict(p), poly_neg(r, p)) == {}
+    q = dict(p)
+    for e, c in p.items():
+        add_into(r.reduce, q, e, -c)
+    assert q == {}
     shifted = poly_mul_monomial(r, p, r.from_int(3), E(x=1))
     assert shifted == P(r, (6, E(y1=1, x=1)), (3, E(x=1)))
+
+
+ADD_RINGS = [ExactRing(), RationalRing(), PrimeField(11), PrimeField(DEFAULT_PRIMES)]
+
+
+@pytest.mark.parametrize("ring", ADD_RINGS, ids=["int", "fraction", "mod11", "mod-default-primes"])
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-12, 12), st.sampled_from([1, 2, 3])),
+                max_size=16))
+@example([(0, 1, 1), (1, 5, 1), (0, -1, 1), (0, 2, 1)])  # a key cancels and comes back last
+@example([(2, 11, 1), (2, 3, 2), (2, -3, 2)])  # 11 vanishes mod 11
+def test_add_into_matches_poly_add_inplace(ring, adds):
+    """add_into, one key at a time, gives the dict of poly_add_inplace, in its key order."""
+    got, want = {}, {}
+    for key, n, d in adds:
+        if isinstance(ring, RationalRing):
+            c = ring.from_fraction(Fraction(n, d))
+        else:
+            c = ring.from_int(n)
+        add_into(ring.reduce, got, key, c)
+        poly_add_inplace(ring, want, {key: c})
+        assert list(got.items()) == list(want.items())
 
 
 def test_substitute():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cteuclid import cli
+from cteuclid.algebra import ExactRing, PrimeField
 from cteuclid.bruteforce import OracleRefusal, brute_count
 from cteuclid.checkpoint import CheckpointError, CheckpointPause, config_hash
 from cteuclid.elimination import DEFAULT_PRIMES, LambdaExhaustion, PrimeClash
@@ -150,6 +151,44 @@ def test_ct_command_mod_drops_vanishing_coefficients(in_tmp, capsys):
     assert not any(line.startswith("term[") for line in lines)
     for counter in ("raw-terms", "collected-terms", "euclid-nodes", "collisions", "restarts"):
         assert f"{counter}: 0" in lines
+
+
+RING_ARITHMETIC = ("add", "sub", "mul", "neg", "is_zero", "one", "zero", "pow_int", "div",
+                   "from_int")
+
+
+def test_runs_make_no_ring_arithmetic_calls(in_tmp, capsys, monkeypatch):
+    """Stages A, B and C add, negate and multiply plain numbers that ring.reduce brings into the ring.
+
+    Only stage B's division (inv, scale, from_fraction) is a ring method,
+    so none of the arithmetic methods is called by any of these runs.
+    """
+    calls = {}
+    for cls in (ExactRing, PrimeField):
+        # ExactRing never divides, so it has no div
+        for name in [n for n in RING_ARITHMETIC if hasattr(cls, n)]:
+            def spy(self, *args, _key=f"{cls.__name__}.{name}", _method=getattr(cls, name)):
+                calls[_key] = calls.get(_key, 0) + 1
+                return _method(self, *args)
+            monkeypatch.setattr(cls, name, spy)
+    (in_tmp / "term.json").write_text(json.dumps({
+        "variables": [["y", "free"], ["x", "ct"]],
+        "numerator": [[3, {}], [1, {"x": 1}]],
+        "denominator": [{"x": 1}, {"x": -1, "y": 1}],
+    }))
+    runs = [
+        ["magic", "--n", "4"],
+        ["magic", "--n", "3", "--crt", "--chunk-size", "2", "--checkpoint-dir", "ck"],
+        ["resume", "--checkpoint-dir", "ck"],
+        ["knapsack", "--a0", "89643481", "--weights", "12223,12224,36674,61119,85569",
+         "--mod", "1000003"],
+        ["magic", "--n", "3", "--coeffs", "8"],
+        ["ct", "--input", "term.json", "--mod", "3"],
+    ]
+    for argv in runs:
+        rc, _, err = run_main(capsys, *argv)
+        assert rc == 0, err
+        assert calls == {}, argv
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from cteuclid.algebra import (
     WidthError,
     exps_from_dict,
     exps_get,
-    poly_add_inplace,
 )
 from cteuclid.bruteforce import naive_ct
 from cteuclid.engine import (
@@ -45,7 +44,7 @@ from helpers import (
     table_xy,
     traced_peak,
 )
-from oracles import ct_via_at_zero, ct_via_proper, make_term
+from oracles import ct_via_at_zero, ct_via_proper, make_term, poly_add_inplace
 
 RING = ExactRing()
 Y1, Y2, X = (FREE, 0), (FREE, 1), (CT, 0)

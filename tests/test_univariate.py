@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cteuclid.algebra import ExactRing, PrimeField
+from cteuclid.elimination import DEFAULT_PRIMES
 from cteuclid.univariate import (
     FactoredAccumulator,
     cyclotomic,
@@ -18,6 +19,7 @@ from cteuclid.univariate import (
     trim,
 )
 
+import oracles
 from helpers import binomial_factor, expand_factored, padd
 from oracles import content_int, gcd_int, primitive_int, reduce_fraction_int, reduce_series
 
@@ -35,35 +37,35 @@ def test_binomial_factor_and_expand():
     assert binomial_factor(RING, 3, 1) == [1, 0, 0, -1]
     assert binomial_factor(RING, 1, 2) == [1, -2, 1]
     got = expand_factored(RING, {1: 2, 2: 1})
-    want = pmul(RING, [1, -2, 1], [1, 0, -1])
+    want = pmul([1, -2, 1], [1, 0, -1])
     assert got == want
 
 
 @given(small_poly, small_poly)
 def test_pmul_commutes(a, b):
-    assert pmul(RING, a, b) == pmul(RING, b, a)
+    assert pmul(a, b) == pmul(b, a)
 
 
 @given(small_poly, small_poly, small_poly)
 def test_pmul_distributes(a, b, c):
-    lhs = pmul(RING, a, padd(RING, b, c))
-    rhs = padd(RING, pmul(RING, a, b), pmul(RING, a, c))
+    lhs = pmul(a, padd(RING, b, c))
+    rhs = padd(RING, pmul(a, b), pmul(a, c))
     assert lhs == rhs
 
 
 def test_power_series_div():
     # 1/(1-q) = 1 + q + q^2 + ...
-    assert power_series_div(RING, [1], [1, -1], 5) == [1, 1, 1, 1, 1]
+    assert power_series_div([1], [1, -1], 5) == [1, 1, 1, 1, 1]
     # (1+q)/(1-q)^2 = 1 + 3q + 5q^2 + ...
-    got = power_series_div(RING, [1, 1], [1, -2, 1], 4)
+    got = power_series_div([1, 1], [1, -2, 1], 4)
     assert got == [1, 3, 5, 7]
 
 
 @given(small_poly, small_poly, st.integers(min_value=1, max_value=12))
 def test_power_series_div_inverts_multiplication(num, den, count):
     den = [1] + den  # unit constant coefficient
-    series = power_series_div(RING, num, den, count)
-    back = pmul(RING, series, den)[:count]
+    series = power_series_div(num, den, count)
+    back = pmul(series, den)[:count]
     back += [0] * (count - len(back))
     numt = (num + [0] * count)[:count]
     assert [RING.from_int(c) for c in numt] == back
@@ -80,8 +82,8 @@ def test_content_primitive():
 
 
 def test_gcd_known():
-    a = pmul(RING, [1, -1], [1, 1])  # q^2 - 1 style
-    b = pmul(RING, [1, -1], [1, 2])
+    a = pmul([1, -1], [1, 1])  # q^2 - 1 style
+    b = pmul([1, -1], [1, 2])
     assert gcd_int(a, b) == [-1, 1] or gcd_int(a, b) == [1, -1]
 
 
@@ -90,8 +92,8 @@ def test_gcd_known():
 def test_gcd_divides_products(g, a, b):
     if not trim(g):
         return
-    ga = pmul(RING, g, a)
-    gb = pmul(RING, g, b)
+    ga = pmul(g, a)
+    gb = pmul(g, b)
     if not trim(ga) or not trim(gb):
         return
     d = gcd_int(ga, gb)
@@ -112,11 +114,11 @@ def test_reduce_fraction_round_trip(num, den):
     if not trim(den) or not trim(num):
         return
     g = [1, -3, 2]
-    n2, d2 = reduce_fraction_int(pmul(RING, num, g), pmul(RING, den, g))
+    n2, d2 = reduce_fraction_int(pmul(num, g), pmul(den, g))
     # reduced pair represents the same rational function: n2*den == num*d2 up
     # to the removed content
-    lhs = pmul(RING, n2, trim(den))
-    rhs = pmul(RING, trim(num), d2)
+    lhs = pmul(n2, trim(den))
+    rhs = pmul(trim(num), d2)
     # proportional by a positive rational
     c1 = next(c for c in lhs if c) if trim(lhs) else 0
     c2 = next(c for c in rhs if c) if trim(rhs) else 0
@@ -135,7 +137,7 @@ def test_cyclotomic_factors_multiply_to_binomials():
         for e in range(1, d + 1):
             if d % e == 0:
                 assert cyclotomic(e)[0] == 1
-                prod = pmul(RING, prod, cyclotomic(e))
+                prod = pmul(prod, cyclotomic(e))
         assert prod == [1] + [0] * (d - 1) + [-1]
 
 
@@ -157,7 +159,7 @@ def test_reduce_factored_matches_gcd_reference(base, shared, counts):
     """Equal to one PRS gcd on the dense fraction and trial division of its denominator."""
     num = base
     for d in shared:
-        num = pmul(RING, num, cyclotomic(d))
+        num = pmul(num, cyclotomic(d))
     num = trim(list(num))
     got = reduce_factored({i: c for i, c in enumerate(num) if c}, counts)
     assert got == reduce_series(num, expand_factored(RING, counts))
@@ -187,8 +189,8 @@ def _dense(num_sparse, ring):
 @settings(max_examples=60)
 def test_sparse_mul_binomial_matches_dense(num, k, e):
     num = {d: RING.from_int(c) for d, c in num.items() if c}
-    got = sparse_mul_binomial(RING, num, k, e)
-    want = pmul(RING, _dense(num, RING), binomial_factor(RING, k, e))
+    got = sparse_mul_binomial(RING.reduce, num, k, e)
+    want = pmul(_dense(num, RING), binomial_factor(RING, k, e))
     assert trim(_dense(got, RING)) == trim(want)
 
 
@@ -202,9 +204,29 @@ SPARSE = st.dictionaries(st.integers(min_value=0, max_value=8),
 def test_sparse_mul_matches_dense(ring, a, b):
     a = {d: ring.from_int(c) for d, c in a.items() if c}
     b = {d: ring.from_int(c) for d, c in b.items() if c}
-    got = sparse_mul(ring, a, b)
+    got = sparse_mul(ring.reduce, a, b)
     assert all(not ring.is_zero(c) for c in got.values())
-    assert trim(_dense(got, ring)) == pmul(ring, _dense(a, ring), _dense(b, ring))
+    assert trim(_dense(got, ring)) == oracles.pmul(ring, _dense(a, ring), _dense(b, ring))
+
+
+REFERENCE_RINGS = [RING, PrimeField(11), PrimeField(DEFAULT_PRIMES)]
+REFERENCE_RING_IDS = ["exact", "mod11", "mod-default-primes"]
+LAURENT = st.dictionaries(st.integers(min_value=-3, max_value=8),
+                          st.integers(min_value=-12, max_value=12), max_size=5)
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=REFERENCE_RING_IDS)
+@given(a=LAURENT, b=LAURENT, k=st.integers(min_value=1, max_value=4),
+       e=st.integers(min_value=0, max_value=3))
+@settings(max_examples=60)
+def test_sparse_products_match_the_ring_references(ring, a, b, k, e):
+    """sparse_mul and sparse_mul_binomial equal the ring-method versions, in key order."""
+    a = {d: ring.from_int(c) for d, c in a.items() if not ring.is_zero(ring.from_int(c))}
+    b = {d: ring.from_int(c) for d, c in b.items() if not ring.is_zero(ring.from_int(c))}
+    got = sparse_mul(ring.reduce, a, b)
+    assert list(got.items()) == list(oracles.sparse_mul(ring, a, b).items())
+    got = sparse_mul_binomial(ring.reduce, dict(a), k, e)
+    assert list(got.items()) == list(oracles.sparse_mul_binomial(ring, dict(a), k, e).items())
 
 
 def test_factored_accumulator_combines_denominators():
@@ -212,7 +234,7 @@ def test_factored_accumulator_combines_denominators():
     acc.add_piece({0: RING.one()}, {1: 1})           # 1/(1-q)
     acc.add_piece({0: RING.one()}, {2: 1})           # 1/(1-q^2)
     assert acc.den == {1: 1, 2: 1}
-    num = dense_from_sparse(RING, acc.numerator())
+    num = dense_from_sparse(acc.numerator())
     # 1/(1-q) + 1/(1-q^2) = ((1-q^2) + (1-q)) / ((1-q)(1-q^2))
     want = padd(RING, [1, 0, -1], [1, -1])
     assert trim(num) == trim(want)
@@ -222,14 +244,14 @@ def test_factored_accumulator_rejects_surviving_negative_degrees():
     acc = FactoredAccumulator(RING)
     acc.add_piece({-1: RING.one()}, {1: 1})
     with pytest.raises(ArithmeticError):
-        dense_from_sparse(RING, acc.numerator())
+        dense_from_sparse(acc.numerator())
 
 
 def test_factored_accumulator_negative_degrees_may_cancel():
     acc = FactoredAccumulator(RING)
     acc.add_piece({-1: RING.one()}, {1: 1})
     acc.add_piece({-1: RING.from_int(-1)}, {1: 1})
-    assert dense_from_sparse(RING, acc.numerator()) == []
+    assert dense_from_sparse(acc.numerator()) == []
 
 
 PIECE = st.tuples(
@@ -267,13 +289,13 @@ def test_factored_accumulator_matches_dense_reference(ring, pieces, cancelled, r
         term = _dense({d + 3: c for d, c in n.items()}, ring)
         for j, (_, d) in enumerate(pieces):
             if j != i:
-                term = pmul(ring, term, expand_factored(ring, d))
+                term = oracles.pmul(ring, term, expand_factored(ring, d))
         ref = padd(ring, ref, term)
     for _, d in pieces:
-        full = pmul(ring, full, expand_factored(ring, d))
+        full = oracles.pmul(ring, full, expand_factored(ring, d))
     got = _dense({d + 3: c for d, c in acc.numerator().items()}, ring)
-    lhs = pmul(ring, got, full)
-    rhs = pmul(ring, ref, expand_factored(ring, acc.den))
+    lhs = oracles.pmul(ring, got, full)
+    rhs = oracles.pmul(ring, ref, expand_factored(ring, acc.den))
     assert trim(lhs) == trim(rhs)
 
     rnd.shuffle(everything)
@@ -312,13 +334,18 @@ def test_split_of_a_product_ring_matches_each_prime(pieces):
         assert part.den == acc.den == whole.den
         assert part.numerator() == acc.numerator()
     assert whole.split([whole.ring]) == [whole]
+    # each part is the numerator over den reduced through from_int
+    num = whole.numerator()
+    for part, field in zip(parts, fields):
+        want = {d: field.from_int(c) for d, c in num.items() if not field.is_zero(field.from_int(c))}
+        assert list(part.numerator().items()) == list(want.items())
 
 
 def test_prime_field_series_division_matches_exact():
     p = 636286597
     rp = PrimeField(p)
     num, den = [1, 1], [1, -2, 1]
-    exact = power_series_div(RING, num, den, 10)
-    modp = power_series_div(rp, [rp.from_int(c) for c in num],
-                            [rp.from_int(c) for c in den], 10)
+    exact = power_series_div(num, den, 10)
+    modp = oracles.power_series_div(rp, [rp.from_int(c) for c in num],
+                                    [rp.from_int(c) for c in den], 10)
     assert [c % p for c in exact] == modp
