@@ -15,8 +15,9 @@ over.  A direction and the exact primes are drawn from that summary alone,
 so no chunk is read before stage B, and stage B reads one chunk at a time,
 only when a partial of it is missing.  Stage A writes its chunks one at a
 time too, straight from its packed terms, so neither side ever holds more
-than one chunk of tuple-form terms.  A meta.json without a summary, as
-older versions wrote it, gets one from a pass over the chunks.
+than one chunk of tuple-form terms; a chunk is packed as it loads, so
+stage B reads a packed TermSum here too.  A meta.json without a summary,
+as older versions wrote it, gets one from a pass over the chunks.
 
 A work unit is stage A, or the partial of one chunk modulo one prime.
 Stage B eliminates a chunk once for all the primes that lack its partial,
@@ -52,9 +53,9 @@ import re
 from itertools import chain, islice
 
 from . import __version__
-from .algebra import SLACK, VariableTable
+from .algebra import CT, SLACK, ExactRing, VariableTable
 from .elimination import Summary, summarize
-from .engine import ElliottTerm, Stats
+from .engine import ElliottTerm, Stats, TermSum
 from .univariate import FactoredAccumulator
 
 TOOL_NAME = "ct-euclid"
@@ -374,6 +375,7 @@ class DirectoryStore:
                 f"damaged stage-A state in {self.meta_path} ({exc}); "
                 "delete the directory and rerun"
             ) from None
+        self.table = table
         if summary is None:
             summary = summarize(map(self._load_chunk, range(nchunks)))
         return table, nchunks, stats, summary
@@ -394,12 +396,22 @@ class DirectoryStore:
         return nchunks
 
     def _load_chunk(self, i):
-        """The tuple-form terms of chunk i, which must hold its share of phase A's terms."""
+        """Chunk i, packed under phase A's table as the TermSum that stage B reads.
+
+        It must hold its share of phase A's terms and name only slack and
+        free variables of the table, the only ones stage A leaves.
+        """
         path = os.path.join(self.path, f"terms-{i:04d}.jsonl")
         try:
             with open(path) as fh:
                 memo = {}
                 terms = [term_from_line(line, memo) for line in fh if line.strip()]
+            kept = {v for v, _ in self.table.ordered() if v[0] != CT}
+            foreign = {v for t in terms for m in chain(t.den, t.num) for v, _ in m} - kept
+            if foreign:
+                r, s = min(foreign)
+                raise ValueError(f"a monomial names [{r},{s}], no slack or free variable")
+            chunk = TermSum.pack(self.table, ExactRing(), terms)
         except FileNotFoundError:
             raise CheckpointError(f"missing term chunk {i}; delete the directory and rerun")
         except (ValueError, KeyError, TypeError) as exc:
@@ -413,7 +425,7 @@ class DirectoryStore:
                 f"term chunk {i} holds {len(terms)} terms where {self.meta_path} "
                 f"gives it {share}; delete the directory and rerun"
             )
-        return terms
+        return chunk
 
     def partials(self, rings, i, lhash, compute):
         """[(FactoredAccumulator, stats)] of chunk i, one per ring, under direction hash lhash.

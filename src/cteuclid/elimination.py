@@ -67,15 +67,15 @@ The summand count in the result file is the number of ways to split r
 factor by factor over the k' mixed factors with a pairing nonzero in the
 ring, C(r + k', k'); it is computed in closed form, not enumerated.
 
-Stage B's input is stage A's output as it stands, with integer
-coefficients: in memory the packed TermSum itself, from a checkpoint the
-tuple-form terms of one chunk file.  A pass maps each term's coefficients
-into its ring when it reaches the term, and reads every monomial through
-one pairing function, m -> (<lambda, slack part>, q-degree), which reads
-a packed m's digits without decoding it and memoizes only that pair.  So
-the pass makes no second copy of the terms, packed or decoded.  The
-summary the direction search reads (``summarize``) takes the slack digits
-of a packed chunk the same way.
+Stage B reads one form of input: a packed TermSum with integer
+coefficients, in memory stage A's own, from a checkpoint one chunk file
+packed under phase A's variable table as it loads.  A pass maps each
+term's coefficients into its ring when it reaches the term, and reads
+every monomial through one pairing function, m -> (<lambda, slack part>,
+q-degree), which reads m's digits without decoding it and memoizes only
+that pair.  So the pass makes no second copy of the terms, packed or
+decoded.  The summary the direction search reads (``summarize``) takes
+the slack digits the same way.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ from math import comb, factorial, gcd, lcm, prod
 from typing import NamedTuple
 
 from .algebra import FREE, SLACK, InputError, add_into
-from .engine import ElliottTerm, TermSum, num_items
+from .engine import ElliottTerm, num_items
 from .univariate import FactoredAccumulator, sparse_mul
 
 # moduli used when --crt is requested without explicit --mod values
@@ -123,32 +123,18 @@ def lambda_pairing(lam_map, exps):
     return b, degree
 
 
-def _items(chunk):
-    """items(num), the (monomial, coefficient) pairs of a numerator of chunk.
+def pairing_function(lam_map, chunk):
+    """The function m -> lambda_pairing(lam_map, m) of one pass over chunk, a packed TermSum.
 
-    A stage-B chunk is stage A's packed TermSum, whose flat numerators
-    engine.num_items reads, or a list of tuple-form terms read back from a
-    checkpoint, which hold dicts; so do the terms of a single-term call
-    (chunk None).
+    It reads the pair from the digits of the packed int, as Layout.get
+    does, without decoding m: <lambda, slack part> is the sum of lam_v
+    times the digit of v, and the q-degree is the digit of the free
+    variable.  One mask test finds a nonzero digit of a ct variable or of
+    a slack variable with no direction entry; such a monomial is decoded
+    and refused by lambda_pairing, with its message.  It memoizes the pair
+    (b, degree), never a decoded tuple, so the pass keeps one small pair
+    per distinct monomial and factor.
     """
-    return num_items if isinstance(chunk, TermSum) else dict.items
-
-
-def pairing_function(lam_map, chunk=None):
-    """The function m -> lambda_pairing(lam_map, m) of one pass over chunk.
-
-    On stage A's packed TermSum it reads the pair from the digits of the
-    packed int, as Layout.get does, without decoding m: <lambda, slack
-    part> is the sum of lam_v times the digit of v, and the q-degree is the
-    digit of the free variable.  One mask test finds a nonzero digit of a
-    ct variable or of a slack variable with no direction entry; such a
-    monomial is decoded and refused by lambda_pairing, with its message.
-    On tuple-form terms it is lambda_pairing itself.  Either way it
-    memoizes the pair (b, degree), never a decoded tuple, so the pass keeps
-    one small pair per distinct monomial and factor.
-    """
-    if not isinstance(chunk, TermSum):
-        return cache(lambda m: lambda_pairing(lam_map, m))
     layout = chunk.layout
     bias, mask, half, shift = layout.bias, layout.mask, layout.half, layout.shift
     weights = [(shift[v], lam_map[v]) for v in layout.vids if v[0] == SLACK and lam_map.get(v)]
@@ -192,24 +178,18 @@ class Summary(NamedTuple):
 
 
 def _factor_reader(chunk):
-    """(slacks, describe) for the terms of chunk.
+    """(slacks, describe) for the terms of chunk, a packed TermSum.
 
     slacks(monomials) is the set of slack vids with a nonzero exponent in
     any of them, and describe(f) gives a denominator factor's (bvec, pure,
     degree): its slack part as (vid, exponent) pairs in working order,
     whether it has no other variable, and the exponent of its first free
-    variable, 0 without one.  On stage A's packed TermSum both read digits
-    as pairing_function does, without decoding: a digit of u = m + bias
-    differs from B/2 exactly where u ^ bias has a bit in it, so one OR over
-    the monomials finds their slack digits, and the top bit of a factor's
-    slack bits names its next slack digit, as in Layout.unpack.
+    variable, 0 without one.  Both read digits as pairing_function does,
+    without decoding: a digit of u = m + bias differs from B/2 exactly
+    where u ^ bias has a bit in it, so one OR over the monomials finds
+    their slack digits, and the top bit of a factor's slack bits names its
+    next slack digit, as in Layout.unpack.
     """
-    if not isinstance(chunk, TermSum):
-        def describe(f):
-            bvec = tuple((v, e) for v, e in f if v[0] == SLACK)
-            return bvec, len(bvec) == len(f), next((e for v, e in f if v[0] == FREE), 0)
-
-        return (lambda monomials: {v for e in monomials for v, _ in e if v[0] == SLACK}), describe
     layout = chunk.layout
     bias, mask, half, w, vids = layout.bias, layout.mask, layout.half, layout.width, layout.vids
     last = len(vids) - 1
@@ -240,7 +220,7 @@ def _factor_reader(chunk):
 
 
 def summarize(chunks):
-    """The Summary of the terms of chunks, in one pass that holds one chunk at a time.
+    """The Summary of the terms of chunks, packed TermSums, in one pass that holds one at a time.
 
     Each distinct factor of a chunk is described once, and the slack
     variables of its numerator monomials are read in one pass over them
@@ -253,8 +233,7 @@ def summarize(chunks):
     den = {}
     for chunk in chunks:
         monomial_slacks, describe = _factor_reader(chunk)
-        items = _items(chunk)
-        slacks |= monomial_slacks({e for t in chunk for e, _ in items(t.num)})
+        slacks |= monomial_slacks({e for t in chunk for e, _ in num_items(t.num)})
         degree = {}
         for f in {f for t in chunk for f in t.den}:
             bvec, pure, degree[f] = describe(f)
@@ -448,32 +427,22 @@ def power_sums(bs, r):
     return sums
 
 
-class SeriesTables:
-    """The binomial rows and D_r of each pole order that one coefficient ring can divide by.
+def pole_order(ring, r):
+    """(binomial rows, D_r) of pole order r, once ring can divide by D_r.
 
     A prime p divides D_r exactly when r >= p - 1: p divides r! from r = p
     on, and the denominator of B_(p-1) (von Staudt-Clausen).  The field then
-    has no inverse for the terms of that order, and ensure refuses it.
+    has no inverse for the terms of that order, and ring.from_fraction
+    refuses the first ordinary coefficient, 1/n! or B_n/n! for n <= r,
+    whose denominator a prime divides.
     """
-
-    def __init__(self, ring):
-        self.ring = ring
-        self._orders = set()
-
-    def ensure(self, r):
-        """(binomial rows, D_r) for pole order r, once the ring can divide by D_r."""
-        _, binom, d = integer_rows(r)
-        if r not in self._orders:
-            modulus = self.ring.modulus
-            if modulus is not None and gcd(d, modulus) != 1:
-                # from_fraction refuses the first ordinary coefficient, 1/n!
-                # or B_n/n! for n <= r, whose denominator a prime divides
-                for n in range(r + 1):
-                    self.ring.from_fraction(Fraction(1, factorial(n)))
-                for n, b in enumerate(bernoulli_numbers(r)):
-                    self.ring.from_fraction(b / factorial(n))
-            self._orders.add(r)
-        return binom, d
+    _, binom, d = integer_rows(r)
+    if ring.modulus is not None and gcd(d, ring.modulus) != 1:
+        for n in range(r + 1):
+            ring.from_fraction(Fraction(1, factorial(n)))
+        for n, b in enumerate(bernoulli_numbers(r)):
+            ring.from_fraction(b / factorial(n))
+    return binom, d
 
 
 def split_factors(ring, term, pair):
@@ -499,7 +468,7 @@ def split_factors(ring, term, pair):
     return pure_b, mixed
 
 
-def pure_row(tables, pure_b):
+def pure_row(reduce, pure_b):
     """The product of the scaled pure factors b L_r s/(1 - e^{bs}), as an exponential row.
 
     With r = len(pure_b), entry n <= r is n! L_r^r prod(b) times the s^n
@@ -507,7 +476,6 @@ def pure_row(tables, pure_b):
     from the power sums P_k of pure_b by the pure steps of series_plan(r):
     O(r len(pure_b) + r^2) int operations, for any pairings.
     """
-    reduce = tables.ring.reduce
     r = len(pure_b)
     plan = series_plan(r)
     p = power_sums(pure_b, r)
@@ -517,7 +485,7 @@ def pure_row(tables, pure_b):
     return [reduce(s * x) for s, x in zip(plan.pure_scale, h)]
 
 
-def base_series(tables, term, pair, pure_b, low):
+def base_series(reduce, term, pair, pure_b, low):
     """The numerator series times the pure-factor product, as exponential rows.
 
     With r = len(pure_b), entry n <= r is n! L_r^r prod(b) times the s^n
@@ -527,9 +495,8 @@ def base_series(tables, term, pair, pure_b, low):
     are binomial convolutions.  Every coefficient is a plain int reduced
     into the ring as it is formed, and each sum is added in by add_into.
     """
-    reduce = tables.ring.reduce
     r = len(pure_b)
-    binom = tables.ensure(r)[0]
+    binom = integer_rows(r)[1]
 
     # numerator series: sum over monomials of c * q^d * m^n
     lnum = [{} for _ in range(r + 1)]
@@ -541,7 +508,7 @@ def base_series(tables, term, pair, pure_b, low):
             add_into(reduce, row, d, c)
             c = reduce(c * m)
 
-    pp = pure_row(tables, pure_b)
+    pp = pure_row(reduce, pure_b)
     out = [{} for _ in range(r + 1)]
     for i, row in enumerate(lnum):
         if not row:
@@ -557,7 +524,7 @@ def base_series(tables, term, pair, pure_b, low):
     return out
 
 
-def group_series(tables, bs, m, r):
+def group_series(reduce, bs, m, r):
     """Numerators of one group of mixed factors sharing the q-exponent m.
 
     For the j factors 1/(1 - q^m e^{b_i s}) of the group, entry N is N!
@@ -574,7 +541,6 @@ def group_series(tables, bs, m, r):
     """
     if not bs:
         return [{0: 1}]
-    reduce = tables.ring.reduce
     plan = series_plan(r)
     p = [reduce(x) for x in power_sums(bs, r)]
     cp = [w * p[k] for w, k in plan.weights]
@@ -588,7 +554,7 @@ def group_series(tables, bs, m, r):
     return out
 
 
-def ct_s_term(ring, term, pair, tables=None, stats=None):
+def ct_s_term(ring, term, pair, stats=None):
     """Constant term at s = 0 of one term under the direction substitution.
 
     pair is the pass's pairing_function, which gives each monomial and
@@ -620,22 +586,20 @@ def ct_s_term(ring, term, pair, tables=None, stats=None):
     mixed factors whose pairing is nonzero in the ring, C(r + k', k'),
     checked against C(d + 1, floor((d + 1)/2)) for d = #factors.
     """
-    if tables is None:
-        tables = SeriesTables(ring)
     reduce = ring.reduce
     pure_b, mixed = split_factors(ring, term, pair)
     r = len(pure_b)
-    binom, d_r = tables.ensure(r)
+    binom, d_r = pole_order(ring, r)
 
     by_m = {}
     for m, b in mixed:
         by_m.setdefault(m, []).append(b)
     live = {m: [b for b in bs if reduce(b)] for m, bs in by_m.items()}
-    groups = [(m, len(by_m[m]), group_series(tables, live[m], m, r)) for m in sorted(by_m)]
+    groups = [(m, len(by_m[m]), group_series(reduce, live[m], m, r)) for m in sorted(by_m)]
     # the groups take at most this much of the order; a count has no groups
     # and reads base entry r alone
     reach = min(r, sum(len(series) - 1 for _, _, series in groups))
-    base = base_series(tables, term, pair, pure_b, r - reach)
+    base = base_series(reduce, term, pair, pure_b, r - reach)
     inv_d = ring.inv(reduce(d_r * prod(pure_b)))
 
     pieces = []
@@ -677,7 +641,7 @@ def ct_s_term(ring, term, pair, tables=None, stats=None):
     return pieces
 
 
-def count_terms(ring, chunk, pair, tables, stats=None):
+def count_terms(ring, chunk, pair, stats=None):
     """(tn, td): the sum of the constant terms of chunk, a count's terms, as tn/td.
 
     A count term has no free variable, so every factor is pure, there are
@@ -686,20 +650,19 @@ def count_terms(ring, chunk, pair, tables, stats=None):
     that entry as sum_i C(r, i) S_i pp_(r - i), so a term is one ring
     element, summed into tn/td with plain ints that ring.reduce brings
     into the ring.  td is a unit: split_factors refuses a pairing that is
-    not, and tables.ensure a pole order whose D_r is not.  Terms are read,
+    not, and pole_order a pole order whose D_r is not.  Terms are read,
     skipped, refused and counted in stats as ct_s_term would.
     """
     reduce = ring.reduce
-    items = _items(chunk)
     tn, td = 0, 1
     for t in chunk:
-        num = [(e, c) for e, c in items(t.num) if reduce(c)]
+        num = [(e, c) for e, c in num_items(t.num) if reduce(c)]
         if not num:
             continue
         pure_b, _ = split_factors(ring, t, pair)
         r = len(pure_b)
-        binom, d_r = tables.ensure(r)
-        pp = pure_row(tables, pure_b)
+        binom, d_r = pole_order(ring, r)
+        pp = pure_row(reduce, pure_b)
         sums = [0] * (r + 1)
         for e, c in num:
             m = pair(e)[0]
@@ -719,11 +682,11 @@ def count_terms(ring, chunk, pair, tables, stats=None):
 def eliminate_slack(ring, table, chunk, lam_map, stats=None):
     """Remove every slack variable from one chunk of stage-A terms over table.
 
-    The chunk is stage A's packed TermSum itself, or a list of tuple-form
-    terms (see _items), with integer coefficients.  Each term's
+    The chunk is a packed TermSum with integer coefficients: stage A's
+    own, or a checkpoint's chunk packed as it loads.  Each term's
     coefficients are mapped into the ring as the pass reaches it, and a term
     whose numerator vanishes there is skipped; one pairing_function serves
-    the whole pass, reading a packed chunk's pairings from its digits.
+    the whole pass, reading the pairings from the packed digits.
     Returns one FactoredAccumulator in the free variable q.  A count's
     table has no q: each term is one ring element (count_terms), the chunk
     makes one inversion for their sum, and the accumulator holds it as
@@ -739,25 +702,19 @@ def eliminate_slack(ring, table, chunk, lam_map, stats=None):
     free = table.vids_of_rank(FREE)
     if len(free) > 1:
         raise RuntimeError("terms kept several free variables")
-    tables = SeriesTables(ring)
     acc = FactoredAccumulator(ring)
     pair = pairing_function(lam_map, chunk)
     if not free:
-        tn, td = count_terms(ring, chunk, pair, tables, stats)
+        tn, td = count_terms(ring, chunk, pair, stats)
         inv = ring.inv(td)
         if tn:
             acc.add_piece(ring.scale({0: tn}, inv), {})
         return acc
     reduce = ring.reduce
-    items = _items(chunk)
     for t in chunk:
-        num = {}
-        for e, c in items(t.num):
-            c = reduce(c)
-            if c:
-                num[e] = c
+        num = {e: r for e, c in num_items(t.num) if (r := reduce(c))}
         if num:
-            for piece, den_counts in ct_s_term(ring, ElliottTerm(num, t.den), pair, tables, stats):
+            for piece, den_counts in ct_s_term(ring, ElliottTerm(num, t.den), pair, stats):
                 acc.add_piece(piece, den_counts)
     return acc
 

@@ -23,9 +23,9 @@ l whole steps of the binomial is ``e - l*f``, and a factor is small exactly
 when it is positive.  Each function carries one bound for the exponents of
 the denominator factors (kd) and one for those of the numerator (kn); before
 it forms a value it checks the value's bound against the layout's reach and
-raises WidthError past it.  Stage B reads the packed terms as they are,
-from their digits and through ``num_items``; only a checkpoint writes
-them in tuple form, one at a time, through ``TermSum.tuple_terms``.
+raises WidthError past it.  Stage B reads packed terms alone, through
+their digits and ``num_items``; only a checkpoint's chunk files hold tuple
+form, written by ``TermSum.tuple_terms`` and read back by ``TermSum.pack``.
 
 A packed term stores its numerator as one immutable flat tuple
 (e1, c1, e2, c2, ...), which costs a fraction of a dict's shell: most

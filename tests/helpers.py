@@ -7,14 +7,17 @@ which way each geometric series expands; that turns the slow graded
 expansion in bruteforce.naive_ct into an exact oracle for the engine.
 
 Tests state terms in tuple form; ``Packed`` runs the per-term functions of
-the packed engine on them.
+the packed engine on them, and ``tuple_pairing`` gives stage B's per-term
+functions the pairings of their monomials.
 """
 
 import tracemalloc
+from functools import cache
 
 from cteuclid import engine
 from cteuclid.algebra import CT, FREE, VariableTable, exps_from_dict
 from cteuclid.bruteforce import naive_ct
+from cteuclid.elimination import lambda_pairing
 from cteuclid.engine import CollisionError, TermSum, start_termsum, unpack_term
 from cteuclid.univariate import trim
 
@@ -116,6 +119,15 @@ class Packed:
                                            layout.bound, kn, out.append, stats)
                 return [unpack_term(layout.unpack, r) for r in out]
         return []
+
+
+def tuple_pairing(lam):
+    """The pairing m -> lambda_pairing(lam, m) of tuple-form monomials, memoized.
+
+    Stage B's pairing_function reads packed monomials; this one feeds
+    ct_s_term and split_factors the tuple-form terms that tests state.
+    """
+    return cache(lambda m: lambda_pairing(lam, m))
 
 
 def traced_peak(fn, *args, **kwargs):

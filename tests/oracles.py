@@ -46,6 +46,7 @@ package computes another way; the tests compare the two.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, gcd
 
 from cteuclid.algebra import (
@@ -59,7 +60,6 @@ from cteuclid.bruteforce import OracleRefusal, _suffix_extremes, naive_ct
 from cteuclid.elimination import (
     integer_rows,
     lambda_pairing,
-    pairing_function,
     split_factors,
 )
 from cteuclid.engine import CollisionError, ElliottTerm, Stats
@@ -606,7 +606,7 @@ def enumerate_pieces(ring, term, lam_map, tables=None):
     """
     if tables is None:
         tables = FractionTables(ring)
-    pure_b, mixed = split_factors(ring, term, pairing_function(lam_map))
+    pure_b, mixed = split_factors(ring, term, partial(lambda_pairing, lam_map))
     r = len(pure_b)
     tables.ensure(r)
     base = ordinary_base_series(ring, tables, term, lam_map, pure_b)
@@ -858,7 +858,7 @@ def ordinary_ct_s_term(ring, term, lam_map, tables=None, stats=None):
     """
     if tables is None:
         tables = FractionTables(ring)
-    pure_b, mixed = split_factors(ring, term, pairing_function(lam_map))
+    pure_b, mixed = split_factors(ring, term, partial(lambda_pairing, lam_map))
     r = len(pure_b)
     tables.ensure(r)
     base = ordinary_base_series(ring, tables, term, lam_map, pure_b)

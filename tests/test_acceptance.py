@@ -22,7 +22,7 @@ from cteuclid.algebra import (
 )
 from cteuclid.bruteforce import brute_count, dp_knapsack, naive_ct
 from cteuclid.elimination import crt_combine, eliminate_slack
-from cteuclid.engine import CollisionError, Stats
+from cteuclid.engine import CollisionError, Stats, TermSum
 from cteuclid.problems import (
     DiophantineSystem,
     ehrhart_series,
@@ -81,7 +81,7 @@ def test_criterion_02_infeasible_knapsack_and_displayed_term():
         {exps_from_dict({t: 12223}): RING.one() * -1},
         [exps_from_dict({t: 1}), exps_from_dict({t: 12223})],
     )
-    acc = eliminate_slack(RING, table, [term], {t: 1})
+    acc = eliminate_slack(RING, table, TermSum.pack(table, RING, [term]), {t: 1})
     assert acc.den == {}
     assert acc.numerator() == {0: Fraction(-149365061, 146676)}
 

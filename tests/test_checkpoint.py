@@ -31,7 +31,7 @@ from cteuclid.elimination import (
     pick_lambda,
     summarize,
 )
-from cteuclid.engine import ElliottTerm, Stats, ct_all
+from cteuclid.engine import ElliottTerm, Stats, TermSum, ct_all
 from cteuclid.problems import (
     DiophantineSystem,
     build_count_termsum,
@@ -359,8 +359,10 @@ def _outcome(fn, *args, **kw):
 
 @pytest.mark.parametrize("name", sorted(STAGE_B_RUNS))
 def test_saved_summary_matches_the_chunks(tmp_path, name):
-    """Phase A's saved summary is the one its chunk files, packed or not, give.
+    """Phase A's saved summary is the one its chunk files, reloaded, and stage A's sum give.
 
+    A chunk file reloads as the checkpoint packs it, under a layout bounded
+    by its own exponents; so does the whole sum in one chunk.
     pick_lambda and certified_primes answer alike from each, and the
     summary's descriptors give the pairings and den read from the terms.
     """
@@ -369,11 +371,12 @@ def test_saved_summary_matches_the_chunks(tmp_path, name):
     _pause_after_stage_a(str(d), system, task, chunk_size=size)
     phase_a = json.loads((d / "meta.json").read_text())["phase_a"]
     table = table_from_obj(phase_a["table"])
-    files = [[term_from_line(line) for line in (d / f"terms-{i:04d}.jsonl").open()]
+    files = [TermSum.pack(table, ExactRing(),
+                          [term_from_line(line) for line in (d / f"terms-{i:04d}.jsonl").open()])
              for i in range(phase_a["chunks"])]
     build = build_count_termsum if task == "count" else build_series_termsum
     packed = ct_all(build(system, VariableTable(), ExactRing()))
-    plain = packed.unpacked()
+    plain = TermSum.pack(table, ExactRing(), packed.unpacked())
     saved = summary_from_obj(phase_a["summary"], table)
     assert saved == summarize(files) == summarize([packed]) == summarize([plain])
     assert saved.terms == phase_a["terms"] == len(plain)

@@ -423,12 +423,29 @@ def test_resume_with_partial_holding_no_residue_refused(in_tmp, capsys, value):
     assert not (in_tmp / "ck" / "result.txt").exists()
 
 
-def test_resume_with_damaged_term_chunk_refused(in_tmp, capsys):
+# edits of the first term chunk of knapsack 41 1,5,14, whose table holds
+# the slack variables [1,0], [1,1], [1,2] and the ct variable [2,0]
+DAMAGED_TERM_CHUNKS = {
+    "truncated-line": lambda text: text + '{"n": [\n',
+    # a factor's slack variable [1,2] renamed [1,7], which the table lacks
+    "unknown-slack": lambda text: text.replace("[1,2,1]", "[1,7,1]", 1),
+    # the ct variable, which stage A removed, back in a numerator monomial
+    "ct-variable": lambda text: text.replace("[1,1,8]]", "[1,1,8],[2,0,2]]", 1),
+    # a free variable q, which a count's table does not have
+    "free-variable": lambda text: text.replace('"n":[[[[', '"n":[[[[0,0,2],[', 1),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(DAMAGED_TERM_CHUNKS))
+def test_resume_with_damaged_term_chunk_refused(in_tmp, capsys, edit):
     rc, _, err = run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
                           "--checkpoint-dir", "ck", "--max-units", "1")
     assert rc == 0 and "# paused:" in err
     chunk = in_tmp / "ck" / "terms-0000.jsonl"
-    chunk.write_text(chunk.read_text() + '{"n": [\n')  # a truncated term line
+    text = chunk.read_text()
+    damaged = DAMAGED_TERM_CHUNKS[edit](text)
+    assert damaged != text
+    chunk.write_text(damaged)
     rc, out, err = run_main(capsys, "resume", "--checkpoint-dir", "ck")
     assert rc == 7
     assert out == ""

@@ -23,7 +23,6 @@ from cteuclid.elimination import (
     DEFAULT_PRIMES,
     LambdaExhaustion,
     PrimeClash,
-    SeriesTables,
     crt_combine,
     ct_s_term,
     eliminate_slack,
@@ -32,6 +31,7 @@ from cteuclid.elimination import (
     lambda_pairing,
     pairing_function,
     pick_lambda,
+    pole_order,
     pure_row,
     summarize,
     validate_lambda,
@@ -46,6 +46,7 @@ from cteuclid.problems import (
 )
 from cteuclid.univariate import FactoredAccumulator
 
+from helpers import tuple_pairing
 from oracles import (
     RationalRing,
     enumerate_pieces,
@@ -92,11 +93,10 @@ BERNOULLI = [
 def test_pole_coefficients_are_scaled_bernoulli_numbers():
     # the pole row of order r is -L_r B_n, L_r the lcm of the denominators
     # of B_0..B_r: 30 from r = 4 on, and 2310 once B_10 = 5/66 brings in 11
-    tabs = SeriesTables(RING)
     for r, lr in ((4, 30), (9, 210), (10, 2310)):
         pole, binom, d = integer_rows(r)
         assert d == math.factorial(r) * lr**r
-        assert tabs.ensure(r) == (binom, d)
+        assert pole_order(RING, r) == (binom, d)
         assert all(type(x) is int for x in pole)
         assert pole == tuple(-lr * BERNOULLI[n] for n in range(r + 1))
 
@@ -119,11 +119,10 @@ def test_stirling_subset_numbers():
 
 def test_tables_reduce_correctly_mod_p():
     p = 636286597
-    exact = SeriesTables(RING)
-    modp = SeriesTables(PrimeField(p))
-    assert modp.ensure(8) == exact.ensure(8) == integer_rows(8)[1:]
+    modp = PrimeField(p)
+    assert pole_order(modp, 8) == pole_order(RING, 8) == integer_rows(8)[1:]
     pure_b = [3, -5, 7, 1, 2, -2, p, 4]
-    assert pure_row(modp, pure_b) == [x % p for x in pure_row(exact, pure_b)]
+    assert pure_row(modp.reduce, pure_b) == [x % p for x in pure_row(RING.reduce, pure_b)]
 
 
 # The denominator named when a small prime meets pole order r: at r = p - 1
@@ -148,16 +147,16 @@ def test_small_prime_refused_from_pole_order_p_minus_1(p, shift):
     term = make_term(ring, {EXPS_ONE: ring.one()}, [exps_from_dict({z: 1}) for z in zs])
     lam = {z: 1 for z in zs}
     if shift == -2:
-        SeriesTables(ring).ensure(r)
-        assert ct_s_term(ring, term, pairing_function(lam))
+        pole_order(ring, r)
+        assert ct_s_term(ring, term, tuple_pairing(lam))
         return
     den = SMALL_PRIME_DENOMINATORS[p][shift + 1]
     message = f"modulus {p} divides the denominator {den}; use a larger prime"
     with pytest.raises(InputError) as excinfo:
-        SeriesTables(ring).ensure(r)
+        pole_order(ring, r)
     assert str(excinfo.value) == message
     with pytest.raises(InputError) as excinfo:
-        ct_s_term(ring, term, pairing_function(lam))
+        ct_s_term(ring, term, tuple_pairing(lam))
     assert str(excinfo.value) == message
 
 
@@ -227,8 +226,8 @@ def test_summarize_is_sorted_and_deterministic():
     q = ys[0]
     t1 = term_of(table, {EXPS_ONE: 1}, [exps_from_dict({z1: 1}), exps_from_dict({z2: 1, q: 1})])
     t2 = term_of(table, {EXPS_ONE: 1}, [exps_from_dict({z2: 1})])
-    s1 = summarize([[t1, t2]])
-    s2 = summarize([[t2], [t1]])
+    s1 = summarize([TermSum.pack(table, RING, [t1, t2])])
+    s2 = summarize([TermSum.pack(table, RING, [t2]), TermSum.pack(table, RING, [t1])])
     assert s1 == s2
     assert s1.terms == 2
     assert s1.slacks == [z1, z2]
@@ -255,7 +254,7 @@ def test_pick_lambda_respects_user_direction():
         {EXPS_ONE: 1},
         [exps_from_dict({z1: 1, z2: -1}), exps_from_dict({z2: 1, q: 1})],
     )
-    ts = [t]
+    ts = TermSum.pack(table, RING, [t])
     zs = table.vids_of_rank(SLACK)
     lam = pick_lambda(summarize([ts]), zs, lam={z1: 7, z2: 3})
     assert lam == {z1: 7, z2: 3}
@@ -286,19 +285,20 @@ def test_pick_lambda_refuses_a_key_that_is_not_a_slack_variable():
     table, ys, (z1, z2, z3) = _table(3, nfree=1)
     q = ys[0]
     t = term_of(table, {EXPS_ONE: 1}, [exps_from_dict({z1: 1}), exps_from_dict({z2: 1, q: 1})])
+    ts = TermSum.pack(table, RING, [t])
     zs = table.vids_of_rank(SLACK)
     with pytest.raises(InputError, match="^direction vector names 1 variables that are "
                                          "not slack variables among its 3 entries$"):
-        pick_lambda(summarize([[t]]), zs, lam={z1: 7, z2: 3, q: 5})
+        pick_lambda(summarize([ts]), zs, lam={z1: 7, z2: 3, q: 5})
     with pytest.raises(InputError, match="^direction vector names 2 variables that are "
                                          "not slack variables among its 3 entries$"):
-        pick_lambda(summarize([[t]]), zs, lam={z1: 7, "z2": 3, 2: 5})
+        pick_lambda(summarize([ts]), zs, lam={z1: 7, "z2": 3, 2: 5})
     # shaped like a slack variable, but the run has no such variable
     with pytest.raises(InputError, match="^direction vector names 1 variables that are "
                                          "not slack variables among its 3 entries$"):
-        pick_lambda(summarize([[t]]), zs, lam={z1: 7, z2: 3, (SLACK, 9): 1})
+        pick_lambda(summarize([ts]), zs, lam={z1: 7, z2: 3, (SLACK, 9): 1})
     # a slack variable of the run that no term carries any more is accepted
-    assert pick_lambda(summarize([[t]]), zs, lam={z1: 7, z2: 3, z3: 1}) == {z1: 7, z2: 3, z3: 1}
+    assert pick_lambda(summarize([ts]), zs, lam={z1: 7, z2: 3, z3: 1}) == {z1: 7, z2: 3, z3: 1}
     system = knapsack_system(41, [1, 5, 14])
     table = VariableTable()
     build_count_termsum(system, table, RING)
@@ -313,7 +313,7 @@ def test_pick_lambda_is_deterministic_per_seed():
     table, ys, zs = _table(3, nfree=1)
     q = ys[0]
     t = term_of(table, {EXPS_ONE: 1}, [exps_from_dict({z: 1, q: 1}) for z in zs])
-    ts = [t]
+    ts = TermSum.pack(table, RING, [t])
     a = pick_lambda(summarize([ts]), zs, seed=5)
     b = pick_lambda(summarize([ts]), zs, seed=5)
     c = pick_lambda(summarize([ts]), zs, seed=6)
@@ -344,7 +344,10 @@ def test_summary_reads_packed_digits_as_the_decoded_terms(data):
                                                 tuple(den)) for num, den in terms])
     decoded = [ElliottTerm({layout.unpack(e): 1 for e in num}, tuple(map(layout.unpack, den)))
                for num, den in terms]
-    assert summarize([packed]) == summarize([decoded])
+    # the terms packed again as a checkpoint packs a chunk it loads: digits
+    # of another width, bounded by the terms' own exponents
+    reloaded = TermSum.pack(table, None, decoded)
+    assert summarize([packed]) == summarize([reloaded])
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +364,7 @@ def test_displayed_substitution_value():
         {exps_from_dict({t: 12223}): -1},
         [exps_from_dict({t: 1}), exps_from_dict({t: 12223})],
     )
-    acc = eliminate_slack(RING, table, [term], {t: 1})
+    acc = eliminate_slack(RING, table, TermSum.pack(table, RING, [term]), {t: 1})
     assert acc.den == {}
     assert acc.numerator() == {0: Fraction(-149365061, 146676)}
 
@@ -371,7 +374,7 @@ def test_pure_factor_scalar_is_half():
     table = VariableTable()
     z = table.add("z", SLACK)
     term = term_of(table, {EXPS_ONE: 1}, [exps_from_dict({z: 1})])
-    acc = eliminate_slack(RING, table, [term], {z: 1})
+    acc = eliminate_slack(RING, table, TermSum.pack(table, RING, [term]), {z: 1})
     assert acc.den == {}
     assert acc.numerator() == {0: Fraction(1, 2)}
 
@@ -382,7 +385,7 @@ def test_mixed_factor_becomes_plain_series():
     q = table.add("q", FREE)
     z = table.add("z", SLACK)
     term = term_of(table, {EXPS_ONE: 1}, [exps_from_dict({z: 1, q: 1})])
-    acc = eliminate_slack(RING, table, [term], {z: 1})
+    acc = eliminate_slack(RING, table, TermSum.pack(table, RING, [term]), {z: 1})
     assert acc.den == {1: 1}
     assert acc.numerator() == {0: 1}
 
@@ -393,7 +396,7 @@ def test_ct_s_term_prime_clash_guard():
     ring = PrimeField(3)
     term = make_term(ring, {EXPS_ONE: ring.one()}, [exps_from_dict({z: 1})])
     with pytest.raises(PrimeClash):
-        ct_s_term(ring, term, pairing_function({z: 3}))
+        ct_s_term(ring, term, tuple_pairing({z: 3}))
 
 
 def test_summand_bound_is_tracked():
@@ -404,7 +407,7 @@ def test_summand_bound_is_tracked():
     den.append(exps_from_dict({zs[0]: 1, zs[1]: 1}))
     term = term_of(table, {EXPS_ONE: 1}, den)
     stats = Stats()
-    ct_s_term(RING, term, pairing_function({z: w for z, w in zip(zs, (3, 5, 7, 11))}),
+    ct_s_term(RING, term, tuple_pairing({z: w for z, w in zip(zs, (3, 5, 7, 11))}),
               stats=stats)
     assert stats.ct_s_calls == 1
     assert stats.summand_max >= 1
@@ -449,7 +452,7 @@ def _grouped_against_enumerated(ring, pure, mixed, num):
     if term is None:
         return None
     stats = Stats()
-    pieces = ct_s_term(ring, term, pairing_function(lam), stats=stats)
+    pieces = ct_s_term(ring, term, tuple_pairing(lam), stats=stats)
     want, leaves = enumerate_pieces(ring, term, lam)
     grouped, enumerated = _accumulate(ring, pieces), _accumulate(ring, want)
     assert grouped.sums == enumerated.sums
@@ -500,7 +503,7 @@ def test_pairing_divisible_by_the_modulus_counts_no_leaves():
     for ring, leaves in ((RING, 3), (PrimeField(SMALL_P), 1)):
         term, lam = _factor_term(ring, [1, 2], [(1, SMALL_P)], [(0, 0, 1)])
         stats = Stats()
-        ct_s_term(ring, term, pairing_function(lam), stats=stats)
+        ct_s_term(ring, term, tuple_pairing(lam), stats=stats)
         assert stats.summand_max == leaves
 
 
@@ -569,7 +572,7 @@ def test_elimination_is_direction_invariant():
         system = knapsack_system(a0, weights)
         table = VariableTable()
         ts = build_count_termsum(system, table, RING)
-        done = ct_all(ts).unpacked()
+        done = ct_all(ts)
         zs = table.vids_of_rank(SLACK)
         lam1 = {z: 1009 + 13 * i for i, z in enumerate(zs)}
         lam2 = {z: 577 + 101 * i * i for i, z in enumerate(zs)}
@@ -591,7 +594,7 @@ def test_eliminate_slack_refuses_a_ring_that_cannot_divide():
 
     table = VariableTable()
     ring = ExactRing()
-    done = ct_all(build_count_termsum(knapsack_system(41, [1, 5, 14]), table, ring)).unpacked()
+    done = ct_all(build_count_termsum(knapsack_system(41, [1, 5, 14]), table, ring))
     lam = pick_lambda(summarize([done]), table.vids_of_rank(SLACK))
     with pytest.raises(TypeError, match="PrimeField"):
         eliminate_slack(ring, table, done, lam)
@@ -640,7 +643,7 @@ def test_integer_rows_match_ordinary_coefficients(ring, case):
     if term is None:
         return
     got_stats, want_stats = Stats(), Stats()
-    got = ct_s_term(ring, term, pairing_function(lam), stats=got_stats)
+    got = ct_s_term(ring, term, tuple_pairing(lam), stats=got_stats)
     want = ordinary_ct_s_term(ring, term, lam, stats=want_stats)
     assert [dc for _, dc in got] == [dc for _, dc in want]
     assert [list(num.items()) for num, _ in got] == [list(num.items()) for num, _ in want]
@@ -669,11 +672,10 @@ row_pairings = st.lists(st.sampled_from(ROW_PAIRINGS), max_size=12)
 @example([11, 22, -11], 12, 3)  # all vanish mod 11
 @settings(max_examples=60, deadline=None)
 def test_group_rows_match_the_factor_by_factor_loop(ring, bs, r, m):
-    tables = SeriesTables(ring)
     reduce = ring.reduce
     want = [{m * e: reduce(c) for e, c in enumerate(row) if reduce(c)}
             for row in reference_group_rows(bs, r)]
-    got = group_series(tables, bs, m, r)
+    got = group_series(reduce, bs, m, r)
     assert [list(g.items()) for g in got] == [list(w.items()) for w in want]
 
 
@@ -683,29 +685,28 @@ def test_group_rows_match_the_factor_by_factor_loop(ring, bs, r, m):
 @example([-1, 2, 11, 13] * 3)
 @settings(max_examples=60, deadline=None)
 def test_pure_rows_match_the_factor_by_factor_loop(ring, pure_b):
-    tables = SeriesTables(ring)
-    assert pure_row(tables, pure_b) == [ring.reduce(x) for x in reference_pure_row(pure_b)]
+    assert pure_row(ring.reduce, pure_b) == [ring.reduce(x) for x in reference_pure_row(pure_b)]
 
 
 def test_rows_depend_only_on_power_sums():
     # {3, 3} and {1, 5} share P_1; {2, -1, -1} and {-2, 1, 1} share P_1 and
     # P_2; a pairing 0 adds nothing to any P_k
     for ring in ROW_RINGS:
-        tables = SeriesTables(ring)
-        assert group_series(tables, [3, 3], 2, 1) == group_series(tables, [1, 5], 2, 1) == [{0: 1}, {2: 6}]
-        assert group_series(tables, [2, -1, -1], 1, 2) == group_series(tables, [-2, 1, 1], 1, 2)
-        assert group_series(tables, [5, 0], 1, 6) == group_series(tables, [5], 1, 6)
+        reduce = ring.reduce
+        assert group_series(reduce, [3, 3], 2, 1) == group_series(reduce, [1, 5], 2, 1) == [{0: 1}, {2: 6}]
+        assert group_series(reduce, [2, -1, -1], 1, 2) == group_series(reduce, [-2, 1, 1], 1, 2)
+        assert group_series(reduce, [5, 0], 1, 6) == group_series(reduce, [5], 1, 6)
     assert reference_group_rows([3, 3], 1) == reference_group_rows([1, 5], 1)
 
 
 def test_rows_at_high_pole_order():
     # the plan's scaled log coefficients L_r^k a_k must be exact integers
-    tables = SeriesTables(ExactRing())
+    reduce = ExactRing().reduce
     for r in (13, 16, 20):
         pure_b = [(-1) ** k * k for k in range(1, r + 1)]
-        assert pure_row(tables, pure_b) == reference_pure_row(pure_b)
+        assert pure_row(reduce, pure_b) == reference_pure_row(pure_b)
     want = [{e: c for e, c in enumerate(row) if c} for row in reference_group_rows([5, -3], 16)]
-    assert group_series(tables, [5, -3], 1, 16) == want
+    assert group_series(reduce, [5, -3], 1, 16) == want
 
 
 # ---------------------------------------------------------------------------
@@ -786,12 +787,13 @@ def test_count_kernel_matches_ordinary_coefficients(ring, case):
             return acc.den, acc.numerator()
         return run
 
-    got = _count_outcome(kernel(chunk))
-    assert got == _count_outcome(lambda stats: _ordinary_count(ring, chunk, lam, stats))
-    if not isinstance(got[0][0], type):
-        # packed, the chunk's pairings are read from the digits
-        packed = TermSum.pack(table, ring, [t for t in chunk if t.num])
-        assert _count_outcome(kernel(packed)) == got
+    # packed, the chunk's pairings are read from the digits
+    packed = TermSum.pack(table, ring, chunk)
+    # the oracle meets each term's factors in packed order, as the kernel
+    # does, so that both refuse the same factor first
+    ordered = [ElliottTerm(t.num, tuple(sorted(t.den, key=packed.layout.pack))) for t in chunk]
+    got = _count_outcome(kernel(packed))
+    assert got == _count_outcome(lambda stats: _ordinary_count(ring, ordered, lam, stats))
 
 
 def test_count_chunk_makes_one_inversion(monkeypatch):
