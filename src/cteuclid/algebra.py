@@ -432,7 +432,8 @@ def add_into(reduce, poly, key, c):
 # modulo the ideal generated by the binomial.  Numerators take the floor
 # window 0 <= r < a (divmod); denominator factors take srem_split's
 # symmetric window -a/2 < r <= a/2, which is what keeps the recursion
-# exponents shrinking by at least half.
+# exponents shrinking by at least half.  The engine's Euclid node forms
+# the same split inline, in its one pass over a denominator.
 
 
 def srem_split(e, a):

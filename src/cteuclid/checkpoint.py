@@ -509,11 +509,11 @@ def _partial_from_obj(ring, obj):
         num, den = body["num"], body["den"]
         if not (isinstance(num, dict) and isinstance(den, dict)):
             raise ValueError("num and den are not JSON objects")
-    # a numerator term is saved as "d": "c", decimal digits for a degree
-    # d >= 0 and a residue c in [0, p)
+    # a numerator term is saved as "d": "c", a signed decimal degree d (a
+    # piece's numerator may hold powers of q below 0) and a residue c in [0, p)
     p = ring.modulus
     for d, c in num.items():
-        if not re.fullmatch(r"[0-9]+", d):
+        if not re.fullmatch(r"-?[0-9]+", d):
             raise ValueError(f"{json.dumps(d)} is not a degree")
         if not (re.fullmatch(r"[0-9]+", c) and int(c) < p):
             raise ValueError(f"{json.dumps(c)} is not a residue mod {p}")

@@ -29,18 +29,29 @@ form, written by ``TermSum.tuple_terms`` and read back by ``TermSum.pack``.
 
 A packed term stores its numerator as one immutable flat tuple
 (e1, c1, e2, c2, ...), which costs a fraction of a dict's shell: most
-stored numerators hold one monomial.  Dicts live only as the working
-numerators of ct_var and the Euclid recursion; make_term, pack_term and
-_relayout pack them, and num_items and unpack_term read them back.  A
-stored term never changes, so a round that keeps a term as it is hands on
-the term itself.  Coefficients are plain numbers, and ``ring.reduce``
-brings each sum or negation of them into the term sum's ring.
+stored numerators hold one monomial.  The working numerators of ct_var and
+the Euclid recursion take the same form, so a numerator of one monomial
+travels as its (monomial, coefficient) pair from the stored term to the
+terms it makes.  A dict is built only where several monomials can meet and
+must be summed: reducing a numerator modulo a pivot (``_merged``), merging
+bucket numerators, and packing tuple-form terms.  A stored term never
+changes, so a round that keeps a term as it is hands on the term itself.
+Coefficients are plain numbers, and ``ring.reduce`` brings each sum or
+negation of them into the term sum's ring.
+
+Each Euclid node takes one pass over its denominator, forming every
+factor's split, reduced and flipped value and the units at once, and then
+checks, in this order, the factor bound, a collision and the numerator
+bounds, so what it raises does not depend on where in the pass a factor
+sits.  The linear leaf makes its canonical factors (substituted, flipped,
+interned) in its own one pass.
 
 Inside the engine a denominator is its factors sorted as ints, which is
-all that collecting needs, and two factors are tested for a common
-binomial divisor by cross-multiplying them with each other's x-exponent.
-The order of exps tuples is applied once, as terms leave: the result file,
-the checkpoint's term chunks and stage B's chunks see only that order.
+all that collecting needs, and two factors have a common binomial divisor
+exactly when their fractions f/a, factor over x-exponent, are equal in
+lowest terms.  The order of exps tuples is applied once, as terms leave:
+the result file, the checkpoint's term chunks and stage B's chunks see
+only that order.
 
 Each exponent is decoded once: ct_var reads the x-exponent of every
 denominator factor and hands the normalized list down with the factors, and
@@ -68,6 +79,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import chain
+from math import gcd
 
 from .algebra import (
     CT,
@@ -75,7 +87,6 @@ from .algebra import (
     Layout,
     WidthError,
     add_into,
-    srem_split,
 )
 
 
@@ -160,11 +171,6 @@ def _check(layout, bound):
         raise WidthError(bound)
 
 
-def _xdigit(layout, xvid):
-    """(bias, shift, mask, half): the exponent of x in m is ((m + bias) >> shift & mask) - half."""
-    return layout.bias, layout.shift[xvid], layout.mask, layout.half
-
-
 def num_items(num):
     """The (monomial, coefficient) pairs of a packed numerator."""
     it = iter(num)
@@ -172,7 +178,7 @@ def num_items(num):
 
 
 def _packed(num):
-    """The packed numerator of a working numerator (a dict)."""
+    """The packed numerator of a dict {monomial: coefficient}."""
     if len(num) == 1:
         # the one (monomial, coefficient) pair is the packed numerator itself
         (pair,) = num.items()
@@ -180,24 +186,39 @@ def _packed(num):
     return tuple(chain.from_iterable(num.items()))
 
 
-def _push_units(ring, items, unit, flips):
-    """The working numerator of items times (-1)**flips * unit.
+def _merged(reduce, monomials, coeffs):
+    """The packed sum of the monomials with their coefficients.
+
+    Monomials that meet are summed by add_into, so they keep the order in
+    which they first come and a sum that vanishes drops out.
+    """
+    acc = {}
+    for e, c in zip(monomials, coeffs):
+        add_into(reduce, acc, e, c)
+    return _packed(acc)
+
+
+def _push_units(reduce, num, unit, flips):
+    """The packed numerator num times (-1)**flips * unit.
 
     Those are the units that inverting flips factors pushes into it.
+    Multiplying by a monomial moves every monomial alike, so none meet.
     """
+    out = list(num)
+    out[::2] = [e + unit for e in num[::2]]
     if flips % 2:
-        return {e + unit: ring.reduce(-c) for e, c in items}
-    return {e + unit: c for e, c in items}
+        out[1::2] = [reduce(-c) for c in num[1::2]]
+    return tuple(out)
 
 
 def make_term(ring, num, factors, layout):
     """Build a term in canonical form; returns None for the zero term.
 
-    num is a working numerator (a dict); the term packs it.  Large factor
-    monomials are inverted, 1/(1-M) = -M^-1/(1-M^-1), with the unit pushed
-    into the numerator.  A factor monomial equal to 1 means the denominator
-    vanished: that is the non-coprime collision.  The caller has checked
-    that the numerator has room for the unit.
+    num is a packed numerator.  Large factor monomials are inverted,
+    1/(1-M) = -M^-1/(1-M^-1), with the unit pushed into the numerator.  A
+    factor monomial equal to 1 means the denominator vanished: that is the
+    non-coprime collision.  The caller has checked that the numerator has
+    room for the unit.
     """
     intern = layout.intern
     unit = 0
@@ -212,11 +233,11 @@ def make_term(ring, num, factors, layout):
             raise CollisionError("denominator factor monomial equals 1")
         canon.append(intern(f, f))
     if flips:
-        num = _push_units(ring, num.items(), unit, flips)
+        num = _push_units(ring.reduce, num, unit, flips)
     if not num:
         return None
     canon.sort()
-    return ElliottTerm(_packed(num), tuple(canon))
+    return ElliottTerm(num, tuple(canon))
 
 
 def pack_term(layout, t):
@@ -317,7 +338,7 @@ def start_termsum(table, ring, num, factors):
     """
     bound = _largest_exponent([ElliottTerm(num, factors)])
     layout = Layout(table, bound * (1 + len(factors)))
-    t = make_term(ring, {layout.pack(e): c for e, c in num.items()},
+    t = make_term(ring, _packed({layout.pack(e): c for e, c in num.items()}),
                   [layout.pack(f) for f in factors], layout)
     return TermSum(layout, ring, [t] if t is not None else [])
 
@@ -344,9 +365,9 @@ def normalize_for_var(ring, t, xs, layout):
 
     xs holds the x-exponents of t.den.  1/(1 - u*x^-a) =
     (-u^-1 x^a) / (1 - u^-1 x^a); the units collect into the numerator.
-    Returns (num, den_list): a working numerator (a dict) and a den list in
-    working form, not canonical orientation.  t is a stored term, within
-    the layout bound.
+    Returns (num, den_list): a packed numerator and a den list in working
+    form, not canonical orientation.  t is a stored term, within the
+    layout bound.
     """
     unit = 0
     flips = 0
@@ -360,8 +381,8 @@ def normalize_for_var(ring, t, xs, layout):
             den.append(f)
     if flips:
         _check(layout, layout.bound * (1 + flips))
-        return _push_units(ring, num_items(t.num), unit, flips), den
-    return dict(num_items(t.num)), den
+        return _push_units(ring.reduce, t.num, unit, flips), den
+    return t.num, den
 
 
 def _check_pairwise_coprime(den, xs, layout):
@@ -369,45 +390,76 @@ def _check_pairwise_coprime(den, xs, layout):
 
     den is canonical and xs holds its x-exponents; a factor with a negative
     one normalizes to its inverse.  Normalized f and g with x-exponents
-    a, b > 0 are positively proportional exactly when f*b == g*a, values
-    whose exponents the layout bound squared bounds.
+    a, b > 0 are positively proportional exactly when f*b == g*a, that is
+    when their fractions f/a and g/b in lowest terms are equal, so one set
+    of those fractions finds every such pair.  The layout bound squared
+    bounds the exponents of the cross multiples f*b.
     """
     _check(layout, layout.bound ** 2)
-    seen = []
+    seen = set()
     for f, a in zip(den, xs):
         if a == 0:
             continue
         if a < 0:
             f, a = -f, -a
-        for g, b in seen:
-            if f * b == g * a:
-                raise CollisionError("denominator factors share a common binomial divisor")
-        seen.append((f, a))
+        g = gcd(f, a)
+        key = (f // g, a // g)
+        if key in seen:
+            raise CollisionError("denominator factors share a common binomial divisor")
+        seen.add(key)
 
 
-def linear_contribution(ring, num, den, xs, i, xvid, layout, kd, kn):
+def linear_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, emit):
     """<E, 1-u*x| for a linear pivot: drop the factor and set x = u^-1.
 
     xs holds the x-exponents of den, all nonnegative.  With f = u*x, a
-    monomial with x-exponent k becomes e - k*f.  Returns a canonical term or
-    None (zero).  A surviving factor monomial collapsing to 1 is a
-    non-coprime collision.
+    monomial with x-exponent k becomes e - k*f.  One pass over den makes
+    the term's canonical factors: each is substituted, flipped when large
+    (its unit joins the numerator) and interned.  The canonical term goes
+    to emit unless its numerator vanishes.  A surviving factor monomial
+    collapsing to 1 is a non-coprime collision, raised once the factor
+    bound has been checked.
     """
-    bias, s, mask, half = _xdigit(layout, xvid)
     f = den[i]
+    intern = layout.intern
+    unit = 0
+    flips = 0
+    collided = False
+    canon = []
+    for j, (g, k) in enumerate(zip(den, xs)):
+        if j == i:
+            continue
+        if k:
+            g -= k * f
+        if g < 0:
+            unit -= g
+            flips += 1
+            g = -g
+        elif not g:
+            collided = True
+        canon.append(intern(g, g))
     kd1 = kd * (1 + max(xs))
     _check(layout, kd1)
-    new_factors = [g - k * f if k else g for j, (g, k) in enumerate(zip(den, xs)) if j != i]
-    if not all(new_factors):
+    if collided:
         raise CollisionError("factor monomial became 1 after linear substitution")
-    ks = [(((e + bias) >> s) & mask) - half for e in num]
-    kn1 = kn + max(map(abs, ks), default=0) * kd
-    _check(layout, kn1 + len(new_factors) * kd1)
+    bias, s, mask, half = layout.bias, layout.shift[xvid], layout.mask, layout.half
+    room = len(canon) * kd1
     reduce = ring.reduce
-    new_num = {}
-    for (e, c), k in zip(num.items(), ks):
-        add_into(reduce, new_num, e - k * f, c)
-    return make_term(ring, new_num, new_factors, layout)
+    if len(num) == 2:
+        e, c = num
+        k = (((e + bias) >> s) & mask) - half
+        _check(layout, kn + abs(k) * kd + room)
+        num = (e - k * f + unit, reduce(-c) if flips % 2 else c)
+    else:
+        es = num[::2]
+        ks = [(((e + bias) >> s) & mask) - half for e in es]
+        _check(layout, kn + max(map(abs, ks)) * kd + room)
+        cs = [reduce(-c) for c in num[1::2]] if flips % 2 else num[1::2]
+        num = _merged(reduce, [e - k * f + unit for e, k in zip(es, ks)], cs)
+        if not num:
+            return
+    canon.sort()
+    emit(ElliottTerm(num, tuple(canon)))
 
 
 def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, emit, stats=None):
@@ -422,61 +474,86 @@ def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, emit, stats
     most half the pivot's.  kd and kn bound the exponents of den and num; a
     reduction by l steps multiplies the factor bound by at most 1 + |l|.
     Each canonical term of the answer goes to emit as it is made.
+
+    One pass over den forms each factor's split, its reduced and possibly
+    flipped value and the units; the bounds are checked after it, in the
+    order kd1, a collision, kn1, kn2.  A numerator of one monomial is
+    reduced without a dict: only several monomials can meet.
     """
     if stats is not None:
         stats.euclid_nodes += 1
-    bias, s, mask, half = _xdigit(layout, xvid)
-    f = den[i]
     a = xs[i]
     if a <= 0:
         raise ValueError("pivot factor must have positive x-exponent")
     if a == 1:
-        t = linear_contribution(ring, num, den, xs, i, xvid, layout, kd, kn)
-        if t is not None:
-            emit(t)
+        linear_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, emit)
         return
 
-    splits = [srem_split(x, a) for x in xs]
-    kd1 = kd * (1 + max(abs(l) for l, _ in splits))
-    _check(layout, kd1)
+    f = den[i]
+    h = a >> 1  # r > h exactly when 2r > a: the split takes the symmetric window
+    top = 1  # the largest step; the pivot's own split is (1, 0)
     unit = 0
     flips = 0
+    collided = False
     reduced = []
     rxs = []
-    for j, (g, (l, r)) in enumerate(zip(den, splits)):
+    for j, (g, x) in enumerate(zip(den, xs)):
         if j == i:
             continue
-        nf = g - l * f
-        if r >= 0:
-            if r == 0 and not nf:
-                raise CollisionError("factor reduced to 1 modulo the pivot")
-            reduced.append(nf)
-            rxs.append(r)
-        else:
+        l, r = divmod(x, a)
+        if r > h:
+            l += 1
+            r -= a
+        if l:
+            if l > top:
+                top = l
+            g -= l * f
+        if r < 0:
             # negative power: flip, unit -v^-1 x^-r joins the numerator
-            reduced.append(-nf)
-            rxs.append(-r)
-            unit -= nf
+            unit -= g
             flips += 1
-
+            g = -g
+            r = -r
+        elif not (r or g):
+            collided = True
+        reduced.append(g)
+        rxs.append(r)
+    kd1 = kd * (1 + top)
+    _check(layout, kd1)
+    if collided:
+        raise CollisionError("factor reduced to 1 modulo the pivot")
     kn1 = kn + flips * kd1
     if flips:
         _check(layout, kn1)
-        num = _push_units(ring, num.items(), unit, flips)
-    ls = [((((e + bias) >> s) & mask) - half) // a for e in num]
-    kn2 = kn1 + max(map(abs, ls), default=0) * kd
-    _check(layout, kn2)
+
+    bias, s, mask, half = layout.bias, layout.shift[xvid], layout.mask, layout.half
     reduce = ring.reduce
-    rem = {}
-    for (e, c), l in zip(num.items(), ls):
-        add_into(reduce, rem, e - l * f, c)
-    if not rem:
-        return
+    if len(num) == 2:
+        e, c = num
+        if flips:
+            e += unit
+            if flips % 2:
+                c = reduce(-c)
+        l = ((((e + bias) >> s) & mask) - half) // a
+        kn2 = kn1 + abs(l) * kd
+        _check(layout, kn2)
+        rem = (e - l * f, c)
+    else:
+        if flips:
+            num = _push_units(reduce, num, unit, flips)
+        es = num[::2]
+        ls = [((((e + bias) >> s) & mask) - half) // a for e in es]
+        kn2 = kn1 + max(map(abs, ls)) * kd
+        _check(layout, kn2)
+        rem = _merged(reduce, [e - l * f for e, l in zip(es, ls)], num[1::2])
+        if not rem:
+            return
 
     if not any(rxs):
         # the bracket is the x^0 coefficient of the reduced numerator over
         # the x-free reduced factors
-        l0 = {e: c for e, c in rem.items() if (((e + bias) >> s) & mask) == half}
+        l0 = tuple(chain.from_iterable(
+            p for p in num_items(rem) if (((p[0] + bias) >> s) & mask) == half))
         if not l0:
             return
         _check(layout, kn2 + len(reduced) * kd1)
@@ -486,19 +563,25 @@ def euclid_contribution(ring, num, den, xs, i, xvid, layout, kd, kn, emit, stats
         return
 
     # shift: numerator = x * L'(x) with deg L' < a, then expand through the
-    # reduced factors; the pivot contribution equals minus the sum of theirs
+    # reduced factors; the pivot contribution equals minus the sum of theirs.
+    # Only the monomials of x-degree 0 move, to degree a, so none meet, and
+    # the brackets are linear in the numerator: negate it once, not every term
     kn3 = kn2 + kd
     _check(layout, kn3)
-    shifted = {}
-    for e, c in rem.items():
-        add_into(reduce, shifted, e + f if (((e + bias) >> s) & mask) == half else e, c)
-    # the brackets are linear in the numerator: negate it once, not every term
-    shifted = {e: reduce(-c) for e, c in shifted.items()}
-    den2 = tuple(reduced) + (f,)
-    xs2 = rxs + [a]
-    for idx, x in enumerate(rxs):
-        if x > 0:
-            euclid_contribution(ring, shifted, den2, xs2, idx, xvid, layout, kd1, kn3, emit, stats)
+    if len(rem) == 2:
+        e, c = rem
+        shifted = (e + f if (((e + bias) >> s) & mask) == half else e, reduce(-c))
+    else:
+        shifted = []
+        for e, c in num_items(rem):
+            shifted += (e + f if (((e + bias) >> s) & mask) == half else e, reduce(-c))
+        shifted = tuple(shifted)
+    reduced.append(f)
+    rxs.append(a)
+    for idx in range(len(rxs) - 1):
+        if rxs[idx]:
+            euclid_contribution(ring, shifted, reduced, rxs, idx, xvid, layout, kd1, kn3, emit,
+                                stats)
 
 
 def ct_var(ring, t, xvid, layout, emit, stats=None):
@@ -508,26 +591,27 @@ def ct_var(ring, t, xvid, layout, emit, stats=None):
     x in its denominator keeps its x-free monomials: when that is all of
     them, the term itself is emitted.
     """
-    bias, s, mask, half = _xdigit(layout, xvid)
+    bias, s, mask, half = layout.bias, layout.shift[xvid], layout.mask, layout.half
     xs = [(((f + bias) >> s) & mask) - half for f in t.den]
     if not any(xs):
-        kept = {e: c for e, c in num_items(t.num) if (((e + bias) >> s) & mask) == half}
+        kept = [p for p in num_items(t.num) if (((p[0] + bias) >> s) & mask) == half]
         if 2 * len(kept) == len(t.num):
             emit(t)
         elif kept:
-            emit(ElliottTerm(_packed(kept), t.den))
+            emit(ElliottTerm(tuple(chain.from_iterable(kept)), t.den))
         return
 
     num, den = normalize_for_var(ring, t, xs, layout)
     _check_pairwise_coprime(t.den, xs, layout)
     # l1 (positive x-exponents) enters the large-factor brackets negated
     reduce = ring.reduce
-    l1, l2 = {}, {}
-    for e, c in num.items():
+    l1, l2 = [], []
+    for e, c in num_items(num):
         if (((e + bias) >> s) & mask) > half:
-            l1[e] = reduce(-c)
+            l1 += (e, reduce(-c))
         else:
-            l2[e] = c
+            l2 += (e, c)
+    l1, l2 = tuple(l1), tuple(l2)
     kd = layout.bound
     kn = kd * (1 + sum(1 for x in xs if x < 0))
     # the x-exponents of the normalized den, handed down to every bracket

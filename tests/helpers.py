@@ -18,7 +18,7 @@ from cteuclid import engine
 from cteuclid.algebra import CT, FREE, VariableTable, exps_from_dict
 from cteuclid.bruteforce import naive_ct
 from cteuclid.elimination import lambda_pairing
-from cteuclid.engine import CollisionError, TermSum, start_termsum, unpack_term
+from cteuclid.engine import CollisionError, TermSum, num_items, start_termsum, unpack_term
 from cteuclid.univariate import trim
 
 from oracles import make_term, pmul, term_y_series
@@ -91,7 +91,7 @@ class Packed:
         layout, (p,) = self._pack([t])
         xs = [layout.get(f, xvid) for f in p.den]
         num, den = engine.normalize_for_var(self.ring, p, xs, layout)
-        return {layout.unpack(e): c for e, c in num.items()}, [layout.unpack(f) for f in den]
+        return {layout.unpack(e): c for e, c in num_items(num)}, [layout.unpack(f) for f in den]
 
     def collect_terms(self, terms):
         layout, packed = self._pack(terms)

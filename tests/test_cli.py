@@ -225,6 +225,25 @@ def test_fresh_vs_resumed_result_files_identical(in_tmp, capsys):
            (in_tmp / "part" / "result.txt").read_bytes()
 
 
+def test_series_paused_inside_stage_b_resumes_to_the_fresh_files(in_tmp, capsys):
+    """A partial saved mid stage B holds powers of q below 0, and resume reads it back."""
+    argv = ["magic", "--n", "4", "--crt", "--chunk-size", "12"]
+    rc, _, _ = run_main(capsys, *argv, "--checkpoint-dir", "full")
+    assert rc == 0
+    rc, _, err = run_main(capsys, *argv, "--checkpoint-dir", "part", "--max-units", "40")
+    assert rc == 0 and "# paused:" in err
+    partials = sorted((in_tmp / "part").glob("partial-*.json"))
+    assert 0 < len(partials) < len(list((in_tmp / "full").glob("partial-*.json")))
+    assert any(d.startswith("-") for p in partials
+               for d in json.loads(p.read_text())["body"]["num"])
+    rc, _, _ = run_main(capsys, "resume", "--checkpoint-dir", "part", "--crt")
+    assert rc == 0
+    names = sorted(p.name for p in (in_tmp / "full").iterdir())
+    assert names == sorted(p.name for p in (in_tmp / "part").iterdir())
+    for name in names:
+        assert (in_tmp / "full" / name).read_bytes() == (in_tmp / "part" / name).read_bytes()
+
+
 def test_resume_matching_input_accepted(in_tmp, capsys):
     run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
              "--checkpoint-dir", "ck")
@@ -371,11 +390,12 @@ P = 1152921504606847009
     ([P], ("body", "den", {"3": True})),            # a bool for a power
     ([P], ("body", "den", {"0": 3})),               # a factor (1 - q^0) = 0
     ([P], ("body", "den", [3])),                    # not an object
-    ([P], ("body", "num", {"-3": "1", "0": "1"})),  # a negative degree
+    ([P], ("body", "num", {"1.5": "1", "0": "1"})), # a fractional degree
+    ([P], ("body", "num", {"-": "1", "0": "1"})),   # a sign with no digits
     ([P], ("stats", "ct_s_calls", "8")),            # a string for a counter
     ([P], ("stats", "summand_bound_ok", "no")),     # a string for a flag
 ], ids=["truncated", "list", "den-negative", "den-fraction", "den-bool", "den-k-zero",
-        "den-list", "num-negative-degree", "counter-string", "flag-string"])
+        "den-list", "num-fraction-degree", "num-bare-sign", "counter-string", "flag-string"])
 def test_resume_with_damaged_partial_refused(in_tmp, capsys, moduli, damage):
     if moduli:
         argv = ["magic", "--n", "3", "--mod", str(P)]

@@ -26,6 +26,7 @@ from cteuclid.engine import (
     pack_term,
 )
 from cteuclid.problems import (
+    DiophantineSystem,
     build_count_termsum,
     build_series_termsum,
     knapsack_system,
@@ -506,6 +507,39 @@ def test_ct_all_matches_tuple_reference(case, order, power):
         assert mine.as_dict() == ref.as_dict()
         return
     got = ct_all(ts, order=order, stats=mine)
+    _same_terms(got.unpacked(), want)
+    assert mine.as_dict() == ref.as_dict()
+
+
+@st.composite
+def one_equation_cases(draw):
+    """(table, ring, starting terms) of w . x = b, a count or its dilation series.
+
+    Weights up to 60 in absolute value make pivots far above the exponents
+    of reference_cases, so a bracket recurses through several Euclid nodes
+    and the symmetric splits flip factors below the first level.
+    """
+    weights = draw(st.lists(st.integers(-60, 60).filter(bool), min_size=2, max_size=4))
+    rhs = draw(st.integers(-100, 100))
+    build = draw(st.sampled_from([build_count_termsum, build_series_termsum]))
+    ring = draw(st.sampled_from([ExactRing(), PrimeField(101)]))
+    table = VariableTable()
+    ts = build(DiophantineSystem([weights], [rhs]), table, ring)
+    return table, ring, ts.unpacked()
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_equation_cases(), st.sampled_from([None, 1, 2]))
+def test_deep_euclid_recursions_match_tuple_reference(case, power):
+    """Deep recursions, packed as usual or narrowly, give the oracle's terms and counters."""
+    table, ring, terms = case
+    if power is None:
+        ts = TermSum.pack(table, ring, terms)
+    else:
+        ts = _narrow_sum(table, ring, terms, power)
+    mine, ref = Stats(), Stats()
+    want = oracles.ct_all(table, ring, terms, stats=ref)
+    got = ct_all(ts, stats=mine)
     _same_terms(got.unpacked(), want)
     assert mine.as_dict() == ref.as_dict()
 

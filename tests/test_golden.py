@@ -27,12 +27,18 @@ on golden/ct-collide.json in either order.  Its two equal factors would
 collide in x1 without their slack variables; under sparse-first x1 is
 taken after x2 is gone.
 
+The benchmark's knapsack pool, perfbench/golden/knapsack.json, pins the
+result file of each of its 32 seeded instances (right sides near 1e9, deep
+Euclid recursions) and of the four reference instances, counters included;
+each is run here as the benchmark runs it and compared byte for byte.
+
 Every run echoes its result file to stdout (after the value line on a
 pipeline run), followed by its wall time and the result-file path.
 """
 
 import contextlib
 import io
+import json
 import re
 import shutil
 from pathlib import Path
@@ -43,6 +49,7 @@ from cteuclid import cli
 from cteuclid.elimination import DEFAULT_PRIMES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH_KNAPSACK = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "knapsack.json"
 
 # instance -> (run arguments, arguments a resume must repeat)
 INSTANCES = {
@@ -200,3 +207,19 @@ def test_order_pins_match_golden(tmp_path, name):
     assert result.read_bytes() == want
     value_line = "" if argv[0] == "ct" else r"[^\n]*\n"
     assert re.fullmatch(value_line + echo_pattern(want.decode(), result), stdout)
+
+
+def knapsack_pool():
+    """One param per entry of the benchmark's knapsack golden file."""
+    gold = json.loads(BENCH_KNAPSACK.read_text())
+    return [pytest.param(entry, id=f"{part}-{i:02d}") for part in ("pool", "reference")
+            for i, entry in enumerate(gold[part])]
+
+
+@pytest.mark.parametrize("entry", knapsack_pool())
+def test_benchmark_knapsack_pool_matches_golden(tmp_path, entry):
+    # the benchmark's command line: direction seed 0, exact mode
+    result = tmp_path / "r.txt"
+    call(["knapsack", "--a0", str(entry["a0"]), "--weights", ",".join(map(str, entry["weights"])),
+          "--seed", "0", "--output", str(result)])
+    assert result.read_bytes() == entry["result"].encode()
