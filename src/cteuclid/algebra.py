@@ -147,7 +147,9 @@ class PrimeField:
     an element is a unit exactly when no prime divides it, and whose
     residues mod each p are those the field of p would compute.  Every
     inversion checks the primes in order and refuses a non-unit with an
-    InputError naming the first prime that divides it.
+    InputError naming the first prime that divides it.  ``product(fields)``
+    is the product ring of fields already built: their primes are
+    certified, so they are not tested again.
     """
 
     def __init__(self, primes):
@@ -160,6 +162,16 @@ class PrimeField:
                                  f"{MR_LIMIT}")
             if not _mr_is_prime(p) or p == 2:
                 raise InputError(f"modulus {p} is not an odd prime")
+        self._set_primes(primes)
+
+    @classmethod
+    def product(cls, fields):
+        """The ring of the primes of fields, PrimeFields; it checks only that they are distinct."""
+        ring = cls.__new__(cls)
+        ring._set_primes(tuple(p for f in fields for p in f.primes))
+        return ring
+
+    def _set_primes(self, primes):
         if len(set(primes)) != len(primes):
             raise InputError("moduli must be pairwise distinct")
         self.primes = primes

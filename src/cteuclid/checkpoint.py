@@ -14,9 +14,9 @@ denominator factor, and the denominator an exact run takes its numerators
 over.  A direction and the exact primes are drawn from that summary alone,
 so no chunk is read before stage B, and stage B reads one chunk at a time,
 only when a partial of it is missing.  Stage A writes its chunks one at a
-time too, straight from its packed terms, so neither side ever holds more
-than one chunk of tuple-form terms; a chunk is packed as it loads, so
-stage B reads a packed TermSum here too.  A meta.json without a summary,
+time too, straight from its packed terms, and a chunk is packed as it
+loads, each distinct row of it once, so neither side builds a tuple-form
+term and stage B reads a packed TermSum here too.  A meta.json without a summary,
 as older versions wrote it, gets one from a pass over the chunks.
 
 A work unit is stage A, or the partial of one chunk modulo one prime.
@@ -53,9 +53,9 @@ import re
 from itertools import chain, islice
 
 from . import __version__
-from .algebra import CT, SLACK, ExactRing, VariableTable
+from .algebra import CT, SLACK, ExactRing, Layout, VariableTable
 from .elimination import Summary, summarize
-from .engine import ElliottTerm, Stats, TermSum
+from .engine import ElliottTerm, Stats, TermSum, num_items
 from .univariate import FactoredAccumulator
 
 TOOL_NAME = "ct-euclid"
@@ -192,6 +192,114 @@ def term_from_line(line, memo=None):
     num = {_exps_from_obj(e, memo): int(c) for e, c in obj["n"]}
     den = tuple(sorted(_exps_from_obj(f, memo) for f in obj["d"]))
     return ElliottTerm(num, den)
+
+
+def _packed_line(num, den, text, unpack, memo):
+    """term_to_line's line, with its newline, of a packed term with numerator num and factors den.
+
+    den is in the order of the factors' exps tuples and text gives each
+    factor's JSON text; unpack decodes a numerator monomial, which are put
+    in the order of their exps tuples, and memo is term_to_line's.
+    """
+    if len(num) == 2:
+        items = ((unpack(num[0]), num[1]),)
+    else:
+        items = sorted([(unpack(e), c) for e, c in num_items(num)])
+    n = ",".join([f'[{_exps_json(e, memo)},"{c}"]' for e, c in items])
+    return '{"d":[' + ",".join([text[f] for f in den]) + '],"n":[' + n + "]}\n"
+
+
+# every byte a chunk file may hold: term_to_line writes JSON arrays, the
+# keys "d" and "n", decimal strings and ints, never a float, bool or null
+_CHUNK_BYTES = b'[]{}",:-0123456789dn \t\r\n'
+
+
+def _row_top(row, kept):
+    """The largest |exponent|, 0 for none, of a row ((rank, index, exponent), ...) of a chunk line.
+
+    ValueError unless each entry holds three ints, names a variable of
+    kept once, in working order, and has a nonzero exponent, as
+    term_to_line writes every monomial.
+    """
+    top = 0
+    last = None
+    for entry in row:
+        r, s, e = entry
+        if not (type(r) is type(s) is type(e) is int and e):
+            raise ValueError(f"{json.dumps(entry)} is no [rank, index, exponent] "
+                             "with a nonzero exponent")
+        v = (r, s)
+        if v not in kept:
+            raise ValueError(f"a monomial names [{r},{s}], no slack or free variable")
+        if last is not None and v <= last:
+            raise ValueError(f"monomial {json.dumps(row)} does not name its variables "
+                             "once each in working order")
+        last = v
+        if abs(e) > top:
+            top = abs(e)
+    return top
+
+
+def _read_chunk(table, data):
+    """The TermSum of a chunk file's bytes, packed under table by a layout bounded by its exponents.
+
+    It packs what TermSum.pack packs from the lines' term_from_line terms,
+    but checks and packs each distinct monomial or factor row once per
+    chunk: a row is memoized as the tuple of its entries, and the byte
+    check keeps those to ints and strings, so no row stands for another
+    of equal value and other type.  ValueError (or KeyError, TypeError)
+    unless every line is one term_to_line writes over the slack and free
+    variables of table: a row that repeats a variable or leaves working
+    order, a float, bool or string where an int belongs, a coefficient
+    that is no decimal string, an empty factor or a numerator monomial
+    written twice.
+    """
+    if data.translate(None, _CHUNK_BYTES):
+        raise ValueError("a line holds a float, a bool, a null or a name that no term holds")
+    kept = {v for v, _ in table.ordered() if v[0] != CT}
+    rows = {}
+    top = 1
+
+    def row_key(row):
+        # the memo's own key object, so a term keeps no copy of a row; the
+        # list makes a tuple of the right size at once, where tuple(map())
+        # grows and shrinks one and fragments the heap
+        nonlocal top
+        key = tuple([*map(tuple, row)])
+        seen = rows.get(key)
+        if seen is None:
+            top = max(top, _row_top(key, kept))
+            seen = rows[key] = key
+        return seen
+
+    read = []
+    for line in data.decode().splitlines():
+        if not line.strip():
+            continue
+        obj = json.loads(line)
+        den, num = obj["d"], obj["n"]
+        if not (len(obj) == 2 and type(den) is list and type(num) is list):
+            raise ValueError('a line is no {"d": factors, "n": [[monomial, "coeff"], ...]}')
+        keys = list(map(row_key, den))
+        if () in keys:
+            raise ValueError("a denominator factor is the monomial 1")
+        pairs = []
+        for row, c in num:
+            v = int(c) if type(c) is str else None
+            if v is None or str(v) != c:
+                raise ValueError(f"coefficient {json.dumps(c)} is no decimal string")
+            pairs += row_key(row), v
+        read.append((keys, pairs))
+    layout = Layout(table, top)
+    shift = layout.shift
+    packed = {key: sum([e << shift[r, s] for r, s, e in key]) for key in rows}
+    terms = []
+    for keys, pairs in read:
+        pairs[::2] = map(packed.__getitem__, pairs[::2])
+        if len(pairs) > 2 and len(set(pairs[::2])) != len(pairs) // 2:
+            raise ValueError("a numerator names one monomial twice")
+        terms.append(ElliottTerm(tuple(pairs), tuple(sorted(map(packed.__getitem__, keys)))))
+    return TermSum(layout, ExactRing(), terms)
 
 
 def table_to_obj(table):
@@ -381,37 +489,35 @@ class DirectoryStore:
         return table, nchunks, stats, summary
 
     def _write_chunks(self, done, size):
-        """Save the terms of done in tuple form, size to a file; the number of files.
+        """Save the terms of done, size to a file, as term_to_line writes them; the number of files.
 
-        The terms go in the order of TermSum.unpacked, but only one term at
-        a time is in tuple form (TermSum.tuple_terms), and one chunk's lines
-        at a time are held.
+        The lines come straight from the packed terms, in the order of
+        TermSum.tuple_terms: each distinct factor's text is made once for
+        the whole pass, each numerator monomial's as it comes, and one
+        chunk's lines at a time are held.
         """
-        terms = done.tuple_terms()
+        factors, terms = done.in_tuple_order()
         memo = {}
+        text = {f: _exps_json(e, memo) for f, e in factors.items()}
+        del factors
+        unpack = done.layout.unpack
         nchunks = _chunk_count(len(done), size)
         for i in range(nchunks):
-            lines = "".join(term_to_line(t, memo) + "\n" for t in islice(terms, size))
+            lines = "".join(_packed_line(t.num, den, text, unpack, memo)
+                            for t, den in islice(terms, size))
             _write_atomic(os.path.join(self.path, f"terms-{i:04d}.jsonl"), lines)
         return nchunks
 
     def _load_chunk(self, i):
         """Chunk i, packed under phase A's table as the TermSum that stage B reads.
 
-        It must hold its share of phase A's terms and name only slack and
-        free variables of the table, the only ones stage A leaves.
+        It must hold its share of phase A's terms, each a line as
+        term_to_line writes it (see _read_chunk).
         """
         path = os.path.join(self.path, f"terms-{i:04d}.jsonl")
         try:
-            with open(path) as fh:
-                memo = {}
-                terms = [term_from_line(line, memo) for line in fh if line.strip()]
-            kept = {v for v, _ in self.table.ordered() if v[0] != CT}
-            foreign = {v for t in terms for m in chain(t.den, t.num) for v, _ in m} - kept
-            if foreign:
-                r, s = min(foreign)
-                raise ValueError(f"a monomial names [{r},{s}], no slack or free variable")
-            chunk = TermSum.pack(self.table, ExactRing(), terms)
+            with open(path, "rb") as fh:
+                chunk = _read_chunk(self.table, fh.read())
         except FileNotFoundError:
             raise CheckpointError(f"missing term chunk {i}; delete the directory and rerun")
         except (ValueError, KeyError, TypeError) as exc:
@@ -420,9 +526,9 @@ class DirectoryStore:
             ) from None
         size = self.meta["config"]["chunk_size"]
         share = min(size, self.meta["phase_a"]["terms"] - i * size)
-        if len(terms) != share:
+        if len(chunk) != share:
             raise CheckpointError(
-                f"term chunk {i} holds {len(terms)} terms where {self.meta_path} "
+                f"term chunk {i} holds {len(chunk)} terms where {self.meta_path} "
                 f"gives it {share}; delete the directory and rerun"
             )
         return chunk

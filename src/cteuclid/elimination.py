@@ -43,9 +43,10 @@ however many factors j it holds, the pure row O(r len(b) + r^2).  The rows,
 the base series and the products of the split descent are plain ints that
 ``ring.reduce`` brings into the ring, with no ring call per coefficient.
 A piece is then scaled once, by the multinomial r!/((r - U)! prod N_m!)
-of its split divided by r! L_r^r prod(b): one ring element per piece,
-and the only division in stage B.  A prime p dividing r! L_r^r, exactly
-when r >= p - 1, is refused.
+of its split divided by r! L_r^r prod(b): one ring element per piece.
+That divisor is the only one in stage B, and a pass inverts the divisors
+of a batch of terms at once, by Montgomery's simultaneous inversion.  A
+prime p dividing r! L_r^r, exactly when r >= p - 1, is refused.
 
 A count has no q, hence no mixed factors and no groups: each term is the
 one number sum_i C(r, i) S_i pp_(r-i) / (r! L_r^r prod(b)), with S_i =
@@ -92,6 +93,11 @@ from .univariate import FactoredAccumulator, sparse_mul
 
 # moduli used when --crt is requested without explicit --mod values
 DEFAULT_PRIMES = (2305843009213693951, 1152921504606847009, 1152921504606847067)
+
+# series terms whose divisions share one inversion: a batch holds its terms'
+# pieces until then, so it is bounded, and one modular pow costs about as
+# much as a hundred products mod P
+INVERSION_BATCH = 64
 
 
 class LambdaExhaustion(RuntimeError):
@@ -586,6 +592,18 @@ def ct_s_term(ring, term, pair, stats=None):
     mixed factors whose pairing is nonzero in the ring, C(r + k', k'),
     checked against C(d + 1, floor((d + 1)/2)) for d = #factors.
     """
+    pieces, d = _unscaled_pieces(ring, term, pair, stats)
+    return _scaled(ring, pieces, ring.inv(d))
+
+
+def _unscaled_pieces(ring, term, pair, stats=None):
+    """(pieces, d): ct_s_term's pieces before the one division, which d = D_r prod(b) makes.
+
+    Each piece is (num, multinomial, den_counts); ct_s_term's piece is
+    num times multinomial / d.  d is a unit of the ring: split_factors
+    refuses a pairing that is not, and pole_order a D_r that is not.
+    Everything else, the refusals and stats included, is ct_s_term's.
+    """
     reduce = ring.reduce
     pure_b, mixed = split_factors(ring, term, pair)
     r = len(pure_b)
@@ -600,7 +618,6 @@ def ct_s_term(ring, term, pair, stats=None):
     # and reads base entry r alone
     reach = min(r, sum(len(series) - 1 for _, _, series in groups))
     base = base_series(reduce, term, pair, pure_b, r - reach)
-    inv_d = ring.inv(reduce(d_r * prod(pure_b)))
 
     pieces = []
     den_counts = {}
@@ -610,7 +627,7 @@ def ct_s_term(ring, term, pair, stats=None):
             lead = base[r - used]
             if lead:
                 num = lead if mult is None else sparse_mul(reduce, lead, mult)
-                pieces.append((ring.scale(num, reduce(multinomial * inv_d)), dict(den_counts)))
+                pieces.append((num, multinomial, dict(den_counts)))
             return
         m, j, series = groups[idx]
         for n in range(min(len(series) - 1, r - used) + 1):
@@ -638,7 +655,36 @@ def ct_s_term(ring, term, pair, stats=None):
         d = len(term.den)
         if leaves > comb(d + 1, (d + 1) // 2):
             stats.summand_bound_ok = False
-    return pieces
+    return pieces, reduce(d_r * prod(pure_b))
+
+
+def _scaled(ring, pieces, inv):
+    """The pieces (num, den_counts) of _unscaled_pieces' pieces, inv the inverse of their d."""
+    reduce = ring.reduce
+    return [(ring.scale(num, reduce(multinomial * inv)), den_counts)
+            for num, multinomial, den_counts in pieces]
+
+
+def batch_inverses(ring, units):
+    """The inverses of units, a list of units of ring, from one inversion.
+
+    Montgomery's simultaneous inversion (Math. Comp. 48, 1987): with Q_k
+    the product of the units before unit k, 1/u_k = Q_k / Q_n, and 1/Q_k
+    follows from 1/Q_(k+1) by one product.  So n inverses cost one
+    ring.inv and 3(n - 1) products mod P.
+    """
+    reduce = ring.reduce
+    before = []
+    q = 1
+    for u in units:
+        before.append(q)
+        q = reduce(q * u)
+    inv = ring.inv(q)
+    out = [0] * len(units)
+    for k in range(len(units) - 1, -1, -1):
+        out[k] = reduce(inv * before[k])
+        inv = reduce(inv * units[k])
+    return out
 
 
 def count_terms(ring, chunk, pair, stats=None):
@@ -691,10 +737,11 @@ def eliminate_slack(ring, table, chunk, lam_map, stats=None):
     table has no q: each term is one ring element (count_terms), the chunk
     makes one inversion for their sum, and the accumulator holds it as
     its one piece, with denominator {}, unless it is 0, so that the value
-    is numerator().get(0, 0).  A series adds every piece of ct_s_term,
-    each dividing once.  A ring that cannot divide, such as stage A's
-    ExactRing, raises TypeError; more than one free variable raises
-    RuntimeError.
+    is numerator().get(0, 0).  A series adds every piece of ct_s_term in
+    order, but the terms of a batch of at most INVERSION_BATCH share one
+    inversion (batch_inverses); a term that makes no piece joins none.  A
+    ring that cannot divide, such as stage A's ExactRing, raises
+    TypeError; more than one free variable raises RuntimeError.
     """
     if not hasattr(ring, "inv"):
         raise TypeError(f"stage B divides, which {ring!r} cannot; "
@@ -711,12 +758,26 @@ def eliminate_slack(ring, table, chunk, lam_map, stats=None):
             acc.add_piece(ring.scale({0: tn}, inv), {})
         return acc
     reduce = ring.reduce
+    batch = []
     for t in chunk:
         num = {e: r for e, c in num_items(t.num) if (r := reduce(c))}
         if num:
-            for piece, den_counts in ct_s_term(ring, ElliottTerm(num, t.den), pair, stats):
-                acc.add_piece(piece, den_counts)
+            pieces, d = _unscaled_pieces(ring, ElliottTerm(num, t.den), pair, stats)
+            if pieces:
+                batch.append((pieces, d))
+                if len(batch) == INVERSION_BATCH:
+                    _add_batch(ring, acc, batch)
+                    batch = []
+    _add_batch(ring, acc, batch)
     return acc
+
+
+def _add_batch(ring, acc, batch):
+    """Add the pieces of batch, [(pieces, d)] of _unscaled_pieces, to acc in order: one inversion."""
+    if batch:
+        for (pieces, _), inv in zip(batch, batch_inverses(ring, [d for _, d in batch])):
+            for piece, den_counts in _scaled(ring, pieces, inv):
+                acc.add_piece(piece, den_counts)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ the denominator factors (kd) and one for those of the numerator (kn); before
 it forms a value it checks the value's bound against the layout's reach and
 raises WidthError past it.  Stage B reads packed terms alone, through
 their digits and ``num_items``; only a checkpoint's chunk files hold tuple
-form, written by ``TermSum.tuple_terms`` and read back by ``TermSum.pack``.
+form, written in the order of ``TermSum.in_tuple_order`` and packed again
+as they load.
 
 A packed term stores its numerator as one immutable flat tuple
 (e1, c1, e2, c2, ...), which costs a fraction of a dict's shell: most
@@ -283,18 +284,28 @@ class TermSum:
     def tuple_terms(self):
         """The terms in tuple form, one at a time, ordered by denominator when collected.
 
-        The factors recur from term to term: each distinct one is decoded
-        once for the whole pass and ranked by its exps tuple, and a term's
-        factors are sorted by rank.  Numerator monomials seldom recur and
-        are decoded as they come, so the pass holds no other decoded term.
+        Numerator monomials seldom recur and are decoded as they come, so
+        the pass holds no decoded term but the one it yields.
         """
         unpack = self.layout.unpack
-        factor = cache(unpack)
-        rank = {f: r for r, f in enumerate(sorted({f for t in self.terms for f in t.den},
-                                                  key=factor), 1)}
-        for t in self._tuple_order(rank):
+        factors, terms = self.in_tuple_order()
+        for t, den in terms:
             yield ElliottTerm({unpack(e): c for e, c in num_items(t.num)},
-                              tuple(map(factor, sorted(t.den, key=rank.__getitem__))))
+                              tuple(map(factors.__getitem__, den)))
+
+    def in_tuple_order(self):
+        """(factors, terms): the packed terms in the order of tuple_terms, and their factors.
+
+        factors maps each distinct packed factor to its exps tuple: the
+        factors recur from term to term, so each is decoded once for the
+        whole pass.  terms yields (t, den) for each packed term t, den its
+        packed factors in the order of their exps tuples.
+        """
+        unpack = self.layout.unpack
+        factors = {f: unpack(f) for f in {f for t in self.terms for f in t.den}}
+        rank = {f: r for r, f in enumerate(sorted(factors, key=factors.__getitem__), 1)}
+        terms = ((t, sorted(t.den, key=rank.__getitem__)) for t in self._tuple_order(rank))
+        return factors, terms
 
     def _tuple_order(self, rank):
         """The packed terms by their tuple-form denominators when collected.

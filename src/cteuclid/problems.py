@@ -388,10 +388,16 @@ def run_pipeline(
         st = Stats()
         return table, ct_all(ts, order=order, stats=st), st
 
+    # the product ring of each set of moduli a chunk lacks, built once per run
+    products = {}
+
     def stage_b(todo, chunk):
         # one pass for all of todo: the ring itself, or Z/PZ for the product
         # P of their primes, which FactoredAccumulator.split reduces mod each
-        ring = todo[0] if len(todo) == 1 else PrimeField(tuple(r.modulus for r in todo))
+        key = tuple(r.modulus for r in todo)
+        ring = todo[0] if len(todo) == 1 else products.get(key)
+        if ring is None:
+            ring = products[key] = PrimeField.product(todo)
         st = Stats()
         return eliminate_slack(ring, table, chunk, lam_map, st), st
 

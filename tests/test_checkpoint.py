@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cteuclid.algebra import CT, FREE, SLACK, ExactRing, InputError, VariableTable
 from cteuclid.bruteforce import dp_knapsack
-from cteuclid import checkpoint
+from cteuclid import algebra, checkpoint
 from cteuclid.checkpoint import (
     CheckpointError,
     CheckpointPause,
@@ -411,3 +411,56 @@ def test_resume_does_not_open_a_chunk_whose_partials_exist(tmp_path):
     again = run_pipeline(system, "series", d, **kw)
     assert again.series_residues == first.series_residues
     assert part.read_bytes() == saved
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_B_RUNS))
+def test_chunks_load_and_write_as_the_tuple_form_reference(tmp_path, name):
+    """A chunk loads as TermSum.pack packs its term_from_line terms, and is written by term_to_line.
+
+    The loader packs each distinct row once, straight from the parsed
+    lines, and the writer writes straight from the packed terms; both must
+    give exactly what the tuple-form round trip gives: the same packed
+    numerator and denominator for every term, the same layout, and the
+    same bytes in every chunk file.
+    """
+    system, task, size = STAGE_B_RUNS[name]
+    d = tmp_path / "ck"
+    _pause_after_stage_a(str(d), system, task, chunk_size=size)
+    payload = config_payload(task, system, 0, "given", size)
+    store = DirectoryStore(str(d), payload, config_hash(payload))
+    table, nchunks, _, _ = store.stage_a(None)
+    lines = []
+    for i in range(nchunks):
+        text = (d / f"terms-{i:04d}.jsonl").read_text()
+        lines += text.splitlines(keepends=True)
+        want = TermSum.pack(table, ExactRing(), list(map(term_from_line, text.splitlines())))
+        got = store._load_chunk(i)
+        assert got.layout.width == want.layout.width and got.layout.vids == want.layout.vids
+        assert [(t.num, t.den) for t in got] == [(t.num, t.den) for t in want]
+
+    build = build_count_termsum if task == "count" else build_series_termsum
+    done = ct_all(build(system, VariableTable(), ExactRing()))
+    memo = {}
+    assert lines == [term_to_line(t, memo) + "\n" for t in done.tuple_terms()]
+
+
+def test_a_run_certifies_each_modulus_once(tmp_path, monkeypatch):
+    """A --crt pause and resume tests each prime once per run_pipeline call, not once per chunk."""
+    tested = []
+    is_prime = algebra._mr_is_prime
+
+    def counting(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(algebra, "_mr_is_prime", counting)
+    system, d = magic_square_system(3), str(tmp_path / "ck")
+    kw = dict(moduli=DEFAULT_PRIMES, crt=True, chunk_size=2)
+    _pause_after_stage_a(d, system, "series", **kw)
+    assert sorted(tested) == sorted(DEFAULT_PRIMES)
+    tested.clear()
+    out = run_pipeline(system, "series", d, **kw)
+    with open(os.path.join(d, "meta.json")) as fh:
+        assert json.load(fh)["phase_a"]["chunks"] > 1
+    assert sorted(tested) == sorted(DEFAULT_PRIMES)
+    assert (out.num, out.den) == (ehrhart_series(system).num, ehrhart_series(system).den)

@@ -453,6 +453,17 @@ DAMAGED_TERM_CHUNKS = {
     "ct-variable": lambda text: text.replace("[1,1,8]]", "[1,1,8],[2,0,2]]", 1),
     # a free variable q, which a count's table does not have
     "free-variable": lambda text: text.replace('"n":[[[[', '"n":[[[[0,0,2],[', 1),
+    # a factor that names [1,0] twice, which int() reading packed as [1,0,2]
+    "repeated-variable": lambda text: text.replace("[[1,0,1],[1,1,-3]",
+                                                   "[[1,0,1],[1,0,1],[1,1,-3]", 1),
+    # exponents that int() coerced: a float, a bool and a numeric string
+    "float-exponent": lambda text: text.replace("[1,0,4],", "[1,0,4.9],", 1),
+    "bool-exponent": lambda text: text.replace("[[1,0,1],[1,1,8]]", "[[1,0,true],[1,1,8]]", 1),
+    "string-exponent": lambda text: text.replace("[1,1,8]]", '[1,1,"8"]]', 1),
+    # a coefficient as a JSON number, not the decimal string the writer emits
+    "number-coefficient": lambda text: text.replace(',"-1"]', ",-1]", 1),
+    # a factor that is the monomial 1, which ended in exit 4
+    "empty-factor": lambda text: text.replace('{"d":[', '{"d":[[],', 1),
 }
 
 

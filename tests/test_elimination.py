@@ -36,7 +36,7 @@ from cteuclid.elimination import (
     summarize,
     validate_lambda,
 )
-from cteuclid.engine import ElliottTerm, Stats, TermSum, ct_all
+from cteuclid.engine import ElliottTerm, Stats, TermSum, ct_all, num_items
 from cteuclid.problems import (
     build_count_termsum,
     build_series_termsum,
@@ -507,21 +507,80 @@ def test_pairing_divisible_by_the_modulus_counts_no_leaves():
         assert stats.summand_max == leaves
 
 
+def _batch_chunk(bad_at, length):
+    """(table, chunk, lam): length series terms, of which the one at bad_at has a pure pairing 202.
+
+    Term k is otherwise (k + 1)/((1 - z1^j)(1 - q z2)), j = 1 + k mod 7, with
+    pairings 3j and 5, so the terms of a batch divide by different units.
+    """
+    table = VariableTable()
+    q = table.add("q", FREE)
+    z1, z2, z3 = (table.fresh_slack() for _ in range(3))
+    mixed = ((q, 1), (z2, 1))
+    terms = [ElliottTerm({EXPS_ONE: k + 1}, (mixed, ((z1, 1 + k % 7),))) for k in range(length)]
+    if bad_at is not None:
+        terms[bad_at] = ElliottTerm({exps_from_dict({z1: 1}): 2}, (((q, 2), (z2, 1)), ((z3, 1),)))
+    return table, TermSum.pack(table, ExactRing(), terms), {z1: 3, z2: 5, z3: 202}
+
+
+@pytest.mark.parametrize("bad_at, length", [(0, 3), (2, 5), (elimination.INVERSION_BATCH + 1,
+                                                          elimination.INVERSION_BATCH + 3)])
+def test_batched_pass_refuses_as_the_term_by_term_pass(bad_at, length):
+    """A pass that shares one inversion per batch refuses the term ct_s_term refuses, as it does.
+
+    Modulo 101 * 103 the pure pairing 202 of the term at bad_at is not a
+    unit: the pass raises ct_s_term's PrimeClash, with its message and
+    with the stats of the terms before it, wherever the term sits in its
+    batch.
+    """
+    table, chunk, lam = _batch_chunk(bad_at, length)
+    ring = PrimeField((101, 103))
+    pair = pairing_function(lam, chunk)
+    want_stats = Stats()
+    with pytest.raises(PrimeClash) as want:
+        for t in chunk:
+            num = {e: c % ring.modulus for e, c in num_items(t.num)}
+            ct_s_term(ring, ElliottTerm(num, t.den), pair, want_stats)
+    got_stats = Stats()
+    with pytest.raises(PrimeClash) as got:
+        eliminate_slack(ring, table, chunk, lam, got_stats)
+    assert str(got.value) == str(want.value)
+    assert got_stats.as_dict() == want_stats.as_dict()
+    assert got_stats.ct_s_calls == bad_at
+
+
+def test_batched_pass_adds_the_term_by_term_pieces():
+    """Past one batch, the pass adds what ct_s_term gives term by term, in its order."""
+    length = 2 * elimination.INVERSION_BATCH + 5
+    table, chunk, lam = _batch_chunk(None, length)
+    ring = PrimeField((101, 103))
+    want = FactoredAccumulator(ring)
+    pair = pairing_function(lam, chunk)
+    for t in chunk:
+        num = {e: c % ring.modulus for e, c in num_items(t.num)}
+        for piece, den_counts in ct_s_term(ring, ElliottTerm(num, t.den), pair):
+            want.add_piece(piece, den_counts)
+    got = eliminate_slack(ring, table, chunk, lam)
+    assert got.numerator() == want.numerator() and got.den == want.den
+
+
 def test_magic4_stage_b_piece_count(tmp_path, monkeypatch, capsys):
     """magic --n 4 makes 1,562 stage-B pieces.
 
     The bound sits just above that and far below the 16,144 pieces of one
-    leaf per composition of the pole order over the mixed factors.
+    leaf per composition of the pole order over the mixed factors.  A pass
+    makes each term's pieces with _unscaled_pieces, the body of ct_s_term,
+    and scales them once per batch.
     """
     counted = []
-    original = elimination.ct_s_term
+    original = elimination._unscaled_pieces
 
     def counting(*args, **kwargs):
-        pieces = original(*args, **kwargs)
+        pieces, d = original(*args, **kwargs)
         counted.append(len(pieces))
-        return pieces
+        return pieces, d
 
-    monkeypatch.setattr(elimination, "ct_s_term", counting)
+    monkeypatch.setattr(elimination, "_unscaled_pieces", counting)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["magic", "--n", "4", "--seed", "0"]) == 0
     capsys.readouterr()

@@ -614,6 +614,54 @@ def test_ct_all_widens_a_narrow_layout(num, factors):
     assert mine.as_dict() == ref.as_dict()
 
 
+# One Euclid node per a-priori check, on a layout of reach 64 (8-bit
+# digits) with kd = 16: (numerator monomials, [(factor, x-exponent)], pivot,
+# kn, the reach the node must ask for).  Exponents are over y1, y2, x1.
+NODE_WIDTH_CASES = {
+    # the factor y1^16 x1^16 takes l = 8 steps of the pivot y1^-16 x1^2, so
+    # its y1 digit reaches 16 + 8*16 = 144, past the digits; kd1 = 16*(1 + 8)
+    "kd1-largest-step": ([{"y2": 1}], [({"y1": -16, "x1": 2}, 2), ({"y1": 16, "x1": 16}, 16)],
+                         0, 16, 16 * 9),
+    # x1^2 splits as x1^(3 - 1) modulo the pivot x1^3 and flips: its unit
+    # joins the numerator, kn1 = 40 + 1*(2*16) = 72; kn2 would be 88
+    "kn1-flip": ([{"y2": 1, "x1": 2}], [({"y1": 1, "x1": 3}, 3), ({"y2": 1, "x1": 2}, 2)],
+                 0, 40, 72),
+    # no flip, but the numerator's x1^10 takes 5 steps of the pivot x1^2:
+    # kn2 = 16 + 5*16 = 96, for a numerator of one monomial and of two
+    "kn2-numerator-steps": ([{"y2": 1, "x1": 10}], [({"y1": 1, "x1": 2}, 2), ({"y2": 1}, 0)],
+                            0, 16, 96),
+    "kn2-numerator-steps-two-monomials": ([{"y2": 1, "x1": 10}, {"y1": 1}],
+                                          [({"y1": 1, "x1": 2}, 2), ({"y2": 1}, 0)], 0, 16, 96),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_WIDTH_CASES))
+def test_euclid_node_asks_for_the_reach_of_its_failing_check(name):
+    """Each a-priori bound of a Euclid node is checked, in its order, before its values are used.
+
+    kd1 counts the largest step of a reduction, kn1 the units that flips
+    push into the numerator, kn2 the steps of the numerator; a node whose
+    bound passes the reach raises WidthError asking for that bound, and
+    emits nothing.
+    """
+    num, factors, pivot, kn, need = NODE_WIDTH_CASES[name]
+    table = _table(2, 0, 1)
+    layout = Layout(table, 16, reach=64)
+    assert layout.width == 8
+
+    def packed(d):
+        return layout.pack(exps_from_dict({table.vid_of(k): e for k, e in d.items()}))
+
+    den = [packed(f) for f, _ in factors]
+    xs = [x for _, x in factors]
+    emitted = []
+    with pytest.raises(WidthError) as exc:
+        engine.euclid_contribution(RING, tuple(v for m in num for v in (packed(m), 1)), den, xs,
+                                   pivot, table.vid_of("x1"), layout, 16, kn, emitted.append)
+    assert exc.value.need == need
+    assert emitted == []
+
+
 # per-round [raw, collected] terms and Euclid nodes of magic-5 rounds 1-8
 MAGIC5_ROUNDS = [[1, 1], [5, 5], [25, 25], [125, 125], [625, 625], [1024, 1024],
                  [1620, 1620], [6360, 3680]]
