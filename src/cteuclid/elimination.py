@@ -95,8 +95,9 @@ from .univariate import FactoredAccumulator, sparse_mul
 DEFAULT_PRIMES = (2305843009213693951, 1152921504606847009, 1152921504606847067)
 
 # series terms whose divisions share one inversion: a batch holds its terms'
-# pieces until then, so it is bounded, and one modular pow costs about as
-# much as a hundred products mod P
+# pieces until then, so it is bounded.  Modulo the product of the default
+# primes one inversion costs about thirty products, and sharing it three
+# products per term.
 INVERSION_BATCH = 64
 
 
