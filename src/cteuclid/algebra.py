@@ -252,7 +252,8 @@ class VariableTable:
     A ``Layout`` packs monomials for the table as it was when the layout was
     built: a new slack variable takes a digit in the middle of the order, so
     a table that grew needs a new layout, and terms packed by the old one
-    are carried over through their tuple form.
+    are carried over through their tuple form.  A name is an identifier, so
+    it is one token in every line that names it.
     """
 
     def __init__(self):
@@ -262,6 +263,8 @@ class VariableTable:
 
     def add(self, name, role):
         rank = RANK_OF_ROLE[role] if isinstance(role, str) else role
+        if not (isinstance(name, str) and name.isidentifier()):
+            raise InputError(f"variable name {name!r} is not an identifier")
         if name in self._by_name:
             raise InputError(f"duplicate variable name {name!r}")
         vid = (rank, self._counts[rank])

@@ -74,6 +74,8 @@ EXIT_PRIME = 5
 EXIT_ORACLE = 6
 EXIT_RESUME = 7
 
+ORDERS = ("given", "sparse-first")
+
 
 def _weights(text):
     try:
@@ -106,7 +108,7 @@ def _add_common(sp):
     sp.add_argument("--crt", action="store_true",
                     help="reconstruct the integer from the moduli (default primes if no --mod)")
     sp.add_argument("--seed", type=int, default=0, help="seed for direction search")
-    sp.add_argument("--order", choices=["given", "sparse-first"], default="given",
+    sp.add_argument("--order", choices=ORDERS, default="given",
                     help="elimination order for the extraction variables")
     sp.add_argument("--oracle-check", action="store_true",
                     help="verify the result against brute-force enumeration")
@@ -153,7 +155,7 @@ def build_parser():
     sp.add_argument("--input", required=True, help="JSON term description")
     sp.add_argument("--mod", action="append", type=int, default=[], metavar="P",
                     help="work modulo the odd prime P (at most one for raw runs)")
-    sp.add_argument("--order", choices=["given", "sparse-first"], default="given")
+    sp.add_argument("--order", choices=ORDERS, default="given")
     sp.add_argument("--output", metavar="PATH", help="result file path")
 
     sp = sub.add_parser("resume", help="continue a checkpointed run")
@@ -433,6 +435,12 @@ def cmd_resume(args):
         # the saved configuration stands in for the flags resume does not take
         for key in ("seed", "order", "chunk_size"):
             setattr(args, key, cfg[key])
+        for key, ok in (("task", task in ("count", "series")),
+                        ("seed", type(args.seed) is int),
+                        ("order", args.order in ORDERS),
+                        ("chunk_size", type(args.chunk_size) is int and args.chunk_size >= 1)):
+            if not ok:
+                raise ValueError(f"{key} holds {cfg[key]!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"malformed checkpoint configuration ({type(exc).__name__}: {exc})"

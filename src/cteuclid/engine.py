@@ -50,17 +50,17 @@ interned) in its own one pass.
 Inside the engine a denominator is its factors sorted as ints, which is
 all that collecting needs, and two factors have a common binomial divisor
 exactly when their fractions f/a, factor over x-exponent, are equal in
-lowest terms.  The order of exps tuples is applied once, as terms leave:
-the result file, the checkpoint's term chunks and stage B's chunks see
-only that order.
+lowest terms.  A round's terms stay in the order in which its sink first
+met their denominators; the order of exps tuples is applied once, as terms
+leave: the result file, the checkpoint's term chunks and stage B's chunks
+see only that order.
 
 Each exponent is decoded once: ct_var reads the x-exponent of every
 denominator factor and hands the normalized list down with the factors, and
 each Euclid node passes on the reduced exponents it computed.  A round pays
 only for what it changes: when no term needs a Euclid node, every term keeps
 its denominator and a slice of its numerator (the term itself when no
-monomial holds x), so a round over collected terms (a dependent equation,
-say) stays collected without being ordered again.
+monomial holds x), so the layout bound still covers the round's terms.
 
 A round holds only what it keeps.  Every stored denominator factor is the
 layout's one int object of its value (``Layout.intern``).  ct_var and the
@@ -261,15 +261,14 @@ def _largest_exponent(terms):
 class TermSum:
     """Stage-A terms in one coefficient ring, packed by one Layout.
 
-    ``collected`` is set by ct_all alone: its terms have distinct
-    denominators in int order, and the layout bound covers every exponent.
+    The layout bound covers every exponent of the terms.  A sum that ct_all
+    returns has distinct denominators, in no particular order.
     """
 
-    def __init__(self, layout, ring, terms=None, collected=False):
+    def __init__(self, layout, ring, terms=None):
         self.layout = layout
         self.ring = ring
         self.terms = list(terms) if terms else []
-        self.collected = collected
 
     @property
     def table(self):
@@ -282,7 +281,7 @@ class TermSum:
         return cls(layout, ring, [pack_term(layout, t) for t in terms])
 
     def tuple_terms(self):
-        """The terms in tuple form, one at a time, ordered by denominator when collected.
+        """The terms in tuple form, one at a time, ordered by denominator.
 
         Numerator monomials seldom recur and are decoded as they come, so
         the pass holds no decoded term but the one it yields.
@@ -308,7 +307,7 @@ class TermSum:
         return factors, terms
 
     def _tuple_order(self, rank):
-        """The packed terms by their tuple-form denominators when collected.
+        """The packed terms by their tuple-form denominators, equal ones in input order.
 
         rank maps each distinct factor to its place among them by exps
         tuple, from 1.  A term's key packs the ranks of its factors, in
@@ -317,8 +316,6 @@ class TermSum:
         tuples of the denominators do, a prefix first, and only factors are
         decoded.
         """
-        if not self.collected:
-            return self.terms
         width = len(rank).bit_length()
         longest = max((len(t.den) for t in self.terms), default=0)
 
@@ -688,12 +685,13 @@ class TermSink:
 
 
 def collect_terms(layout, buckets):
-    """The terms of buckets {den: term} packed by layout, every numerator nonzero.
+    """The terms of a round's buckets {den: term} packed by layout, in the order they opened.
 
-    They are ordered by denominator as tuples of ints, so the order does
-    not depend on the order of merging.
+    layout is not read.  The call stays, with this signature, because
+    perfbench/tracing.py closes a stage-A round at it and reads the buckets
+    from its second argument.
     """
-    return [buckets[den] for den in sorted(buckets)]
+    return list(buckets.values())
 
 
 def _occurrence_counts(terms, vids, layout):
@@ -733,21 +731,16 @@ def ct_all(ts, ct_vids=None, order="given", stats=None):
     table does not change here.  A collision raises CollisionError.
 
     Each round gets one TermSink, which merges the terms ct_var makes as
-    they come; collect_terms orders its buckets once the round is done.  A
-    round in which a term needs more room than the layout's reach
-    (WidthError) is redone from its first term under a layout with the
-    reach asked for: the round's sink is dropped and its input terms move
-    to the new layout.  After each round the layout bound grows to cover
-    the collected terms.  raw-terms and euclid-nodes count the attempt of
-    each round that finished; a round that raises counts none of its own,
-    so no counter depends on the order in which a round meets its terms.
-
-    A round that makes no Euclid node and starts from collected terms
-    (those of an earlier round, or a TermSum ct_all returned) passes
-    through: every bucket holds one sliced term, in input order, or the
-    input term itself when it has no x, and neither collect_terms nor the
-    layout bound runs again.  The result is the one collecting would give,
-    and the round's counters are unchanged.
+    they come; its buckets, in the order they opened, are the round's
+    terms.  A round in which a term needs more room than the layout's
+    reach (WidthError) is redone from its first term under a layout with
+    the reach asked for: the round's sink is dropped and its input terms
+    move to the new layout.  After a round that made a Euclid node the
+    layout bound grows to cover the collected terms; any other round only
+    sliced stored terms, which the bound covers.  raw-terms and
+    euclid-nodes count the attempt of each round that finished; a round
+    that raises counts none of its own, so no counter depends on the order
+    in which a round meets its terms.
     """
     ring = ts.ring
     layout = ts.layout
@@ -757,7 +750,6 @@ def ct_all(ts, ct_vids=None, order="given", stats=None):
         ct_vids = table.vids_of_rank(CT)
     remaining = list(ct_vids)
     terms = list(ts.terms)
-    collected = ts.collected
     while remaining:
         if order == "sparse-first":
             counts = _occurrence_counts(terms, remaining, layout)
@@ -765,7 +757,6 @@ def ct_all(ts, ct_vids=None, order="given", stats=None):
             remaining.remove(xvid)
         else:
             xvid = remaining.pop(0)
-        src = layout
         nodes_before = stats.euclid_nodes
         while True:
             sink = TermSink(ring)
@@ -784,15 +775,10 @@ def ct_all(ts, ct_vids=None, order="given", stats=None):
             terms = list(map(_relayout(layout, grown), terms))
             layout = grown
         stats.raw_terms += sink.made
-        if collected and layout is src and stats.euclid_nodes == nodes_before:
-            # only a Euclid node makes a new denominator: every term kept
-            # its own and a slice of its numerator, or vanished, so the
-            # terms stay collected and inside the layout bound
-            terms = list(sink.buckets.values())
-            continue
         terms = collect_terms(layout, sink.buckets)
         del sink  # else its buckets would keep the old terms alive through a relayout
-        collected = True
+        if stats.euclid_nodes == nodes_before:
+            continue  # every term is a slice of a stored one, inside the bound
         bound = layout.magnitude(_monomials(terms))
         if bound > layout.bound:
             room = max(layout.reach, bound * bound << ROOM_BITS)
@@ -800,4 +786,4 @@ def ct_all(ts, ct_vids=None, order="given", stats=None):
             terms = list(map(_relayout(layout, grown), terms))
             layout = grown
     stats.collected_terms = len(terms)
-    return TermSum(layout, ring, terms, collected)
+    return TermSum(layout, ring, terms)

@@ -14,12 +14,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cteuclid import cli
+from cteuclid import cli, problems
 from cteuclid.algebra import ExactRing, PrimeField
 from cteuclid.bruteforce import OracleRefusal, brute_count
 from cteuclid.checkpoint import CheckpointError, CheckpointPause, config_hash
 from cteuclid.elimination import DEFAULT_PRIMES, LambdaExhaustion, PrimeClash
-from cteuclid.engine import CollisionError
+from cteuclid.engine import CollisionError, TermSum
 
 
 def run_main(capsys, *argv):
@@ -54,6 +54,45 @@ def test_result_file_rerun_identical(in_tmp, capsys):
              "--output", "a.txt")
     run_main(capsys, "knapsack", "--a0", "41", "--weights", "1,5,14",
              "--output", "b.txt")
+    assert (in_tmp / "a.txt").read_bytes() == (in_tmp / "b.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", [5, "y\nvalue: 9", "a,b", ""],
+                         ids=["int", "newline", "comma", "empty"])
+def test_ct_refuses_a_variable_name_that_is_no_identifier(in_tmp, capsys, name):
+    """A name goes into the variables line, so it must be one token there."""
+    (in_tmp / "t.json").write_text(json.dumps(
+        {"variables": [[name, "free"], ["x", "ct"]], "denominator": [{"x": 1}]}))
+    rc, out, err = run_main(capsys, "ct", "--input", "t.json", "--output", "r.txt")
+    assert rc == 2
+    assert out == ""
+    errors = err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: bad term file: ")
+    assert not (in_tmp / "r.txt").exists()
+
+
+@pytest.mark.parametrize("mode", [[], ["--mod", "1000003"], ["--crt"]],
+                         ids=["exact", "mod", "crt"])
+@pytest.mark.parametrize("argv", [
+    ["magic", "--n", "4"],
+    ["knapsack", "--a0", "9605029289", "--weights", "27853,8897,21816,12574"],
+], ids=["magic4", "knapsack"])
+def test_result_ignores_the_order_of_stage_a_terms(in_tmp, capsys, monkeypatch, argv, mode):
+    """An in-memory run whose stage A hands its terms on reversed writes the same result."""
+    rc, _, _ = run_main(capsys, *argv, *mode, "--output", "a.txt")
+    assert rc == 0
+    ct_all = problems.ct_all
+    reversed_terms = []
+
+    def reversing(*args, **kw):
+        done = ct_all(*args, **kw)
+        reversed_terms.append(len(done))
+        return TermSum(done.layout, done.ring, done.terms[::-1])
+
+    monkeypatch.setattr(problems, "ct_all", reversing)
+    rc, _, _ = run_main(capsys, *argv, *mode, "--output", "b.txt")
+    assert rc == 0
+    assert len(reversed_terms) == 1 and reversed_terms[0] > 1
     assert (in_tmp / "a.txt").read_bytes() == (in_tmp / "b.txt").read_bytes()
 
 
@@ -327,12 +366,21 @@ def test_resume_of_delayed_slack_checkpoint_refused(in_tmp, capsys):
     {"summary": {"den": {"0": 1}}},     # a factor (1 - q^0) = 0
     {"summary": {"den": {"1": "2"}}},   # a string for a power
     {"summary": {"den": None}},         # no den
+    {"table": [[0, 1, "y\nvalue: 9"]]},  # a name that is no identifier
+    # the configuration saved with it
+    {"config": {"chunk_size": "5"}},    # a string for the chunk size
+    {"config": {"chunk_size": 0}},      # no terms per chunk
+    {"config": {"task": "bogus"}},      # neither a count nor a series
+    {"config": {"seed": "1"}},          # a string for the seed
+    {"config": {"order": "bogus"}},     # no elimination order
 ], ids=["truncated", "list", "empty", "no-keys", "counter-string", "counter-negative",
         "counter-bool", "flag-int", "chunks-short", "chunks-string", "chunks-long",
         "terms-short", "terms-negative", "terms-string", "table-row", "table-string",
         "summary-string", "summary-terms", "summary-slack-unknown", "summary-slack-string",
         "summary-pure-int", "summary-descriptor-odd", "summary-exponent-zero",
-        "summary-den-zero", "summary-den-string", "summary-den-none"])
+        "summary-den-zero", "summary-den-string", "summary-den-none", "table-name",
+        "config-chunk-string", "config-chunk-zero", "config-task", "config-seed",
+        "config-order"])
 def test_resume_of_damaged_meta_refused(in_tmp, capsys, damage):
     meta = in_tmp / "ck" / "meta.json"
     if isinstance(damage, str):
@@ -349,7 +397,10 @@ def test_resume_of_damaged_meta_refused(in_tmp, capsys, damage):
                 value = obj["phase_a"]["table"] + value
             if key == "summary" and isinstance(value, dict):
                 value = {**obj["phase_a"]["summary"], **value}
-            obj["phase_a"][key] = value
+            if key == "config":
+                obj["config"].update(value)
+            else:
+                obj["phase_a"][key] = value
         meta.write_text(json.dumps(obj))
     else:
         # a run paused after stage A, whose counters the resume reads back
@@ -365,6 +416,8 @@ def test_resume_of_damaged_meta_refused(in_tmp, capsys, damage):
     assert out == ""
     errors = err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("error: ")
+    if isinstance(damage, dict) and "config" in damage:
+        assert errors[0].startswith("error: malformed checkpoint configuration")
     assert not (in_tmp / "ck" / "result.txt").exists()
 
 

@@ -1,4 +1,5 @@
 import random
+from functools import cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -234,25 +235,32 @@ def test_ct_all_merges_a_packed_sum_without_x():
 
 
 def test_dependent_round_passes_through(monkeypatch):
-    """Magic-4's round 8, the last column sum, makes no Euclid node and is not collected."""
+    """Magic-4's round 8, the last column sum, makes no Euclid node and walks no layout bound."""
     table = VariableTable()
     start = build_series_termsum(magic_square_system(4), table, RING)
     vids = table.vids_of_rank(CT)
     ts = start
     for v in vids[:7]:
         ts = ct_all(ts, ct_vids=[v])
-    # the run's raw-terms counter whenever collect_terms orders a round
-    seen = []
-    collect = engine.collect_terms
+    # the run's raw-terms counter whenever collect_terms closes a round, and
+    # whenever the layout bound is walked
+    seen, walks = [], []
+    collect, magnitude = engine.collect_terms, Layout.magnitude
 
     def counted(layout, buckets):
         seen.append(watched.raw_terms)
         return collect(layout, buckets)
 
+    def walked(layout, monomials):
+        walks.append(watched.raw_terms)
+        return magnitude(layout, monomials)
+
     monkeypatch.setattr(engine, "collect_terms", counted)
+    monkeypatch.setattr(Layout, "magnitude", walked)
     mine = watched = Stats()
     got = ct_all(ts, ct_vids=[vids[7]], stats=mine)
-    assert seen == []
+    assert (seen, walks) == ([140], [])
+    assert got.layout is ts.layout
     assert (mine.raw_terms, mine.collected_terms, mine.euclid_nodes) == (140, 140, 0)
     ref = Stats()
     _same_terms(got.unpacked(), oracles.ct_all(table, RING, ts.unpacked(), ct_vids=[vids[7]],
@@ -260,11 +268,13 @@ def test_dependent_round_passes_through(monkeypatch):
     assert mine.as_dict() == ref.as_dict()
 
     # the same round inside one call over rounds 1-8
+    seen.clear()
     whole_stats, ref = Stats(), Stats()
     watched = whole_stats
     whole = ct_all(start, ct_vids=vids[:8], stats=whole_stats)
-    calls = [b - a for a, b in zip([0] + seen, seen)]  # raw terms of each ordered round
-    assert calls == [1, 4, 16, 64, 81, 96, 256]
+    calls = [b - a for a, b in zip([0] + seen, seen)]  # raw terms of each round
+    assert calls == [1, 4, 16, 64, 81, 96, 256, 140]
+    assert walks == seen[:7]  # every round but the last walks the bound
     _same_terms(got.unpacked(), whole.unpacked())
     assert got.layout.bound == whole.layout.bound
     oracles.ct_all(table, RING, start.unpacked(), ct_vids=vids[:8], stats=ref)
@@ -285,7 +295,7 @@ def test_pass_through_round_hands_on_the_stored_terms():
     stats = Stats()
     second = ct_all(first, ct_vids=[table.vid_of("x2")], stats=stats)
     assert second.layout is first.layout
-    # the terms keep their order: plain's denominator is the smaller int
+    # the terms keep their order: the sink opens plain's bucket first
     assert [t is u for t, u in zip(second.terms, first.terms)] == [True, False]
     assert (stats.raw_terms, stats.collected_terms, stats.euclid_nodes) == (2, 2, 0)
     _same_terms(second.unpacked(),
@@ -307,7 +317,7 @@ def test_sink_drops_a_cancelled_bucket_and_reopens_it():
     sink.add(c)
     assert sink.made == 4
     assert sink.buckets[c.den] is c
-    assert engine.collect_terms(layout, sink.buckets) == sorted([c, d], key=lambda t: t.den)
+    assert engine.collect_terms(layout, sink.buckets) == [d, c]  # in the order the buckets opened
 
 
 @settings(max_examples=100, deadline=None)
@@ -509,6 +519,51 @@ def test_ct_all_matches_tuple_reference(case, order, power):
     got = ct_all(ts, order=order, stats=mine)
     _same_terms(got.unpacked(), want)
     assert mine.as_dict() == ref.as_dict()
+
+
+@cache
+def _magic_rounds(n, k):
+    """Magic-n's series term sum after its first k rounds, and the ct variables left."""
+    table = VariableTable()
+    ts = build_series_termsum(magic_square_system(n), table, RING)
+    vids = table.vids_of_rank(CT)
+    return ct_all(ts, ct_vids=vids[:k]), vids[k:]
+
+
+@st.composite
+def order_cases(draw):
+    """(term sum, ct variables, order): 1-3 packed reference terms, or magic-3/4 mid-run."""
+    order = draw(st.sampled_from(["given", "sparse-first"]))
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([3, 4]))
+        ts, vids = _magic_rounds(n, draw(st.integers(1, 2 * n + 1)))
+        return ts, vids, order
+    table, ring, terms = draw(reference_cases(max_terms=3))
+    assume(terms is not None)
+    power = draw(st.sampled_from([None, 1, 2]))
+    if power is None:
+        return TermSum.pack(table, ring, terms), None, order
+    return _narrow_sum(table, ring, terms, power), None, order
+
+
+@settings(max_examples=100, deadline=None)
+@given(order_cases(), st.randoms(use_true_random=False))
+def test_ct_all_ignores_the_order_of_its_terms(case, rnd):
+    """Permuting ct_all's input changes neither the terms it returns nor a counter."""
+    ts, vids, order = case
+    shuffled = list(ts.terms)
+    rnd.shuffle(shuffled)
+    runs = []
+    for terms in (ts.terms, shuffled):
+        stats = Stats()
+        try:
+            done = ct_all(TermSum(ts.layout, ts.ring, terms), ct_vids=vids, order=order,
+                          stats=stats)
+            got = [(t.num, t.den) for t in done.unpacked()]
+        except CollisionError:
+            got = None
+        runs.append((got, stats.as_dict()))
+    assert runs[0] == runs[1]
 
 
 @st.composite
